@@ -19,8 +19,8 @@ subsystem:
   results**; parallelism changes throughput, never outcomes.  Failures are
   accounted per run (``RunResult.error``), never raised mid-campaign.
 * :mod:`repro.campaigns.results` — the compact :class:`RunResult` reduction
-  of an execution trace (stabilisation round, agreement streaks, message
-  counts), the append-only JSONL :class:`CampaignStore` with
+  of a run summary (stabilisation round, agreement fraction, message
+  counts, recovery), the append-only JSONL :class:`CampaignStore` with
   resume-by-skipping-completed-runs, and :func:`summarize_results`.
 * :mod:`repro.campaigns.runner` — :func:`run_campaign`, the orchestration
   loop: expand, skip completed, execute, persist as results stream in.
@@ -64,7 +64,7 @@ from repro.campaigns.executor import (
 from repro.campaigns.results import (
     CampaignStore,
     RunResult,
-    reduce_trace,
+    reduce_values,
     summarize_results,
 )
 from repro.campaigns.runner import CampaignReport, run_campaign
@@ -84,7 +84,7 @@ __all__ = [
     "MODELS",
     "RunResult",
     "CampaignStore",
-    "reduce_trace",
+    "reduce_values",
     "summarize_results",
     "execute_run",
     "ExecutorStats",

@@ -7,8 +7,10 @@ expanded :class:`~repro.campaigns.spec.RunSpec` list into *groups* of trials
 that share one configuration — same declarative algorithm, same adversary
 strategy and parameters, same fault count and simulation envelope, differing
 only in seed and faulty set — and runs each kernel-covered group through the
-vectorised batch engine (:func:`repro.network.batch.run_batch_trials`) instead
-of one scalar simulation per run.  Everything else (pre-built algorithm
+vectorised batch engine (:func:`repro.network.batch.run_batch_summaries`)
+instead of one scalar simulation per run.  Both paths reduce their per-run
+:class:`~repro.network.stabilization.RunSummary` through the one
+:func:`~repro.campaigns.results.reduce_values`.  Everything else (pre-built algorithm
 instances, strategies without a kernel, algorithms whose parameters overflow
 the kernels' int64 arithmetic) falls back to the scalar
 :func:`~repro.campaigns.executor.execute_run`, so results exist for every
@@ -46,11 +48,10 @@ from repro.campaigns.executor import (
     execute_run,
     resolve_observer,
 )
-from repro.campaigns.results import RunResult
+from repro.campaigns.results import RunResult, reduce_values
 from repro.campaigns.spec import AlgorithmSpec, RunSpec
 from repro.core.errors import ParameterError
 from repro.network.batch import (
-    BatchRunSummary,
     BatchTrial,
     adversary_kernel_available,
     build_batch_kernel,
@@ -59,7 +60,11 @@ from repro.network.batch import (
 from repro.obs.events import BatchGroupScheduled, FallbackTaken
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-__all__ = ["BatchExecutorStats", "BatchExecutor", "group_runs", "reduce_summary"]
+__all__ = ["BatchExecutorStats", "BatchExecutor", "group_runs"]
+
+#: The batch path's reduction under the name the end-to-end benchmark's
+#: ``campaigns.batching.reduce_summary`` span wraps; it is :func:`reduce_values`.
+reduce_summary = reduce_values
 
 
 def _group_label(spec: RunSpec, algorithm=None) -> str:
@@ -385,79 +390,6 @@ class BatchExecutor:
             delay=spec.delay,
         )
         return [
-            reduce_summary(member, algorithm, summary)
+            reduce_values(member, algorithm, summary)
             for member, summary in zip(group, summaries)
         ]
-
-
-def reduce_summary(
-    spec: RunSpec, algorithm, summary: BatchRunSummary
-) -> RunResult:
-    """Reduce one batch summary to its campaign result.
-
-    Computes exactly what :func:`repro.campaigns.results.reduce_trace`
-    computes from a full trace — the empirical stabilisation suffix of
-    :func:`repro.network.stabilization.stabilization_round`, the agreement
-    fraction, the message counts and (for pulling trials) the Theorem 4
-    statistics — from the per-round agreed values alone.  Batch-vs-scalar
-    result identity for deterministic configurations is asserted in
-    ``tests/campaigns/test_batching.py``.
-    """
-    from repro.analysis.metrics import post_agreement_failure_rate_from_values
-    from repro.network.stabilization import stabilization_from_values
-
-    agreed = summary.agreed
-    total = summary.rounds
-
-    # One shared implementation with the scalar path: the batch engine's
-    # agreed-value arrays (disagreement = -1) feed the same stabilisation
-    # suffix walk the trace-based reduction uses.
-    result = stabilization_from_values(agreed, algorithm.c, min_tail=spec.min_tail)
-
-    bound = algorithm.stabilization_bound()
-    within: bool | None = None
-    if bound is not None and result.stabilized and result.round is not None:
-        within = result.round <= bound
-
-    agreements = sum(1 for value in agreed if value >= 0)
-    agreement_fraction = agreements / total if total else 0.0
-
-    correct = algorithm.n - len(summary.faulty)
-    max_pulls: int | None = None
-    mean_pulls: float | None = None
-    max_bits: int | None = None
-    failure_rate: float | None = None
-    if spec.model == "pulling":
-        pulls = summary.pulls_per_round or 0
-        max_pulls = pulls
-        mean_pulls = float(pulls)
-        max_bits = pulls * summary.message_bits
-        messages_sent = total * pulls * correct
-        failure_rate = post_agreement_failure_rate_from_values(agreed)
-    else:
-        messages_sent = total * algorithm.n * correct
-
-    return RunResult(
-        run_id=spec.run_id,
-        algorithm=spec.algorithm_label(),
-        adversary=spec.adversary_label(),
-        n=algorithm.n,
-        f=algorithm.f,
-        c=algorithm.c,
-        faulty=summary.faulty,
-        sim_seed=spec.sim_seed,
-        rounds_simulated=total,
-        stabilized=result.stabilized,
-        stabilization_round=result.round,
-        within_bound=within,
-        agreement_fraction=agreement_fraction,
-        stopped_early=summary.stopped_early,
-        messages_sent=messages_sent,
-        error=None,
-        model=spec.model,
-        max_pulls=max_pulls,
-        mean_pulls=mean_pulls,
-        max_bits=max_bits,
-        post_agreement_failure_rate=failure_rate,
-        rng=summary.rng_note,
-    )

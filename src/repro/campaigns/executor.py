@@ -28,11 +28,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-from repro.campaigns.results import RunResult, reduce_trace
+from repro.campaigns.results import RunResult, reduce_values
 from repro.campaigns.spec import AlgorithmSpec, RunSpec
 from repro.network.adversary import Adversary
-from repro.network.pulling import PullSimulationConfig, run_pull_simulation
-from repro.network.simulator import SimulationConfig, run_simulation
+from repro.network.engine import ModelAdapter, run_engine
+from repro.network.pulling import PullingModel
+from repro.network.simulator import BroadcastModel
 from repro.obs.events import FallbackTaken, RunFinished, RunStarted
 from repro.obs.observer import Observer, active, default_observer
 from repro.util.rng import derive_rng
@@ -52,7 +53,11 @@ ResultCallback = Callable[[RunResult], None]
 
 
 def execute_run(spec: RunSpec, observer: Observer | None = None) -> RunResult:
-    """Execute one run spec and reduce its trace — the executors' work unit.
+    """Execute one run spec and reduce its summary — the executors' work unit.
+
+    The engine runs without recording a trace: the run's
+    :class:`~repro.network.stabilization.RunSummary` goes straight to
+    :func:`~repro.campaigns.results.reduce_values`.
 
     Never raises: any exception (bad registry name, simulation error, ...)
     is captured in the returned result's ``error`` field so one broken run
@@ -80,30 +85,20 @@ def execute_run(spec: RunSpec, observer: Observer | None = None) -> RunResult:
         # Loss/delay knobs and fault schedules (validated against the
         # algorithm and the baseline adversary inside the broadcast model;
         # RunSpec itself rejects perturbed pulling runs).
-        perturbations = spec.resolve_perturbations()
-        metadata = {"run_id": spec.run_id, **dict(spec.tags)}
+        model: ModelAdapter
         if spec.model == "pulling":
-            pull_config = PullSimulationConfig(
-                max_rounds=spec.max_rounds,
-                stop_after_agreement=spec.stop_after_agreement,
-                seed=spec.sim_seed,
-                metadata=metadata,
-            )
-            trace = run_pull_simulation(
-                algorithm, adversary=adversary, config=pull_config, observer=observer
-            )
+            model = PullingModel(algorithm, adversary)
         else:
-            config = SimulationConfig(
-                max_rounds=spec.max_rounds,
-                stop_after_agreement=spec.stop_after_agreement,
-                seed=spec.sim_seed,
-                metadata=metadata,
-                perturbations=perturbations,
-            )
-            trace = run_simulation(
-                algorithm, adversary=adversary, config=config, observer=observer
-            )
-        return reduce_trace(spec, algorithm, trace)
+            model = BroadcastModel(algorithm, adversary, spec.resolve_perturbations())
+        summary, _ = run_engine(
+            model,
+            max_rounds=spec.max_rounds,
+            stop_after_agreement=spec.stop_after_agreement,
+            trace=False,
+            seed=spec.sim_seed,
+            observer=observer,
+        )
+        return reduce_values(spec, algorithm, summary)
     except Exception as exc:  # noqa: BLE001 - failure accounting by design
         return RunResult(
             run_id=spec.run_id,

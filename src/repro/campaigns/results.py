@@ -1,10 +1,12 @@
 """Compact per-run results and the JSONL campaign store.
 
 A full :class:`~repro.network.trace.ExecutionTrace` is far too heavy to keep
-for thousands of runs, so every executed run is reduced to a
-:class:`RunResult` — the stabilisation statistics the experiments actually
-consume (stabilisation round, agreement fraction, message counts) plus enough
-identifying information to make the record self-describing.
+for thousands of runs, so both engines reduce every executed run to a
+:class:`~repro.network.stabilization.RunSummary`, and :func:`reduce_values`
+turns that into a :class:`RunResult` — the stabilisation statistics the
+experiments actually consume (stabilisation round, agreement fraction,
+message counts, recovery) plus enough identifying information to make the
+record self-describing.
 
 :class:`CampaignStore` persists results as JSON Lines: one canonical-JSON
 record per line, appended and flushed as runs complete.  Because every record
@@ -22,19 +24,20 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.metrics import (
     TrialMetrics,
-    post_agreement_failure_rate,
-    pull_statistics,
-    trial_metrics,
+    post_agreement_failure_rate_from_values,
 )
-from repro.network.stabilization import recovery_round
-from repro.network.trace import ExecutionTrace
+from repro.network.stabilization import (
+    RunSummary,
+    recovery_from_values,
+    stabilization_from_values,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaigns.spec import RunSpec
     from repro.core.algorithm import SynchronousCountingAlgorithm
     from repro.experiments.common import ExperimentResult
 
-__all__ = ["RunResult", "CampaignStore", "reduce_trace", "summarize_results"]
+__all__ = ["RunResult", "CampaignStore", "reduce_values", "summarize_results"]
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ class RunResult:
         counter.  ``None`` for broadcast runs.
     last_perturbation_round / recovered / recovery_round / re_stabilization_time:
         Fault-injection recovery metrics
-        (:func:`repro.network.stabilization.recovery_round`): the round of
+        (:func:`repro.network.stabilization.recovery_from_values`): the round of
         the last fault-schedule transition, whether the correct nodes
         re-stabilised after it, the absolute round they did, and the
         re-stabilisation time measured *from* the perturbation.  All
@@ -177,75 +180,77 @@ class RunResult:
         )
 
 
-def reduce_trace(
+def reduce_values(
     spec: "RunSpec",
     algorithm: Any,
-    trace: ExecutionTrace,
+    summary: RunSummary,
 ) -> RunResult:
-    """Reduce a recorded execution to its compact campaign result.
+    """Reduce one run's summary to its compact campaign result.
 
-    Works for both models: pulling-model traces (identified by the
-    ``model: "pulling"`` trace metadata) additionally yield the Theorem 4
-    message-complexity statistics (``max_pulls`` / ``mean_pulls`` /
-    ``max_bits``) and the post-agreement failure rate, and their
-    ``messages_sent`` counts actual pulls instead of ``rounds × n × correct``
+    The one reduction behind both engines: the empirical stabilisation
+    suffix of :func:`~repro.network.stabilization.stabilization_from_values`,
+    the agreement fraction and the message counts, the recovery metrics
+    when a fault schedule perturbed the run, and for pulling runs the
+    Theorem 4 statistics (``max_pulls`` / ``mean_pulls`` / ``max_bits``) and
+    the post-agreement failure rate.  Pulling ``messages_sent`` counts the
+    pulls correct nodes issued instead of ``rounds × n × correct``
     broadcasts.
     """
-    metrics = trial_metrics(
-        trace, bound=algorithm.stabilization_bound(), min_tail=spec.min_tail
-    )
-    last_perturbation: int | None = None
+    agreed = summary.agreed
+    total = summary.rounds
+    c = algorithm.c
+    stabilization = stabilization_from_values(agreed, c, min_tail=spec.min_tail)
+    bound = algorithm.stabilization_bound()
+    within: bool | None = None
+    if bound is not None and stabilization.round is not None:
+        within = stabilization.round <= bound
+    agreements = sum(1 for value in agreed if value >= 0)
+
+    last_perturbation = summary.last_perturbation_round
     recovered: bool | None = None
     recovered_round: int | None = None
     re_stabilization: int | None = None
-    if trace.metadata.get("last_perturbation_round") is not None:
-        recovery = recovery_round(trace, min_tail=spec.min_tail)
-        last_perturbation = recovery.last_perturbation_round
+    if last_perturbation is not None:
+        recovery = recovery_from_values(
+            agreed,
+            c,
+            min_tail=spec.min_tail,
+            last_perturbation_round=last_perturbation,
+        )
         recovered = recovery.recovered
         recovered_round = recovery.recovery_round
         re_stabilization = recovery.re_stabilization_time
-    correct = algorithm.n - len(trace.faulty)
-    model = trace.metadata.get("model", "broadcast")
+
     max_pulls: int | None = None
     mean_pulls: float | None = None
     max_bits: int | None = None
     failure_rate: float | None = None
-    if model == "pulling":
-        stats = pull_statistics(trace)
-        max_pulls = stats["max_pulls"]
-        mean_pulls = stats["mean_pulls"]
-        max_bits = stats["max_bits"]
-        failure_rate = post_agreement_failure_rate(trace)
-        # mean_pulls per round is total/correct, so this recovers the total
-        # number of pulls issued by correct nodes over the whole run.
-        messages_sent = int(
-            round(
-                sum(
-                    record.metadata.get("mean_pulls", 0.0) * correct
-                    for record in trace.rounds
-                )
-            )
-        )
+    if spec.model == "pulling":
+        max_pulls = summary.max_pulls or 0
+        mean_pulls = summary.pull_sum / total
+        max_bits = max_pulls * algorithm.message_bits()
+        failure_rate = post_agreement_failure_rate_from_values(agreed)
+        messages_sent = int(round(summary.pulls_issued))
     else:
-        messages_sent = trace.num_rounds * algorithm.n * correct
+        messages_sent = total * algorithm.n * (algorithm.n - len(summary.faulty))
     return RunResult(
         run_id=spec.run_id,
         algorithm=spec.algorithm_label(),
         adversary=spec.adversary_label(),
         n=algorithm.n,
         f=algorithm.f,
-        c=algorithm.c,
-        faulty=tuple(sorted(trace.faulty)),
+        c=c,
+        faulty=summary.faulty,
         sim_seed=spec.sim_seed,
-        rounds_simulated=trace.num_rounds,
-        stabilized=metrics.stabilized,
-        stabilization_round=metrics.stabilization_round,
-        within_bound=metrics.within_bound,
-        agreement_fraction=metrics.agreement_fraction,
-        stopped_early=bool(trace.metadata.get("stopped_early", False)),
+        rounds_simulated=total,
+        stabilized=stabilization.stabilized,
+        stabilization_round=stabilization.round,
+        within_bound=within,
+        agreement_fraction=agreements / total if total else 0.0,
+        stopped_early=summary.stopped_early,
         messages_sent=messages_sent,
         error=None,
-        model=model,
+        model=spec.model,
         max_pulls=max_pulls,
         mean_pulls=mean_pulls,
         max_bits=max_bits,
@@ -254,8 +259,13 @@ def reduce_trace(
         recovered=recovered,
         recovery_round=recovered_round,
         re_stabilization_time=re_stabilization,
-        rng=trace.metadata.get("rng"),
+        rng=summary.rng_note,
     )
+
+
+#: The scalar path's reduction under the name the end-to-end benchmark's
+#: ``campaigns.results.reduce_trace`` span wraps; it is :func:`reduce_values`.
+reduce_trace = reduce_values
 
 
 class CampaignStore:

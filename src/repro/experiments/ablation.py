@@ -14,14 +14,11 @@ analysis depends on; each gets a sweep:
   the adaptive split attack).
 * **Sample size M** (pulling model) — communication vs reliability.
 
-Run with ``python -m repro experiment ablation``
-(``python -m repro.experiments.ablation`` is a deprecated alias).
+Run with ``python -m repro experiment ablation``.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Sequence
 
 from repro.core.boosting import BoostedCounter
 from repro.core.parameters import BoostingParameters
@@ -35,7 +32,6 @@ __all__ = [
     "run_block_count_ablation",
     "run_counter_size_ablation",
     "run_adversary_ablation",
-    "main",
 ]
 
 
@@ -121,7 +117,7 @@ def run_adversary_ablation(
             seed=seed,
             executor=executor,
         )
-        summary = summarize_trials(metrics)
+        summary = summarize_trials(metrics, bound=counter.stabilization_bound())
         result.add_row(
             algorithm="A(12,3) (Theorem 1)",
             adversary=name,
@@ -163,16 +159,3 @@ def run_adversary_ablation(
         "why the phase king layer is necessary."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment ablation``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "ablation", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -182,8 +182,16 @@ def run_counter_trials(
     return [result.to_trial_metrics() for result in results]
 
 
-def summarize_trials(metrics: Sequence[TrialMetrics]) -> dict[str, Any]:
-    """Aggregate a list of :class:`TrialMetrics` into one table row."""
+def summarize_trials(
+    metrics: Sequence[TrialMetrics], bound: int | None = None
+) -> dict[str, Any]:
+    """Aggregate a list of :class:`TrialMetrics` into one table row.
+
+    With the counter's stabilisation ``bound``, ``within_bound`` holds only
+    when every trial stabilised at or before it — a trial that never
+    stabilised counts against the bound.  Without one, only the trials'
+    own ``within_bound`` verdicts count (``True`` when there are none).
+    """
     stabilized = [metric for metric in metrics if metric.stabilized]
     rounds = [
         metric.stabilization_round
@@ -191,12 +199,19 @@ def summarize_trials(metrics: Sequence[TrialMetrics]) -> dict[str, Any]:
         if metric.stabilization_round is not None
     ]
     summary = summarize(rounds) if rounds else summarize([])
-    within = [metric.within_bound for metric in metrics if metric.within_bound is not None]
+    if bound is None:
+        within = [m.within_bound for m in metrics if m.within_bound is not None]
+        within_bound = all(within)
+    else:
+        within_bound = all(
+            m.stabilization_round is not None and m.stabilization_round <= bound
+            for m in metrics
+        )
     return {
         "trials": len(metrics),
         "stabilized": len(stabilized),
         "mean_stabilization": summary.mean,
         "median_stabilization": summary.median,
         "max_stabilization": summary.maximum,
-        "within_bound": all(within) if within else True,
+        "within_bound": within_bound,
     }

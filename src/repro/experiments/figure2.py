@@ -17,13 +17,11 @@ under several fault placements and adversary strategies:
   wait for the next common interval).
 
 Run with ``python -m repro experiment figure2`` (add ``--large`` to include
-the 36-node level, which takes a few minutes);
-``python -m repro.experiments.figure2`` is a deprecated alias.
+the 36-node level, which takes a few minutes).
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 from repro.core.boosting import BoostedCounter, BoostedState
@@ -45,7 +43,7 @@ from repro.network.adversary import (
 from repro.network.simulator import SimulationConfig, run_simulation
 from repro.network.stabilization import stabilization_round
 
-__all__ = ["run_figure2", "misaligned_initial_states", "main"]
+__all__ = ["run_figure2", "misaligned_initial_states"]
 
 _ADVERSARIES = {
     "random-state": RandomStateAdversary,
@@ -103,10 +101,11 @@ def run_figure2(
     """
     plan = plan_figure2(levels=levels, c=2)
     counter = figure2_counter(levels=levels, c=2)
+    bound = counter.stabilization_bound()
     result = ExperimentResult(
         name=(
             f"Figure 2 — recursive construction, level {levels}: "
-            f"A({counter.n}, {counter.f}) with bound T <= {counter.stabilization_bound()}"
+            f"A({counter.n}, {counter.f}) with bound T <= {bound}"
         )
     )
 
@@ -121,14 +120,14 @@ def run_figure2(
             seed=seed,
             executor=executor,
         )
-        summary = summarize_trials(metrics)
+        summary = summarize_trials(metrics, bound=bound)
         result.add_row(
             scenario=f"random faults / {adversary_name}",
             trials=summary["trials"],
             stabilized=summary["stabilized"],
             mean_round=round(summary["mean_stabilization"], 1),
             max_round=summary["max_stabilization"],
-            bound=counter.stabilization_bound(),
+            bound=bound,
             within_bound=summary["within_bound"],
         )
 
@@ -155,14 +154,14 @@ def run_figure2(
             fault_sets=[pattern],
             executor=executor,
         )
-        summary = summarize_trials(metrics)
+        summary = summarize_trials(metrics, bound=bound)
         result.add_row(
             scenario="faulty block pattern (as drawn) / phase-king-skew",
             trials=summary["trials"],
             stabilized=summary["stabilized"],
             mean_round=round(summary["mean_stabilization"], 1),
             max_round=summary["max_stabilization"],
-            bound=counter.stabilization_bound(),
+            bound=bound,
             within_bound=summary["within_bound"],
         )
 
@@ -184,8 +183,8 @@ def run_figure2(
             stabilized=1 if stab.stabilized else 0,
             mean_round=stab.round if stab.round is not None else "-",
             max_round=stab.round if stab.round is not None else "-",
-            bound=counter.stabilization_bound(),
-            within_bound=(stab.round or 0) <= (counter.stabilization_bound() or 0),
+            bound=bound,
+            within_bound=stab.round is not None and stab.round <= bound,
         )
 
     result.add_note(f"Construction plan: {plan.summary()}")
@@ -194,16 +193,3 @@ def run_figure2(
         "here is Theorem 1's stabilisation bound for each level of the recursion."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment figure2``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "figure2", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -12,14 +12,11 @@ reproduces the table with two kinds of rows:
   and the Figure 2 counter ``A(12, 3)``) under Byzantine adversaries and
   report the observed stabilisation times next to the theoretical bounds.
 
-Run with ``python -m repro experiment table1``
-(``python -m repro.experiments.table1`` is a deprecated alias).
+Run with ``python -m repro experiment table1``.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Sequence
 
 from repro.analysis.stats import summarize
 from repro.core.recursion import figure2_counter, optimal_resilience_counter
@@ -28,7 +25,7 @@ from repro.counters.randomized import RandomizedFollowMajorityCounter
 from repro.experiments.common import ExperimentResult, run_counter_trials, summarize_trials
 from repro.network.adversary import PhaseKingSkewAdversary, RandomStateAdversary
 
-__all__ = ["run_table1", "main"]
+__all__ = ["run_table1"]
 
 
 def run_table1(
@@ -67,7 +64,9 @@ def run_table1(
         seed=seed,
         executor=executor,
     )
-    randomized_summary = summarize_trials(randomized_metrics)
+    randomized_summary = summarize_trials(
+        randomized_metrics, bound=randomized.stabilization_bound()
+    )
     observed = summarize(
         [
             metric.stabilization_round
@@ -98,7 +97,9 @@ def run_table1(
         seed=seed + 1,
         executor=executor,
     )
-    corollary1_summary = summarize_trials(corollary1_metrics)
+    corollary1_summary = summarize_trials(
+        corollary1_metrics, bound=corollary1.stabilization_bound()
+    )
     result.add_row(
         algorithm="This work, Corollary 1 base A(4,1) (measured)",
         kind="measured",
@@ -125,7 +126,9 @@ def run_table1(
         seed=seed + 2,
         executor=executor,
     )
-    boosted_summary = summarize_trials(boosted_metrics)
+    boosted_summary = summarize_trials(
+        boosted_metrics, bound=boosted.stabilization_bound()
+    )
     result.add_row(
         algorithm="This work, Theorem 1 boosted A(12,3) (measured)",
         kind="measured",
@@ -151,16 +154,3 @@ def run_table1(
         "the bounds cover the adversarially worst initial configuration and fault timing."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment table1``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "table1", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

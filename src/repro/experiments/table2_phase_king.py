@@ -16,22 +16,19 @@ The experiment runs both checks for a sweep of ``(N, F)`` pairs under random
 and split Byzantine value injection, and also reports the classic (one-shot)
 phase king consensus substrate for reference.
 
-Run with ``python -m repro experiment table2``
-(``python -m repro.experiments.table2_phase_king`` is a deprecated alias).
+Run with ``python -m repro experiment table2``.
 """
 
 from __future__ import annotations
 
 import random
-import sys
-from typing import Sequence
 
 from repro.consensus.phase_king import run_phase_king_consensus
 from repro.core.phase_king import INFINITY, PhaseKingRegisters, phase_king_step
 from repro.experiments.common import ExperimentResult
 from repro.util.rng import ensure_rng
 
-__all__ = ["run_table2", "lemma4_trial", "lemma5_trial", "main"]
+__all__ = ["run_table2", "lemma4_trial", "lemma5_trial"]
 
 
 def lemma4_trial(
@@ -151,16 +148,3 @@ def run_table2(
         "Byzantine messages for the whole horizon (expected: trials/trials)."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment table2``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "table2", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

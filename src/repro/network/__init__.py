@@ -10,13 +10,15 @@ Contents:
 
 * :mod:`repro.network.adversary` — Byzantine adversary strategies.
 * :mod:`repro.network.engine` — the shared simulation kernel: round loop,
-  RNG stream derivation, pluggable stopping rules and trace recording.
+  RNG stream derivation, the agreement-window / round-cap stop step shared
+  with the batch engine, and on-request trace recording.
 * :mod:`repro.network.simulator` — the broadcast-model adapter and
   :func:`run_simulation`.
 * :mod:`repro.network.pulling` — the pulling-model adapter of Section 5 with
   per-node message/bit accounting.
 * :mod:`repro.network.trace` — execution traces.
-* :mod:`repro.network.stabilization` — empirical stabilisation detection.
+* :mod:`repro.network.stabilization` — empirical stabilisation detection
+  and :class:`RunSummary`, the per-run reduction both engines emit.
 * :mod:`repro.network.batch` — the vectorised batch-trial engine (needs
   NumPy; not imported here so the scalar substrate stays dependency-free).
 * :mod:`repro.network.parity` — the differential batch-vs-scalar
@@ -39,14 +41,7 @@ from repro.network.adversary import (
     random_faulty_set,
     spread_faults,
 )
-from repro.network.engine import (
-    AgreementWindow,
-    FirstOf,
-    MaxRounds,
-    ModelAdapter,
-    StoppingRule,
-    run_engine,
-)
+from repro.network.engine import ModelAdapter, run_engine, stop_step
 from repro.network.pulling import (
     PullingAlgorithm,
     PullingModel,
@@ -54,16 +49,17 @@ from repro.network.pulling import (
     run_pull_simulation,
 )
 from repro.network.simulator import BroadcastModel, SimulationConfig, run_simulation
-from repro.network.stabilization import StabilizationResult, stabilization_round
+from repro.network.stabilization import (
+    RunSummary,
+    StabilizationResult,
+    stabilization_round,
+)
 from repro.network.trace import ExecutionTrace, RoundRecord
 
 __all__ = [
-    "StoppingRule",
-    "MaxRounds",
-    "AgreementWindow",
-    "FirstOf",
     "ModelAdapter",
     "run_engine",
+    "stop_step",
     "BroadcastModel",
     "PullingModel",
     "PullingAlgorithm",
@@ -87,6 +83,7 @@ __all__ = [
     "run_simulation",
     "ExecutionTrace",
     "RoundRecord",
+    "RunSummary",
     "StabilizationResult",
     "stabilization_round",
 ]

@@ -26,10 +26,13 @@ The moving parts:
   *column patches* on the shared broadcast matrix
   (:meth:`BatchMessages.received`), so the fault-free bulk of the message
   matrix is never copied per receiver.
-* :func:`run_batch_trials` — the batched round loop: per-trial agreement and
-  streak tracking as boolean masks, finished trials frozen (compacted out of
-  the live arrays) while the rest of the batch continues, and finally one
-  :class:`~repro.network.trace.ExecutionTrace` reconstructed per trial.
+* :func:`run_batch_trials` / :func:`run_batch_summaries` — the batched
+  round loop: per-trial agreement as boolean masks, the scalar engine's
+  :func:`~repro.network.engine.stop_step` applied to ``(B,)`` arrays,
+  finished trials frozen (compacted out of the live arrays) while the rest
+  of the batch continues, and finally one
+  :class:`~repro.network.stabilization.RunSummary` — or, on request, one
+  :class:`~repro.network.trace.ExecutionTrace` — per trial.
 
 Correctness contract
 --------------------
@@ -71,12 +74,13 @@ import numpy as np
 from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY as _INFINITY
 from repro.network.adversary import NoAdversary, build_adversary
-from repro.network.engine import derive_streams, resolve_initial_states
+from repro.network.engine import derive_streams, resolve_initial_states, stop_step
 from repro.semantics import (
     active_strategy_names,
     adversary_coverage_notes,
     adversary_semantics,
 )
+from repro.network.stabilization import RunSummary
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.obs.events import RoundObserved
 from repro.obs.observer import active as _active_observer
@@ -85,7 +89,6 @@ from repro.util.rng import ensure_rng
 __all__ = [
     "BATCH_RNG_NOTE",
     "BatchTrial",
-    "BatchRunSummary",
     "BatchMessages",
     "PerturbedBatchMessages",
     "BatchPullNetwork",
@@ -126,49 +129,6 @@ class BatchTrial:
     sim_seed: int
     faulty: tuple[int, ...] = ()
     metadata: tuple[tuple[str, Any], ...] = ()
-
-
-@dataclass(frozen=True)
-class BatchRunSummary:
-    """The per-trial reduction the campaign executors consume.
-
-    Everything a :class:`~repro.campaigns.results.RunResult` derives from an
-    :class:`~repro.network.trace.ExecutionTrace` — without materialising the
-    trace: the per-round agreed values carry the stabilisation analysis, the
-    stop flags carry the early-stop outcome, and the pull statistics are the
-    (per-round constant) plan size of the pulling kernels.
-
-    Attributes
-    ----------
-    faulty:
-        The trial's Byzantine set, ascending.
-    agreed:
-        Per recorded round, the common output of all correct nodes, or
-        :data:`-1 <_DISAGREE>` when they disagreed — exactly
-        ``ExecutionTrace.agreed_values()`` with ``None`` encoded as ``-1``.
-    rounds:
-        Number of recorded rounds.
-    stopped_early / agreement_streak:
-        The early-stop metadata the stopping rules would have stamped into
-        the trace (``agreement_streak`` only when the window fired).
-    pulls_per_round / message_bits:
-        Pulling-model statistics (``None`` / ``0`` for broadcast trials).
-    rng_note:
-        :data:`BATCH_RNG_NOTE` when the execution consumed NumPy randomness
-        (randomised kernel or adversary kernel), ``None`` for deterministic
-        — bit-identical — executions.  Propagated into
-        :attr:`repro.campaigns.results.RunResult.rng` so stored results
-        record which stream family produced them.
-    """
-
-    faulty: tuple[int, ...]
-    agreed: tuple[int, ...]
-    rounds: int
-    stopped_early: bool
-    agreement_streak: int | None
-    pulls_per_round: int | None
-    message_bits: int
-    rng_note: str | None = None
 
 
 # ---------------------------------------------------------------------- #
@@ -983,9 +943,8 @@ def run_batch_trials(
     Semantics match running each trial through the scalar engine with
     ``seed=trial.sim_seed`` and the adversary built from
     ``(adversary_strategy, trial.faulty, adversary_params)``: the same derived
-    initial-state streams, the same :class:`~repro.network.engine.MaxRounds` /
-    :class:`~repro.network.engine.AgreementWindow` stopping rules (window
-    first on ties), and the same trace layout.  Deterministic kernels are
+    initial-state streams, the same :func:`~repro.network.engine.stop_step`
+    (window first on ties), and the same trace layout.  Deterministic kernels are
     bit-identical; randomised ones are statistically equivalent and stamp
     :data:`BATCH_RNG_NOTE` into the trace metadata.
 
@@ -1036,15 +995,15 @@ def run_batch_summaries(
     loss: float = 0.0,
     delay: int = 0,
     observer: Any = None,
-) -> list[BatchRunSummary]:
+) -> list[RunSummary]:
     """Like :func:`run_batch_trials`, but skip the per-round trace rebuild.
 
-    Returns one :class:`BatchRunSummary` per trial — everything the campaign
+    Returns one :class:`~repro.network.stabilization.RunSummary` per trial — everything the campaign
     reduction needs, at a fraction of the reconstruction cost.  This is the
     path :class:`repro.campaigns.batching.BatchExecutor` takes; per-round
     outputs are never materialised as Python dictionaries.
     """
-    summaries: list[BatchRunSummary] = []
+    summaries: list[RunSummary] = []
     for chunk in _chunked(
         trials, batch_size, max_rounds, stop_after_agreement, loss, delay
     ):
@@ -1110,7 +1069,7 @@ def _run_chunk(
     loss: float = 0.0,
     delay: int = 0,
     observer: Any = None,
-) -> tuple[list[ExecutionTrace] | None, list[BatchRunSummary]]:
+) -> tuple[list[ExecutionTrace] | None, list[RunSummary]]:
     """Vectorised execution of one chunk of trials."""
     batch = len(trials)
     n = algorithm.n
@@ -1291,9 +1250,7 @@ def _run_chunk(
         if step_timer is not None:
             step_timer.observe(time.perf_counter() - step_started)
 
-        # Agreement and streak tracking (the AgreementWindow semantics):
-        # the streak grows only while the agreed value advances by one
-        # modulo c every round; disagreement resets it.
+        # Agreement per live trial, then the shared window/cap step.
         live = len(active)
         reference = outputs[np.arange(live), correct_sorted[:, 0]]
         agree = np.all((outputs == reference[:, None]) | ~sender_ok, axis=1)
@@ -1310,20 +1267,13 @@ def _run_chunk(
                         agreed_trials=int((agreed >= 0).sum()),
                     )
                 )
-        window_fired = np.zeros(live, dtype=bool)
-        if window is not None:
-            advanced = (prev >= 0) & (agreed >= 0) & ((prev + 1) % c == agreed)
-            streak = np.where(agreed < 0, 0, np.where(advanced, streak + 1, 1))
-            prev = agreed
-            window_fired = streak >= window
-
-        cap_fired = round_index + 1 >= max_rounds
-        finished = window_fired | cap_fired
+        prev, streak, window_fired, finished = stop_step(
+            agreed, prev, streak, round_index, c=c, window=window, max_rounds=max_rounds
+        )
         if not finished.any():
             continue
         for position in np.nonzero(finished)[0]:
-            # The window takes precedence over the round cap on ties,
-            # matching FirstOf(AgreementWindow, MaxRounds).
+            # The window takes precedence over the round cap on ties.
             stop_info[int(active[position])] = (
                 bool(window_fired[position]),
                 int(streak[position]),
@@ -1405,18 +1355,20 @@ def _run_chunk(
                 )
             )
 
-    summaries: list[BatchRunSummary] = []
+    correct = n - num_faults
+    summaries: list[RunSummary] = []
     for trial_index in range(batch):
         stopped_early, final_streak = stop_info[trial_index]
+        rounds = len(agreed_per_trial[trial_index])
         summaries.append(
-            BatchRunSummary(
+            RunSummary(
                 faulty=faulty_tuples[trial_index],
                 agreed=tuple(agreed_per_trial[trial_index]),
-                rounds=len(agreed_per_trial[trial_index]),
                 stopped_early=stopped_early,
                 agreement_streak=final_streak if stopped_early else None,
-                pulls_per_round=pulls_per_trial,
-                message_bits=bits,
+                max_pulls=pulls_per_trial,
+                pull_sum=(pulls_per_trial or 0) * rounds,
+                pulls_issued=(pulls_per_trial or 0) * rounds * correct,
                 rng_note=BATCH_RNG_NOTE if randomized else None,
             )
         )

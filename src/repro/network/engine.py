@@ -12,16 +12,15 @@ stopping.  This module owns that shared machinery:
   across releases) and implements :meth:`ModelAdapter.step`, one synchronous
   round mapping the correct nodes' states to their successors plus optional
   per-round metadata (e.g. pull counts).
-* :class:`StoppingRule` — pluggable termination: :class:`MaxRounds`,
-  :class:`AgreementWindow` (stop once the correct nodes have been counting
-  in agreement for a confirmation window) and :class:`FirstOf` for
-  composition.  The rule that fires stamps its metadata
-  (``stopped_early`` and, for the agreement window, ``agreement_streak``)
-  into the trace.
+* :func:`stop_step` — the agreement-window / round-cap / gate arithmetic
+  shared with the batch engine: stop once the correct nodes have been
+  counting in agreement for a confirmation window, or at the round cap.
 * :func:`resolve_initial_states` — normalise and validate a user-provided
   initial configuration (mapping, sequence or ``None`` for a uniformly
   random start) with uniform error reporting for both models.
-* :func:`run_engine` — the round loop itself.
+* :func:`run_engine` — the round loop itself, reducing every run to a
+  :class:`~repro.network.stabilization.RunSummary` and recording an
+  :class:`~repro.network.trace.ExecutionTrace` only on request.
 
 :func:`repro.network.simulator.run_simulation` and
 :func:`repro.network.pulling.run_pull_simulation` are thin adapters over
@@ -38,17 +37,14 @@ from abc import ABC, abstractmethod
 from typing import Any, Mapping, Sequence
 
 from repro.core.errors import SimulationError
+from repro.network.stabilization import RunSummary
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.obs.events import FaultInjected, NodeRecovered, RoundObserved
 from repro.obs.observer import Observer, active
 from repro.util.rng import derive_rng, ensure_rng
 
 __all__ = [
-    "StoppingRule",
-    "MaxRounds",
-    "AgreementWindow",
-    "NotBefore",
-    "FirstOf",
+    "stop_step",
     "ModelAdapter",
     "resolve_initial_states",
     "run_engine",
@@ -57,141 +53,48 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------- #
-# Stopping rules
+# The stop step
 # ---------------------------------------------------------------------- #
 
 
-class StoppingRule(ABC):
-    """Decides, after every recorded round, whether the simulation ends.
+def stop_step(
+    agreed: Any,
+    prev: Any,
+    streak: Any,
+    round_index: int,
+    *,
+    c: int,
+    window: int | None,
+    max_rounds: int,
+    gate: int = 0,
+) -> tuple[Any, Any, Any, Any]:
+    """Account one round of the agreement window and the round cap.
 
-    Rules are stateful (the agreement window tracks a streak across rounds);
-    :meth:`reset` rewinds them so one rule instance can serve several runs.
-    :meth:`observe` returns the rule that fired — itself, a composed child,
-    or ``None`` to continue — and the firing rule's :meth:`stop_metadata` is
-    merged into the trace metadata by the engine.
+    ``agreed`` is the round's agreed value (``-1`` when the correct nodes
+    disagreed), ``prev`` the previous round's and ``streak`` the number of
+    consecutive rounds the agreed value has advanced by one modulo ``c`` —
+    mere frozen agreement never grows it.  Returns the updated ``(prev,
+    streak)`` plus ``(early, stop)``: whether the window of ``window``
+    rounds filled, and whether the run ends — the window wins over the cap
+    when both fire in the same round.  ``window=None`` disables early
+    stopping.  Before the ``gate`` round the window sees nothing (``streak
+    = 0``), so a run cannot stop early while a fault schedule still has
+    pending windows.
+
+    Written in plain arithmetic, so the scalar engine calls it with Python
+    ints and the batch engine with ``(B,)`` arrays, one trial per entry.
     """
-
-    def reset(self) -> None:
-        """Rewind internal state before a new run."""
-
-    @abstractmethod
-    def observe(self, record: RoundRecord) -> "StoppingRule | None":
-        """Account one completed round; return the rule that fired, if any."""
-
-    def stop_metadata(self) -> dict[str, Any]:
-        """Metadata stamped into the trace when this rule ends the run."""
-        return {}
-
-
-class MaxRounds(StoppingRule):
-    """Hard cap on the number of simulated rounds.
-
-    Reaching the cap is the *non*-early outcome, recorded explicitly as
-    ``stopped_early: False`` so downstream consumers never have to treat a
-    missing key as meaningful.
-    """
-
-    def __init__(self, limit: int) -> None:
-        if limit < 1:
-            raise SimulationError(f"max_rounds must be positive, got {limit}")
-        self.limit = limit
-
-    def observe(self, record: RoundRecord) -> StoppingRule | None:
-        return self if record.round_index + 1 >= self.limit else None
-
-    def stop_metadata(self) -> dict[str, Any]:
-        return {"stopped_early": False}
-
-
-class AgreementWindow(StoppingRule):
-    """Stop once the correct nodes have been counting for ``window`` rounds.
-
-    "Counting" means every round all correct outputs agree *and* the agreed
-    value advances by one modulo ``c`` — mere frozen agreement never
-    satisfies the window (worst-case stabilisation bounds are far larger
-    than typical stabilisation times, which is what makes this useful).
-    """
-
-    def __init__(self, window: int, c: int) -> None:
-        if window < 1:
-            raise SimulationError(
-                f"stop_after_agreement must be positive, got {window}"
-            )
-        self.window = window
-        self.c = c
-        self._streak = 0
-        self._previous: int | None = None
-
-    def reset(self) -> None:
-        self._streak = 0
-        self._previous = None
-
-    def observe(self, record: RoundRecord) -> StoppingRule | None:
-        agreed = record.agreed_value()
-        if agreed is None:
-            self._streak = 0
-        elif self._previous is not None and (self._previous + 1) % self.c == agreed:
-            self._streak += 1
-        else:
-            self._streak = 1
-        self._previous = agreed
-        return self if self._streak >= self.window else None
-
-    def stop_metadata(self) -> dict[str, Any]:
-        return {"stopped_early": True, "agreement_streak": self._streak}
-
-
-class NotBefore(StoppingRule):
-    """Gate a rule: rounds before ``round_index`` are never forwarded to it.
-
-    Used for perturbed runs — an agreement window must not end the run while
-    a fault schedule still has pending windows, or the later injections (and
-    the recovery they force) would silently never execute.  The inner rule
-    only starts observing from the gate round, so its streak counts
-    post-perturbation rounds exclusively.
-    """
-
-    def __init__(self, rule: StoppingRule, round_index: int) -> None:
-        if round_index < 0:
-            raise SimulationError(
-                f"NotBefore round must be non-negative, got {round_index}"
-            )
-        self.rule = rule
-        self.round_index = round_index
-
-    def reset(self) -> None:
-        self.rule.reset()
-
-    def observe(self, record: RoundRecord) -> StoppingRule | None:
-        if record.round_index < self.round_index:
-            return None
-        return self.rule.observe(record)
-
-
-class FirstOf(StoppingRule):
-    """Compose rules: every rule observes every round; the first to fire wins.
-
-    All children are updated each round (so streak counters keep tracking
-    even while another rule decides the stop), and when several fire in the
-    same round the earliest in the argument list provides the stop metadata.
-    """
-
-    def __init__(self, *rules: StoppingRule) -> None:
-        if not rules:
-            raise SimulationError("FirstOf requires at least one stopping rule")
-        self.rules = rules
-
-    def reset(self) -> None:
-        for rule in self.rules:
-            rule.reset()
-
-    def observe(self, record: RoundRecord) -> StoppingRule | None:
-        fired: StoppingRule | None = None
-        for rule in self.rules:
-            result = rule.observe(record)
-            if result is not None and fired is None:
-                fired = result
-        return fired
+    if max_rounds < 1:
+        raise SimulationError(f"max_rounds must be positive, got {max_rounds}")
+    if window is not None and window < 1:
+        raise SimulationError(f"stop_after_agreement must be positive, got {window}")
+    # ``prev`` only counts where ``streak`` is positive: after a disagreement
+    # (``prev = -1``) and before the gate the streak is 0, so the next
+    # agreeing round restarts it at 1 whatever ``prev`` holds.
+    counting = (prev + 1) % c == agreed
+    streak = (round_index >= gate) * (agreed >= 0) * (counting * streak + 1)
+    early = streak >= (max_rounds + 1 if window is None else window)
+    return agreed, streak, early, early | (round_index + 1 >= max_rounds)
 
 
 # ---------------------------------------------------------------------- #
@@ -247,8 +150,7 @@ class ModelAdapter(ABC):
         """Identifiers of the non-faulty nodes, ascending.
 
         Computed once and cached — the adversary's faulty set is fixed at
-        construction, and the engine and stopping rules consult this on
-        every round.
+        construction.
         """
         if self._correct_nodes is None:
             faulty = self.adversary.faulty
@@ -262,11 +164,18 @@ class ModelAdapter(ABC):
         self, states: Mapping[int, Any], round_index: int
     ) -> tuple[dict[int, Any], dict[str, Any] | None]:
         """Execute one round: new states of the correct nodes plus optional
-        per-round metadata (recorded on the :class:`RoundRecord`)."""
+        per-round metadata (recorded on the :class:`RoundRecord`; the
+        engine also totals its ``max_pulls`` / ``mean_pulls`` entries and
+        reads its fault-schedule markers)."""
 
     def trace_metadata(self) -> dict[str, Any]:
         """Model-specific entries for the trace header."""
         return {"adversary": self.adversary.describe()}
+
+    def stop_gate(self) -> int:
+        """The first round the agreement window may observe (see
+        :func:`stop_step`); ``0`` unless a fault schedule is pending."""
+        return 0
 
 
 # ---------------------------------------------------------------------- #
@@ -324,26 +233,27 @@ def run_engine(
     model: ModelAdapter,
     *,
     max_rounds: int,
-    stopping: StoppingRule | None = None,
+    stop_after_agreement: int | None = None,
+    trace: bool = True,
     record_states: bool = False,
     seed: int | None = 0,
     metadata: Mapping[str, Any] | None = None,
     initial_states: Mapping[int, Any] | Sequence[Any] | None = None,
     observer: Observer | None = None,
-) -> ExecutionTrace:
-    """Run a simulation of ``model`` and record an :class:`ExecutionTrace`.
+) -> tuple[RunSummary, ExecutionTrace | None]:
+    """Run a simulation of ``model``; return its summary and, optionally, trace.
 
     Parameters
     ----------
     model:
         The bound communication model (algorithm + adversary).
-    max_rounds:
-        Hard round cap; always enforced (as a :class:`MaxRounds` rule) even
-        when a custom ``stopping`` rule is supplied.
-    stopping:
-        Optional additional stopping rule, composed with the round cap via
-        :class:`FirstOf` (the extra rule takes precedence when both fire in
-        the same round, matching the pre-kernel early-stop semantics).
+    max_rounds / stop_after_agreement:
+        The round cap and the optional agreement window, evaluated by
+        :func:`stop_step` from the model's :meth:`~ModelAdapter.stop_gate`.
+    trace:
+        Whether to record an :class:`ExecutionTrace` of per-round outputs.
+        Without one (``trace=False``, the campaign path) the engine builds
+        no per-round records and returns ``(summary, None)``.
     record_states:
         Whether to store full per-round states in the trace (memory heavy).
     seed:
@@ -356,7 +266,7 @@ def run_engine(
     observer:
         Optional :class:`~repro.obs.observer.Observer`.  Observers only
         read — they never draw randomness — so attaching one cannot change
-        the trace.  With a positive ``round_stride`` every N-th round is
+        the run.  With a positive ``round_stride`` every N-th round is
         emitted as a :class:`~repro.obs.events.RoundObserved` event;
         run-level counters and timing histograms are always recorded when
         an active observer is present.
@@ -367,54 +277,74 @@ def run_engine(
     model.bind(master_rng)
 
     algorithm = model.algorithm
+    correct_nodes = model.correct_nodes
     states = resolve_initial_states(
-        algorithm, model.correct_nodes, initial_states, model.init_rng
+        algorithm, correct_nodes, initial_states, model.init_rng
     )
 
-    trace = ExecutionTrace(
-        algorithm_name=algorithm.info.name,
-        n=algorithm.n,
-        c=algorithm.c,
-        faulty=model.adversary.faulty,
-        initial_outputs={
-            node: algorithm.output(node, state) for node, state in states.items()
-        },
-        metadata={
-            **dict(metadata or {}),
-            **model.trace_metadata(),
-            "seed": seed,
-            "max_rounds": max_rounds,
-        },
-    )
+    record: ExecutionTrace | None = None
+    if trace:
+        record = ExecutionTrace(
+            algorithm_name=algorithm.info.name,
+            n=algorithm.n,
+            c=algorithm.c,
+            faulty=model.adversary.faulty,
+            initial_outputs={
+                node: algorithm.output(node, state) for node, state in states.items()
+            },
+            metadata={
+                **dict(metadata or {}),
+                **model.trace_metadata(),
+                "seed": seed,
+                "max_rounds": max_rounds,
+            },
+        )
 
-    rule: StoppingRule = MaxRounds(max_rounds)
-    if stopping is not None:
-        rule = FirstOf(stopping, rule)
-    rule.reset()
-
-    # Hot loop: the bound output method is hoisted, and the outputs mapping
-    # is the only per-round allocation — it is owned by the stored
-    # RoundRecord, so it cannot be a reused buffer.  Observation costs one
-    # ``is not None`` check per round when disabled; the stride gate keeps
-    # event construction out of unsampled rounds.
+    # Hot loop: the bound output method is hoisted; without a trace the
+    # per-round work is one set of outputs, and with one the outputs mapping
+    # is owned by the stored RoundRecord, so it cannot be a reused buffer.
+    # Observation costs one ``is not None`` check per round when disabled;
+    # the stride gate keeps event construction out of unsampled rounds.
     obs = active(observer)
     stride = obs.round_stride if obs is not None else 0
     started = time.perf_counter() if obs is not None else 0.0
     output = algorithm.output
-    round_index = 0
+    c = algorithm.c
+    gate = model.stop_gate()
+    agreed_values: list[int] = []
+    prev, streak = -1, 0
+    max_pulls: int | None = None
+    pull_sum = 0
+    pulls_issued = 0.0
     last_perturbation: int | None = None
+    round_index = 0
     while True:
         states, round_metadata = model.step(states, round_index)
-        outputs = {node: output(node, state) for node, state in states.items()}
-        record = RoundRecord(
-            round_index=round_index,
-            outputs=outputs,
-            states=dict(states) if record_states else None,
-            metadata=round_metadata if round_metadata is not None else {},
-        )
-        trace.append(record)
+        if record is None:
+            values = {output(node, state) for node, state in states.items()}
+        else:
+            outputs = {node: output(node, state) for node, state in states.items()}
+            record.append(
+                RoundRecord(
+                    round_index=round_index,
+                    outputs=outputs,
+                    states=dict(states) if record_states else None,
+                    metadata=round_metadata if round_metadata is not None else {},
+                )
+            )
+            values = set(outputs.values())
+        # min() of the singleton set: order-independent element pick.
+        agreed = min(values) if len(values) == 1 else -1
+        agreed_values.append(agreed)
 
         if round_metadata is not None:
+            pulls = round_metadata.get("max_pulls")
+            if pulls is not None:
+                # Pulling-model totals; the float sum keeps round order so
+                # the reduced message counts are reproducible to the bit.
+                max_pulls = pulls if max_pulls is None else max(max_pulls, pulls)
+                pull_sum += pulls
+                pulls_issued += round_metadata["mean_pulls"] * len(correct_nodes)
             # Fault-schedule markers (stamped by the perturbation runtime):
             # track the anchor of the recovery metrics and surface the
             # injection/recovery as typed events.
@@ -446,26 +376,50 @@ def run_engine(
                     source="engine",
                     round_index=round_index,
                     live_trials=1,
-                    agreed_value=record.agreed_value(),
+                    agreed_value=agreed if agreed >= 0 else None,
                 )
             )
 
-        fired = rule.observe(record)
-        if fired is not None:
-            trace.metadata.update(fired.stop_metadata())
-            if last_perturbation is not None:
-                trace.metadata["last_perturbation_round"] = last_perturbation
-            if obs is not None:
-                rounds = round_index + 1
-                metrics = obs.metrics
-                metrics.counter("engine.runs").inc()
-                metrics.counter("engine.rounds").inc(rounds)
-                metrics.histogram("engine.run_rounds").observe(rounds)
-                metrics.histogram("engine.run_seconds").observe(
-                    time.perf_counter() - started
-                )
-            return trace
+        prev, streak, early, stop = stop_step(
+            agreed,
+            prev,
+            streak,
+            round_index,
+            c=c,
+            window=stop_after_agreement,
+            max_rounds=max_rounds,
+            gate=gate,
+        )
+        if stop:
+            break
         round_index += 1
+
+    if record is not None:
+        record.metadata.update(
+            {"stopped_early": True, "agreement_streak": streak}
+            if early
+            else {"stopped_early": False}
+        )
+        if last_perturbation is not None:
+            record.metadata["last_perturbation_round"] = last_perturbation
+    if obs is not None:
+        rounds = round_index + 1
+        metrics = obs.metrics
+        metrics.counter("engine.runs").inc()
+        metrics.counter("engine.rounds").inc(rounds)
+        metrics.histogram("engine.run_rounds").observe(rounds)
+        metrics.histogram("engine.run_seconds").observe(time.perf_counter() - started)
+    summary = RunSummary(
+        faulty=tuple(sorted(model.adversary.faulty)),
+        agreed=tuple(agreed_values),
+        stopped_early=bool(early),
+        agreement_streak=streak if early else None,
+        max_pulls=max_pulls,
+        pull_sum=pull_sum,
+        pulls_issued=pulls_issued,
+        last_perturbation_round=last_perturbation,
+    )
+    return summary, record
 
 
 def derive_streams(

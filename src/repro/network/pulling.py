@@ -29,12 +29,7 @@ from typing import Any, Mapping, Sequence
 from repro.core.algorithm import AlgorithmInfo, State, check_counting_parameters
 from repro.core.errors import SimulationError
 from repro.network.adversary import Adversary, NoAdversary
-from repro.network.engine import (
-    AgreementWindow,
-    ModelAdapter,
-    derive_streams,
-    run_engine,
-)
+from repro.network.engine import ModelAdapter, derive_streams, run_engine
 from repro.network.trace import ExecutionTrace
 from repro.util.intmath import ceil_log2
 from repro.util.rng import ensure_rng
@@ -269,18 +264,15 @@ def run_pull_simulation(
     """
     adversary = adversary or NoAdversary()
     config = config or PullSimulationConfig()
-    stopping = (
-        AgreementWindow(config.stop_after_agreement, algorithm.c)
-        if config.stop_after_agreement is not None
-        else None
-    )
-    return run_engine(
+    _, trace = run_engine(
         PullingModel(algorithm, adversary),
         max_rounds=config.max_rounds,
-        stopping=stopping,
+        stop_after_agreement=config.stop_after_agreement,
         record_states=config.record_states,
         seed=config.seed,
         metadata=config.metadata,
         initial_states=initial_states,
         observer=observer,
     )
+    assert trace is not None
+    return trace

@@ -18,13 +18,7 @@ from typing import Any, Mapping, Sequence
 from repro.core.algorithm import State, SynchronousCountingAlgorithm
 from repro.core.errors import SimulationError
 from repro.network.adversary import Adversary, NoAdversary
-from repro.network.engine import (
-    AgreementWindow,
-    ModelAdapter,
-    NotBefore,
-    derive_streams,
-    run_engine,
-)
+from repro.network.engine import ModelAdapter, derive_streams, run_engine
 from repro.network.trace import ExecutionTrace
 
 __all__ = ["SimulationConfig", "BroadcastModel", "run_simulation", "run_round"]
@@ -185,6 +179,17 @@ class BroadcastModel(ModelAdapter):
             metadata["perturbations"] = self.perturbations.describe()
         return metadata
 
+    def stop_gate(self) -> int:
+        # Never let the agreement window end the run while the schedule
+        # still has pending windows: the later injections — and the
+        # re-stabilisation they force — must execute, and the window's
+        # streak must count post-perturbation rounds only.
+        schedule = getattr(self.perturbations, "schedule", None)
+        if schedule is None:
+            return 0
+        horizon: int | None = schedule.last_change_round()
+        return horizon or 0
+
 
 def run_simulation(
     algorithm: SynchronousCountingAlgorithm,
@@ -221,27 +226,15 @@ def run_simulation(
     """
     adversary = adversary or NoAdversary()
     config = config or SimulationConfig()
-    stopping = (
-        AgreementWindow(config.stop_after_agreement, algorithm.c)
-        if config.stop_after_agreement is not None
-        else None
-    )
-    if stopping is not None and config.perturbations is not None:
-        schedule = getattr(config.perturbations, "schedule", None)
-        horizon = schedule.last_change_round() if schedule is not None else None
-        if horizon is not None:
-            # Never let the agreement window end the run while the schedule
-            # still has pending windows: the later injections — and the
-            # re-stabilisation they force — must execute, and the window's
-            # streak must count post-perturbation rounds only.
-            stopping = NotBefore(stopping, horizon)
-    return run_engine(
+    _, trace = run_engine(
         BroadcastModel(algorithm, adversary, config.perturbations),
         max_rounds=config.max_rounds,
-        stopping=stopping,
+        stop_after_agreement=config.stop_after_agreement,
         record_states=config.record_states,
         seed=config.seed,
         metadata=config.metadata,
         initial_states=initial_states,
         observer=observer,
     )
+    assert trace is not None
+    return trace

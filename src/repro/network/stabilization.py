@@ -21,6 +21,7 @@ from repro.core.errors import SimulationError
 from repro.network.trace import ExecutionTrace
 
 __all__ = [
+    "RunSummary",
     "StabilizationResult",
     "RecoveryResult",
     "stabilization_round",
@@ -54,6 +55,56 @@ class StabilizationResult:
     round: int | None
     tail_length: int
     total_rounds: int
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """One run reduced to what its campaign result needs, from either engine.
+
+    The scalar engine (:func:`repro.network.engine.run_engine`) and the batch
+    engine (:func:`repro.network.batch.run_batch_summaries`) both emit one
+    per run; :func:`repro.campaigns.results.reduce_values` turns it into a
+    :class:`~repro.campaigns.results.RunResult`.
+
+    Attributes
+    ----------
+    faulty:
+        The run's Byzantine set, ascending.
+    agreed:
+        Per recorded round, the common output of all correct nodes, or ``-1``
+        when they disagreed — ``ExecutionTrace.agreed_values()`` with
+        ``None`` encoded as ``-1``.
+    stopped_early / agreement_streak:
+        Whether the agreement window ended the run, and the streak it ended
+        on (``None`` when the round cap did).
+    max_pulls / pull_sum / pulls_issued:
+        Pulling-model totals (``None`` / ``0`` for broadcast runs): the
+        largest per-round maximum of pulls by one correct node, the sum of
+        those per-round maxima, and the pulls issued by all correct nodes,
+        summed round by round in float.
+    last_perturbation_round:
+        The last round a fault schedule injected or recovered nodes — the
+        anchor of the recovery metrics (``None`` when never perturbed).
+    rng_note:
+        :data:`~repro.network.batch.BATCH_RNG_NOTE` when the execution
+        consumed NumPy randomness, ``None`` for the scalar engine's streams
+        and for deterministic — bit-identical — batch executions.
+    """
+
+    faulty: tuple[int, ...]
+    agreed: tuple[int, ...]
+    stopped_early: bool
+    agreement_streak: int | None
+    max_pulls: int | None = None
+    pull_sum: int = 0
+    pulls_issued: float = 0.0
+    last_perturbation_round: int | None = None
+    rng_note: str | None = None
+
+    @property
+    def rounds(self) -> int:
+        """Number of recorded rounds."""
+        return len(self.agreed)
 
 
 def is_counting_suffix(values: Sequence[int | None], c: int) -> bool:
@@ -104,10 +155,10 @@ def stabilization_from_values(
 
     ``values[t]`` is the common output of all correct nodes in round ``t``;
     disagreement is encoded as ``None`` (the trace representation) or any
-    negative integer (the batch engine's array representation).  This is the
-    one implementation behind both the scalar
-    (:func:`stabilization_round`) and the vectorised
-    (:func:`repro.campaigns.batching.reduce_summary`) reductions.
+    negative integer (:attr:`RunSummary.agreed`).  This is the one
+    implementation behind both the trace analysis
+    (:func:`stabilization_round`) and the campaign reduction
+    (:func:`repro.campaigns.results.reduce_values`) of either engine.
     """
     if min_tail < 1:
         raise SimulationError(f"min_tail must be at least 1, got {min_tail}")

@@ -80,6 +80,37 @@ class TestExecuteRun:
         assert "no-such-algorithm" in result.error
         assert not result.stabilized
 
+    def test_builds_no_round_records(self, monkeypatch):
+        import repro.network.engine as engine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("execute_run built a RoundRecord")
+
+        monkeypatch.setattr(engine, "RoundRecord", forbidden)
+        broadcast = RunSpec(
+            run_id="broadcast",
+            algorithm=AlgorithmSpec.create(
+                "naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}
+            ),
+            max_rounds=30,
+            fault_schedule="churn",
+            fault_schedule_params=(("start", 3), ("down", 2), ("adversarial", 2)),
+        )
+        pulling = RunSpec(
+            run_id="pulling",
+            algorithm=AlgorithmSpec.create("sampled-boosted", {"sample_size": 2}),
+            adversary="crash",
+            faulty=(3,),
+            max_rounds=10,
+            model="pulling",
+        )
+        for spec in (broadcast, pulling):
+            result = execute_run(spec)
+            assert result.error is None, result.error
+            assert result.rounds_simulated > 0
+        assert result.max_pulls is not None
+        assert execute_run(broadcast).last_perturbation_round == 7
+
     def test_trace_metadata_carries_run_id(self):
         # The config.metadata merge makes campaign traces self-describing.
         from repro.network.simulator import SimulationConfig, run_simulation
@@ -99,9 +130,11 @@ class TestExecuteRun:
 
 class TestPullingRuns:
     def test_execute_run_dispatches_to_pulling_engine(self):
+        from repro.analysis.metrics import pull_statistics
         from repro.campaigns.executor import execute_run
-        from repro.campaigns.results import reduce_trace
-        from repro.network.pulling import PullSimulationConfig, run_pull_simulation
+        from repro.campaigns.results import reduce_values
+        from repro.network.engine import run_engine
+        from repro.network.pulling import PullingModel
 
         spec = RunSpec(
             run_id="pull-0",
@@ -120,18 +153,22 @@ class TestPullingRuns:
         assert result.max_bits is not None and result.max_bits > result.max_pulls
         assert result.post_agreement_failure_rate is not None
 
-        # The executor result must equal a by-hand run of the pulling engine.
+        # The executor result must equal a by-hand run of the pulling engine,
+        # and the summary must agree with the trace recorded alongside it.
         algorithm = spec.resolve_algorithm()
-        trace = run_pull_simulation(
-            algorithm,
-            adversary=spec.resolve_adversary(),
-            config=PullSimulationConfig(
-                max_rounds=15,
-                seed=9,
-                metadata={"run_id": spec.run_id, **dict(spec.tags)},
-            ),
+        summary, trace = run_engine(
+            PullingModel(algorithm, spec.resolve_adversary()), max_rounds=15, seed=9
         )
-        assert reduce_trace(spec, algorithm, trace).to_json() == result.to_json()
+        assert reduce_values(spec, algorithm, summary).to_json() == result.to_json()
+        assert summary.agreed == tuple(
+            -1 if value is None else value for value in trace.agreed_values()
+        )
+        stats = pull_statistics(trace)
+        assert (result.max_pulls, result.mean_pulls, result.max_bits) == (
+            stats["max_pulls"],
+            stats["mean_pulls"],
+            stats["max_bits"],
+        )
 
     def test_pulling_messages_sent_counts_pulls(self):
         from repro.campaigns.executor import execute_run

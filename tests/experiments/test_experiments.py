@@ -3,7 +3,7 @@
 Each experiment module must run end to end, produce rows with the expected
 columns and satisfy the paper's qualitative claims (within-bound
 stabilisation, Lemma checks, decreasing failure rates, ...).  Full-size runs
-are exercised by the benchmarks and by ``python -m repro.experiments.*``.
+are exercised by the benchmarks and by ``python -m repro experiment ...``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from repro.experiments.ablation import (
     run_block_count_ablation,
     run_counter_size_ablation,
 )
-from repro.experiments.common import ExperimentResult
+from repro.analysis.metrics import TrialMetrics
+from repro.experiments.common import ExperimentResult, summarize_trials
 from repro.experiments.figure1 import generate_traces, run_figure1
 from repro.experiments.figure2 import misaligned_initial_states, run_figure2
 from repro.experiments.pulling import post_agreement_failure_rate, run_corollary4, run_corollary5
@@ -54,6 +55,27 @@ class TestExperimentResult:
         markdown = result.to_markdown()
         assert markdown.startswith("### demo")
         assert "| a | b |" in markdown
+
+
+def _metric(stabilization_round):
+    return TrialMetrics(
+        stabilized=stabilization_round is not None,
+        stabilization_round=stabilization_round,
+        rounds_simulated=50,
+        within_bound=None,
+        agreement_fraction=1.0,
+        faulty=(),
+    )
+
+
+class TestSummarizeTrials:
+    def test_bounded_row_needs_every_trial_within_the_bound(self):
+        assert summarize_trials([_metric(3), _metric(10)], bound=10)["within_bound"]
+        assert not summarize_trials([_metric(3), _metric(11)], bound=10)["within_bound"]
+        assert not summarize_trials([_metric(3), _metric(None)], bound=10)["within_bound"]
+
+    def test_unbounded_counter_keeps_reading_true(self):
+        assert summarize_trials([_metric(None), _metric(4)])["within_bound"] is True
 
 
 class TestTable1:
@@ -112,6 +134,16 @@ class TestFigure2:
         for row in result.rows:
             assert row["stabilized"] == row["trials"] or row["stabilized"] == 1
             assert row["within_bound"] is True
+
+    def test_unstabilized_trials_are_not_within_bound(self):
+        # Three rounds are far too few to stabilise A(12, 3): every row
+        # reports zero stabilised trials and so must not claim the bound.
+        result = run_figure2(
+            levels=1, trials=3, max_rounds=3, adversaries=("random-state",)
+        )
+        for row in result.rows:
+            assert row["stabilized"] == 0
+            assert row["within_bound"] is False
 
     def test_misaligned_states_are_valid(self, figure2_level1_counter):
         states = misaligned_initial_states(figure2_level1_counter)

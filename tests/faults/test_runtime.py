@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.errors import SimulationError
 from repro.counters.registry import default_registry
 from repro.faults.schedule import (
     Perturbations,
     build_churn_schedule,
     build_late_adversary_schedule,
 )
-from repro.network.engine import AgreementWindow, NotBefore
-from repro.network.simulator import SimulationConfig, run_simulation
+from repro.network.adversary import NoAdversary
+from repro.network.simulator import BroadcastModel, SimulationConfig, run_simulation
 from repro.network.stabilization import recovery_round
-from repro.network.trace import RoundRecord
 from repro.obs import Observer
 from repro.obs.events import FaultInjected, NodeRecovered
 
@@ -99,7 +95,7 @@ class TestPerturbationAfterAgreement:
         assert trace.metadata["last_perturbation_round"] == 10
 
 
-class TestNotBefore:
+class TestStopGate:
     def test_scheduled_runs_cannot_stop_before_the_last_window(self):
         schedule = build_churn_schedule(start=20, down=6, adversarial=6)
         trace = run(
@@ -112,21 +108,13 @@ class TestNotBefore:
         baseline = run(None, max_rounds=80, window=2)
         assert baseline.num_rounds < 20
 
-    def test_rule_forwards_only_from_the_gate_round(self):
-        inner = AgreementWindow(1, c=3)
-        rule = NotBefore(inner, 3)
-        rule.reset()
-        records = [
-            RoundRecord(round_index=index, outputs={0: index % 3, 1: index % 3})
-            for index in range(5)
-        ]
-        fired = [rule.observe(record) for record in records]
-        assert fired[:3] == [None, None, None]
-        assert any(result is not None for result in fired[3:])
-
-    def test_negative_gate_rejected(self):
-        with pytest.raises(SimulationError):
-            NotBefore(AgreementWindow(1, c=3), -1)
+    def test_gate_is_the_schedule_last_change_round(self):
+        schedule = build_churn_schedule(start=20, down=6, adversarial=6)
+        model = BroadcastModel(
+            algorithm(), NoAdversary(), Perturbations(schedule=schedule)
+        )
+        assert model.stop_gate() == schedule.last_change_round() == 32
+        assert BroadcastModel(algorithm(), NoAdversary()).stop_gate() == 0
 
 
 class TestMessagePlane:

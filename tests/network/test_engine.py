@@ -2,7 +2,8 @@
 
 Two families:
 
-* Unit tests for the pluggable stopping rules and the kernel plumbing.
+* Unit tests for the shared stop step (on Python ints and on a NumPy row,
+  the two ways the engines call it) and the kernel plumbing.
 * Equivalence tests replaying the verbatim pre-kernel engines
   (``legacy_engines.py``) against the refactored adapters: for fixed seeds,
   both models, with and without faults, the recorded traces must be
@@ -37,13 +38,7 @@ from repro.network.adversary import (
     RandomStateAdversary,
     SplitStateAdversary,
 )
-from repro.network.engine import (
-    AgreementWindow,
-    FirstOf,
-    MaxRounds,
-    StoppingRule,
-    run_engine,
-)
+from repro.network.engine import stop_step
 from repro.network.pulling import (
     PullingAlgorithm,
     PullingModel,
@@ -51,7 +46,6 @@ from repro.network.pulling import (
     run_pull_simulation,
 )
 from repro.network.simulator import BroadcastModel, SimulationConfig, run_simulation
-from repro.network.trace import RoundRecord
 from repro.sampling.pull_boosting import SampledBoostedCounter
 from repro.util.rng import ensure_rng
 
@@ -85,105 +79,86 @@ class PullEchoCounter(PullingAlgorithm):
         return message % self.c
 
 
-def make_record(round_index: int, outputs: dict[int, int]) -> RoundRecord:
-    return RoundRecord(round_index=round_index, outputs=outputs)
-
-
-class TestMaxRounds:
-    def test_fires_at_limit(self):
-        rule = MaxRounds(3)
-        assert rule.observe(make_record(0, {0: 0})) is None
-        assert rule.observe(make_record(1, {0: 1})) is None
-        assert rule.observe(make_record(2, {0: 2})) is rule
-
-    def test_stop_metadata_is_not_early(self):
-        assert MaxRounds(1).stop_metadata() == {"stopped_early": False}
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(SimulationError):
-            MaxRounds(0)
-
-
-class TestAgreementWindow:
-    def test_requires_counting_not_mere_agreement(self):
-        rule = AgreementWindow(2, c=4)
-        # Agreement on a frozen value: streak never reaches 2.
-        for round_index in range(5):
-            assert rule.observe(make_record(round_index, {0: 1, 1: 1})) is None
-
-    def test_counts_across_wraparound(self):
-        rule = AgreementWindow(3, c=3)
-        outputs = [2, 0, 1]
-        fired = [rule.observe(make_record(i, {0: v, 1: v})) for i, v in enumerate(outputs)]
-        assert fired == [None, None, rule]
-        assert rule.stop_metadata() == {"stopped_early": True, "agreement_streak": 3}
-
-    def test_disagreement_resets_streak(self):
-        rule = AgreementWindow(2, c=4)
-        assert rule.observe(make_record(0, {0: 0, 1: 0})) is None
-        assert rule.observe(make_record(1, {0: 1, 1: 1})) is None or True  # streak 2 fires
-        # Rebuild: disagreement then a fresh start must need the full window again.
-        rule = AgreementWindow(3, c=4)
-        rule.observe(make_record(0, {0: 0, 1: 0}))
-        rule.observe(make_record(1, {0: 1, 1: 1}))
-        rule.observe(make_record(2, {0: 1, 1: 2}))  # disagree -> reset
-        assert rule.observe(make_record(3, {0: 3, 1: 3})) is None
-        assert rule.observe(make_record(4, {0: 0, 1: 0})) is None
-        assert rule.observe(make_record(5, {0: 1, 1: 1})) is not None
-
-    def test_reset_clears_state(self):
-        rule = AgreementWindow(2, c=4)
-        rule.observe(make_record(0, {0: 0}))
-        rule.reset()
-        assert rule.observe(make_record(0, {0: 1})) is None  # streak restarts at 1
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(SimulationError):
-            AgreementWindow(0, c=4)
-
-
-class TestFirstOf:
-    def test_earlier_rule_wins_on_simultaneous_fire(self):
-        window = AgreementWindow(1, c=4)
-        cap = MaxRounds(1)
-        fired = FirstOf(window, cap).observe(make_record(0, {0: 2, 1: 2}))
-        assert fired is window
-        assert fired.stop_metadata()["stopped_early"] is True
-
-    def test_all_rules_observe_every_round(self):
-        window = AgreementWindow(2, c=4)
-        cap = MaxRounds(2)
-        composite = FirstOf(window, cap)
-        assert composite.observe(make_record(0, {0: 0, 1: 0})) is None
-        # Round 1: the window's streak reaches 2 at the same time as the cap;
-        # the window (listed first) must provide the verdict.
-        assert composite.observe(make_record(1, {0: 1, 1: 1})) is window
-
-    def test_requires_rules(self):
-        with pytest.raises(SimulationError):
-            FirstOf()
-
-
-class TestRunEngineCustomRules:
-    def test_custom_stopping_rule_composes_with_round_cap(self):
-        class StopAtRound(StoppingRule):
-            def __init__(self, round_index: int) -> None:
-                self.round_index = round_index
-
-            def observe(self, record):
-                return self if record.round_index >= self.round_index else None
-
-            def stop_metadata(self):
-                return {"stopped_early": True, "custom": True}
-
-        trace = run_engine(
-            BroadcastModel(TrivialCounter(c=4), NoAdversary()),
-            max_rounds=50,
-            stopping=StopAtRound(2),
-            seed=0,
+def run_steps(agreed_values, *, on_array, **params):
+    """Feed ``agreed_values`` through :func:`stop_step`; per round
+    ``(streak, early, stop)``.  ``on_array`` runs a one-trial NumPy row, as
+    the batch engine does, instead of the scalar engine's Python ints."""
+    if on_array:
+        np = pytest.importorskip("numpy")
+        prev, streak = np.full(1, -1), np.zeros(1, dtype=np.int64)
+    else:
+        prev, streak = -1, 0
+    steps = []
+    for round_index, agreed in enumerate(agreed_values):
+        if on_array:
+            agreed = np.array([agreed])
+        prev, streak, early, stop = stop_step(
+            agreed, prev, streak, round_index, **params
         )
-        assert trace.num_rounds == 3
-        assert trace.metadata["custom"] is True
+        if on_array:
+            streak_value, early, stop = int(streak[0]), early[0], stop[0]
+        else:
+            streak_value = streak
+        steps.append((streak_value, bool(early), bool(stop)))
+    return steps
+
+
+@pytest.fixture(params=["ints", "array"])
+def steps(request):
+    def run(agreed_values, **params):
+        return run_steps(agreed_values, on_array=request.param == "array", **params)
+
+    return run
+
+
+class TestStopStep:
+    def test_frozen_agreement_never_fills_the_window(self, steps):
+        result = steps([1] * 5, c=4, window=2, max_rounds=50)
+        assert [streak for streak, _, _ in result] == [1] * 5
+        assert not any(stop for _, _, stop in result)
+
+    def test_counts_across_wraparound(self, steps):
+        result = steps([2, 0, 1], c=3, window=3, max_rounds=50)
+        assert result == [(1, False, False), (2, False, False), (3, True, True)]
+
+    def test_disagreement_resets_the_streak(self, steps):
+        result = steps([0, 1, -1, 3, 0, 1], c=4, window=3, max_rounds=50)
+        assert [streak for streak, _, _ in result] == [1, 2, 0, 1, 2, 3]
+        assert [early for _, early, _ in result] == [False] * 5 + [True]
+
+    def test_round_cap_stops_without_early_flag(self, steps):
+        result = steps([-1, -1, -1], c=4, window=None, max_rounds=3)
+        assert result[-1] == (0, False, True)
+        assert not any(stop for _, _, stop in result[:-1])
+
+    def test_window_wins_ties_with_the_cap(self, steps):
+        result = steps([0, 1], c=4, window=2, max_rounds=2)
+        assert result == [(1, False, False), (2, True, True)]
+
+    def test_no_window_never_stops_early(self, steps):
+        result = steps([0, 1, 2, 3], c=4, window=None, max_rounds=4)
+        assert [streak for streak, _, _ in result] == [1, 2, 3, 4]
+        assert result[-1] == (4, False, True)
+
+    def test_gate_hides_rounds_before_it(self, steps):
+        # Counting from round 0, but the window only starts at round 3 and
+        # must then fill from scratch (streak = 0 before it).
+        result = steps([0, 1, 2, 0, 1], c=3, window=2, max_rounds=50, gate=3)
+        assert [streak for streak, _, _ in result] == [0, 0, 0, 1, 2]
+        assert [early for _, early, _ in result] == [False] * 4 + [True]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"window": 0, "max_rounds": 5},
+            {"window": -2, "max_rounds": 5},
+            {"window": None, "max_rounds": 0},
+            {"window": 3, "max_rounds": -1},
+        ],
+    )
+    def test_rejects_non_positive_window_or_cap(self, steps, params):
+        with pytest.raises(SimulationError):
+            steps([0], c=4, **params)
 
 
 BROADCAST_SEEDS = (0, 1, 2, 3, 4)
