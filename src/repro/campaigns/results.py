@@ -9,18 +9,19 @@ message counts, recovery) plus enough identifying information to make the
 record self-describing.
 
 :class:`CampaignStore` persists results as JSON Lines: one canonical-JSON
-record per line, appended and flushed as runs complete.  Because every record
-carries its ``run_id``, an interrupted campaign resumes by skipping the runs
-already present in the store.
+record per line, appended and flushed as runs complete, through one open
+handle per campaign.  Because every record carries its ``run_id``, an
+interrupted campaign resumes by skipping the runs already present in the
+store.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from repro.analysis.metrics import (
     TrialMetrics,
@@ -127,8 +128,12 @@ class RunResult:
     rng: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dictionary form (tuples become lists)."""
-        data = asdict(self)
+        """Plain-dictionary form (tuples become lists).
+
+        Every field but ``faulty`` is a scalar, so the fields are read
+        directly; ``dataclasses.asdict`` would deep-copy each one.
+        """
+        data = {name: getattr(self, name) for name in _RESULT_FIELDS}
         data["faulty"] = list(self.faulty)
         return data
 
@@ -178,6 +183,10 @@ class RunResult:
             agreement_fraction=self.agreement_fraction,
             faulty=self.faulty,
         )
+
+
+#: The :class:`RunResult` field names, in declaration order.
+_RESULT_FIELDS = tuple(field.name for field in fields(RunResult))
 
 
 def reduce_values(
@@ -271,12 +280,27 @@ reduce_trace = reduce_values
 class CampaignStore:
     """Append-only JSONL persistence for campaign results.
 
-    One :class:`RunResult` per line.  Appends are flushed immediately so an
-    interrupted campaign loses at most the in-flight run; on resume,
-    :meth:`completed_ids` tells the runner which runs to skip.  Malformed
-    lines (for example a partial line from a hard kill) are skipped — the
-    corresponding runs simply execute again — but never silently:
-    :attr:`corrupt_lines` counts them so the runner can warn on resume.
+    One :class:`RunResult` per line.  The write contract:
+
+    * Entering the store (``with store:``) opens one append handle, creating
+      the file and its parents.  A final line torn by a hard kill is
+      terminated then, once, so only that partial record is lost (and
+      re-run); the repair is flushed at once, so a process forked while the
+      store is open never inherits buffered bytes.  Leaving the block
+      closes the handle.
+    * :meth:`append` writes one line per result and flushes it, so an
+      interrupted campaign loses at most the in-flight run.  Outside a
+      ``with`` block each append enters the store for itself: open, repair,
+      write, close.
+    * :func:`~repro.campaigns.runner.run_campaign` holds one append handle
+      per campaign, and opens it only when runs are pending: a resume with
+      nothing left to run neither creates nor rewrites the file.
+
+    On resume, :meth:`completed_ids` tells the runner which runs to skip.
+    Malformed lines (for example a partial line from a hard kill) are
+    skipped — the corresponding runs simply execute again — but never
+    silently: :attr:`corrupt_lines` counts them so the runner can warn on
+    resume.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -284,28 +308,47 @@ class CampaignStore:
         #: Number of unparseable lines encountered by the most recent full
         #: read of the store (0 before any read).
         self.corrupt_lines = 0
+        self._handle: TextIO | None = None
 
     @property
     def path(self) -> Path:
         """Location of the JSONL file."""
         return self._path
 
-    def append(self, result: RunResult) -> None:
-        """Persist one result (creates the file and parents on first use)."""
+    def __enter__(self) -> "CampaignStore":
+        if self._handle is None:
+            self._handle = self._open()
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self._handle is not None:
+            handle, self._handle = self._handle, None
+            handle.close()
+
+    def _open(self) -> TextIO:
+        """The append handle, after terminating a torn final line."""
         self._path.parent.mkdir(parents=True, exist_ok=True)
         # A hard kill can leave the file ending in a partial line; appending
-        # directly would corrupt the next record too.  Terminate the stray
-        # line first so only the partial record is lost (and re-run).
+        # directly would corrupt the next record too.
         needs_newline = False
         if self._path.exists() and self._path.stat().st_size > 0:
-            with self._path.open("rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                needs_newline = handle.read(1) != b"\n"
-        with self._path.open("a", encoding="utf-8") as handle:
-            if needs_newline:
-                handle.write("\n")
-            handle.write(result.to_json() + "\n")
+            with self._path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                needs_newline = tail.read(1) != b"\n"
+        handle = self._path.open("a", encoding="utf-8")
+        if needs_newline:
+            handle.write("\n")
             handle.flush()
+        return handle
+
+    def append(self, result: RunResult) -> None:
+        """Persist one result as one flushed line."""
+        if self._handle is None:
+            with self:
+                self.append(result)
+            return
+        self._handle.write(result.to_json() + "\n")
+        self._handle.flush()
 
     def __iter__(self) -> Iterator[RunResult]:
         if not self._path.exists():
@@ -362,7 +405,11 @@ def summarize_results(
 
     Groups by the given :class:`RunResult` attributes (default: algorithm and
     adversary) and reports, per group, how many runs stabilised and the
-    distribution of stabilisation rounds.
+    distribution of stabilisation rounds.  ``within_bound`` is ``True`` only
+    when every successful run stabilised at or before the counter's bound;
+    a run that never stabilised counts against a bound that other runs show
+    exists, and a group without any verdict whose runs did not all stabilise
+    reads ``"-"``.
     """
     # Imported lazily: experiments.common itself builds on the campaign
     # engine, so a module-level import would be circular.
@@ -386,7 +433,15 @@ def summarize_results(
             if result.stabilization_round is not None
         ]
         stats = summarize(rounds) if rounds else None
-        within = [r.within_bound for r in ok if r.within_bound is not None]
+        within_bound: bool | str
+        if any(r.within_bound is not None for r in ok):
+            # The counter has a bound, so a run without a verdict (it never
+            # stabilised) counts against it.
+            within_bound = all(r.within_bound for r in ok)
+        else:
+            # No verdicts.  If every run stabilised, the counter has no
+            # bound to miss; otherwise nothing tells whether it has one.
+            within_bound = True if len(stabilized) == len(ok) else "-"
         row: dict[str, Any] = dict(zip(group_by, key))
         row.update(
             runs=len(bucket),
@@ -396,7 +451,7 @@ def summarize_results(
             median_round="-" if stats is None else stats.median,
             p90_round="-" if stats is None else stats.p90,
             max_round="-" if stats is None else stats.maximum,
-            within_bound=all(within) if within else True,
+            within_bound=within_bound,
             mean_messages=(
                 round(sum(r.messages_sent for r in ok) / len(ok), 1) if ok else 0
             ),

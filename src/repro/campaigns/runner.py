@@ -10,6 +10,7 @@ appends each result to the store the moment it completes, and returns a
 
 from __future__ import annotations
 
+import contextlib
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -83,8 +84,11 @@ def run_campaign(
     store:
         Optional JSONL store.  Runs whose ids are already present with a
         successful result are skipped; newly completed runs are appended
-        immediately, so interrupting and re-invoking continues where the
-        previous invocation stopped.  Errored runs are retried.
+        immediately, one flushed line each through one append handle held
+        open while the runs execute, so interrupting and re-invoking
+        continues where the previous invocation stopped.  With no run
+        pending the store is not opened for writing.  Errored runs are
+        retried.
     executor:
         Defaults to the executor selected by the campaign's ``engine``
         (``"auto"`` vectorises bit-identical run groups through the batch
@@ -173,7 +177,12 @@ def run_campaign(
             progress(done, len(pending), result)
 
     started = time.perf_counter()
-    executed = executor.run(pending, on_result=on_result) if pending else []
+    executed: list[RunResult] = []
+    if pending:
+        # One append handle for the whole campaign, opened only when there
+        # is something to write.
+        with store if store is not None else contextlib.nullcontext():
+            executed = executor.run(pending, on_result=on_result)
     elapsed = time.perf_counter() - started if pending else 0.0
 
     by_id = dict(recovered)

@@ -31,7 +31,7 @@ from repro.network.adversary import (
     spread_faults,
 )
 from repro.semantics import strategy_names
-from repro.util.rng import derive_rng
+from repro.util.rng import derivation_base, derive_rng_from_base
 
 __all__ = [
     "AlgorithmSpec",
@@ -340,9 +340,13 @@ class CampaignSpec:
         """Flatten the grid into explicit, deterministic run specifications."""
         from repro.network.pulling import PullingAlgorithm
 
+        # Every run derives its stream from the campaign seed; the seed's
+        # base is the same for all of them, so it is drawn once.
+        base = derivation_base(self.seed)
         runs: dict[str, RunSpec] = {}
         for algorithm_spec in self.algorithms:
             algorithm = algorithm_spec.build()
+            label = algorithm_spec.label()
             if self.fault_schedule is not None:
                 from repro.semantics import fault_schedule_semantics
 
@@ -356,7 +360,7 @@ class CampaignSpec:
             if is_pulling != (self.model == "pulling"):
                 raise ParameterError(
                     f"campaign {self.name!r} declares model {self.model!r} but "
-                    f"{algorithm_spec.label()} is a "
+                    f"{label} is a "
                     f"{'pulling' if is_pulling else 'broadcast'}-model algorithm"
                 )
             for strategy in self.adversaries:
@@ -369,7 +373,7 @@ class CampaignSpec:
                     if not 0 <= faults <= algorithm.f:
                         raise ParameterError(
                             f"campaign {self.name!r} requests {faults} faults for "
-                            f"{algorithm_spec.label()} (resilience f={algorithm.f})"
+                            f"{label} (resilience f={algorithm.f})"
                         )
                     if faults == 0 and strategy != "none":
                         # An active strategy with nothing to control would
@@ -377,12 +381,18 @@ class CampaignSpec:
                         raise ParameterError(
                             f"campaign {self.name!r} pairs adversary strategy "
                             f"{strategy!r} with 0 faults for "
-                            f"{algorithm_spec.label()}; list strategy 'none' "
+                            f"{label}; list strategy 'none' "
                             "for fault-free rows instead"
                         )
                     for repetition in range(self.runs_per_setting):
                         spec = self._make_run(
-                            algorithm_spec, algorithm, strategy, faults, repetition
+                            base,
+                            algorithm_spec,
+                            label,
+                            algorithm,
+                            strategy,
+                            faults,
+                            repetition,
                         )
                         # Grid coordinates that collapse onto the same run id
                         # (e.g. num_faults listing both None and f) describe
@@ -392,25 +402,30 @@ class CampaignSpec:
 
     def _make_run(
         self,
+        base: int,
         algorithm_spec: AlgorithmSpec,
+        label: str,
         algorithm: SynchronousCountingAlgorithm,
         strategy: str,
         faults: int,
         repetition: int,
     ) -> RunSpec:
-        """Derive the explicit run for one grid coordinate."""
-        rng = derive_rng(
-            self.seed, "campaign", algorithm_spec.label(), strategy, faults, repetition
+        """Derive the explicit run for one grid coordinate.
+
+        ``base`` is ``derivation_base(self.seed)`` and ``label`` the
+        algorithm's label, so the run's stream is that of
+        ``derive_rng(self.seed, "campaign", label, strategy, faults,
+        repetition)``.
+        """
+        rng = derive_rng_from_base(
+            base, "campaign", label, strategy, faults, repetition
         )
         if self.fault_pattern == "spread":
             faulty = spread_faults(algorithm.n, faults)
         else:
             faulty = random_faulty_set(algorithm.n, faults, rng=rng)
         sim_seed = rng.getrandbits(32)
-        run_id = (
-            f"{algorithm_spec.label()}/{strategy}/f{faults}/"
-            f"{self.fault_pattern}/r{repetition}"
-        )
+        run_id = f"{label}/{strategy}/f{faults}/{self.fault_pattern}/r{repetition}"
         return RunSpec(
             run_id=run_id,
             algorithm=algorithm_spec,

@@ -3,7 +3,7 @@ from.
 
 The repository's determinism story rests on a small derivation vocabulary
 (:mod:`repro.util.rng`): every random draw must trace back, through
-``derive_rng`` / ``ensure_rng`` / ``spawn_rngs`` /
+``derive_rng`` (or ``derive_rng_from_base``) / ``ensure_rng`` / ``spawn_rngs`` /
 :func:`repro.network.engine.derive_streams`, to the master seed via a *named*
 stream.  The names partition into planes:
 
@@ -191,13 +191,25 @@ RNG_ONLY_DRAW_METHODS = frozenset(
 )
 
 #: The sanctioned derivation vocabulary (matched by unqualified name — the
-#: four helpers are this codebase's fixed API for stream plumbing).
+#: helpers are this codebase's fixed API for stream plumbing).
+#: ``derivation_base`` and ``derive_rng_from_base`` are the two halves of
+#: ``derive_rng`` (the base draw, then the label mixing), so the second
+#: takes its labels in the same positions.
 _DERIVE_RNG = "derive_rng"
+_DERIVE_RNG_FROM_BASE = "derive_rng_from_base"
+_DERIVATION_BASE = "derivation_base"
 _ENSURE_RNG = "ensure_rng"
 _SPAWN_RNGS = "spawn_rngs"
 _DERIVE_STREAMS = "derive_streams"
 DERIVATION_NAMES = frozenset(
-    {_DERIVE_RNG, _ENSURE_RNG, _SPAWN_RNGS, _DERIVE_STREAMS}
+    {
+        _DERIVE_RNG,
+        _DERIVE_RNG_FROM_BASE,
+        _DERIVATION_BASE,
+        _ENSURE_RNG,
+        _SPAWN_RNGS,
+        _DERIVE_STREAMS,
+    }
 )
 
 #: Qualified constructor targets that mint a fresh generator.
@@ -323,7 +335,7 @@ class _FunctionAnalyzer:
 
     def _call_lineage(self, node: ast.Call) -> Lineage:
         name = _call_name(node.func)
-        if name == _DERIVE_RNG:
+        if name in (_DERIVE_RNG, _DERIVE_RNG_FROM_BASE):
             for argument in node.args[1:]:
                 if isinstance(argument, ast.Constant) and isinstance(
                     argument.value, str

@@ -1097,15 +1097,9 @@ def _run_chunk(
             )
         adversary_kernel = build_adversary_kernel(strategy, kernel, adversary_params)
 
-    default = kernel.default_fields()
-    states = np.empty((batch, n, fields), dtype=np.int64)
-    states[:, :, :] = default
-    sender_ok = np.ones((batch, n), dtype=bool)
-    faulty_idx = (
-        np.empty((batch, num_faults), dtype=np.int64) if num_faults else None
-    )
-    correct_sorted = np.empty((batch, n - num_faults), dtype=np.int64)
+    faulty_tuples: list[tuple[int, ...]] = []
     correct_lists: list[list[int]] = []
+    encoded: list[list[tuple[int, ...]]] = []
     traces: list[ExecutionTrace] = []
 
     stream_names = (
@@ -1118,22 +1112,16 @@ def _run_chunk(
         and (adversary_kernel is None or adversary_kernel.deterministic)
     )
 
-    faulty_tuples: list[tuple[int, ...]] = []
-    for index, trial in enumerate(trials):
+    for trial in trials:
         adversary = (
             build_adversary(strategy, trial.faulty, **adversary_params)
             if strategy is not None
             else NoAdversary()
         )
         adversary.validate(algorithm)
-        faulty = sorted(adversary.faulty)
-        faulty_tuples.append(tuple(faulty))
+        faulty_tuples.append(tuple(sorted(adversary.faulty)))
         correct = [node for node in range(n) if node not in adversary.faulty]
         correct_lists.append(correct)
-        correct_sorted[index] = correct
-        if faulty_idx is not None:
-            faulty_idx[index] = faulty
-            sender_ok[index, faulty] = False
 
         # Only the first derived stream feeds the batch path (the kernels
         # replace the adversary/sampling streams with NumPy randomness), and
@@ -1142,8 +1130,7 @@ def _run_chunk(
         # the unused generators.
         init_rng = derive_streams(ensure_rng(trial.sim_seed), stream_names[0])[0]
         initial = resolve_initial_states(algorithm, correct, None, init_rng)
-        for node in correct:
-            states[index, node] = kernel.encode(initial[node])
+        encoded.append([kernel.encode(initial[node]) for node in correct])
 
         if record_outputs:
             metadata: dict[str, Any] = dict(trial.metadata)
@@ -1170,6 +1157,18 @@ def _run_chunk(
                 )
             )
 
+    # The chunk's arrays, each filled by one assignment from the lists above.
+    trial_rows = np.arange(batch)[:, None]
+    correct_sorted = np.array(correct_lists, dtype=np.int64)
+    states = np.empty((batch, n, fields), dtype=np.int64)
+    states[:, :, :] = kernel.default_fields()
+    states[trial_rows, correct_sorted] = encoded
+    sender_ok = np.ones((batch, n), dtype=bool)
+    faulty_idx: np.ndarray | None = None
+    if num_faults:
+        faulty_idx = np.array(faulty_tuples, dtype=np.int64)
+        sender_ok[trial_rows, faulty_idx] = False
+
     # repro-lint: allow[DET002] -- the sanctioned batch seed-vector site: the one shared PCG64 stream is derived from the per-trial sim seeds
     rng = np.random.default_rng([int(trial.sim_seed) & 0xFFFFFFFF for trial in trials])
 
@@ -1188,12 +1187,17 @@ def _run_chunk(
     #: Past start-of-round state snapshots (newest first), compacted with
     #: the live arrays; only maintained when loss/delay is active.
     history: list[np.ndarray] | None = [] if perturbed else None
-    #: Per round: (trial indices, agreed values, outputs, pulls per node).
-    recorded: list[
-        tuple[np.ndarray, np.ndarray, np.ndarray | None, int | None]
-    ] = []
-    #: Trial index -> (stopped_early, agreement_streak at the stop).
-    stop_info: dict[int, tuple[bool, int]] = {}
+    #: Agreed value per round and trial; a trial's column is written up to
+    #: its stop round, which ``rounds_run`` records.  Round-major, so a
+    #: chunk that stops early only touches the memory of the rounds it ran.
+    agreed_rounds = np.empty((max_rounds, batch), dtype=np.int64)
+    rounds_run = np.zeros(batch, dtype=np.int64)
+    #: Per trial: whether the window stopped it, and its streak at the stop.
+    stopped_early = np.zeros(batch, dtype=bool)
+    final_streak = np.zeros(batch, dtype=np.int64)
+    #: Per round, for traces only: (trial indices, outputs, pulls per node).
+    recorded: list[tuple[np.ndarray, np.ndarray, int | None]] = []
+    pulls: int | None = None
 
     # Observation: the disabled path costs one ``is not None`` check per
     # round (the hot-path contract the NullObserver overhead benchmark
@@ -1210,7 +1214,6 @@ def _run_chunk(
             step_started = time.perf_counter()
         if adversary_kernel is not None:
             adversary_kernel.begin_round(round_index, states, correct_sorted, rng)
-        pulls: int | None = None
         if pulling:
             network = BatchPullNetwork(
                 states,
@@ -1255,7 +1258,9 @@ def _run_chunk(
         reference = outputs[np.arange(live), correct_sorted[:, 0]]
         agree = np.all((outputs == reference[:, None]) | ~sender_ok, axis=1)
         agreed = np.where(agree, reference, _DISAGREE)
-        recorded.append((active, agreed, outputs if record_outputs else None, pulls))
+        agreed_rounds[round_index, active] = agreed
+        if record_outputs:
+            recorded.append((active, outputs, pulls))
         if obs is not None:
             trial_rounds += live
             if stride and round_index % stride == 0:
@@ -1272,12 +1277,11 @@ def _run_chunk(
         )
         if not finished.any():
             continue
-        for position in np.nonzero(finished)[0]:
-            # The window takes precedence over the round cap on ties.
-            stop_info[int(active[position])] = (
-                bool(window_fired[position]),
-                int(streak[position]),
-            )
+        done = active[finished]
+        rounds_run[done] = round_index + 1
+        # The window takes precedence over the round cap on ties.
+        stopped_early[done] = window_fired[finished]
+        final_streak[done] = streak[finished]
         if obs is not None:
             metrics = obs.metrics
             metrics.counter("batch.compactions").inc()
@@ -1304,7 +1308,9 @@ def _run_chunk(
         metrics = obs.metrics
         metrics.counter("batch.chunks").inc()
         metrics.counter("batch.trials").inc(batch)
-        metrics.counter("batch.rounds").inc(len(recorded))
+        # Every trial stops by the round cap, so the last one to stop ran
+        # the chunk's final round.
+        metrics.counter("batch.rounds").inc(int(rounds_run.max()))
         metrics.counter("batch.trial_rounds").inc(trial_rounds)
         metrics.histogram("batch.chunk_seconds").observe(chunk_seconds)
         if chunk_seconds > 0:
@@ -1315,32 +1321,49 @@ def _run_chunk(
     # ------------------------------------------------------------------ #
     # Per-trial reductions.  Trials all start at round zero and drop out
     # when they stop, so the global round index is the per-trial round
-    # index.  The agreed-value sequences feed the summaries (and, when
-    # requested, full ExecutionTrace objects are rebuilt from the recorded
-    # output rows).
+    # index: a trial's agreed values are the first ``rounds_run`` entries
+    # of its column.  Pulls per node are the same every round.
     # ------------------------------------------------------------------ #
+    correct = n - num_faults
+    pulls_per_round = pulls or 0
+    rng_note = BATCH_RNG_NOTE if randomized else None
+    summaries = [
+        RunSummary(
+            faulty=faulty,
+            # Past its stop round a trial's column holds unset memory, so
+            # only the rounds it ran are converted.
+            agreed=tuple(agreed_rounds[:rounds, trial].tolist()),
+            stopped_early=early,
+            agreement_streak=streak_at_stop if early else None,
+            max_pulls=pulls,
+            pull_sum=pulls_per_round * rounds,
+            pulls_issued=pulls_per_round * rounds * correct,
+            rng_note=rng_note,
+        )
+        for trial, (faulty, rounds, early, streak_at_stop) in enumerate(
+            zip(
+                faulty_tuples,
+                rounds_run.tolist(),
+                stopped_early.tolist(),
+                final_streak.tolist(),
+            )
+        )
+    ]
+    if not record_outputs:
+        return None, summaries
+
+    # Full ExecutionTrace objects are rebuilt from the recorded output rows.
     bits = algorithm.message_bits() if pulling else 0
-    agreed_per_trial: list[list[int]] = [[] for _ in range(batch)]
-    pulls_per_trial: int | None = None
-    for round_index, (ids, agreed, outputs, pulls) in enumerate(recorded):
-        if pulls is not None:
-            pulls_per_trial = pulls
-        agreed_values = agreed.tolist()
-        id_list = ids.tolist()
-        for position, trial_index in enumerate(id_list):
-            agreed_per_trial[trial_index].append(agreed_values[position])
-        if not record_outputs:
-            continue
-        assert outputs is not None
+    for round_index, (ids, outputs, round_pulls) in enumerate(recorded):
         rows = outputs.tolist()
-        for position, trial_index in enumerate(id_list):
+        for position, trial_index in enumerate(ids.tolist()):
             values = rows[position]
             record_metadata: dict[str, Any]
-            if pulls is not None:
+            if round_pulls is not None:
                 record_metadata = {
-                    "max_pulls": pulls,
-                    "mean_pulls": float(pulls),
-                    "max_bits": pulls * bits,
+                    "max_pulls": round_pulls,
+                    "mean_pulls": float(round_pulls),
+                    "max_bits": round_pulls * bits,
                 }
             else:
                 record_metadata = {}
@@ -1354,31 +1377,10 @@ def _run_chunk(
                     metadata=record_metadata,
                 )
             )
-
-    correct = n - num_faults
-    summaries: list[RunSummary] = []
-    for trial_index in range(batch):
-        stopped_early, final_streak = stop_info[trial_index]
-        rounds = len(agreed_per_trial[trial_index])
-        summaries.append(
-            RunSummary(
-                faulty=faulty_tuples[trial_index],
-                agreed=tuple(agreed_per_trial[trial_index]),
-                stopped_early=stopped_early,
-                agreement_streak=final_streak if stopped_early else None,
-                max_pulls=pulls_per_trial,
-                pull_sum=(pulls_per_trial or 0) * rounds,
-                pulls_issued=(pulls_per_trial or 0) * rounds * correct,
-                rng_note=BATCH_RNG_NOTE if randomized else None,
-            )
-        )
-    if not record_outputs:
-        return None, summaries
-    for trial_index, trace in enumerate(traces):
-        stopped_early, final_streak = stop_info[trial_index]
-        if stopped_early:
+    for trace, summary in zip(traces, summaries):
+        if summary.stopped_early:
             trace.metadata.update(
-                {"stopped_early": True, "agreement_streak": final_streak}
+                {"stopped_early": True, "agreement_streak": summary.agreement_streak}
             )
         else:
             trace.metadata.update({"stopped_early": False})

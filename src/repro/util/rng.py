@@ -13,7 +13,13 @@ import random
 import zlib
 from typing import Iterable, Sequence
 
-__all__ = ["ensure_rng", "derive_rng", "spawn_rngs"]
+__all__ = [
+    "ensure_rng",
+    "derive_rng",
+    "derivation_base",
+    "derive_rng_from_base",
+    "spawn_rngs",
+]
 
 #: Large odd multiplier used to mix derivation labels into seeds.
 _MIX = 0x9E3779B97F4A7C15
@@ -40,9 +46,32 @@ def derive_rng(rng: random.Random | int | None, *labels: int | str) -> random.Ra
     The derivation is deterministic: the same base seed and labels always
     produce the same stream.  Labels are typically node identifiers, round
     numbers or component names.
+
+    An int ``rng`` is re-seeded on every call: each call seeds a fresh
+    Mersenne Twister from it only to draw the same 64-bit base again.  A
+    loop that derives many streams from one int seed draws that base once
+    with :func:`derivation_base` and calls :func:`derive_rng_from_base` per
+    stream instead.
     """
-    base = ensure_rng(rng)
-    seed = base.getrandbits(64)
+    return derive_rng_from_base(derivation_base(rng), *labels)
+
+
+def derivation_base(rng: random.Random | int | None) -> int:
+    """The 64 bits :func:`derive_rng` draws from ``rng`` before the labels.
+
+    The same int seed always gives the same base; a generator gives its
+    next 64 bits.
+    """
+    return ensure_rng(rng).getrandbits(64)
+
+
+def derive_rng_from_base(base: int, *labels: int | str) -> random.Random:
+    """The generator :func:`derive_rng` derives from an already drawn base.
+
+    ``derive_rng_from_base(derivation_base(seed), *labels)`` is the stream
+    of ``derive_rng(seed, *labels)``.
+    """
+    seed = base
     for label in labels:
         if isinstance(label, str):
             # Use a process-independent hash: Python's built-in ``hash`` for

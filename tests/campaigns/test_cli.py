@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,7 +42,7 @@ def define_small_campaign(tmp_path, runs: int = 2) -> str:
 class TestDefine:
     def test_writes_spec_file(self, tmp_path, capsys):
         spec_path = define_small_campaign(tmp_path)
-        data = json.loads(open(spec_path, encoding="utf-8").read())
+        data = json.loads(Path(spec_path).read_text(encoding="utf-8"))
         assert data["name"] == "demo"
         assert data["adversaries"] == ["crash", "random-state"]
         assert data["algorithms"][0]["params"]["n"] == 6
@@ -106,7 +107,7 @@ class TestFaultInjectionFlags:
             ]
         )
         assert code == 0
-        data = json.loads(open(spec_path, encoding="utf-8").read())
+        data = json.loads(Path(spec_path).read_text(encoding="utf-8"))
         assert data["fault_schedule"] == "churn"
         assert data["fault_schedule_params"] == {"down": 3, "start": 4}
         assert data["loss"] == 0.05
@@ -173,7 +174,7 @@ class TestRunAndResume:
         assert code == 0
         lines = [
             line
-            for line in open(store_path, encoding="utf-8").read().splitlines()
+            for line in Path(store_path).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
         assert len(lines) == 4
@@ -187,7 +188,7 @@ class TestRunAndResume:
         # No duplicate lines were appended on resume.
         lines_after = [
             line
-            for line in open(store_path, encoding="utf-8").read().splitlines()
+            for line in Path(store_path).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
         assert lines_after == lines
@@ -214,7 +215,7 @@ class TestRunAndResume:
         )
         parse = lambda path: sorted(
             json.loads(line)["run_id"] + ":" + line
-            for line in open(path, encoding="utf-8")
+            for line in Path(path).read_text(encoding="utf-8").splitlines()
             if line.strip()
         )
         assert parse(serial_store) == parse(parallel_store)
@@ -305,7 +306,7 @@ class TestPullingModelRoundTrip:
 
     def test_define_records_model(self, tmp_path):
         spec_path = self.define_pulling_campaign(tmp_path)
-        data = json.loads(open(spec_path, encoding="utf-8").read())
+        data = json.loads(Path(spec_path).read_text(encoding="utf-8"))
         assert data["model"] == "pulling"
         assert data["algorithms"][0]["name"] == "sampled-boosted"
 
@@ -319,7 +320,7 @@ class TestPullingModelRoundTrip:
 
         rows = [
             json.loads(line)
-            for line in open(store_path, encoding="utf-8")
+            for line in Path(store_path).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
         assert len(rows) == 4
@@ -369,7 +370,9 @@ class TestPullingModelRoundTrip:
             == 0
         )
         parse = lambda path: sorted(
-            line for line in open(path, encoding="utf-8") if line.strip()
+            line
+            for line in Path(path).read_text(encoding="utf-8").splitlines()
+            if line.strip()
         )
         assert parse(serial_store) == parse(parallel_store)
 

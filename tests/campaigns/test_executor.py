@@ -3,7 +3,12 @@ bit-identity guarantee the campaign engine is built around."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
+from pathlib import Path
+
+import pytest
 
 from repro.campaigns.executor import (
     ParallelExecutor,
@@ -32,6 +37,20 @@ class ParentOnlyCounter(TrivialCounter):
         if os.getpid() != self._home_pid:
             os._exit(1)
         return super().transition(node, messages)
+
+
+def track_append_opens(monkeypatch) -> list[str]:
+    """Record every path opened in append mode from now on."""
+    opened: list[str] = []
+    original = Path.open
+
+    def tracking_open(self, mode="r", *args, **kwargs):
+        if "a" in mode:
+            opened.append(str(self))
+        return original(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", tracking_open)
+    return opened
 
 
 def fixed_campaign(runs_per_setting: int = 25) -> CampaignSpec:
@@ -398,6 +417,39 @@ class TestCampaignStore:
         assert store.load() == []
         assert store.corrupt_lines == 0
 
+    def test_open_store_writes_through_one_handle_and_flushes_every_line(
+        self, tmp_path, monkeypatch
+    ):
+        store = CampaignStore(tmp_path / "nested" / "results.jsonl")
+        results = [
+            execute_run(
+                RunSpec(
+                    run_id=f"r{index}",
+                    algorithm=AlgorithmSpec.create("trivial", {"c": 3}),
+                )
+            )
+            for index in range(3)
+        ]
+        opened = track_append_opens(monkeypatch)
+        with store:
+            store.append(results[0])
+            store.append(results[1])
+            # Each line is on disk as soon as append returns.
+            assert store.load() == results[:2]
+        store.append(results[2])  # outside a with: its own open
+        assert opened == [str(store.path)] * 2
+        assert store.load() == results
+
+    def test_entering_repairs_a_torn_line_once(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text('{"partial": ', encoding="utf-8")
+        store = CampaignStore(path)
+        with store:
+            assert path.read_text(encoding="utf-8") == '{"partial": \n'
+        with store:
+            pass
+        assert path.read_text(encoding="utf-8") == '{"partial": \n'
+
     def test_resume_over_corruption_warns_and_re_executes(self, tmp_path):
         import warnings
 
@@ -419,6 +471,61 @@ class TestCampaignStore:
         assert report.executed == 1
         messages = [str(item.message) for item in caught]
         assert any("unparseable line" in message for message in messages)
+
+
+def asdict_json(result: RunResult) -> str:
+    """A store line as ``to_json`` wrote it through ``dataclasses.asdict``."""
+    data = dataclasses.asdict(result)
+    data["faulty"] = list(result.faulty)
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+class TestRunResultJson:
+    def test_pulling_result_with_every_field_set(self):
+        from repro.campaigns.batching import BatchExecutor
+
+        spec = RunSpec(
+            run_id="pull",
+            algorithm=AlgorithmSpec.create("sampled-boosted", {"sample_size": 2}),
+            adversary="random-state",
+            faulty=(1,),
+            sim_seed=5,
+            max_rounds=20,
+            model="pulling",
+        )
+        (result,) = BatchExecutor(engine="batch").run([spec])
+        assert result.rng is not None and result.max_pulls is not None
+        # Fill the fields a pulling run leaves empty, so every field is set.
+        result = dataclasses.replace(
+            result,
+            stabilization_round=result.stabilization_round or 3,
+            within_bound=True,
+            error="ValueError: example",
+            last_perturbation_round=4,
+            recovered=True,
+            recovery_round=9,
+            re_stabilization_time=5,
+        )
+        assert all(
+            getattr(result, field.name) is not None
+            for field in dataclasses.fields(result)
+        )
+        assert result.to_json() == asdict_json(result)
+        assert result.to_dict() == json.loads(asdict_json(result))
+
+    def test_fault_schedule_result(self):
+        spec = RunSpec(
+            run_id="churn",
+            algorithm=AlgorithmSpec.create(
+                "naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}
+            ),
+            max_rounds=40,
+            fault_schedule="churn",
+            fault_schedule_params=(("start", 3), ("down", 2), ("adversarial", 2)),
+        )
+        result = execute_run(spec)
+        assert result.error is None and result.last_perturbation_round == 7
+        assert result.to_json() == asdict_json(result)
 
 
 class TestRunCampaign:
@@ -456,6 +563,71 @@ class TestRunCampaign:
         clean = {r.run_id: r.to_json() for r in SerialExecutor().run(runs)}
         resumed = {r.run_id: r.to_json() for r in report.results}
         assert resumed == clean
+
+    def test_one_append_handle_per_campaign(self, tmp_path, monkeypatch):
+        campaign = fixed_campaign(runs_per_setting=3)
+        store = CampaignStore(tmp_path / "campaign.jsonl")
+        appended: list[str] = []
+        original_append = CampaignStore.append
+
+        def counting_append(self, result):
+            appended.append(result.run_id)
+            original_append(self, result)
+
+        monkeypatch.setattr(CampaignStore, "append", counting_append)
+        opened = track_append_opens(monkeypatch)
+        report = run_campaign(campaign, store=store)
+        assert report.executed == 12
+        assert opened == [str(store.path)]
+        assert sorted(appended) == sorted(run.run_id for run in campaign.expand())
+        assert len(store.load()) == 12
+
+    def test_noop_resume_neither_creates_nor_rewrites_the_store(
+        self, tmp_path, monkeypatch
+    ):
+        campaign = fixed_campaign(runs_per_setting=1)
+        store = CampaignStore(tmp_path / "campaign.jsonl")
+        run_campaign(campaign, store=store)
+        content = store.path.read_bytes()
+        modified = store.path.stat().st_mtime_ns
+        opened = track_append_opens(monkeypatch)
+
+        assert run_campaign(campaign, store=store).executed == 0
+        assert opened == []
+        assert store.path.read_bytes() == content
+        assert store.path.stat().st_mtime_ns == modified
+
+        empty = CampaignStore(tmp_path / "unused" / "campaign.jsonl")
+        assert run_campaign([], store=empty).executed == 0
+        assert opened == []
+        assert not empty.path.parent.exists()
+
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_resume_over_a_torn_line_appends_parseable_lines(
+        self, tmp_path, processes
+    ):
+        campaign = fixed_campaign(runs_per_setting=2)
+        runs = campaign.expand()
+        store = CampaignStore(tmp_path / "campaign.jsonl")
+        for spec in runs[:3]:
+            store.append(execute_run(spec))
+        with store.path.open("a", encoding="utf-8") as handle:
+            # A hard kill in the middle of the fourth line.
+            handle.write(execute_run(runs[3]).to_json()[:40])
+
+        executor = ParallelExecutor(processes=processes) if processes else None
+        with pytest.warns(RuntimeWarning, match="1 unparseable line"):
+            report = run_campaign(campaign, store=store, executor=executor)
+        assert report.executed == len(runs) - 3
+
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(runs) + 1
+        new = [RunResult.from_dict(json.loads(line)) for line in lines[4:]]
+        assert sorted(result.run_id for result in new) == sorted(
+            run.run_id for run in runs[3:]
+        )
+        assert len(store.load()) == len(runs)
+        assert store.corrupt_lines == 1
 
     def test_progress_callback_fires_per_executed_run(self):
         campaign = fixed_campaign(runs_per_setting=1)
@@ -551,3 +723,46 @@ class TestSummarize:
         report = run_campaign(fixed_campaign(runs_per_setting=2))
         text = summarize_results(report.results).format_table()
         assert "algorithm" in text and "stabilized" in text
+
+    def test_bounded_counter_that_never_stabilised_is_not_within_bound(self):
+        # Four rounds are far too few for the Figure 2 counter to stabilise:
+        # every run stores within_bound null.
+        campaign = CampaignSpec(
+            name="short",
+            algorithms=(AlgorithmSpec.create("figure2", {"levels": 1, "c": 2}),),
+            adversaries=("random-state",),
+            num_faults=(3,),
+            runs_per_setting=3,
+            max_rounds=4,
+        )
+        results = run_campaign(campaign).results
+        assert not any(result.stabilized for result in results)
+        (row,) = summarize_results(results).rows
+        assert row["stabilized"] == 0
+        assert row["within_bound"] == "-"
+
+        # One verdict shows the counter has a bound; unjudged runs miss it.
+        judged = dataclasses.replace(
+            results[0], stabilized=True, stabilization_round=2, within_bound=True
+        )
+        (row,) = summarize_results([judged, *results[1:]]).rows
+        assert row["within_bound"] is False
+        (row,) = summarize_results([judged]).rows
+        assert row["within_bound"] is True
+
+    def test_unbounded_counter_reads_within_bound_once_every_run_stabilised(self):
+        # A counter without a bound stores no verdict even when it stabilises.
+        stable = dataclasses.replace(
+            execute_run(
+                RunSpec(run_id="r0", algorithm=AlgorithmSpec.create("trivial", {"c": 3}))
+            ),
+            within_bound=None,
+        )
+        assert stable.stabilized
+        (row,) = summarize_results([stable]).rows
+        assert row["within_bound"] is True
+        stuck = dataclasses.replace(
+            stable, run_id="r1", stabilized=False, stabilization_round=None
+        )
+        (row,) = summarize_results([stable, stuck]).rows
+        assert row["within_bound"] == "-"

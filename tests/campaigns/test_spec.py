@@ -8,6 +8,7 @@ from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.core.errors import ParameterError, SimulationError
 from repro.counters.naive import NaiveMajorityCounter
 from repro.network.adversary import CrashAdversary, NoAdversary
+from repro.util.rng import derive_rng
 
 
 class TestAlgorithmSpec:
@@ -112,6 +113,18 @@ class TestCampaignSpec:
             assert len(run.faulty) == 1  # num_faults defaults to f=1
             assert all(0 <= node < 6 for node in run.faulty)
             assert run.max_rounds == 50
+            # Each run's stream is the one derive_rng gives its grid
+            # coordinate under the campaign seed.
+            reference = derive_rng(
+                5,
+                "campaign",
+                run.algorithm.label(),
+                run.adversary,
+                len(run.faulty),
+                dict(run.tags)["repetition"],
+            )
+            assert run.faulty == tuple(sorted(reference.sample(range(6), 1)))
+            assert run.sim_seed == reference.getrandbits(32)
 
     def test_none_strategy_forces_zero_faults(self):
         runs = small_campaign(adversaries=("none",)).expand()

@@ -181,6 +181,19 @@ class TestUnknownLineageFLW001:
         )
         assert report.unwaived() == ()
 
+    def test_draw_on_stream_derived_from_a_drawn_base_is_allowed(self, lint_source):
+        report = lint_source(
+            """
+            from repro.util.rng import derivation_base, derive_rng_from_base
+
+            def f(seed):
+                base = derivation_base(seed)
+                stream = derive_rng_from_base(base, "faults")
+                return stream.getrandbits(8)
+            """
+        )
+        assert report.unwaived() == ()
+
     def test_draw_on_self_attribute_bound_from_parameter(self, lint_source):
         report = lint_source(
             """
@@ -238,6 +251,18 @@ class TestCrossPlaneFLW002:
 
             def run(master):
                 adversary_rng = derive_rng(master, "faults")
+                return adversary_rng
+            """
+        )
+        assert unwaived_ids(report) == ["FLW002"]
+
+    def test_stream_from_a_drawn_base_keeps_its_plane(self, lint_source):
+        report = lint_source(
+            """
+            from repro.util.rng import derivation_base, derive_rng_from_base
+
+            def run(seed):
+                adversary_rng = derive_rng_from_base(derivation_base(seed), "faults")
                 return adversary_rng
             """
         )

@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from repro.util.rng import derive_rng, ensure_rng, sample_without_replacement, spawn_rngs
+from repro.util.rng import (
+    derivation_base,
+    derive_rng,
+    derive_rng_from_base,
+    ensure_rng,
+    sample_without_replacement,
+    spawn_rngs,
+)
 
 
 class TestEnsureRng:
@@ -40,6 +47,14 @@ class TestDeriveRng:
         a = derive_rng(1, "x")
         b = derive_rng(2, "x")
         assert a.random() != b.random()
+
+    def test_drawn_base_gives_the_same_stream(self):
+        base = derivation_base(42)
+        assert base == derivation_base(42)
+        for labels in [(), ("adversary",), ("campaign", "trivial(c=3)", "crash", 1, 7)]:
+            a = derive_rng(42, *labels)
+            b = derive_rng_from_base(base, *labels)
+            assert [a.random() for _ in range(5)] == [b.random() for _ in range(5)]
 
 
 class TestSpawnRngs:
