@@ -35,13 +35,13 @@ import random
 import time
 from typing import Any
 
-from repro.counters.registry import default_registry
 from repro.network.batch import (
     BatchTrial,
     build_batch_kernel,
     run_batch_summaries,
 )
 from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer
+from repro.semantics import build_algorithm
 
 __all__ = ["build_null_overhead_workload", "measure_null_overhead"]
 
@@ -54,11 +54,9 @@ def build_null_overhead_workload(runs: int = 120) -> dict[str, Any]:
     ``figure1-style-randomized-n16`` benchmark case, i.e. the hot path the
     <2% overhead budget is defined against.
     """
-    algorithm = default_registry().build(
-        "randomized-follow-majority", n=16, f=5, c=2
-    )
+    algorithm = build_algorithm("randomized-follow-majority", n=16, f=5, c=2)
     kernel = build_batch_kernel(algorithm)
-    if kernel is None:  # pragma: no cover - registry regression guard
+    if kernel is None:  # pragma: no cover - catalogue regression guard
         raise RuntimeError("randomized-follow-majority lost its batch kernel")
     rng = random.Random(20150721)
     trials = [

@@ -16,7 +16,8 @@ Run with::
 from __future__ import annotations
 
 from repro.sampling import recommended_sample_size
-from repro.scenarios import Scenario, default_component_registry
+from repro.scenarios import Scenario
+from repro.semantics import build_algorithm
 
 
 def main(
@@ -52,9 +53,8 @@ def main(
     by_label: dict[str, list] = {}
     for result in report.results:
         by_label.setdefault(result.algorithm, []).append(result)
-    registry = default_component_registry()
     for sample_size in sample_sizes:
-        counter = registry.build_algorithm("sampled-boosted", sample_size=sample_size)
+        counter = build_algorithm("sampled-boosted", sample_size=sample_size)
         bucket = by_label[f"sampled-boosted(sample_size={sample_size})"]
         stabilized = sum(int(result.stabilized) for result in bucket)
         max_pulls = max(result.max_pulls or 0 for result in bucket)

@@ -2,8 +2,8 @@
 
 Sweeps every registered adversary strategy against the ``A(12, 3)`` counter
 through the ``repro.scenarios`` facade — the strategy names come from the
-unified component registry, so a newly registered adversary automatically
-joins the sweep.  Two hand-crafted cases follow: the Figure 2 fault pattern
+semantics catalogue, so a newly declared adversary automatically joins the
+sweep.  Two hand-crafted cases follow: the Figure 2 fault pattern
 (one whole block Byzantine) and the negative baseline, a naive
 majority-following counter kept split forever by an adaptive adversary.
 
@@ -22,7 +22,8 @@ from repro.network import (
     block_concentrated_faults,
 )
 from repro.network.stabilization import stabilization_round
-from repro.scenarios import Scenario, default_component_registry
+from repro.scenarios import Scenario
+from repro.semantics import active_strategy_names
 
 
 def main(runs: int = 2, seed: int = 13) -> None:
@@ -31,15 +32,10 @@ def main(runs: int = 2, seed: int = 13) -> None:
     print(f"Counter A({counter.n}, {counter.f}), stabilisation bound {bound} rounds")
     print()
 
-    # Every *active* strategy in the registry, with the maximal fault budget.
-    strategies = [
-        name
-        for name in default_component_registry().names(kind="adversary")
-        if name != "none"
-    ]
+    # Every *active* strategy in the catalogue, with the maximal fault budget.
     scenario = (
         Scenario.counter("figure2", levels=1, c=2)
-        .adversary(*strategies)
+        .adversary(*active_strategy_names())
         .faults("auto")
         .runs(runs)
         .max_rounds(bound)

@@ -32,9 +32,9 @@ JSONL persistence and resume)::
 The same surface is available from the shell as ``python -m repro`` (or the
 ``repro`` console script): ``repro run``, ``repro campaign``,
 ``repro experiment``, ``repro list`` and ``repro verify``.  Component names
-("figure2", "phase-king-skew", ...) come from the unified registry —
-``repro list`` or :func:`repro.scenarios.default_component_registry` shows
-them all with descriptions.
+("figure2", "phase-king-skew", ...) come from the semantics catalogue —
+``repro list`` shows them all with descriptions, and
+:func:`repro.semantics.build_algorithm` builds an algorithm by name.
 
 For round-by-round inspection of a single run, drop one level down to the
 simulator::
@@ -88,20 +88,12 @@ from repro.network import (
     run_pull_simulation,
     run_simulation,
 )
-from repro.scenarios import (
-    Component,
-    ComponentRegistry,
-    Scenario,
-    default_component_registry,
-)
+from repro.scenarios import Scenario
 
 __all__ = [
     "__version__",
     # The scenario facade (the documented quick-start path)
     "Scenario",
-    "Component",
-    "ComponentRegistry",
-    "default_component_registry",
     # Core abstractions
     "SynchronousCountingAlgorithm",
     "AlgorithmInfo",

@@ -11,7 +11,7 @@ subsystem:
   randomness (fault sets, simulator seeds) is derived eagerly with
   :func:`repro.util.rng.derive_rng`, so a run's outcome is a pure function of
   its spec.  Grids carry a ``model`` axis: ``"broadcast"`` (Section 2) or
-  ``"pulling"`` (Section 5, sweeping :class:`PullingAlgorithm` registry
+  ``"pulling"`` (Section 5, sweeping :class:`PullingAlgorithm` catalogue
   entries and recording ``max_pulls`` / ``max_bits`` per run).
 * :mod:`repro.campaigns.executor` — a :class:`SerialExecutor` (the reference)
   and a :class:`ParallelExecutor` that distributes chunks of runs over a

@@ -29,7 +29,7 @@ Usage (``python -m repro campaign <command>``)::
         --runs 10 --max-rounds 120 --out pulls.campaign.json
 
 Algorithm arguments use ``name`` or ``name:key=value,key=value`` where the
-names come from :func:`repro.counters.registry.default_registry` and values
+names come from the semantics catalogue (``repro list algorithms``) and values
 are parsed as JSON scalars when possible (``levels=2`` is an int).  Pulling
 campaigns (``--model pulling``) take pulling-model algorithm names
 (``sampled-boosted``, ``pseudo-random-boosted``) and record per-run

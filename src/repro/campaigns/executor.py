@@ -59,7 +59,7 @@ def execute_run(spec: RunSpec, observer: Observer | None = None) -> RunResult:
     :class:`~repro.network.stabilization.RunSummary` goes straight to
     :func:`~repro.campaigns.results.reduce_values`.
 
-    Never raises: any exception (bad registry name, simulation error, ...)
+    Never raises: any exception (unknown component name, simulation error, ...)
     is captured in the returned result's ``error`` field so one broken run
     cannot abort a campaign.
 

@@ -1,7 +1,7 @@
 """Declarative campaign specifications and their expansion into runs.
 
 A *campaign* is a grid of simulation settings: a communication model
-(broadcast or pulling), algorithms (named registry entries with parameters),
+(broadcast or pulling), algorithms (named catalogue entries with parameters),
 adversary strategies, fault counts and repetitions, sharing one simulation
 configuration envelope.
 :meth:`CampaignSpec.expand` flattens the grid into fully explicit
@@ -30,7 +30,7 @@ from repro.network.adversary import (
     random_faulty_set,
     spread_faults,
 )
-from repro.semantics import strategy_names
+from repro.semantics import adversary_semantics, build_algorithm
 from repro.util.rng import derivation_base, derive_rng_from_base
 
 __all__ = [
@@ -84,9 +84,9 @@ def _validate_perturbation_knobs(
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """A named, parameterised algorithm from the registry.
+    """A named, parameterised algorithm from the semantics catalogue.
 
-    The registry (:func:`repro.counters.registry.default_registry`) is the
+    The catalogue (:func:`repro.semantics.build_algorithm`) is the
     construction vocabulary, so specs stay plain data — serialisable to JSON
     and picklable across worker processes.
     """
@@ -119,9 +119,7 @@ class AlgorithmSpec:
 
     def build(self) -> SynchronousCountingAlgorithm:
         """Construct the algorithm instance."""
-        from repro.counters.registry import default_registry
-
-        return default_registry().build(self.name, **dict(self.params))
+        return build_algorithm(self.name, **dict(self.params))
 
     def label(self) -> str:
         """Compact human-readable identifier, e.g. ``figure2(c=2,levels=1)``."""
@@ -326,11 +324,7 @@ class CampaignSpec:
                 f"expected one of {FAULT_PATTERNS}"
             )
         for strategy in self.adversaries:
-            if strategy not in strategy_names():
-                known = ", ".join(strategy_names())
-                raise ParameterError(
-                    f"unknown adversary strategy {strategy!r}; known: {known}"
-                )
+            adversary_semantics(strategy)
 
     # ------------------------------------------------------------------ #
     # Expansion

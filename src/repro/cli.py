@@ -14,9 +14,9 @@ repro``.  Subcommands:
                ``figure1``, ``figure2``, ``scaling``, ``pulling``,
                ``ablation``
 ``list``       discover algorithms, adversaries, fault schedules and
-               experiments with one-line descriptions (the unified
-               component registry)
-``verify``     exhaustively model-check a registry algorithm
+               experiments with one-line descriptions (read straight from
+               the semantics catalogue)
+``verify``     exhaustively model-check a catalogue algorithm
                (Section 2 definition of a synchronous counter), then run
                the static-analysis pass over the installed tree
 ``lint``       determinism-aware static analysis (:mod:`repro.lint`):
@@ -47,7 +47,18 @@ from repro.core.errors import ParameterError
 from repro.experiments.catalog import experiment_catalog
 from repro.lint.cli import register_lint_command
 from repro.obs.cli import add_observability_arguments, observation_from_args
-from repro.scenarios import Scenario, default_component_registry
+from repro.scenarios import Scenario
+from repro.semantics import (
+    ADVERSARY_SEMANTICS,
+    ALGORITHM_SEMANTICS,
+    FAULT_SCHEDULE_SEMANTICS,
+    AdversarySemantics,
+    AlgorithmSemantics,
+    FaultScheduleSemantics,
+    algorithm_semantics,
+    build_algorithm,
+    format_schema,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -135,11 +146,8 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _algorithm_detail(name: str) -> list[str]:
+def _algorithm_detail(spec: AlgorithmSemantics) -> list[str]:
     """The ``list --verbose`` detail lines of one algorithm, from its spec."""
-    from repro.semantics import algorithm_semantics, format_schema
-
-    spec = algorithm_semantics(name)
     state = "flat integer states" if spec.flat_state else "boosted (structured) states"
     scalar = "deterministic" if spec.scalar_deterministic else "randomised"
     batch = "bit-identical" if spec.batch_deterministic else "statistically equivalent"
@@ -153,11 +161,8 @@ def _algorithm_detail(name: str) -> list[str]:
     return lines
 
 
-def _adversary_detail(name: str) -> list[str]:
+def _adversary_detail(spec: AdversarySemantics) -> list[str]:
     """The ``list --verbose`` detail lines of one strategy, from its spec."""
-    from repro.semantics import adversary_semantics, format_schema
-
-    spec = adversary_semantics(name)
     scalar = "deterministic" if spec.scalar_deterministic else "randomised"
     lines = [
         f"params: {format_schema(spec.parameters)}",
@@ -167,11 +172,8 @@ def _adversary_detail(name: str) -> list[str]:
     return lines
 
 
-def _fault_schedule_detail(name: str) -> list[str]:
+def _fault_schedule_detail(spec: FaultScheduleSemantics) -> list[str]:
     """The ``list --verbose`` detail lines of one fault schedule, from its spec."""
-    from repro.semantics import fault_schedule_semantics, format_schema
-
-    spec = fault_schedule_semantics(name)
     scalar = "deterministic" if spec.scalar_deterministic else "randomised"
     engine = (
         "batch-covered"
@@ -187,7 +189,11 @@ def _fault_schedule_detail(name: str) -> list[str]:
 
 def _command_list(args: argparse.Namespace) -> int:
     """List algorithms, adversaries and experiments with descriptions."""
-    registry = default_component_registry()
+    from importlib.util import find_spec
+
+    # Batch notes promise what the vectorised engine does; without NumPy
+    # there is no such engine, so the notes stay blank.
+    have_numpy = find_spec("numpy") is not None
     sections: list[str] = []
     verbose = getattr(args, "verbose", False)
 
@@ -200,41 +206,40 @@ def _command_list(args: argparse.Namespace) -> int:
                 lines.append(f"  {' ' * width}    {detail}")
         return "\n".join(lines)
 
-    def batch_suffix(entry: dict) -> str:
-        return f" [batch: {entry['batch']}]" if entry.get("batch") else ""
+    def batch_suffix(note: str) -> str:
+        return f" [batch: {note}]" if have_numpy else ""
 
     if args.kind in ("algorithms", "all"):
         rows = [
             (
-                entry["name"],
-                f"[{entry['model']}] {entry['description']}" + batch_suffix(entry),
-                _algorithm_detail(entry["name"]) if verbose else [],
+                name,
+                f"[{spec.model}] {spec.description}"
+                + batch_suffix(spec.coverage_note()),
+                _algorithm_detail(spec) if verbose else [],
             )
-            for entry in registry.describe(kind="algorithm")
-            if args.model is None or entry["model"] == args.model
+            for name, spec in sorted(ALGORITHM_SEMANTICS.items())
+            if args.model is None or spec.model == args.model
         ]
         if rows:
             sections.append("Algorithms:\n" + format_rows(rows))
     if args.kind in ("adversaries", "all"):
         rows = [
             (
-                entry["name"],
-                entry["description"] + batch_suffix(entry),
-                _adversary_detail(entry["name"]) if verbose else [],
+                name,
+                spec.description + batch_suffix(spec.coverage_note()),
+                _adversary_detail(spec) if verbose else [],
             )
-            for entry in registry.describe(kind="adversary")
+            for name, spec in sorted(ADVERSARY_SEMANTICS.items())
         ]
         sections.append("Adversaries:\n" + format_rows(rows))
     if args.kind in ("fault-schedules", "all"):
-        from repro.semantics import fault_schedule_descriptions
-
         rows = [
             (
                 name,
-                description,
-                _fault_schedule_detail(name) if verbose else [],
+                spec.description,
+                _fault_schedule_detail(spec) if verbose else [],
             )
-            for name, description in fault_schedule_descriptions().items()
+            for name, spec in FAULT_SCHEDULE_SEMANTICS.items()
         ]
         sections.append("Fault schedules:\n" + format_rows(rows))
     if args.kind in ("experiments", "all"):
@@ -251,20 +256,16 @@ def _command_list(args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
-    """Exhaustively verify a registry algorithm as a synchronous counter."""
+    """Exhaustively verify a catalogue algorithm as a synchronous counter."""
     from repro.verification.checker import verify_counter
 
-    registry = default_component_registry()
-    component = registry.get(args.algorithm.name, kind="algorithm")
-    if component.model != "broadcast":
+    spec = algorithm_semantics(args.algorithm.name)
+    if spec.model != "broadcast":
         raise ParameterError(
             f"verify needs a broadcast-model algorithm with an enumerable "
-            f"state space; {component.name!r} is a {component.model}-model "
-            "algorithm"
+            f"state space; {spec.name!r} is a {spec.model}-model algorithm"
         )
-    algorithm = registry.build_algorithm(
-        args.algorithm.name, **dict(args.algorithm.params)
-    )
+    algorithm = build_algorithm(args.algorithm.name, **dict(args.algorithm.params))
     report = verify_counter(
         algorithm,
         max_faults=args.max_faults,
@@ -474,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         description=(
             "Discovery: every registered algorithm, adversary strategy and "
-            "fault-schedule preset (the unified component registry and "
-            "semantics catalogue) plus the experiment catalogue."
+            "fault-schedule preset (read straight from the semantics "
+            "catalogue) plus the experiment catalogue."
         ),
     )
     list_parser.set_defaults(handler=_command_list)

@@ -69,7 +69,7 @@ class AlgorithmInfo:
     Attributes
     ----------
     name:
-        Human readable identifier (used by the registry and Table 1 harness).
+        Human readable identifier (used by the Table 1 harness).
     deterministic:
         Whether the transition function is deterministic.  Randomised
         algorithms (Section 5 and the baselines of [6, 7]) set this to False.

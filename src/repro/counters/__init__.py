@@ -10,8 +10,10 @@
   majority emerges, then follow it), the randomised baseline of Table 1.
 * :class:`~repro.counters.baselines.DolevHochModel` and friends — analytic
   complexity models of the prior-work rows of Table 1.
-* :mod:`~repro.counters.registry` — the catalogue that backs the Table 1
-  experiment.
+
+Which counters exist under which names is declared once, in
+:mod:`repro.semantics.catalog`; build one by name with
+:func:`repro.semantics.build_algorithm`.
 """
 
 from repro.counters.naive import NaiveMajorityCounter

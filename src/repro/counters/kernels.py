@@ -1,4 +1,4 @@
-"""Vectorised broadcast-model kernels for the registry algorithms.
+"""Vectorised broadcast-model kernels for the catalogue algorithms.
 
 Each kernel implements :class:`repro.network.batch.BatchKernel` for one
 algorithm family, executing a synchronous round for a whole ``(B, n)`` batch

@@ -103,8 +103,8 @@ def run_adversary_ablation(
     counter = figure2_counter(levels=1, c=2)
     for name in strategies:
         # Routed through build_adversary so an accidentally empty faulty set
-        # fails loudly instead of silently running fault-free; the bare
-        # STRATEGIES[name] constructor used to accept it.
+        # fails loudly instead of silently running fault-free; a bare
+        # strategy-class constructor would accept it.
         def factory(faulty, name=name):
             return build_adversary(name, faulty)
 

@@ -704,8 +704,6 @@ class BareRaiseRule(Rule):
         "regresses the error style the CLI and campaign layers rely on"
     )
     scope = (
-        "repro.counters.registry",
-        "repro.scenarios.registry",
         "repro.network.adversary",
         "repro.semantics",
         "repro.campaigns.spec",
@@ -741,8 +739,7 @@ class BareRaiseRule(Rule):
 _DERIVED_MODULES = (
     "repro.network.parity",
     "repro.network.batch",
-    "repro.counters.registry",
-    "repro.scenarios.registry",
+    "repro.cli",
 )
 _MIN_DESCRIPTION_LENGTH = 16
 

@@ -35,7 +35,6 @@ from repro.network.adversary import (
     PhaseKingSkewAdversary,
     RandomStateAdversary,
     SplitStateAdversary,
-    STRATEGIES,
     block_concentrated_faults,
     build_adversary,
     random_faulty_set,
@@ -74,7 +73,6 @@ __all__ = [
     "MimicAdversary",
     "PhaseKingSkewAdversary",
     "AdaptiveSplitAdversary",
-    "STRATEGIES",
     "build_adversary",
     "random_faulty_set",
     "block_concentrated_faults",

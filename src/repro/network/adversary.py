@@ -27,11 +27,7 @@ from repro.core.algorithm import State, SynchronousCountingAlgorithm
 from repro.core.boosting import BoostedState
 from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY
-from repro.semantics import (
-    active_strategy_names,
-    adversary_semantics,
-    strategy_descriptions,
-)
+from repro.semantics import ADVERSARY_SEMANTICS, strategy_names
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -44,8 +40,6 @@ __all__ = [
     "MimicAdversary",
     "PhaseKingSkewAdversary",
     "AdaptiveSplitAdversary",
-    "STRATEGIES",
-    "STRATEGY_DESCRIPTIONS",
     "build_adversary",
     "random_faulty_set",
     "block_concentrated_faults",
@@ -463,60 +457,46 @@ class AdaptiveSplitAdversary(Adversary):
 
 
 # ---------------------------------------------------------------------- #
-# Strategy registry (generated from the semantics catalogue)
+# Strategy factory (names and classes come from the semantics catalogue)
 # ---------------------------------------------------------------------- #
-
-#: Named adversary strategies, the shared vocabulary of the ablation
-#: experiment, the campaign engine and the ``repro.campaigns`` CLI.  Every
-#: entry is constructible as ``cls(faulty, **params)``; ``"none"`` ignores the
-#: faulty set entirely.  Generated from :mod:`repro.semantics` — the classes
-#: live here, but which names exist and what they mean is declared once, in
-#: the catalogue.
-STRATEGIES: dict[str, type[Adversary]] = {
-    name: adversary_semantics(name).scalar_class()
-    for name in active_strategy_names()
-}
-
-#: One-line descriptions of every strategy name accepted by
-#: :func:`build_adversary` (including the fault-free ``"none"``), generated
-#: from the semantics catalogue rather than hand-maintained here.
-STRATEGY_DESCRIPTIONS: dict[str, str] = strategy_descriptions()
 
 
 def build_adversary(
     strategy: str, faulty: Iterable[int] = (), **params: Any
 ) -> Adversary:
-    """Construct a registered adversary strategy by name.
+    """Construct an adversary strategy declared in the catalogue by name.
 
     ``"none"`` returns the fault-free :class:`NoAdversary` (and requires the
-    faulty set to be empty).  All other names come from :data:`STRATEGIES`
-    and require a *non-empty* faulty set — an active strategy with no nodes
-    to control would silently behave exactly like ``"none"``, which turns
-    campaign grid rows into accidental duplicates.  Parameters outside the
-    strategy's declared schema raise :class:`ParameterError` with the schema
-    in the message instead of a bare ``TypeError`` from the constructor.
+    faulty set to be empty).  Every other strategy is built from the scalar
+    class its :class:`~repro.semantics.AdversarySemantics` binds, as
+    ``cls(faulty, **params)``, and requires a *non-empty* faulty set — an
+    active strategy with no nodes to control would silently behave exactly
+    like ``"none"``, which turns campaign grid rows into accidental
+    duplicates.  Parameters outside the strategy's declared schema raise
+    :class:`ParameterError` with the schema in the message instead of a
+    bare ``TypeError`` from the constructor.
     """
     faulty_set = frozenset(faulty)
+    spec = ADVERSARY_SEMANTICS.get(strategy)
+    if spec is None:
+        known = ", ".join(strategy_names())
+        raise SimulationError(
+            f"unknown adversary strategy '{strategy}'; known strategies: {known}"
+        )
     if strategy == "none":
         if faulty_set:
             raise SimulationError(
                 f"strategy 'none' cannot control faulty nodes {sorted(faulty_set)}"
             )
-        adversary_semantics("none").validate(params)
+        spec.validate(params)
         return NoAdversary()
-    try:
-        cls = STRATEGIES[strategy]
-    except KeyError:
-        known = ", ".join(["none", *sorted(STRATEGIES)])
-        raise SimulationError(
-            f"unknown adversary strategy '{strategy}'; known strategies: {known}"
-        ) from None
     if not faulty_set:
         raise SimulationError(
             f"adversary strategy '{strategy}' requires a non-empty faulty set; "
             "use strategy 'none' for fault-free runs"
         )
-    adversary_semantics(strategy).validate(params)
+    spec.validate(params)
+    cls: type[Adversary] = spec.scalar_class()
     return cls(faulty, **params)
 
 

@@ -16,7 +16,7 @@ The moving parts:
 * :class:`BatchKernel` / :class:`PullBatchKernel` — the vectorised
   counterpart of an algorithm's ``transition``: encode states as fixed-width
   integer field vectors and map a round of received messages to successor
-  states for the whole batch at once.  Kernels for the registry algorithms
+  states for the whole batch at once.  Kernels for the catalogue algorithms
   live in :mod:`repro.counters.kernels` (broadcast) and
   :mod:`repro.sampling.kernels` (pulling); :func:`build_batch_kernel`
   dispatches on the algorithm instance.
@@ -477,7 +477,7 @@ class AdversaryBatchKernel(ABC):
     which pipes every forgery through ``algorithm.coerce_message``.
     """
 
-    #: Strategy name (matches :data:`repro.network.adversary.STRATEGIES`).
+    #: Strategy name (a key of :data:`repro.semantics.ADVERSARY_SEMANTICS`).
     strategy = "abstract"
 
     def __init__(self, kernel: _KernelBase) -> None:
@@ -846,8 +846,8 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
 #: Every registered adversary strategy has a vectorised kernel.  Generated
 #: from the semantics catalogue's kernel bindings — the classes live here,
 #: but which names exist is declared once, in :mod:`repro.semantics` —
-#: so coverage is total by construction (asserted against the scalar
-#: STRATEGIES registry in the test suite).
+#: so coverage is total by construction (asserted against the catalogue's
+#: active strategies in the test suite).
 ADVERSARY_BATCH_KERNELS: dict[str, type[AdversaryBatchKernel]] = {
     name: adversary_semantics(name).kernel_class()
     for name in active_strategy_names()

@@ -10,13 +10,13 @@ configuration, one of two equivalence classes with the scalar engine:
   ``rng`` note), and the per-round *distributions* must match.
 
 Hand-picked identity tests only cover the corners someone thought of.  This
-module instead sweeps a **seeded random grid** over the algorithm registry ×
+module instead sweeps a **seeded random grid** over the algorithm catalogue ×
 every registered adversary strategy × fault counts × stopping rules
 (``stop_after_agreement`` ∈ {None, 1, 2, > max_rounds}) and checks the
 promised equivalence for every sampled configuration:
 
 * :func:`sample_configs` — draw a reproducible sweep (the first samples
-  cycle through all strategies so even tiny sweeps cover the registry);
+  cycle through all strategies so even tiny sweeps cover every strategy);
 * :func:`check_parity` — run one configuration through both engines and
   verify the equivalence class the kernels advertise;
 * :func:`check_distributions` — Kolmogorov–Smirnov closeness of the
@@ -38,6 +38,7 @@ from repro.semantics import (
     adversary_semantics,
     algorithm_names,
     algorithm_semantics,
+    build_algorithm,
     fault_schedule_names,
     fault_schedule_semantics,
     strategy_names,
@@ -61,8 +62,8 @@ __all__ = [
     "run_schedule_fuzz",
 ]
 
-#: Fuzzable registry entries: ``(name, params, max_faults, max_rounds)``.
-#: Generated from every registry algorithm's declared
+#: Fuzzable catalogue entries: ``(name, params, max_faults, max_rounds)``.
+#: Generated from every catalogue algorithm's declared
 #: :class:`~repro.semantics.FuzzProfile` (in catalogue order, which the
 #: seeded sweep depends on), so registering an algorithm buys it parity
 #: coverage automatically — there is no second list to keep in sync.
@@ -114,7 +115,7 @@ class ParityConfig:
 
     algorithm: str
     params: tuple[tuple[str, Any], ...]
-    strategy: str  # "none" or a STRATEGIES key
+    strategy: str  # a key of ADVERSARY_SEMANTICS ("none" included)
     adversary_params: tuple[tuple[str, Any], ...]
     trials: tuple[tuple[int, tuple[int, ...]], ...]  # (sim_seed, faulty)
     max_rounds: int
@@ -198,7 +199,7 @@ def sample_configs(
 
     The first samples cycle deterministically through every strategy in
     :data:`ALL_STRATEGIES` (so any sweep of at least 8 configurations covers
-    the whole registry); algorithms, fault counts, faulty sets, stopping
+    every strategy); algorithms, fault counts, faulty sets, stopping
     windows, optional adversary parameters and (for broadcast algorithms)
     the message-plane :data:`PERTURBATION_CHOICES` axis are drawn from
     ``seed``.
@@ -246,9 +247,8 @@ def sample_configs(
 
 
 def _algorithm_n(name: str, params: Mapping[str, Any]) -> int:
-    from repro.counters.registry import default_registry
-
-    return default_registry().build(name, **dict(params)).n
+    n: int = build_algorithm(name, **dict(params)).n
+    return n
 
 
 def _scalar_trace(
@@ -312,7 +312,6 @@ def check_parity(config: ParityConfig, observer: Any = None) -> ParityReport:
     attached must produce exactly the reports of an unobserved sweep — the
     no-perturbation guarantee asserted by the observability test suite.
     """
-    from repro.counters.registry import default_registry
     from repro.network.batch import (
         BATCH_RNG_NOTE,
         BatchTrial,
@@ -321,7 +320,7 @@ def check_parity(config: ParityConfig, observer: Any = None) -> ParityReport:
         run_batch_trials,
     )
 
-    algorithm = default_registry().build(config.algorithm, **dict(config.params))
+    algorithm = build_algorithm(config.algorithm, **dict(config.params))
     kernel = build_batch_kernel(algorithm)
     report = ParityReport(config=config, mode="?", trials=len(config.trials))
     if kernel is None:
@@ -448,11 +447,10 @@ def check_distributions(
     engage the message-plane perturbations on both engines, extending the
     distributional check to the perturbed axes.
     """
-    from repro.counters.registry import default_registry
     from repro.network.batch import BatchTrial, build_batch_kernel, run_batch_trials
     from repro.network.stabilization import stabilization_round
 
-    algorithm = default_registry().build("corollary1", f=1, c=2)
+    algorithm = build_algorithm("corollary1", f=1, c=2)
     kernel = build_batch_kernel(algorithm)
     assert kernel is not None
     rng = ensure_rng(seed)
@@ -615,14 +613,13 @@ def check_schedule(config: ScheduleConfig) -> list[str]:
     from repro.campaigns.batching import BatchExecutor
     from repro.campaigns.spec import AlgorithmSpec, RunSpec
     from repro.core.errors import ParameterError
-    from repro.counters.registry import default_registry
     from repro.faults.schedule import Perturbations
     from repro.network.simulator import SimulationConfig, run_simulation
     from repro.network.stabilization import recovery_round
 
     failures: list[str] = []
     name, algorithm_params = _SCHEDULE_ALGORITHM
-    algorithm = default_registry().build(name, **algorithm_params)
+    algorithm = build_algorithm(name, **algorithm_params)
     schedule = fault_schedule_semantics(config.schedule).build(**dict(config.params))
 
     def execute() -> Any:

@@ -28,11 +28,11 @@ so partial chains can be shared and specialised freely::
     crash = base.adversary("crash").execute()
     skew = base.adversary("phase-king-skew").execute()
 
-Component names are resolved eagerly against the unified
-:class:`~repro.scenarios.registry.ComponentRegistry`, so typos fail at build
-time with the registered alternatives listed, and the communication model
-(broadcast vs pulling) is inferred from the algorithm's registry entry — a
-pulling-model scenario needs no extra flag.
+Component names and algorithm parameters are checked eagerly against the
+semantics catalogue (:mod:`repro.semantics`), so typos fail at build time
+with the registered alternatives (or the parameter schema) listed, and the
+communication model (broadcast vs pulling) is inferred from the algorithm's
+catalogue entry — a pulling-model scenario needs no extra flag.
 
 Execution speed is governed by :meth:`Scenario.engine`: the default
 ``"auto"`` transparently runs deterministic, kernel-covered grid groups
@@ -59,7 +59,11 @@ from repro.campaigns.spec import (
     RunSpec,
 )
 from repro.core.errors import ParameterError
-from repro.scenarios.registry import ComponentRegistry, default_component_registry
+from repro.semantics import (
+    adversary_semantics,
+    algorithm_semantics,
+    fault_schedule_semantics,
+)
 
 __all__ = ["Scenario"]
 
@@ -110,33 +114,33 @@ class Scenario:
 
     @_hybridmethod
     def counter(self, name: str, **params: Any) -> "Scenario":
-        """Add a registry algorithm (with parameters) to the scenario.
+        """Add a catalogue algorithm (with parameters) to the scenario.
 
-        The name is resolved eagerly against the unified component registry;
-        the scenario's communication model is inferred from the entry (all
-        algorithms of one scenario must share a model).
+        The name and the parameters are checked eagerly against the
+        algorithm's semantics; the scenario's communication model is
+        inferred from it (all algorithms of one scenario must share a model).
         """
-        component = self._registry().get(name, kind="algorithm")
-        if self._model is not None and component.model != self._model:
+        semantics = algorithm_semantics(name)
+        semantics.validate(params)
+        if self._model is not None and semantics.model != self._model:
             raise ParameterError(
                 f"cannot mix models in one scenario: {name!r} is a "
-                f"{component.model}-model algorithm but the scenario already "
+                f"{semantics.model}-model algorithm but the scenario already "
                 f"uses model {self._model!r}"
             )
         spec = AlgorithmSpec.create(name, params)
         return dataclasses.replace(
             self,
             _algorithms=self._algorithms + (spec,),
-            _model=component.model,
+            _model=semantics.model,
         )
 
     def adversary(self, *names: str) -> "Scenario":
         """Add one or more adversary strategies (resolved eagerly)."""
         if not names:
             raise ParameterError("adversary() needs at least one strategy name")
-        registry = self._registry()
         for name in names:
-            registry.get(name, kind="adversary")
+            adversary_semantics(name)
         return dataclasses.replace(
             self, _adversaries=self._adversaries + tuple(names)
         )
@@ -230,15 +234,13 @@ class Scenario:
         """Attach a declarative fault schedule (churn, rolling, late onset).
 
         The name is resolved eagerly against the fault-schedule semantics
-        registry and the parameters are validated by building the schedule,
+        and the parameters are validated by building the schedule,
         so typos fail here, not at execution time.  A scheduled scenario owns
         its faulty set: the compiled campaign uses adversary ``"none"`` /
         zero baseline faults, and the schedule's windows drive who is faulty
         (and how) per round.  Schedules run on the scalar engine; under
         ``engine="auto"`` the affected groups fall back with a named reason.
         """
-        from repro.semantics import fault_schedule_semantics
-
         fault_schedule_semantics(name).build(**params)
         return dataclasses.replace(
             self,
@@ -363,7 +365,3 @@ class Scenario:
     def describe(self) -> Mapping[str, Any]:
         """The compiled campaign definition as a JSON-serialisable mapping."""
         return self.to_campaign_spec().to_dict()
-
-    @staticmethod
-    def _registry() -> ComponentRegistry:
-        return default_component_registry()

@@ -1,12 +1,13 @@
 """Single source of truth for component semantics.
 
-Every discovery and execution surface — the algorithm registry, the scalar
-adversary factory, the batch kernel dispatch, the parity-fuzz sweep, the
-component registry behind ``python -m repro list`` and the README coverage
-matrix — derives its knowledge about components from the specs declared
-here.  See :mod:`repro.semantics.spec` for the dataclasses,
-:mod:`repro.semantics.catalog` for the declarations and
-:mod:`repro.semantics.selfcheck` for the empirical audit.
+Every discovery and execution surface — building an algorithm by name
+(:func:`build_algorithm`), the scalar adversary factory, the batch kernel
+dispatch, the parity-fuzz sweep, ``python -m repro list`` and the README
+coverage matrix — reads its knowledge about components from the specs
+declared here, and looks every component name up in them.  See
+:mod:`repro.semantics.spec` for the dataclasses, :mod:`repro.semantics.catalog`
+for the declarations and :mod:`repro.semantics.selfcheck` for the empirical
+audit.
 """
 
 from repro.semantics.catalog import (
@@ -18,10 +19,9 @@ from repro.semantics.catalog import (
     adversary_semantics,
     algorithm_names,
     algorithm_semantics,
-    fault_schedule_descriptions,
+    build_algorithm,
     fault_schedule_names,
     fault_schedule_semantics,
-    strategy_descriptions,
     strategy_names,
 )
 from repro.semantics.selfcheck import verify
@@ -59,13 +59,12 @@ __all__ = [
     "adversary_semantics",
     "algorithm_names",
     "algorithm_semantics",
-    "fault_schedule_descriptions",
+    "build_algorithm",
     "fault_schedule_names",
     "fault_schedule_semantics",
     "flat_encoding",
     "format_schema",
     "resolve_binding",
-    "strategy_descriptions",
     "strategy_names",
     "validate_parameters",
     "verify",

@@ -1,13 +1,15 @@
 """The component catalogue: every algorithm and adversary, described once.
 
-This module is the single source of truth the rest of the stack derives its
-component knowledge from:
+This module is the single source of truth the rest of the stack reads its
+component knowledge from; every component name is looked up here, with no
+registry in between:
 
-* :func:`repro.counters.registry.default_registry` registers its factories
-  (names, descriptions, parameter schemas, determinism flags) from
-  :data:`ALGORITHM_SEMANTICS`;
-* :data:`repro.network.adversary.STRATEGIES` and the generated
-  ``STRATEGY_DESCRIPTIONS`` come from :data:`ADVERSARY_SEMANTICS`;
+* :func:`build_algorithm` constructs every algorithm built by name (the
+  campaign specs, ``repro verify``, the parity harness, the examples), and
+  :func:`algorithm_semantics` / :func:`adversary_semantics` raise the one
+  unknown-name error the ``Scenario`` facade and the CLI print;
+* :func:`repro.network.adversary.build_adversary` constructs the scalar
+  strategy classes bound in :data:`ADVERSARY_SEMANTICS`;
 * :data:`repro.network.batch.ADVERSARY_BATCH_KERNELS`, the per-group
   bit-identity answers (``AdversaryBatchKernel.is_deterministic_for``) and
   :func:`~repro.network.batch.adversary_kernel_coverage` read the declared
@@ -15,8 +17,7 @@ component knowledge from:
 * :mod:`repro.network.parity` generates its sweep space (``FUZZ_ALGORITHMS``,
   ``ALL_STRATEGIES``, the optional-parameter choices) and its equivalence
   class expectations from the same specs;
-* :func:`repro.scenarios.registry.default_component_registry` and the CLI
-  discovery surfaces assemble their listings from here.
+* ``repro list`` renders its listings straight from the three catalogues.
 
 Builder callables import the implementation modules lazily, so importing the
 catalogue pulls in neither NumPy nor the engines.  The declared facts are
@@ -45,14 +46,13 @@ __all__ = [
     "FAULT_SCHEDULE_SEMANTICS",
     "algorithm_names",
     "algorithm_semantics",
+    "build_algorithm",
     "adversary_semantics",
     "active_strategy_names",
     "strategy_names",
-    "strategy_descriptions",
     "adversary_coverage_notes",
     "fault_schedule_names",
     "fault_schedule_semantics",
-    "fault_schedule_descriptions",
 ]
 
 
@@ -133,10 +133,9 @@ def _build_pseudo_random_boosted(
     )
 
 
-#: Every executable registry algorithm, in registration (and parity-sweep)
-#: order.  The dict order is load-bearing: the parity harness derives its
-#: seeded sweep space from it, so reordering entries would change sampled
-#: configurations.
+#: Every executable algorithm, in catalogue (and parity-sweep) order.  The
+#: dict order is load-bearing: the parity harness derives its seeded sweep
+#: space from it, so reordering entries would change sampled configurations.
 ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
     spec.name: spec
     for spec in (
@@ -442,32 +441,54 @@ FAULT_SCHEDULE_SEMANTICS: dict[str, FaultScheduleSemantics] = {
 
 
 def algorithm_names() -> tuple[str, ...]:
-    """Registry algorithm names, in catalogue (registration/sweep) order."""
+    """Algorithm names, in catalogue (sweep) order."""
     return tuple(ALGORITHM_SEMANTICS)
 
 
+def _unknown_component(kind: str, name: str) -> ParameterError:
+    """The one error for a name that is not a registered ``kind``.
+
+    Algorithm and adversary names share one namespace, so a name of the
+    other kind is called out as such rather than reported as unknown.
+    """
+    catalogues = {"algorithm": ALGORITHM_SEMANTICS, "adversary": ADVERSARY_SEMANTICS}
+    other = "adversary" if kind == "algorithm" else "algorithm"
+    plural = "algorithms" if kind == "algorithm" else "adversaries"
+    known = ", ".join(sorted(catalogues[kind]))
+    if name in catalogues[other]:
+        return ParameterError(
+            f"{name!r} is an {other}, not an {kind}; registered {plural}: {known}"
+        )
+    return ParameterError(f"unknown {kind} {name!r}; registered {plural}: {known}")
+
+
 def algorithm_semantics(name: str) -> AlgorithmSemantics:
-    """The semantics of one registry algorithm."""
-    try:
-        return ALGORITHM_SEMANTICS[name]
-    except KeyError:
-        known = ", ".join(sorted(ALGORITHM_SEMANTICS))
-        raise ParameterError(
-            f"no semantics declared for algorithm {name!r}; "
-            f"declared algorithms: {known}"
-        ) from None
+    """The semantics of one algorithm (:class:`ParameterError` if unknown)."""
+    spec = ALGORITHM_SEMANTICS.get(name)
+    if spec is None:
+        raise _unknown_component("algorithm", name)
+    return spec
+
+
+def build_algorithm(name: str, **params: Any) -> Any:
+    """Construct the algorithm ``name``, checking ``params`` against its schema.
+
+    Returns a :class:`~repro.core.algorithm.SynchronousCountingAlgorithm`
+    for broadcast-model entries and a
+    :class:`~repro.network.pulling.PullingAlgorithm` for pulling-model ones.
+    Unknown parameters raise :class:`ParameterError` carrying the schema.
+    """
+    spec = algorithm_semantics(name)
+    spec.validate(params)
+    return spec.build(**params)
 
 
 def adversary_semantics(name: str) -> AdversarySemantics:
     """The semantics of one adversary strategy (``"none"`` included)."""
-    try:
-        return ADVERSARY_SEMANTICS[name]
-    except KeyError:
-        known = ", ".join(strategy_names())
-        raise ParameterError(
-            f"no semantics declared for adversary strategy {name!r}; "
-            f"declared strategies: {known}"
-        ) from None
+    spec = ADVERSARY_SEMANTICS.get(name)
+    if spec is None:
+        raise _unknown_component("adversary", name)
+    return spec
 
 
 def active_strategy_names() -> tuple[str, ...]:
@@ -478,13 +499,6 @@ def active_strategy_names() -> tuple[str, ...]:
 def strategy_names() -> tuple[str, ...]:
     """The full strategy vocabulary: ``"none"`` first, then sorted actives."""
     return ("none", *active_strategy_names())
-
-
-def strategy_descriptions() -> dict[str, str]:
-    """Strategy name -> one-line description, generated from the specs."""
-    return {
-        name: ADVERSARY_SEMANTICS[name].description for name in strategy_names()
-    }
 
 
 def fault_schedule_names() -> tuple[str, ...]:
@@ -502,14 +516,6 @@ def fault_schedule_semantics(name: str) -> FaultScheduleSemantics:
             f"no semantics declared for fault schedule {name!r}; "
             f"declared schedules: {known}"
         ) from None
-
-
-def fault_schedule_descriptions() -> dict[str, str]:
-    """Preset name -> one-line description, generated from the specs."""
-    return {
-        name: FAULT_SCHEDULE_SEMANTICS[name].description
-        for name in fault_schedule_names()
-    }
 
 
 def adversary_coverage_notes() -> dict[str, str]:

@@ -8,7 +8,7 @@ that description exactly once:
 * :class:`AlgorithmSemantics` — the algorithm's state space (flat integers vs
   the :class:`~repro.counters.kernels.BoostedStateCodec` layout), parameter
   schema with defaults, scalar/batch determinism, kernel binding and the
-  parity-fuzz profiles its registry entry is swept with;
+  parity-fuzz profiles its catalogue entry is swept with;
 * :class:`AdversarySemantics` — the strategy's parameter schema, scalar class
   and kernel bindings, scalar determinism and the per-state-space
   :class:`DeterminismClass` the batch kernel promises;
@@ -25,6 +25,7 @@ NumPy-less environments and never participates in import cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from importlib import import_module
 from typing import Any, Callable, Iterable, Mapping
 
@@ -47,8 +48,13 @@ __all__ = [
 ]
 
 
+@cache
 def resolve_binding(binding: str) -> Any:
-    """Resolve a lazy ``"module:attribute"`` binding to the named object."""
+    """Resolve a lazy ``"module:attribute"`` binding to the named object.
+
+    Memoised: bindings are constant strings, and the scalar adversary
+    factory resolves one per trial.
+    """
     module_name, _, attribute = binding.partition(":")
     if not module_name or not attribute:
         raise ParameterError(
@@ -156,7 +162,7 @@ STATISTICAL = DeterminismClass(flat=False, boosted=False)
 class FuzzProfile:
     """One parity-fuzz grid entry for an algorithm.
 
-    ``params`` parameterise the registry build, ``max_faults`` bounds the
+    ``params`` parameterise the algorithm build, ``max_faults`` bounds the
     sampled fault counts and ``max_rounds`` caps the per-configuration round
     budget so the slowest configurations stay test-suite cheap.
     """
@@ -168,12 +174,12 @@ class FuzzProfile:
 
 @dataclass(frozen=True)
 class AlgorithmSemantics:
-    """The single declarative description of one registry algorithm.
+    """The single declarative description of one algorithm.
 
     Attributes
     ----------
     name / description / model / source:
-        Registry metadata: the registry key, the one-line listing text, the
+        Catalogue metadata: the lookup key, the one-line listing text, the
         communication model (``"broadcast"`` / ``"pulling"``) and the paper
         reference.
     build:
@@ -184,7 +190,7 @@ class AlgorithmSemantics:
         these names.
     scalar_deterministic:
         Whether the built scalar component draws internal randomness
-        (construction- or run-time; the registry's ``deterministic`` flag).
+        (construction- or run-time).
     batch_deterministic:
         Whether the default-parameterisation batch kernel's ``step`` is a
         pure function (consumes no NumPy randomness) — the bit-identity leg
@@ -201,8 +207,8 @@ class AlgorithmSemantics:
         Where the scalar component's randomness comes from (empty when
         deterministic).
     fuzz:
-        The parity-fuzz profiles this entry is swept with; every registry
-        algorithm must declare at least one so parity coverage is automatic.
+        The parity-fuzz profiles this entry is swept with; every algorithm
+        must declare at least one so parity coverage is automatic.
     """
 
     name: str
@@ -221,6 +227,12 @@ class AlgorithmSemantics:
     def kernel_class(self) -> Any:
         """Resolve the vectorised kernel class (imports NumPy)."""
         return resolve_binding(self.kernel_binding)
+
+    def coverage_note(self) -> str:
+        """The batch-engine coverage note shown by discovery surfaces."""
+        if self.batch_deterministic:
+            return "vectorised, bit-identical (int64-safe parameterisations)"
+        return "vectorised, statistically equivalent (NumPy RNG)"
 
     def validate(self, params: Mapping[str, Any]) -> None:
         """Reject parameters outside the schema (:class:`ParameterError`)."""
@@ -304,7 +316,7 @@ class FaultScheduleSemantics:
     :class:`~repro.faults.schedule.FaultSchedule`.  Like every other
     component, which presets exist, what parameters they take and how the
     parity harness sweeps them is declared here once and derived everywhere
-    else (registries, CLI discovery, the fuzz sweep).
+    else (CLI discovery, campaign validation, the fuzz sweep).
 
     Attributes
     ----------

@@ -181,6 +181,15 @@ class TestCampaignSpec:
         with pytest.raises(ParameterError):
             small_campaign(**overrides)
 
+    def test_unknown_strategy_lists_the_registered_adversaries(self):
+        with pytest.raises(ParameterError) as excinfo:
+            small_campaign(adversaries=("crash", "bogus"))
+        assert str(excinfo.value) == (
+            "unknown adversary 'bogus'; registered adversaries: adaptive-split, "
+            "crash, fixed-state, mimic, none, phase-king-skew, random-state, "
+            "split-state"
+        )
+
 
 class TestPerturbationAxes:
     def test_loss_and_delay_propagate_to_every_run(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from repro._version import __version__
 from repro.cli import main
+from repro.semantics import ADVERSARY_SEMANTICS, ALGORITHM_SEMANTICS
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -52,6 +54,44 @@ class TestList:
         assert main(["list", "all"]) == 0
         out = capsys.readouterr().out
         assert "Fault schedules:" in out and "Algorithms:" in out
+
+    def test_lists_every_catalogue_entry_with_its_description(self, capsys):
+        assert main(["list"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for catalogue in (ALGORITHM_SEMANTICS, ADVERSARY_SEMANTICS):
+            for name, spec in catalogue.items():
+                assert any(
+                    line.split()[:1] == [name] and spec.description in line
+                    for line in lines
+                ), name
+
+    def test_model_filter_keeps_every_adversary(self, capsys):
+        # Adversaries carry no model, so a model filter never hides one.
+        assert main(["list", "adversaries"]) == 0
+        unfiltered = capsys.readouterr().out
+        assert main(["list", "adversaries", "--model", "pulling"]) == 0
+        assert capsys.readouterr().out == unfiltered
+        assert main(["list", "algorithms", "--model", "pulling"]) == 0
+        rows = [
+            line.split()[0]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  ")
+        ]
+        assert rows == ["pseudo-random-boosted", "sampled-boosted"]
+
+    def test_batch_notes_blank_without_numpy(self, capsys, monkeypatch):
+        assert main(["list", "algorithms"]) == 0
+        out = capsys.readouterr().out
+        for spec in ALGORITHM_SEMANTICS.values():
+            assert f"[batch: {spec.coverage_note()}]" in out
+        real_find_spec = importlib.util.find_spec
+        monkeypatch.setattr(
+            importlib.util,
+            "find_spec",
+            lambda name, *args: None if name == "numpy" else real_find_spec(name, *args),
+        )
+        assert main(["list"]) == 0
+        assert "[batch:" not in capsys.readouterr().out
 
 
 class TestRun:
@@ -229,6 +269,81 @@ class TestVerify:
     def test_verify_rejects_pulling_algorithms(self, capsys):
         assert main(["verify", "sampled-boosted"]) == 2
         assert "broadcast-model" in capsys.readouterr().err
+
+    def test_verify_rejects_unknown_parameters(self, capsys):
+        assert main(["verify", "trivial:bogus=1", "--skip-lint"]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown parameter(s) 'bogus' for algorithm 'trivial'; "
+            "accepted parameters: c (default 2)\n"
+        )
+
+
+ALGORITHMS = (
+    "corollary1, figure2, naive-majority, pseudo-random-boosted, "
+    "randomized-follow-majority, sampled-boosted, trivial"
+)
+ADVERSARIES = (
+    "adaptive-split, crash, fixed-state, mimic, none, phase-king-skew, "
+    "random-state, split-state"
+)
+
+
+class TestErrorLines:
+    """Every bad name or parameter ends in exit 2 and one exact ``error:`` line."""
+
+    CASES = {
+        "run-unknown-algorithm": (
+            ["run", "bogus"],
+            f"unknown algorithm 'bogus'; registered algorithms: {ALGORITHMS}",
+        ),
+        "run-unknown-adversary": (
+            ["run", "trivial", "--adversary", "bogus"],
+            f"unknown adversary 'bogus'; registered adversaries: {ADVERSARIES}",
+        ),
+        "run-adversary-as-algorithm": (
+            ["run", "crash"],
+            "'crash' is an adversary, not an algorithm; "
+            f"registered algorithms: {ALGORITHMS}",
+        ),
+        "run-algorithm-as-adversary": (
+            ["run", "trivial", "--adversary", "trivial"],
+            "'trivial' is an algorithm, not an adversary; "
+            f"registered adversaries: {ADVERSARIES}",
+        ),
+        "run-unknown-parameter": (
+            ["run", "trivial:bogus=1"],
+            "unknown parameter(s) 'bogus' for algorithm 'trivial'; "
+            "accepted parameters: c (default 2)",
+        ),
+        "verify-unknown-algorithm": (
+            ["verify", "bogus"],
+            f"unknown algorithm 'bogus'; registered algorithms: {ALGORITHMS}",
+        ),
+        "verify-adversary-as-algorithm": (
+            ["verify", "crash"],
+            "'crash' is an adversary, not an algorithm; "
+            f"registered algorithms: {ALGORITHMS}",
+        ),
+        "verify-pulling-algorithm": (
+            ["verify", "sampled-boosted"],
+            "verify needs a broadcast-model algorithm with an enumerable state "
+            "space; 'sampled-boosted' is a pulling-model algorithm",
+        ),
+        "campaign-define-unknown-algorithm": (
+            ["campaign", "define", "--name", "x", "--algorithm", "bogus"],
+            f"unknown algorithm 'bogus'; registered algorithms: {ALGORITHMS}",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_error_line(self, case, tmp_path, capsys):
+        argv, message = self.CASES[case]
+        out = tmp_path / "spec.json"
+        if argv[0] == "campaign":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestExperimentCommands:

@@ -1,4 +1,4 @@
-"""Unit tests for the published-bounds models and the algorithm registry."""
+"""Unit tests for the published-bounds models of the prior-work Table 1 rows."""
 
 from __future__ import annotations
 
@@ -11,8 +11,6 @@ from repro.counters.baselines import (
     DolevHochModel,
     RandomizedFolkloreModel,
 )
-from repro.counters.registry import AlgorithmFactory, AlgorithmRegistry, default_registry
-from repro.counters.trivial import TrivialCounter
 
 
 class TestComplexityModels:
@@ -41,37 +39,3 @@ class TestComplexityModels:
     def test_row_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             DolevHochModel.row(n=0, f=0)
-
-
-class TestRegistry:
-    def test_default_registry_names(self):
-        registry = default_registry()
-        names = registry.names()
-        for expected in ("trivial", "naive-majority", "randomized-follow-majority", "corollary1", "figure2"):
-            assert expected in names
-
-    def test_build_trivial(self):
-        registry = default_registry()
-        counter = registry.build("trivial", c=4)
-        assert isinstance(counter, TrivialCounter)
-        assert counter.c == 4
-
-    def test_build_corollary1(self):
-        registry = default_registry()
-        counter = registry.build("corollary1", c=2, f=1)
-        assert (counter.n, counter.f, counter.c) == (4, 1, 2)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ParameterError):
-            default_registry().factory("does-not-exist")
-
-    def test_duplicate_registration_rejected(self):
-        registry = AlgorithmRegistry()
-        factory = AlgorithmFactory(name="x", description="", build=lambda: TrivialCounter(c=2))
-        registry.register(factory)
-        with pytest.raises(ParameterError):
-            registry.register(factory)
-
-    def test_models_registered(self):
-        registry = default_registry()
-        assert len(registry.models()) == len(PRIOR_WORK_MODELS)

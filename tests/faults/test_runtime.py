@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.counters.registry import default_registry
 from repro.faults.schedule import (
     Perturbations,
     build_churn_schedule,
@@ -13,10 +12,11 @@ from repro.network.simulator import BroadcastModel, SimulationConfig, run_simula
 from repro.network.stabilization import recovery_round
 from repro.obs import Observer
 from repro.obs.events import FaultInjected, NodeRecovered
+from repro.semantics import build_algorithm
 
 
 def algorithm():
-    return default_registry().build("naive-majority", n=6, c=3, claimed_resilience=1)
+    return build_algorithm("naive-majority", n=6, c=3, claimed_resilience=1)
 
 
 def run(perturbations, seed=11, max_rounds=60, window=None, observer=None):

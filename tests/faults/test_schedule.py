@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ParameterError
-from repro.counters.registry import default_registry
 from repro.faults.schedule import (
     FaultSchedule,
     FaultWindow,
@@ -15,10 +14,11 @@ from repro.faults.schedule import (
     build_rolling_schedule,
 )
 from repro.network.adversary import build_adversary
+from repro.semantics import build_algorithm
 
 
 def algorithm():
-    return default_registry().build("naive-majority", n=6, c=3, claimed_resilience=1)
+    return build_algorithm("naive-majority", n=6, c=3, claimed_resilience=1)
 
 
 class TestFaultWindow:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.counters.registry import default_registry
 from repro.network.adversary import NoAdversary, build_adversary
 from repro.network.batch import (
     BATCH_RNG_NOTE,
@@ -27,8 +26,9 @@ from repro.network.batch import (
 from repro.network.pulling import PullSimulationConfig, run_pull_simulation
 from repro.network.simulator import SimulationConfig, run_simulation
 from repro.network.stabilization import stabilization_round
+from repro.semantics import build_algorithm
 
-#: (registry name, params, faults, max_rounds) for every kernel-covered
+#: (catalogue name, params, faults, max_rounds) for every kernel-covered
 #: entry.  ``faults`` is the fault count paired with the active strategy.
 KERNEL_ENTRIES = [
     ("trivial", {"c": 4}, 0, 24),
@@ -54,7 +54,7 @@ ACTIVE_STRATEGY = "crash"
 
 
 def _build(name: str, params: dict):
-    return default_registry().build(name, **params)
+    return build_algorithm(name, **params)
 
 
 def _spread(n: int, faults: int) -> tuple[int, ...]:
@@ -89,7 +89,7 @@ def _scalar_trace(algorithm, strategy, trial: BatchTrial, max_rounds, window):
 @pytest.mark.parametrize("strategy_kind", ["none", "active"])
 @pytest.mark.parametrize("window", [None, 6])
 def test_batch_matches_scalar(name, params, faults, max_rounds, strategy_kind, window):
-    """Every kernel-covered registry entry, fault-free and attacked,
+    """Every kernel-covered catalogue entry, fault-free and attacked,
     with and without early stopping."""
     algorithm = _build(name, params)
     kernel = build_batch_kernel(algorithm)
@@ -381,13 +381,12 @@ def test_faults_without_strategy_are_rejected():
 
 
 def test_kernel_coverage_and_overflow_guard():
-    """The registry's executable algorithms advertise kernels; oversized
+    """The catalogue's executable algorithms advertise kernels; oversized
     Corollary 1 instances decline instead of overflowing int64."""
-    registry = default_registry()
     for name, params, _, _ in KERNEL_ENTRIES:
-        assert build_batch_kernel(registry.build(name, **params)) is not None
+        assert build_batch_kernel(build_algorithm(name, **params)) is not None
     # f = 5 needs a trivial base counter of 21 * 16^16 > 2^62 states.
-    oversized = registry.build("corollary1", f=5, c=2)
+    oversized = build_algorithm("corollary1", f=5, c=2)
     assert build_batch_kernel(oversized) is None
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.counters.registry import default_registry
 from repro.faults.schedule import Perturbations
 from repro.network.batch import (
     BATCH_RNG_NOTE,
@@ -23,12 +22,13 @@ from repro.network.batch import (
 )
 from repro.network.simulator import SimulationConfig, run_simulation
 from repro.network.stabilization import stabilization_from_values
+from repro.semantics import build_algorithm
 
 SEEDS = (101, 102, 103, 104)
 
 
 def algorithm():
-    return default_registry().build("naive-majority", n=6, c=3, claimed_resilience=1)
+    return build_algorithm("naive-majority", n=6, c=3, claimed_resilience=1)
 
 
 def trials():
@@ -105,7 +105,7 @@ class TestPerturbedBatch:
 
 class TestPullingHasNoPerturbationPath:
     def test_pulling_kernels_refuse_loss_and_delay(self):
-        alg = default_registry().build("sampled-boosted", sample_size=2)
+        alg = build_algorithm("sampled-boosted", sample_size=2)
         kernel = build_batch_kernel(alg)
         with pytest.raises(SimulationError, match="broadcast model only"):
             run_batch_trials(alg, kernel, trials(), max_rounds=10, loss=0.1)

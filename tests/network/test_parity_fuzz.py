@@ -1,8 +1,8 @@
-"""Differential parity fuzz: batch-vs-scalar over the full strategy registry.
+"""Differential parity fuzz: batch-vs-scalar over every catalogue strategy.
 
 The sweep (:mod:`repro.network.parity`) replaces "we spot-checked parity"
 with "parity is enforced for every registered configuration": a seeded
-random grid over the algorithm registry × all strategies × fault counts ×
+random grid over the catalogue's algorithms × all strategies × fault counts ×
 stopping rules, asserting bit-identity for deterministic kernels and
 structural + distributional equivalence for the randomised ones.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.adversary import STRATEGIES
 from repro.network.batch import (
     ADVERSARY_BATCH_KERNELS,
     adversary_kernel_available,
@@ -28,20 +27,21 @@ from repro.network.parity import (
     sample_configs,
     sample_schedule_configs,
 )
+from repro.semantics import active_strategy_names
 
 
 class TestCoverageContract:
     def test_every_registered_strategy_has_a_batch_kernel(self):
         # The acceptance criterion of the vectorisation work: the batch
-        # kernel registry covers the scalar STRATEGIES registry exactly.
-        assert set(ADVERSARY_BATCH_KERNELS) == set(STRATEGIES)
+        # kernel table covers the catalogue's active strategies exactly.
+        assert set(ADVERSARY_BATCH_KERNELS) == set(active_strategy_names())
         assert adversary_kernel_available(None)
-        for strategy in STRATEGIES:
+        for strategy in active_strategy_names():
             assert adversary_kernel_available(strategy), strategy
 
     def test_generated_coverage_note_is_total_and_truthful(self):
         coverage = adversary_kernel_coverage()
-        assert set(coverage) == set(STRATEGIES) | {"none"}
+        assert set(coverage) == set(active_strategy_names()) | {"none"}
         for strategy in ("crash", "fixed-state", "mimic"):
             assert coverage[strategy] == "bit-identical"
         for strategy in ("random-state", "split-state", "phase-king-skew"):

@@ -54,9 +54,9 @@ def small_campaign(runs_per_setting: int = 4, engine: str = "scalar") -> Campaig
 
 class TestNoPerturbation:
     def test_scalar_engine_trace_identical_under_observation(self):
-        from repro.counters.registry import default_registry
+        from repro.semantics import build_algorithm
 
-        algorithm = default_registry().build("naive-majority", n=5, c=3, claimed_resilience=1)
+        algorithm = build_algorithm("naive-majority", n=5, c=3, claimed_resilience=1)
         config = SimulationConfig(max_rounds=25, seed=42)
         bare = run_simulation(algorithm, config=config)
         observer = Observer.recording(round_stride=1)
@@ -342,9 +342,9 @@ class TestStrideSampling:
         assert observer.buffer.of_kind(RoundObserved) == []
 
     def test_stride_thins_round_events(self):
-        from repro.counters.registry import default_registry
+        from repro.semantics import build_algorithm
 
-        algorithm = default_registry().build("trivial", c=4)
+        algorithm = build_algorithm("trivial", c=4)
         config = SimulationConfig(max_rounds=20, seed=0)
         every = Observer.recording(round_stride=1)
         run_simulation(algorithm, config=config, observer=every)

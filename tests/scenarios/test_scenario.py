@@ -65,6 +65,8 @@ class TestBuilder:
             Scenario.counter("bogus")
         with pytest.raises(ParameterError, match="unknown adversary 'bogus'"):
             Scenario.counter("trivial").adversary("bogus")
+        with pytest.raises(ParameterError, match="unknown parameter.*'bogus'"):
+            Scenario.counter("trivial", bogus=1)
 
     def test_faults_normalisation(self):
         scenario = Scenario.counter("figure2").faults("auto", 1, None)

@@ -2,19 +2,19 @@
 
 Four families of checks:
 
-* **completeness** — every component reachable through
-  :func:`repro.scenarios.registry.default_component_registry` traces back to
-  a spec in the catalogue (and vice versa), so discovery surfaces cannot
-  drift from the semantics layer;
+* **completeness** — every catalogue entry carries a description (and every
+  algorithm a model), and the batch dispatch and coverage notes span the
+  whole strategy vocabulary;
 * **self-check** — :func:`repro.semantics.verify` passes on the real
   catalogue and *fails* on tampered copies (a mis-declared determinism
   class, state space or parameter schema is caught, not trusted);
 * **derivation** — the parity-fuzz sweep space, the strategy vocabulary and
-  the kernel dispatch tables are generated from the registry product, and
-  the old hand-maintained copies are verifiably gone from the derived
-  modules' source;
-* **error style** — unknown parameters raise
-  :class:`~repro.core.errors.ParameterError` carrying the spec's schema
+  the kernel dispatch tables are generated from the catalogue, and the old
+  hand-maintained copies are verifiably gone from the derived modules'
+  source;
+* **error style** — unknown names raise one
+  :class:`~repro.core.errors.ParameterError` listing the registered
+  alternatives, and unknown parameters raise one carrying the spec's schema
   instead of a bare ``TypeError``.
 """
 
@@ -25,9 +25,7 @@ import dataclasses
 import pytest
 
 from repro.core.errors import ParameterError, SimulationError
-from repro.counters.registry import default_registry
 from repro.network.adversary import build_adversary
-from repro.scenarios.registry import default_component_registry
 from repro.semantics import (
     ADVERSARY_SEMANTICS,
     ALGORITHM_SEMANTICS,
@@ -41,6 +39,7 @@ from repro.semantics import (
     adversary_semantics,
     algorithm_names,
     algorithm_semantics,
+    build_algorithm,
     format_schema,
     resolve_binding,
     strategy_names,
@@ -52,49 +51,51 @@ numpy = pytest.importorskip("numpy")
 
 
 # ---------------------------------------------------------------------- #
-# Completeness: every registered component has a spec, and vice versa
+# Completeness: every catalogue entry is fully declared
 # ---------------------------------------------------------------------- #
 
 
 class TestCompleteness:
-    def test_every_component_registry_entry_has_a_spec(self) -> None:
-        registry = default_component_registry()
-        for name in registry.names(kind="algorithm"):
-            assert name in ALGORITHM_SEMANTICS, f"algorithm {name!r} has no spec"
-        for name in registry.names(kind="adversary"):
-            assert name in ADVERSARY_SEMANTICS, f"adversary {name!r} has no spec"
+    def test_every_entry_has_a_description(self) -> None:
+        for catalogue in (ALGORITHM_SEMANTICS, ADVERSARY_SEMANTICS):
+            for name, spec in catalogue.items():
+                assert spec.name == name
+                assert spec.description, f"{name!r} has no description"
 
-    def test_every_spec_reaches_the_component_registry(self) -> None:
-        registry = default_component_registry()
-        assert sorted(ALGORITHM_SEMANTICS) == registry.names(kind="algorithm")
-        assert sorted(ADVERSARY_SEMANTICS) == registry.names(kind="adversary")
+    def test_every_algorithm_has_a_model(self) -> None:
+        for name, spec in ALGORITHM_SEMANTICS.items():
+            assert spec.model in ("broadcast", "pulling"), name
 
-    def test_descriptions_and_flags_come_from_the_spec(self) -> None:
-        registry = default_component_registry()
-        for name in algorithm_names():
-            spec = algorithm_semantics(name)
-            component = registry.get(name, kind="algorithm")
-            assert component.description == spec.description
-            assert component.model == spec.model
-            assert component.deterministic == spec.scalar_deterministic
-            assert component.source == spec.source
-        for name in strategy_names():
+    def test_algorithm_and_adversary_names_are_disjoint(self) -> None:
+        assert not set(ALGORITHM_SEMANTICS) & set(ADVERSARY_SEMANTICS)
+
+    def test_the_paper_counters_are_declared(self) -> None:
+        for name in (
+            "trivial",
+            "naive-majority",
+            "randomized-follow-majority",
+            "corollary1",
+            "figure2",
+            "sampled-boosted",
+            "pseudo-random-boosted",
+        ):
+            assert name in algorithm_names()
+
+    def test_adversaries_are_none_plus_the_active_strategies(self) -> None:
+        assert set(ADVERSARY_SEMANTICS) == set(strategy_names())
+        assert strategy_names() == ("none", *active_strategy_names())
+        none = adversary_semantics("none")
+        assert none.scalar_binding is None and none.kernel_binding is None
+        for name in active_strategy_names():
             spec = adversary_semantics(name)
-            component = registry.get(name, kind="adversary")
-            assert component.description == spec.description
-            assert component.deterministic == spec.scalar_deterministic
-            assert component.batch == spec.coverage_note()
+            assert spec.scalar_binding and spec.kernel_binding, name
 
-    def test_algorithm_registry_is_assembled_from_the_specs(self) -> None:
-        registry = default_registry()
-        assert registry.names() == sorted(algorithm_names())
-        for name in algorithm_names():
-            factory = registry.factory(name)
-            spec = algorithm_semantics(name)
-            assert factory.description == spec.description
-            assert factory.parameters == spec.parameters
-            assert factory.deterministic == spec.scalar_deterministic
-            assert factory.model == spec.model
+    def test_algorithm_coverage_note_follows_batch_determinism(self) -> None:
+        for spec in ALGORITHM_SEMANTICS.values():
+            note = spec.coverage_note()
+            assert note.startswith("vectorised, ")
+            assert ("bit-identical" in note) == spec.batch_deterministic, spec.name
+            assert ("statistically equivalent" in note) != spec.batch_deterministic
 
     def test_batch_kernel_dispatch_covers_every_active_strategy(self) -> None:
         from repro.network.batch import ADVERSARY_BATCH_KERNELS
@@ -155,7 +156,7 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------- #
-# Derivation: sweep space and dispatch generated from the registry product
+# Derivation: sweep space and dispatch generated from the catalogue
 # ---------------------------------------------------------------------- #
 
 
@@ -169,7 +170,7 @@ class TestDerivedSweep:
             for profile in algorithm_semantics(name).fuzz
         )
         assert FUZZ_ALGORITHMS == expected
-        # Every registry algorithm is fuzzable — no second list to forget.
+        # Every catalogue algorithm is fuzzable — no second list to forget.
         assert {entry[0] for entry in FUZZ_ALGORITHMS} == set(algorithm_names())
 
     def test_all_strategies_equal_the_vocabulary(self) -> None:
@@ -231,17 +232,13 @@ class TestDerivedSweep:
 
 class TestFaultScheduleSemantics:
     def test_accessors_and_unknown_name(self) -> None:
-        from repro.semantics import (
-            fault_schedule_descriptions,
-            fault_schedule_names,
-            fault_schedule_semantics,
-        )
+        from repro.semantics import fault_schedule_names, fault_schedule_semantics
 
         names = fault_schedule_names()
         assert set(names) == {"churn", "rolling", "late-adversary"}
-        assert set(fault_schedule_descriptions()) == set(names)
         for name in names:
             spec = fault_schedule_semantics(name)
+            assert spec.description
             assert spec.scalar_deterministic
             assert not spec.batch_covered
             assert spec.build().name == name
@@ -304,24 +301,94 @@ class TestParameterErrors:
         with pytest.raises(SimulationError, match="unknown adversary strategy"):
             build_adversary("nope", {0})
 
-    def test_algorithm_registry_unknown_param_carries_the_schema(self) -> None:
+    def test_build_algorithm_unknown_param_carries_the_schema(self) -> None:
         with pytest.raises(ParameterError) as excinfo:
-            default_registry().build("naive-majority", bogus=1)
+            build_algorithm("naive-majority", bogus=1)
         message = str(excinfo.value)
         assert "bogus" in message
         assert "accepted parameters" in message
         assert "claimed_resilience" in message
 
-    def test_undeclared_factories_stay_unchecked(self) -> None:
-        from repro.counters.registry import AlgorithmFactory
 
-        registry = default_registry()
-        registry.register(
-            AlgorithmFactory(
-                name="ad-hoc", description="test-only", build=lambda **kw: kw
-            )
+class TestLookups:
+    """Names resolve to components in the catalogue, with one error style."""
+
+    ALGORITHMS = (
+        "corollary1, figure2, naive-majority, pseudo-random-boosted, "
+        "randomized-follow-majority, sampled-boosted, trivial"
+    )
+    ADVERSARIES = (
+        "adaptive-split, crash, fixed-state, mimic, none, phase-king-skew, "
+        "random-state, split-state"
+    )
+
+    def test_unknown_algorithm_lists_the_registered_alternatives(self) -> None:
+        with pytest.raises(ParameterError) as excinfo:
+            algorithm_semantics("nope")
+        assert str(excinfo.value) == (
+            f"unknown algorithm 'nope'; registered algorithms: {self.ALGORITHMS}"
         )
-        assert registry.build("ad-hoc", anything=1) == {"anything": 1}
+
+    def test_unknown_adversary_lists_the_registered_alternatives(self) -> None:
+        with pytest.raises(ParameterError) as excinfo:
+            adversary_semantics("nope")
+        assert str(excinfo.value) == (
+            f"unknown adversary 'nope'; registered adversaries: {self.ADVERSARIES}"
+        )
+
+    def test_an_adversary_given_as_an_algorithm_is_called_out(self) -> None:
+        with pytest.raises(ParameterError) as excinfo:
+            algorithm_semantics("crash")
+        assert str(excinfo.value) == (
+            "'crash' is an adversary, not an algorithm; "
+            f"registered algorithms: {self.ALGORITHMS}"
+        )
+
+    def test_an_algorithm_given_as_an_adversary_is_called_out(self) -> None:
+        with pytest.raises(ParameterError) as excinfo:
+            adversary_semantics("trivial")
+        assert str(excinfo.value) == (
+            "'trivial' is an algorithm, not an adversary; "
+            f"registered adversaries: {self.ADVERSARIES}"
+        )
+
+    def test_build_algorithm_by_name(self) -> None:
+        from repro.counters.trivial import TrivialCounter
+
+        counter = build_algorithm("trivial", c=4)
+        assert isinstance(counter, TrivialCounter)
+        assert counter.c == 4
+
+    def test_build_algorithm_forwards_every_parameter(self) -> None:
+        corollary1 = build_algorithm("corollary1", c=2, f=1)
+        assert (corollary1.n, corollary1.f, corollary1.c) == (4, 1, 2)
+
+    def test_build_algorithm_applies_the_declared_defaults(self) -> None:
+        for name in ("trivial", "naive-majority"):
+            defaults = {
+                parameter.name: parameter.default
+                for parameter in algorithm_semantics(name).parameters
+            }
+            assert build_algorithm(name).c == defaults["c"]
+
+    def test_build_algorithm_unknown_name_fails(self) -> None:
+        with pytest.raises(ParameterError, match="unknown algorithm 'does-not-exist'"):
+            build_algorithm("does-not-exist")
+
+    def test_build_adversary_builds_the_declared_scalar_class(self) -> None:
+        for name in active_strategy_names():
+            adversary = build_adversary(name, {1})
+            assert type(adversary) is adversary_semantics(name).scalar_class()
+            assert adversary.faulty == frozenset({1})
+
+    def test_bindings_resolve_once(self) -> None:
+        # The scalar adversary factory resolves a binding per trial; the
+        # memo makes every later lookup a cache hit on the same object.
+        binding = adversary_semantics("crash").scalar_binding
+        first = resolve_binding(binding)
+        hits = resolve_binding.cache_info().hits
+        assert resolve_binding(binding) is first
+        assert resolve_binding.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------- #
@@ -352,8 +419,8 @@ class TestSpecPrimitives:
     def test_determinism_class_refines_per_kernel(self) -> None:
         from repro.network.batch import build_batch_kernel
 
-        flat = build_batch_kernel(default_registry().build("naive-majority"))
-        boosted = build_batch_kernel(default_registry().build("corollary1"))
+        flat = build_batch_kernel(build_algorithm("naive-majority"))
+        boosted = build_batch_kernel(build_algorithm("corollary1"))
         assert FLAT_ONLY.for_kernel(flat) is True
         assert FLAT_ONLY.for_kernel(boosted) is False
         assert BIT_IDENTICAL.for_kernel(boosted) is True
