@@ -19,9 +19,10 @@ spec regardless of coverage.
 Engine semantics:
 
 * ``"auto"`` — batch only the groups whose execution is *provably
-  bit-identical* to the scalar engine (deterministic algorithm kernel and
-  deterministic adversary kernel).  Randomised configurations keep the
-  scalar path, so campaign results never silently change distribution-only.
+  bit-identical* to the scalar engine
+  (:func:`~repro.network.batch.bit_identical`).  Randomised configurations
+  keep the scalar path, so campaign results never silently change
+  distribution-only.
 * ``"batch"`` — batch every kernel-covered group, including randomised ones
   (statistically equivalent, with an ``rng`` note in the trace metadata);
   raise :class:`~repro.core.errors.ParameterError` for groups with no kernel
@@ -54,13 +55,14 @@ from repro.core.errors import ParameterError
 from repro.network.batch import (
     BatchTrial,
     adversary_kernel_available,
+    bit_identical,
     build_batch_kernel,
     run_batch_summaries,
 )
 from repro.obs.events import BatchGroupScheduled, FallbackTaken
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-__all__ = ["BatchExecutorStats", "BatchExecutor", "group_runs"]
+__all__ = ["BatchExecutor", "group_runs"]
 
 #: The batch path's reduction under the name the end-to-end benchmark's
 #: ``campaigns.batching.reduce_summary`` span wraps; it is :func:`reduce_values`.
@@ -86,10 +88,8 @@ def _group_label(spec: RunSpec, algorithm=None) -> str:
 #: :func:`repro.campaigns.executor.default_executor` and never reaches here).
 _ENGINES = ("auto", "batch")
 
-
-#: Backwards-compatible alias: the batched/fallback accounting now lives on
-#: the unified :class:`~repro.campaigns.executor.ExecutorStats` dataclass.
-BatchExecutorStats = ExecutorStats
+#: Trials vectorised together per NumPy batch.
+_BATCH_SIZE = 256
 
 
 def group_runs(
@@ -139,8 +139,6 @@ class BatchExecutor:
         Worker processes for the scalar leftovers (``> 1`` uses the
         multiprocessing executor for them); batched groups always run
         in-process — they are the fast path already.
-    batch_size:
-        Trials vectorised together per NumPy batch.
     observer:
         Optional :class:`~repro.obs.observer.Observer`.  Batched groups emit
         :class:`~repro.obs.events.BatchGroupScheduled` /
@@ -154,7 +152,6 @@ class BatchExecutor:
         self,
         engine: str = "auto",
         processes: int | None = None,
-        batch_size: int = 256,
         observer: Observer | None = None,
     ) -> None:
         if engine not in _ENGINES:
@@ -163,9 +160,8 @@ class BatchExecutor:
             )
         self.engine = engine
         self.processes = processes
-        self.batch_size = batch_size
         self.observer = observer
-        self.stats = BatchExecutorStats()
+        self.stats = ExecutorStats()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -177,7 +173,7 @@ class BatchExecutor:
         """Execute all specs and return their results in submission order."""
         spec_list = list(specs)
         obs = resolve_observer(self.observer)
-        self.stats = BatchExecutorStats(
+        self.stats = ExecutorStats(
             total=len(spec_list), metrics=obs.metrics if obs is not None else None
         )
         results: list[RunResult | None] = [None] * len(spec_list)
@@ -253,7 +249,7 @@ class BatchExecutor:
         ``(None, label, reason)`` when the group must take the scalar path —
         ``label`` names the group as completely as possible (including ``n``
         whenever the algorithm built) and the reason is recorded in
-        :attr:`BatchExecutorStats.fallback_reasons`.  In ``engine="batch"``
+        :attr:`ExecutorStats.fallback_reasons`.  In ``engine="batch"``
         mode, missing kernel coverage raises a
         :class:`~repro.core.errors.ParameterError` naming the full offending
         group (algorithm, strategy, ``n``/``f``) instead of silently falling
@@ -310,7 +306,13 @@ class BatchExecutor:
                 )
             return None, label, reason
         assert kernel is not None
-        if self.engine == "auto" and not self._bit_identical(kernel, spec):
+        deterministic = bit_identical(
+            kernel,
+            spec.adversary if spec.faulty else None,
+            loss=spec.loss,
+            delay=spec.delay,
+        )
+        if self.engine == "auto" and not deterministic:
             # auto never changes randomised result streams behind the
             # caller's back; engine='batch' opts into statistical
             # equivalence explicitly.
@@ -326,7 +328,7 @@ class BatchExecutor:
                     label=label,
                     runs=len(group),
                     engine=self.engine,
-                    deterministic=self._bit_identical(kernel, spec),
+                    deterministic=deterministic,
                 )
             )
         if self.engine == "batch":
@@ -339,31 +341,6 @@ class BatchExecutor:
         except Exception as exc:  # noqa: BLE001 - the scalar rerun surfaces real
             # per-run errors through execute_run's failure accounting.
             return None, label, f"batch execution failed ({exc}); re-running scalar"
-
-    @staticmethod
-    def _bit_identical(kernel, spec: RunSpec) -> bool:
-        """Whether the batch path is provably bit-identical for this group.
-
-        Determinism of an adversary kernel can depend on the algorithm's
-        state encoding (the adaptive-split fabrication path), so the check
-        asks the kernel class about *this* algorithm kernel instead of
-        reading a per-strategy flag.
-        """
-        from repro.network.batch import ADVERSARY_BATCH_KERNELS
-
-        if spec.loss > 0.0 or spec.delay > 0:
-            # Message-plane perturbations draw per-link randomness every
-            # round; the batch and scalar streams are only statistically
-            # equivalent, never bit-identical.
-            return False
-        if not kernel.deterministic:
-            return False
-        if spec.adversary is None or not spec.faulty:
-            return True
-        adversary_kernel = ADVERSARY_BATCH_KERNELS.get(spec.adversary)
-        return adversary_kernel is not None and adversary_kernel.is_deterministic_for(
-            kernel
-        )
 
     def _run_group(self, algorithm, kernel, group: list[RunSpec]) -> list[RunResult]:
         """Vectorised execution of one homogeneous group."""
@@ -384,7 +361,7 @@ class BatchExecutor:
             adversary_params=dict(spec.adversary_params),
             max_rounds=spec.max_rounds,
             stop_after_agreement=spec.stop_after_agreement,
-            batch_size=self.batch_size,
+            batch_size=_BATCH_SIZE,
             observer=resolve_observer(self.observer),
             loss=spec.loss,
             delay=spec.delay,

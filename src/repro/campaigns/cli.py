@@ -1,29 +1,25 @@
-"""Command-line interface for the campaign engine.
+"""The campaign engine's commands, mounted as ``python -m repro campaign``.
 
-The same commands are mounted under the unified top-level CLI as
-``python -m repro campaign <command>`` — the preferred spelling;
-``python -m repro.campaigns`` remains as a compatible alias.
-
-Usage (``python -m repro campaign <command>``)::
+Usage::
 
     # Write a campaign definition file
-    python -m repro.campaigns define --name demo \\
+    python -m repro campaign define --name demo \\
         --algorithm "naive-majority:n=6,c=3,claimed_resilience=1" \\
         --adversary crash --adversary random-state \\
         --runs 25 --max-rounds 200 --stop-after-agreement 6 \\
         --out demo.campaign.json
 
     # Execute it (resumable; re-invoking skips completed runs)
-    python -m repro.campaigns run demo.campaign.json --store demo.jsonl --jobs 4
+    python -m repro campaign run demo.campaign.json --store demo.jsonl --jobs 4
 
     # Explicit resume (same as run — shown separately for discoverability)
-    python -m repro.campaigns resume demo.campaign.json --store demo.jsonl
+    python -m repro campaign resume demo.campaign.json --store demo.jsonl
 
     # Stabilisation statistics from the store
-    python -m repro.campaigns summarize demo.jsonl
+    python -m repro campaign summarize demo.jsonl
 
     # Pulling-model grids (Theorem 4 / Corollary 4 message complexity)
-    python -m repro.campaigns define --name pulls --model pulling \\
+    python -m repro campaign define --name pulls --model pulling \\
         --algorithm "sampled-boosted:sample_size=4" \\
         --adversary phase-king-skew --num-faults 1 \\
         --runs 10 --max-rounds 120 --out pulls.campaign.json
@@ -42,7 +38,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any
 
 from repro.campaigns.executor import default_executor
 from repro.campaigns.results import CampaignStore, RunResult, summarize_results
@@ -54,18 +50,17 @@ from repro.campaigns.spec import (
     AlgorithmSpec,
     CampaignSpec,
 )
-from repro.core.errors import ReproError
+from repro.core.errors import ParameterError, ReproError
 from repro.semantics import strategy_names
 from repro.obs.cli import add_observability_arguments, observation_from_args
 
 __all__ = [
-    "main",
-    "build_parser",
     "register_commands",
     "dispatch",
     "parse_algorithm",
     "parse_num_faults",
     "parse_fault_schedule",
+    "parse_group_by",
 ]
 
 
@@ -131,6 +126,21 @@ def parse_fault_schedule(argument: str) -> tuple[str, tuple[tuple[str, Any], ...
     return name, tuple(sorted(params.items()))
 
 
+def parse_group_by(argument: str) -> tuple[str, ...]:
+    """Parse a ``--group-by`` list, rejecting names that are not RunResult fields."""
+    group_by = tuple(
+        column.strip() for column in argument.split(",") if column.strip()
+    )
+    valid_fields = {f.name for f in dataclasses.fields(RunResult)}
+    unknown = [column for column in group_by if column not in valid_fields]
+    if unknown:
+        raise ParameterError(
+            f"unknown --group-by field(s) {', '.join(unknown)}; "
+            f"valid fields: {', '.join(sorted(valid_fields))}"
+        )
+    return group_by
+
+
 def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
     """Build a CampaignSpec from ``define`` flags."""
     schedule_name: str | None = None
@@ -164,9 +174,9 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
 def register_commands(subparsers) -> None:
     """Register the campaign subcommands on an argparse subparser group.
 
-    Used both by this module's standalone parser and by the unified
-    ``python -m repro`` CLI (under its ``campaign`` subcommand).  Every
-    subcommand sets a ``handler`` default consumed by :func:`dispatch`.
+    Mounted by the unified ``python -m repro`` CLI under its ``campaign``
+    subcommand.  Every subcommand sets a ``handler`` default consumed by
+    :func:`dispatch`.
     """
     define = subparsers.add_parser(
         "define",
@@ -278,12 +288,6 @@ def register_commands(subparsers) -> None:
             help="worker processes (>1 enables the multiprocessing executor)",
         )
         executor_parser.add_argument(
-            "--chunksize",
-            type=int,
-            default=None,
-            help="specs per worker task (parallel executor only)",
-        )
-        executor_parser.add_argument(
             "--engine",
             choices=list(ENGINES),
             default=None,
@@ -311,17 +315,6 @@ def register_commands(subparsers) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The standalone ``python -m repro.campaigns`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.campaigns",
-        description="Define, run, resume and summarize simulation campaigns.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    register_commands(subparsers)
-    return parser
-
-
 def _command_define(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     # Normalise 0 to None for "no early stopping".
@@ -341,8 +334,6 @@ def _command_run(args: argparse.Namespace) -> int:
     store = CampaignStore(args.store)
     engine = args.engine or spec.engine
     executor = default_executor(args.jobs, engine)
-    if args.jobs and args.jobs > 1 and args.chunksize and hasattr(executor, "chunksize"):
-        executor.chunksize = args.chunksize
 
     def progress(done: int, total: int, result: RunResult) -> None:
         status = "FAIL" if result.error else (
@@ -374,18 +365,7 @@ def _command_summarize(args: argparse.Namespace) -> int:
     if not results:
         print(f"no results in {store.path}")
         return 1
-    group_by = tuple(
-        column.strip() for column in args.group_by.split(",") if column.strip()
-    )
-    valid_fields = {f.name for f in dataclasses.fields(RunResult)}
-    unknown = [column for column in group_by if column not in valid_fields]
-    if unknown:
-        print(
-            f"error: unknown --group-by field(s) {', '.join(unknown)}; "
-            f"valid fields: {', '.join(sorted(valid_fields))}",
-            file=sys.stderr,
-        )
-        return 2
+    group_by = parse_group_by(args.group_by)
     table = summarize_results(
         results, group_by=group_by, name=f"Campaign summary — {store.path}"
     )
@@ -405,12 +385,3 @@ def dispatch(args: argparse.Namespace) -> int:
     except (ReproError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``python -m repro.campaigns``."""
-    return dispatch(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

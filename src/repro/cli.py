@@ -8,8 +8,7 @@ repro``.  Subcommands:
                through the :class:`~repro.scenarios.scenario.Scenario`
                facade and print a stabilisation summary
 ``campaign``   ``define`` / ``run`` / ``resume`` / ``summarize`` — the
-               campaign engine commands (shared with
-               ``python -m repro.campaigns``)
+               campaign engine commands (:mod:`repro.campaigns.cli`)
 ``experiment`` regenerate a paper artefact: ``table1``, ``table2``,
                ``figure1``, ``figure2``, ``scaling``, ``pulling``,
                ``ablation``
@@ -38,6 +37,7 @@ from repro.campaigns.cli import (
     dispatch,
     parse_algorithm,
     parse_fault_schedule,
+    parse_group_by,
     parse_num_faults,
     register_commands,
 )
@@ -70,6 +70,8 @@ __all__ = ["main", "build_parser"]
 
 def _command_run(args: argparse.Namespace) -> int:
     """Compile the flags into a Scenario, execute it, print a summary."""
+    # Validated up front: an unknown field must not cost a whole scenario.
+    group_by = parse_group_by(args.group_by)
     scenario = Scenario()
     for spec in args.algorithm:
         scenario = scenario.counter(spec.name, **dict(spec.params))
@@ -122,9 +124,6 @@ def _command_run(args: argparse.Namespace) -> int:
         print("scalar fallbacks (see `repro list adversaries` for coverage):")
         for reason in report.fallback_reasons:
             print(f"  - {reason}")
-    group_by = tuple(
-        column.strip() for column in args.group_by.split(",") if column.strip()
-    )
     table = summarize_results(
         report.results, group_by=group_by, name=f"Scenario summary — {name}"
     )

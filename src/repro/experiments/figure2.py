@@ -22,6 +22,7 @@ the 36-node level, which takes a few minutes).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 from repro.core.boosting import BoostedCounter, BoostedState
@@ -33,24 +34,15 @@ from repro.experiments.common import (
     summarize_trials,
 )
 from repro.network.adversary import (
-    AdaptiveSplitAdversary,
     PhaseKingSkewAdversary,
-    RandomStateAdversary,
-    SplitStateAdversary,
     block_concentrated_faults,
+    build_adversary,
     random_faulty_set,
 )
 from repro.network.simulator import SimulationConfig, run_simulation
 from repro.network.stabilization import stabilization_round
 
 __all__ = ["run_figure2", "misaligned_initial_states"]
-
-_ADVERSARIES = {
-    "random-state": RandomStateAdversary,
-    "phase-king-skew": PhaseKingSkewAdversary,
-    "split-state": SplitStateAdversary,
-    "adaptive-split": AdaptiveSplitAdversary,
-}
 
 
 def misaligned_initial_states(counter: BoostedCounter, seed: int = 0) -> list[BoostedState]:
@@ -110,10 +102,9 @@ def run_figure2(
     )
 
     for adversary_name in adversaries:
-        factory = _ADVERSARIES[adversary_name]
         metrics = run_counter_trials(
             counter,
-            adversary_factory=factory,
+            adversary_factory=partial(build_adversary, adversary_name),
             trials=trials,
             max_rounds=max_rounds,
             stop_after_agreement=16,

@@ -45,38 +45,17 @@ from repro.campaigns.executor import ParallelExecutor, SerialExecutor
 from repro.campaigns.results import RunResult
 from repro.campaigns.spec import RunSpec
 from repro.core.errors import SimulationError
-from repro.core.recursion import optimal_resilience_counter
 from repro.experiments.common import ExperimentResult
 from repro.network.adversary import (
     PhaseKingSkewAdversary,
     RandomStateAdversary,
     random_faulty_set,
 )
-from repro.sampling.pull_boosting import SampledBoostedCounter
-from repro.sampling.pseudo_random import PseudoRandomBoostedCounter
 from repro.sampling.thresholds import recommended_sample_size
+from repro.semantics import build_algorithm
 from repro.util.rng import derive_rng, ensure_rng
 
 __all__ = ["run_corollary4", "run_corollary5", "post_agreement_failure_rate"]
-
-
-def _build_sampled_counter(sample_size: int | None, pseudo_random: bool = False, link_seed: int = 0):
-    """The 12-node sampled counter used by both experiments.
-
-    Inner counter: the Corollary 1 base ``A(4, 1)`` with counter size 960
-    (the multiple required by ``k = 3``, ``F = 3``); the sampled construction
-    then yields a probabilistic ``A(12, 3)`` 2-counter in the pulling model.
-    """
-    inner = optimal_resilience_counter(f=1, c=960)
-    if pseudo_random:
-        return PseudoRandomBoostedCounter(
-            inner=inner,
-            k=3,
-            counter_size=2,
-            sample_size=sample_size,
-            link_seed=link_seed,
-        )
-    return SampledBoostedCounter(inner=inner, k=3, counter_size=2, sample_size=sample_size)
 
 
 def _execute_specs(
@@ -105,10 +84,14 @@ def run_corollary4(
     result = ExperimentResult(name="Corollary 4 — pulling model: messages per round vs sample size")
     master = ensure_rng(seed)
 
+    # The catalogue defaults build the 12-node A(12, 3)-equivalent counter
+    # over the Corollary 1 base A(4, 1) with inner counter size 960.
+    counters = {
+        M: build_algorithm("sampled-boosted", sample_size=M) for M in sample_sizes
+    }
     # The RNG derivation below (one "c4" stream then one "c4-stress" stream
     # per (M, trial), in grid order) matches the pre-campaign loop exactly,
     # so the published table values are unchanged.
-    counters = {M: _build_sampled_counter(sample_size=M) for M in sample_sizes}
     specs: list[RunSpec] = []
     for M in sample_sizes:
         counter = counters[M]
@@ -206,8 +189,8 @@ def run_corollary5(
     oblivious_faulty = frozenset(random_faulty_set(12, num_faults, rng=12345))
     specs: list[RunSpec] = []
     for link_seed in link_seeds:
-        counter = _build_sampled_counter(
-            sample_size=sample_size, pseudo_random=True, link_seed=link_seed
+        counter = build_algorithm(
+            "pseudo-random-boosted", sample_size=sample_size, link_seed=link_seed
         )
         rng = derive_rng(master, "c5", link_seed)
         specs.append(

@@ -37,6 +37,9 @@ The moving parts:
 Correctness contract
 --------------------
 
+Which of the classes below a configuration falls into is decided in one
+place, :func:`bit_identical`, from the semantics catalogue's declarations.
+
 * **Deterministic configurations are bit-identical to the scalar engine.**
   Initial states are drawn per trial from exactly the streams the scalar
   engine derives (``initial-states`` first, in the model's documented
@@ -75,11 +78,7 @@ from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY as _INFINITY
 from repro.network.adversary import NoAdversary, build_adversary
 from repro.network.engine import derive_streams, resolve_initial_states, stop_step
-from repro.semantics import (
-    active_strategy_names,
-    adversary_coverage_notes,
-    adversary_semantics,
-)
+from repro.semantics import ADVERSARY_SEMANTICS, active_strategy_names, flat_encoding
 from repro.network.stabilization import RunSummary
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.obs.events import RoundObserved
@@ -95,9 +94,8 @@ __all__ = [
     "BatchKernel",
     "PullBatchKernel",
     "AdversaryBatchKernel",
-    "ADVERSARY_BATCH_KERNELS",
     "adversary_kernel_available",
-    "adversary_kernel_coverage",
+    "bit_identical",
     "build_adversary_kernel",
     "build_batch_kernel",
     "run_batch_trials",
@@ -475,28 +473,15 @@ class AdversaryBatchKernel(ABC):
     receivers.  The returned field vectors must already be *coerced* — i.e.
     valid encodings under the algorithm kernel — matching the scalar engine,
     which pipes every forgery through ``algorithm.coerce_message``.
-    """
 
-    #: Strategy name (a key of :data:`repro.semantics.ADVERSARY_SEMANTICS`).
-    strategy = "abstract"
+    Which strategy a kernel class implements, and whether its forgeries are
+    pure, is declared once in :data:`repro.semantics.ADVERSARY_SEMANTICS`
+    (its ``kernel_binding`` and :class:`~repro.semantics.DeterminismClass`);
+    :func:`bit_identical` reads the answer from there.
+    """
 
     def __init__(self, kernel: _KernelBase) -> None:
         self.kernel = kernel
-        #: The resolved answer for this concrete algorithm kernel: whether
-        #: :meth:`forge` consumes NumPy randomness against its encoding.
-        self.deterministic = type(self).is_deterministic_for(kernel)
-
-    @classmethod
-    def is_deterministic_for(cls, kernel: _KernelBase) -> bool:
-        """Whether forgeries against this algorithm kernel are pure.
-
-        Read from the strategy's declared
-        :class:`~repro.semantics.DeterminismClass`, refined by the kernel's
-        state encoding (the adaptive-split fabrication path is pure for flat
-        integer counters but draws randomness for boosted states) — so the
-        executor can prove bit-identity per group instead of per strategy.
-        """
-        return adversary_semantics(cls.strategy).determinism.for_kernel(kernel)
 
     def begin_round(
         self,
@@ -550,8 +535,6 @@ def _batch_index(batch: int, shape: tuple[int, ...]) -> np.ndarray:
 class CrashBatchKernel(AdversaryBatchKernel):
     """Faulty nodes appear stuck on the algorithm's default state."""
 
-    strategy = "crash"
-
     def forge(
         self,
         round_index: int,
@@ -574,8 +557,6 @@ class FixedStateBatchKernel(AdversaryBatchKernel):
     every (sender, receiver) pair — deterministic and bit-identical.
     """
 
-    strategy = "fixed-state"
-
     def __init__(self, kernel: _KernelBase, state: Any = 0) -> None:
         super().__init__(kernel)
         coerced = kernel.algorithm.coerce_message(state)
@@ -597,8 +578,6 @@ class FixedStateBatchKernel(AdversaryBatchKernel):
 class RandomStateBatchKernel(AdversaryBatchKernel):
     """Independently random valid state per (sender, receiver) pair."""
 
-    strategy = "random-state"
-
     def forge(
         self,
         round_index: int,
@@ -614,8 +593,6 @@ class RandomStateBatchKernel(AdversaryBatchKernel):
 
 class SplitStateBatchKernel(AdversaryBatchKernel):
     """One fresh random state for even receivers, another for odd ones."""
-
-    strategy = "split-state"
 
     def __init__(self, kernel: _KernelBase) -> None:
         super().__init__(kernel)
@@ -652,8 +629,6 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
 class MimicBatchKernel(AdversaryBatchKernel):
     """Echo the true state of a rotating correct victim (deterministic)."""
 
-    strategy = "mimic"
-
     def forge(
         self,
         round_index: int,
@@ -687,8 +662,6 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
     consume randomness — the ``d`` draw or the random fallback — so this
     kernel is statistically equivalent, never bit-identical.
     """
-
-    strategy = "phase-king-skew"
 
     def __init__(self, kernel: _KernelBase, offset: int = 1) -> None:
         super().__init__(kernel)
@@ -742,16 +715,14 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
     Fabrication is where determinism splits: for flat integer counters the
     scalar ``_fabricate_state`` returns the target value without touching
     the RNG, so the kernel is **bit-identical**; for boosted states it draws
-    a random state, so the kernel is statistically equivalent there —
-    :meth:`is_deterministic_for` reports the split per algorithm kernel.
+    a random state, so the kernel is statistically equivalent there — the
+    catalogue declares the split as ``FLAT_ONLY``.
     """
-
-    strategy = "adaptive-split"
 
     def __init__(self, kernel: _KernelBase) -> None:
         super().__init__(kernel)
         self._layout = _boosted_layout(kernel)
-        self._int_state = self.deterministic
+        self._int_state = flat_encoding(kernel)
         self._camp0: np.ndarray | None = None
         self._camp1: np.ndarray | None = None
         self._outputs: np.ndarray | None = None
@@ -843,33 +814,31 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         return fields
 
 
-#: Every registered adversary strategy has a vectorised kernel.  Generated
-#: from the semantics catalogue's kernel bindings — the classes live here,
-#: but which names exist is declared once, in :mod:`repro.semantics` —
-#: so coverage is total by construction (asserted against the catalogue's
-#: active strategies in the test suite).
-ADVERSARY_BATCH_KERNELS: dict[str, type[AdversaryBatchKernel]] = {
-    name: adversary_semantics(name).kernel_class()
-    for name in active_strategy_names()
-}
-
-
-def adversary_kernel_coverage() -> dict[str, str]:
-    """Generated coverage note: strategy name -> batch equivalence class.
-
-    Read from each strategy's declared
-    :class:`~repro.semantics.DeterminismClass` (cross-checked against the
-    kernels' actual RNG consumption by :func:`repro.semantics.verify`), so
-    it can never go stale the way a hand-written coverage comment can.  The
-    fault-free ``"none"`` entry is included because discovery surfaces list
-    it next to the active strategies.
-    """
-    return adversary_coverage_notes()
-
-
 def adversary_kernel_available(strategy: str | None) -> bool:
     """Whether the strategy (or the fault-free ``None``) has a batch kernel."""
-    return strategy is None or strategy in ADVERSARY_BATCH_KERNELS
+    if strategy is None:
+        return True
+    spec = ADVERSARY_SEMANTICS.get(strategy)
+    return spec is not None and spec.kernel_binding is not None
+
+
+def bit_identical(
+    kernel: _KernelBase, strategy: str | None, *, loss: float = 0.0, delay: int = 0
+) -> bool:
+    """Whether a batch group is provably bit-identical to the scalar engine.
+
+    The one rule the executor's ``auto`` gate, the ``rng`` note and the
+    parity harness share: message-plane perturbations and randomised
+    algorithm kernels always consume NumPy randomness; fault-free groups
+    (``strategy=None``) forge nothing; otherwise the strategy's declared
+    :class:`~repro.semantics.DeterminismClass` answers for this kernel's
+    state encoding (adaptive-split is pure for flat counters only).
+    """
+    if loss > 0.0 or delay > 0 or not kernel.deterministic:
+        return False
+    if strategy is None:
+        return True
+    return ADVERSARY_SEMANTICS[strategy].determinism.for_kernel(kernel)
 
 
 def build_adversary_kernel(
@@ -884,14 +853,13 @@ def build_adversary_kernel(
     fixed-state ``state`` or the phase-king-skew ``offset``); kernels accept
     exactly the parameters their scalar classes do.
     """
-    try:
-        cls = ADVERSARY_BATCH_KERNELS[strategy]
-    except KeyError:
-        known = ", ".join(sorted(ADVERSARY_BATCH_KERNELS))
+    if not adversary_kernel_available(strategy):
+        known = ", ".join(active_strategy_names())
         raise SimulationError(
             f"adversary strategy {strategy!r} has no batch kernel; "
             f"vectorised strategies: {known}"
-        ) from None
+        )
+    cls = ADVERSARY_SEMANTICS[strategy].kernel_class()
     try:
         return cls(kernel, **dict(params or {}))
     except TypeError as exc:
@@ -1107,9 +1075,8 @@ def _run_chunk(
         if pulling
         else ("initial-states", "adversary")
     )
-    randomized = perturbed or not (
-        kernel.deterministic
-        and (adversary_kernel is None or adversary_kernel.deterministic)
+    randomized = not bit_identical(
+        kernel, strategy if num_faults else None, loss=loss, delay=delay
     )
 
     for trial in trials:

@@ -315,6 +315,7 @@ def check_parity(config: ParityConfig, observer: Any = None) -> ParityReport:
     from repro.network.batch import (
         BATCH_RNG_NOTE,
         BatchTrial,
+        bit_identical,
         build_batch_kernel,
         run_batch_summaries,
         run_batch_trials,
@@ -328,13 +329,8 @@ def check_parity(config: ParityConfig, observer: Any = None) -> ParityReport:
         return report
 
     strategy = None if config.strategy == "none" else config.strategy
-    deterministic = (
-        not config.perturbed  # loss/delay draw per-link randomness each round
-        and kernel.deterministic
-        and (
-            strategy is None
-            or adversary_semantics(strategy).determinism.for_kernel(kernel)
-        )
+    deterministic = bit_identical(
+        kernel, strategy, loss=config.loss, delay=config.delay
     )
     report.mode = "bit-identical" if deterministic else "statistical"
 

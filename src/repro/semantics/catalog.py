@@ -10,10 +10,11 @@ registry in between:
   unknown-name error the ``Scenario`` facade and the CLI print;
 * :func:`repro.network.adversary.build_adversary` constructs the scalar
   strategy classes bound in :data:`ADVERSARY_SEMANTICS`;
-* :data:`repro.network.batch.ADVERSARY_BATCH_KERNELS`, the per-group
-  bit-identity answers (``AdversaryBatchKernel.is_deterministic_for``) and
-  :func:`~repro.network.batch.adversary_kernel_coverage` read the declared
-  :class:`~repro.semantics.spec.DeterminismClass` instead of probing kernels;
+* the batch engine resolves adversary kernels by strategy name from
+  :data:`ADVERSARY_SEMANTICS`, and :func:`repro.network.batch.bit_identical`
+  (the one per-group bit-identity rule) and :func:`adversary_coverage_notes`
+  read the declared :class:`~repro.semantics.spec.DeterminismClass` instead
+  of probing kernels;
 * :mod:`repro.network.parity` generates its sweep space (``FUZZ_ALGORITHMS``,
   ``ALL_STRATEGIES``, the optional-parameter choices) and its equivalence
   class expectations from the same specs;

@@ -231,11 +231,6 @@ def _check_adversaries(
         except Exception as exc:  # noqa: BLE001
             problems.append(f"strategy {name!r}: kernel binding broken: {exc}")
             continue
-        if kernel_cls.strategy != name:
-            problems.append(
-                f"strategy {name!r}: kernel class {kernel_cls.__name__} "
-                f"declares strategy {kernel_cls.strategy!r}"
-            )
         defaults = {p.name: p.default for p in spec.parameters}
         for label, kernel, declared in (
             ("flat", flat_kernel, spec.determinism.flat),

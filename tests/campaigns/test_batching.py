@@ -8,10 +8,13 @@ import json
 import pytest
 
 from repro.campaigns.batching import BatchExecutor, group_runs
+from repro.campaigns.cli import parse_algorithm
 from repro.campaigns.executor import SerialExecutor, default_executor
 from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.core.errors import ParameterError
+from repro.network.batch import BATCH_RNG_NOTE, bit_identical, build_batch_kernel
 from repro.scenarios import Scenario
+from repro.semantics import active_strategy_names
 
 
 def deterministic_campaign(runs: int = 5) -> CampaignSpec:
@@ -131,6 +134,36 @@ class TestAutoEngine:
         assert executor.stats.fallback == 0
         assert executor.stats.fallback_reasons == []
 
+    @pytest.mark.parametrize("strategy", active_strategy_names())
+    @pytest.mark.parametrize(
+        "algorithm",
+        ["naive-majority:n=6,c=3,claimed_resilience=1", "corollary1:f=1,c=2"],
+    )
+    def test_auto_batches_exactly_the_bit_identical_groups(self, algorithm, strategy):
+        # One rule decides both what auto vectorises and which batch results
+        # are stamped as statistically equivalent: bit_identical.
+        algorithm_spec = parse_algorithm(algorithm)
+        runs = CampaignSpec(
+            name="rule",
+            algorithms=(algorithm_spec,),
+            adversaries=(strategy,),
+            num_faults=(1,),
+            runs_per_setting=2,
+            max_rounds=30,
+            stop_after_agreement=5,
+        ).expand()
+        expected = bit_identical(build_batch_kernel(algorithm_spec.build()), strategy)
+        auto = BatchExecutor(engine="auto")
+        auto_results = auto.run(runs)
+        assert auto.stats.batched == (len(runs) if expected else 0)
+        assert auto.stats.fallback == len(runs) - auto.stats.batched
+        forced = BatchExecutor(engine="batch").run(runs)
+        assert [result.rng for result in forced] == (
+            [None if expected else BATCH_RNG_NOTE] * len(runs)
+        )
+        if expected:
+            assert as_dicts(forced) == as_dicts(auto_results)
+
 
 class TestForcedBatchEngine:
     def test_randomized_groups_run_vectorised(self):
@@ -155,8 +188,6 @@ class TestForcedBatchEngine:
         # Randomised batch executions are self-describing in the store:
         # the rng field records the NumPy stream family.  Scalar runs (and
         # deterministic batch runs) leave it None.
-        from repro.network.batch import BATCH_RNG_NOTE
-
         assert all(result.rng == BATCH_RNG_NOTE for result in results)
         scalar_results = SerialExecutor().run(runs)
         assert all(result.rng is None for result in scalar_results)
@@ -221,8 +252,6 @@ class TestPerturbedGroups:
             for reason in auto.stats.fallback_reasons
         )
         assert all(result.error is None for result in auto_results)
-
-        from repro.network.batch import BATCH_RNG_NOTE
 
         forced = BatchExecutor(engine="batch")
         forced_results = forced.run(runs)
@@ -407,7 +436,10 @@ class TestCli:
         assert len(store.read_text().strip().splitlines()) == 2
 
     def test_campaign_define_and_run_engine(self, capsys, tmp_path):
-        from repro.campaigns.cli import main
+        from repro.cli import main as repro_main
+
+        def main(argv):
+            return repro_main(["campaign", *argv])
 
         definition = tmp_path / "c.json"
         store = tmp_path / "c.jsonl"

@@ -1,4 +1,4 @@
-"""End-to-end tests of the ``python -m repro.campaigns`` CLI."""
+"""End-to-end tests of the ``python -m repro campaign`` commands."""
 
 from __future__ import annotations
 
@@ -7,7 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaigns.cli import main
+from repro.cli import main as repro_main
+
+
+def main(argv: list[str]) -> int:
+    """``python -m repro campaign <argv>``."""
+    return repro_main(["campaign", *argv])
 
 
 def define_small_campaign(tmp_path, runs: int = 2) -> str:

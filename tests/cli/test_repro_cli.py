@@ -164,6 +164,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert "unknown adversary 'bogus'" in err
 
+    def test_unknown_group_by_field_is_rejected_before_running(self, tmp_path, capsys):
+        # The same check as `campaign summarize`, made before any run
+        # executes: exit 2, one error line, nothing printed or stored.
+        store = tmp_path / "runs.jsonl"
+        argv = [*self.ARGS, "--group-by", "bogus", "--store", str(store)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: unknown --group-by field(s) bogus; valid fields: ")
+        assert not store.exists()
+
     def test_run_with_fault_schedule_reports_recovery(self, tmp_path, capsys):
         store = str(tmp_path / "churn.jsonl")
         code = main(

@@ -17,8 +17,8 @@ import pytest
 from repro.network.adversary import NoAdversary, build_adversary
 from repro.network.batch import (
     BATCH_RNG_NOTE,
-    ADVERSARY_BATCH_KERNELS,
     BatchTrial,
+    bit_identical,
     build_batch_kernel,
     run_batch_summaries,
     run_batch_trials,
@@ -26,7 +26,7 @@ from repro.network.batch import (
 from repro.network.pulling import PullSimulationConfig, run_pull_simulation
 from repro.network.simulator import SimulationConfig, run_simulation
 from repro.network.stabilization import stabilization_round
-from repro.semantics import build_algorithm
+from repro.semantics import active_strategy_names, build_algorithm
 
 #: (catalogue name, params, faults, max_rounds) for every kernel-covered
 #: entry.  ``faults`` is the fault count paired with the active strategy.
@@ -151,7 +151,7 @@ def test_batch_matches_scalar(name, params, faults, max_rounds, strategy_kind, w
                     )
 
 
-@pytest.mark.parametrize("strategy", sorted(ADVERSARY_BATCH_KERNELS))
+@pytest.mark.parametrize("strategy", active_strategy_names())
 def test_adversary_kernels_against_scalar(strategy):
     """Each vectorised strategy: bit-identical when deterministic, shape
     parity (plus valid outputs) when randomised."""
@@ -169,7 +169,7 @@ def test_adversary_kernels_against_scalar(strategy):
     )
     # Determinism can depend on the algorithm kernel (adaptive-split is
     # bit-identical for flat counters only), so ask per kernel.
-    deterministic = ADVERSARY_BATCH_KERNELS[strategy].is_deterministic_for(kernel)
+    deterministic = bit_identical(kernel, strategy)
     for trial, batch in zip(trials, batch_traces):
         scalar = _scalar_trace(algorithm, strategy, trial, 30, 4)
         if deterministic:

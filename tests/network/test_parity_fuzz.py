@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import SimulationError
 from repro.network.batch import (
-    ADVERSARY_BATCH_KERNELS,
     adversary_kernel_available,
-    adversary_kernel_coverage,
+    bit_identical,
+    build_adversary_kernel,
+    build_batch_kernel,
 )
 from repro.network.parity import (
     ALL_SCHEDULES,
@@ -27,20 +29,36 @@ from repro.network.parity import (
     sample_configs,
     sample_schedule_configs,
 )
-from repro.semantics import active_strategy_names
+from repro.semantics import (
+    DeterminismClass,
+    active_strategy_names,
+    adversary_coverage_notes,
+    build_algorithm,
+)
 
 
 class TestCoverageContract:
-    def test_every_registered_strategy_has_a_batch_kernel(self):
-        # The acceptance criterion of the vectorisation work: the batch
-        # kernel table covers the catalogue's active strategies exactly.
-        assert set(ADVERSARY_BATCH_KERNELS) == set(active_strategy_names())
+    @pytest.mark.parametrize("strategy", active_strategy_names())
+    def test_every_registered_strategy_has_a_batch_kernel(self, strategy):
+        # The acceptance criterion of the vectorisation work: every active
+        # strategy of the catalogue resolves to a batch kernel by name.
+        assert adversary_kernel_available(strategy)
+
+    def test_only_active_strategies_and_fault_free_runs_have_kernels(self):
         assert adversary_kernel_available(None)
-        for strategy in active_strategy_names():
-            assert adversary_kernel_available(strategy), strategy
+        assert not adversary_kernel_available("none")
+        assert not adversary_kernel_available("bogus")
+        kernel = build_batch_kernel(build_algorithm("trivial"))
+        known = ", ".join(active_strategy_names())
+        with pytest.raises(SimulationError) as excinfo:
+            build_adversary_kernel("bogus", kernel)
+        assert str(excinfo.value) == (
+            f"adversary strategy 'bogus' has no batch kernel; "
+            f"vectorised strategies: {known}"
+        )
 
     def test_generated_coverage_note_is_total_and_truthful(self):
-        coverage = adversary_kernel_coverage()
+        coverage = adversary_coverage_notes()
         assert set(coverage) == set(active_strategy_names()) | {"none"}
         for strategy in ("crash", "fixed-state", "mimic"):
             assert coverage[strategy] == "bit-identical"
@@ -49,6 +67,18 @@ class TestCoverageContract:
         # adaptive-split's determinism depends on the state encoding.
         assert "bit-identical for flat counters" in coverage["adaptive-split"]
         assert "statistically equivalent" in coverage["adaptive-split"]
+
+    @pytest.mark.parametrize("strategy", active_strategy_names())
+    def test_coverage_note_states_the_bit_identity_rule(self, strategy):
+        # The note shown by the discovery surfaces and the rule the executor
+        # batches by are the same fact, per state encoding.
+        flat = build_batch_kernel(build_algorithm("naive-majority"))
+        boosted = build_batch_kernel(build_algorithm("corollary1"))
+        declared = DeterminismClass(
+            flat=bit_identical(flat, strategy),
+            boosted=bit_identical(boosted, strategy),
+        )
+        assert adversary_coverage_notes()[strategy] == declared.note()
 
     def test_fuzz_catalogue_spans_both_models(self):
         names = {name for name, _, _, _ in FUZZ_ALGORITHMS}

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from repro.campaigns.cli import main as campaigns_main
 from repro.cli import main as repro_main
 from repro.obs import (
     CampaignFinished,
@@ -29,6 +28,11 @@ RUN_ARGS = [
     "5",
     "--quiet",
 ]
+
+
+def campaigns_main(argv: list[str]) -> int:
+    """``python -m repro campaign <argv>``."""
+    return repro_main(["campaign", *argv])
 
 
 def define_campaign(tmp_path) -> str:

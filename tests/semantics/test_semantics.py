@@ -97,12 +97,18 @@ class TestCompleteness:
             assert ("bit-identical" in note) == spec.batch_deterministic, spec.name
             assert ("statistically equivalent" in note) != spec.batch_deterministic
 
-    def test_batch_kernel_dispatch_covers_every_active_strategy(self) -> None:
-        from repro.network.batch import ADVERSARY_BATCH_KERNELS
+    @pytest.mark.parametrize("name", active_strategy_names())
+    def test_batch_kernel_dispatch_covers_every_active_strategy(self, name) -> None:
+        from repro.network.batch import (
+            adversary_kernel_available,
+            build_adversary_kernel,
+            build_batch_kernel,
+        )
 
-        assert tuple(sorted(ADVERSARY_BATCH_KERNELS)) == active_strategy_names()
-        for name, kernel_cls in ADVERSARY_BATCH_KERNELS.items():
-            assert kernel_cls is adversary_semantics(name).kernel_class()
+        kernel = build_batch_kernel(build_algorithm("naive-majority"))
+        assert adversary_kernel_available(name)
+        built = build_adversary_kernel(name, kernel)
+        assert type(built) is adversary_semantics(name).kernel_class()
 
     def test_coverage_notes_cover_the_whole_vocabulary(self) -> None:
         notes = adversary_coverage_notes()
