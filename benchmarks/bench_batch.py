@@ -112,7 +112,6 @@ BENCH_CASES: tuple[BatchBenchCase, ...] = (
         name="pseudo-random-boosted-pulling",
         spec=_case_spec(
             name="pseudo-random-boosted-pulling",
-            model="pulling",
             algorithms=(
                 AlgorithmSpec.create("pseudo-random-boosted", {"sample_size": 3}),
             ),

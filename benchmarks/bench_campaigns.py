@@ -100,7 +100,6 @@ def _pulling_campaign() -> CampaignSpec:
         seed=5,
         max_rounds=40,
         stop_after_agreement=None,
-        model="pulling",
     )
 
 

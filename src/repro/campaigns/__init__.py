@@ -10,9 +10,10 @@ subsystem:
   expand into explicit, self-contained :class:`RunSpec` objects.  All
   randomness (fault sets, simulator seeds) is derived eagerly with
   :func:`repro.util.rng.derive_rng`, so a run's outcome is a pure function of
-  its spec.  Grids carry a ``model`` axis: ``"broadcast"`` (Section 2) or
-  ``"pulling"`` (Section 5, sweeping :class:`PullingAlgorithm` catalogue
-  entries and recording ``max_pulls`` / ``max_bits`` per run).
+  its spec.  A run names catalogue entries only: each algorithm runs in the
+  communication model its catalogue entry declares (Section 2 broadcast or
+  Section 5 pulling, the latter recording ``max_pulls`` / ``max_bits`` per
+  run), so one grid may mix models.
 * :mod:`repro.campaigns.executor` — a :class:`SerialExecutor` (the reference)
   and a :class:`ParallelExecutor` that distributes chunks of runs over a
   :mod:`multiprocessing` pool.  Both produce **bit-identical per-run
@@ -70,7 +71,6 @@ from repro.campaigns.results import (
 from repro.campaigns.runner import CampaignReport, run_campaign
 from repro.campaigns.spec import (
     FAULT_PATTERNS,
-    MODELS,
     AlgorithmSpec,
     CampaignSpec,
     RunSpec,
@@ -81,7 +81,6 @@ __all__ = [
     "CampaignSpec",
     "RunSpec",
     "FAULT_PATTERNS",
-    "MODELS",
     "RunResult",
     "CampaignStore",
     "reduce_values",

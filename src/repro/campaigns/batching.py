@@ -98,20 +98,18 @@ def group_runs(
     """Partition specs into batchable groups plus scalar-only leftovers.
 
     A group collects the indices of specs that share one configuration —
-    the prerequisite for folding their trials into one batch.  Specs with
-    pre-built algorithm or adversary *instances* are never grouped (their
+    the prerequisite for folding their trials into one batch.  The
+    declarative algorithm also fixes the group's communication model.
+    Specs with pre-built algorithm *instances* are never grouped (their
     mutable state cannot be assumed shareable across trials).
     """
     groups: dict[tuple, list[int]] = {}
     scalar: list[int] = []
     for index, spec in enumerate(specs):
-        if not isinstance(spec.algorithm, AlgorithmSpec) or not (
-            spec.adversary is None or isinstance(spec.adversary, str)
-        ):
+        if not isinstance(spec.algorithm, AlgorithmSpec):
             scalar.append(index)
             continue
         key = (
-            spec.model,
             spec.algorithm,
             spec.adversary,
             spec.adversary_params,
@@ -198,7 +196,7 @@ class BatchExecutor:
             fall_back(
                 f"{len(scalar_indices)} run(s) with pre-built instances",
                 len(scalar_indices),
-                "pre-built algorithm or adversary instances are never grouped",
+                "pre-built algorithm instances are never grouped",
             )
         for key, indices in groups.items():
             group = [spec_list[index] for index in indices]
@@ -291,11 +289,6 @@ class BatchExecutor:
                     f"adversary strategy {spec.adversary!r} has no "
                     "vectorised kernel"
                 )
-            elif kernel.model != spec.model:
-                reason = (
-                    f"kernel model {kernel.model!r} does not match the run "
-                    f"model {spec.model!r}"
-                )
         label = _group_label(spec, algorithm)
         if reason is not None:
             if self.engine == "batch":
@@ -346,11 +339,7 @@ class BatchExecutor:
         """Vectorised execution of one homogeneous group."""
         spec = group[0]
         trials = [
-            BatchTrial(
-                sim_seed=member.sim_seed,
-                faulty=member.faulty,
-                metadata=(("run_id", member.run_id), *member.tags),
-            )
+            BatchTrial(sim_seed=member.sim_seed, faulty=member.faulty)
             for member in group
         ]
         summaries = run_batch_summaries(

@@ -19,16 +19,17 @@ Usage::
     python -m repro campaign summarize demo.jsonl
 
     # Pulling-model grids (Theorem 4 / Corollary 4 message complexity)
-    python -m repro campaign define --name pulls --model pulling \\
+    python -m repro campaign define --name pulls \\
         --algorithm "sampled-boosted:sample_size=4" \\
         --adversary phase-king-skew --num-faults 1 \\
         --runs 10 --max-rounds 120 --out pulls.campaign.json
 
 Algorithm arguments use ``name`` or ``name:key=value,key=value`` where the
 names come from the semantics catalogue (``repro list algorithms``) and values
-are parsed as JSON scalars when possible (``levels=2`` is an int).  Pulling
-campaigns (``--model pulling``) take pulling-model algorithm names
-(``sampled-boosted``, ``pseudo-random-boosted``) and record per-run
+are parsed as JSON scalars when possible (``levels=2`` is an int).  Each
+algorithm runs in the communication model its catalogue entry declares, so
+no flag names the model and one grid may mix models: pulling-model
+algorithms (``sampled-boosted``, ``pseudo-random-boosted``) record per-run
 ``max_pulls`` / ``max_bits`` statistics in the result store.
 """
 
@@ -46,7 +47,6 @@ from repro.campaigns.runner import run_campaign
 from repro.campaigns.spec import (
     ENGINES,
     FAULT_PATTERNS,
-    MODELS,
     AlgorithmSpec,
     CampaignSpec,
 )
@@ -159,10 +159,10 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         runs_per_setting=args.runs,
         seed=args.seed,
         max_rounds=args.max_rounds,
-        stop_after_agreement=args.stop_after_agreement,
+        # 0 on the command line disables early stopping.
+        stop_after_agreement=args.stop_after_agreement or None,
         min_tail=args.min_tail,
         fault_pattern=args.fault_pattern,
-        model=args.model,
         engine=args.engine,
         loss=getattr(args, "loss", 0.0),
         delay=getattr(args, "delay", 0),
@@ -205,15 +205,6 @@ def register_commands(subparsers) -> None:
         type=parse_num_faults,
         metavar="N|auto",
         help="faults per run (repeatable; default: auto = the algorithm's f)",
-    )
-    define.add_argument(
-        "--model",
-        choices=list(MODELS),
-        default="broadcast",
-        help=(
-            "communication model of the grid: 'broadcast' (Section 2) or "
-            "'pulling' (Section 5, records max_pulls/max_bits statistics)"
-        ),
     )
     define.add_argument(
         "--engine",
@@ -317,9 +308,6 @@ def register_commands(subparsers) -> None:
 
 def _command_define(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
-    # Normalise 0 to None for "no early stopping".
-    if spec.stop_after_agreement == 0:
-        spec = CampaignSpec.from_dict({**spec.to_dict(), "stop_after_agreement": None})
     runs = spec.expand()
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)

@@ -20,7 +20,6 @@ as a named fallback — a dead worker costs throughput, never results.
 from __future__ import annotations
 
 import copy
-import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -30,7 +29,6 @@ from typing import Any, Callable, Iterable
 
 from repro.campaigns.results import RunResult, reduce_values
 from repro.campaigns.spec import AlgorithmSpec, RunSpec
-from repro.network.adversary import Adversary
 from repro.network.engine import ModelAdapter, run_engine
 from repro.network.pulling import PullingModel
 from repro.network.simulator import BroadcastModel
@@ -63,11 +61,12 @@ def execute_run(spec: RunSpec, observer: Observer | None = None) -> RunResult:
     is captured in the returned result's ``error`` field so one broken run
     cannot abort a campaign.
 
-    Purity: caller-provided algorithm/adversary *instances* are deep-copied
-    so that runs never share mutable state (a shared instance would make
-    results depend on execution order and process placement), and
-    non-deterministic algorithms exposing ``reseed`` are reseeded from the
-    spec's ``sim_seed`` so their internal randomness is pinned per run.
+    Purity: a caller-provided algorithm *instance* is deep-copied so that
+    runs never share mutable state (a shared instance would make results
+    depend on execution order and process placement), the adversary is
+    built afresh from its strategy name, and non-deterministic algorithms
+    exposing ``reseed`` are reseeded from the spec's ``sim_seed`` so their
+    internal randomness is pinned per run.
     ``observer`` is forwarded into the simulation engine (in-process callers
     only — pool workers always run unobserved and report timings back by
     value instead).
@@ -80,8 +79,6 @@ def execute_run(spec: RunSpec, observer: Observer | None = None) -> RunResult:
         if not algorithm.deterministic and callable(reseed):
             reseed(derive_rng(spec.sim_seed, "algorithm-rng").getrandbits(64))
         adversary = spec.resolve_adversary()
-        if isinstance(spec.adversary, Adversary):
-            adversary = copy.deepcopy(adversary)
         # Loss/delay knobs and fault schedules (validated against the
         # algorithm and the baseline adversary inside the broadcast model;
         # RunSpec itself rejects perturbed pulling runs).
@@ -275,9 +272,6 @@ class ParallelExecutor:
         Specs per task handed to a worker; defaults to roughly four tasks
         per worker, which amortises IPC overhead while keeping the work
         distribution balanced when run durations vary.
-    mp_context:
-        Optional multiprocessing start-method context (e.g.
-        ``multiprocessing.get_context("spawn")``).
     observer:
         Optional :class:`~repro.obs.observer.Observer`.  Workers never see
         it — they measure locally (per-run wall time travels back with each
@@ -299,12 +293,10 @@ class ParallelExecutor:
         self,
         processes: int | None = None,
         chunksize: int | None = None,
-        mp_context: multiprocessing.context.BaseContext | None = None,
         observer: Observer | None = None,
     ) -> None:
         self.processes = processes
         self.chunksize = chunksize
-        self._mp_context = mp_context
         self.observer = observer
         self.stats = ExecutorStats()
 
@@ -362,9 +354,7 @@ class ParallelExecutor:
             for start in range(0, len(indexed), chunksize)
         ]
         pool_broken = False
-        with ProcessPoolExecutor(
-            max_workers=processes, mp_context=self._mp_context
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             futures = [pool.submit(_execute_chunk, chunk) for chunk in chunks]
             for future in as_completed(futures):
                 try:

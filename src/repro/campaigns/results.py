@@ -408,8 +408,9 @@ def summarize_results(
     distribution of stabilisation rounds.  ``within_bound`` is ``True`` only
     when every successful run stabilised at or before the counter's bound;
     a run that never stabilised counts against a bound that other runs show
-    exists, and a group without any verdict whose runs did not all stabilise
-    reads ``"-"``.
+    exists, and a group without any verdict reads ``"-"`` unless it has
+    successful runs and every one of them stabilised (so a group whose runs
+    all failed reads ``"-"``).
     """
     # Imported lazily: experiments.common itself builds on the campaign
     # engine, so a module-level import would be circular.
@@ -439,9 +440,10 @@ def summarize_results(
             # stabilised) counts against it.
             within_bound = all(r.within_bound for r in ok)
         else:
-            # No verdicts.  If every run stabilised, the counter has no
-            # bound to miss; otherwise nothing tells whether it has one.
-            within_bound = True if len(stabilized) == len(ok) else "-"
+            # No verdicts.  If every successful run stabilised, the counter
+            # has no bound to miss; otherwise (or with no successful run)
+            # nothing tells whether it has one.
+            within_bound = True if ok and len(stabilized) == len(ok) else "-"
         row: dict[str, Any] = dict(zip(group_by, key))
         row.update(
             runs=len(bucket),

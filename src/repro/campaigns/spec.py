@@ -1,9 +1,11 @@
 """Declarative campaign specifications and their expansion into runs.
 
-A *campaign* is a grid of simulation settings: a communication model
-(broadcast or pulling), algorithms (named catalogue entries with parameters),
-adversary strategies, fault counts and repetitions, sharing one simulation
-configuration envelope.
+A *campaign* is a grid of simulation settings: algorithms (named catalogue
+entries with parameters), adversary strategies (catalogue names), fault
+counts and repetitions, sharing one simulation configuration envelope.  A run
+carries only what the catalogue cannot tell: each algorithm runs in the
+communication model (broadcast or pulling) its catalogue entry declares, so
+one grid may mix models.
 :meth:`CampaignSpec.expand` flattens the grid into fully explicit
 :class:`RunSpec` objects — each one a pure, self-contained description of a
 single simulation (algorithm, adversary, faulty set, simulation seed).
@@ -30,7 +32,7 @@ from repro.network.adversary import (
     random_faulty_set,
     spread_faults,
 )
-from repro.semantics import adversary_semantics, build_algorithm
+from repro.semantics import ALGORITHM_SEMANTICS, adversary_semantics, build_algorithm
 from repro.util.rng import derivation_base, derive_rng_from_base
 
 __all__ = [
@@ -38,15 +40,11 @@ __all__ = [
     "RunSpec",
     "CampaignSpec",
     "FAULT_PATTERNS",
-    "MODELS",
     "ENGINES",
 ]
 
 #: Supported fault-placement patterns for campaign grids.
 FAULT_PATTERNS = ("random", "spread")
-
-#: Supported communication models for campaign grids.
-MODELS = ("broadcast", "pulling")
 
 #: Supported execution engines: ``"auto"`` vectorises the run groups whose
 #: batch execution is bit-identical to the scalar engine, ``"batch"`` forces
@@ -66,20 +64,20 @@ def _as_items(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None) -> t
     return tuple(sorted((str(key), value) for key, value in items))
 
 
-def _validate_perturbation_knobs(
-    owner: str, model: str, loss: float, delay: int, fault_schedule: str | None
-) -> None:
-    """Shared range/model validation for the perturbation fields."""
+def _validate_perturbation_knobs(owner: str, loss: float, delay: int) -> None:
+    """Shared range validation for the perturbation fields."""
     if not 0.0 <= loss < 1.0:
         raise ParameterError(f"{owner}: loss must be in [0, 1), got {loss}")
     if delay < 0:
         raise ParameterError(f"{owner}: delay must be non-negative, got {delay}")
-    perturbed = loss > 0.0 or delay > 0 or fault_schedule is not None
-    if perturbed and model == "pulling":
-        raise ParameterError(
-            f"{owner}: perturbations (loss/delay/fault schedules) apply to "
-            "the broadcast model only"
-        )
+
+
+def _pulling_perturbation_error(owner: str) -> ParameterError:
+    """The error for perturbing a run of a pulling-model algorithm."""
+    return ParameterError(
+        f"{owner}: perturbations (loss/delay/fault schedules) apply to "
+        "the broadcast model only"
+    )
 
 
 @dataclass(frozen=True)
@@ -146,21 +144,21 @@ class RunSpec:
     seeds the simulator, so executing the spec is deterministic.  The
     ``algorithm`` is either a declarative :class:`AlgorithmSpec` (campaigns,
     CLI) or a pre-built algorithm instance (library callers such as
-    :func:`repro.experiments.common.run_counter_trials`); likewise the
-    ``adversary`` is a strategy name or a pre-built instance.
+    :func:`repro.experiments.common.run_counter_trials`), and it decides the
+    run's communication model (:attr:`model`).  The ``adversary`` is a
+    strategy name from the catalogue (``None`` for a fault-free run), built
+    over ``faulty`` when the run executes.
     """
 
     run_id: str
     algorithm: AlgorithmSpec | SynchronousCountingAlgorithm | Any
-    adversary: str | Adversary | None = None
+    adversary: str | None = None
     adversary_params: tuple[tuple[str, Any], ...] = ()
     faulty: tuple[int, ...] = ()
     sim_seed: int = 0
     max_rounds: int = 1000
     stop_after_agreement: int | None = 20
     min_tail: int = 2
-    tags: tuple[tuple[str, Any], ...] = ()
-    model: str = "broadcast"
     #: Message-plane perturbations: per-link loss probability and maximum
     #: delivery delay in rounds (broadcast model only; 0/0 = off).
     loss: float = 0.0
@@ -172,14 +170,31 @@ class RunSpec:
     fault_schedule_params: tuple[tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.model not in MODELS:
+        if self.adversary is not None and not isinstance(self.adversary, str):
             raise ParameterError(
-                f"run {self.run_id!r} names unknown model {self.model!r}; "
-                f"expected one of {MODELS}"
+                f"run {self.run_id!r}: the adversary must be a strategy name "
+                f"or None, got a {type(self.adversary).__name__} instance"
             )
-        _validate_perturbation_knobs(
-            self.run_id, self.model, self.loss, self.delay, self.fault_schedule
-        )
+        _validate_perturbation_knobs(self.run_id, self.loss, self.delay)
+        if self.perturbed and self.model == "pulling":
+            raise _pulling_perturbation_error(self.run_id)
+
+    @property
+    def model(self) -> str:
+        """The communication model the run executes in, decided by its algorithm.
+
+        A named algorithm runs in the model its catalogue entry declares; an
+        unknown name reads ``"broadcast"`` (the run then fails when it builds
+        the algorithm).  A pre-built instance runs in the pulling model
+        exactly when it is a :class:`~repro.network.pulling.PullingAlgorithm`.
+        """
+        if isinstance(self.algorithm, AlgorithmSpec):
+            semantics = ALGORITHM_SEMANTICS.get(self.algorithm.name)
+            return "broadcast" if semantics is None else semantics.model
+        from repro.network.pulling import PullingAlgorithm
+
+        pulling = isinstance(self.algorithm, PullingAlgorithm)
+        return "pulling" if pulling else "broadcast"
 
     @property
     def perturbed(self) -> bool:
@@ -208,7 +223,7 @@ class RunSpec:
     def resolve_algorithm(self) -> SynchronousCountingAlgorithm | Any:
         """Return the algorithm instance this run executes.
 
-        For ``model="pulling"`` runs this is a
+        For a pulling-model algorithm this is a
         :class:`~repro.network.pulling.PullingAlgorithm`.
         """
         if isinstance(self.algorithm, AlgorithmSpec):
@@ -224,8 +239,6 @@ class RunSpec:
                     "but no adversary strategy"
                 )
             return NoAdversary()
-        if isinstance(self.adversary, Adversary):
-            return self.adversary
         return build_adversary(
             self.adversary, self.faulty, **dict(self.adversary_params)
         )
@@ -240,8 +253,6 @@ class RunSpec:
         """Human-readable adversary identifier for results and tables."""
         if self.adversary is None:
             return "none"
-        if isinstance(self.adversary, Adversary):
-            return type(self.adversary).__name__
         return self.adversary
 
 
@@ -252,7 +263,9 @@ class CampaignSpec:
     The cartesian product ``algorithms × adversaries × num_faults ×
     runs_per_setting`` expands into :class:`RunSpec` objects with stable,
     human-readable ``run_id`` strings — the keys used by the result store to
-    resume interrupted campaigns.
+    resume interrupted campaigns.  Each algorithm runs in the communication
+    model its catalogue entry declares, so one grid may mix broadcast and
+    pulling algorithms.
     """
 
     name: str
@@ -266,7 +279,6 @@ class CampaignSpec:
     min_tail: int = 2
     fault_pattern: str = "random"
     metadata: tuple[tuple[str, Any], ...] = ()
-    model: str = "broadcast"
     engine: str = "auto"
     loss: float = 0.0
     delay: int = 0
@@ -276,13 +288,7 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ParameterError("campaign name must be non-empty")
-        _validate_perturbation_knobs(
-            f"campaign {self.name!r}",
-            self.model,
-            self.loss,
-            self.delay,
-            self.fault_schedule,
-        )
+        _validate_perturbation_knobs(f"campaign {self.name!r}", self.loss, self.delay)
         if self.fault_schedule is not None:
             from repro.semantics import fault_schedule_semantics
 
@@ -300,10 +306,6 @@ class CampaignSpec:
                     "set over time, so scheduled campaigns must list "
                     "adversaries=('none',)"
                 )
-        if self.model not in MODELS:
-            raise ParameterError(
-                f"unknown model {self.model!r}; expected one of {MODELS}"
-            )
         if self.engine not in ENGINES:
             raise ParameterError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
@@ -318,6 +320,13 @@ class CampaignSpec:
             )
         if self.max_rounds < 1:
             raise ParameterError(f"max_rounds must be positive, got {self.max_rounds}")
+        # None disables early stopping; the engines reject anything else
+        # below 1, so the grid does too, before any run exists.
+        window = self.stop_after_agreement
+        if window is not None and window < 1:
+            raise ParameterError(f"stop_after_agreement must be positive, got {window}")
+        if self.min_tail < 1:
+            raise ParameterError(f"min_tail must be at least 1, got {self.min_tail}")
         if self.fault_pattern not in FAULT_PATTERNS:
             raise ParameterError(
                 f"unknown fault pattern {self.fault_pattern!r}; "
@@ -337,10 +346,15 @@ class CampaignSpec:
         # Every run derives its stream from the campaign seed; the seed's
         # base is the same for all of them, so it is drawn once.
         base = derivation_base(self.seed)
+        perturbed = (
+            self.loss > 0.0 or self.delay > 0 or self.fault_schedule is not None
+        )
         runs: dict[str, RunSpec] = {}
         for algorithm_spec in self.algorithms:
             algorithm = algorithm_spec.build()
             label = algorithm_spec.label()
+            if perturbed and isinstance(algorithm, PullingAlgorithm):
+                raise _pulling_perturbation_error(f"campaign {self.name!r}")
             if self.fault_schedule is not None:
                 from repro.semantics import fault_schedule_semantics
 
@@ -350,13 +364,6 @@ class CampaignSpec:
                 fault_schedule_semantics(self.fault_schedule).build(
                     **dict(self.fault_schedule_params)
                 ).validate(algorithm)
-            is_pulling = isinstance(algorithm, PullingAlgorithm)
-            if is_pulling != (self.model == "pulling"):
-                raise ParameterError(
-                    f"campaign {self.name!r} declares model {self.model!r} but "
-                    f"{label} is a "
-                    f"{'pulling' if is_pulling else 'broadcast'}-model algorithm"
-                )
             for strategy in self.adversaries:
                 for requested_faults in self.num_faults:
                     faults = (
@@ -429,8 +436,6 @@ class CampaignSpec:
             max_rounds=self.max_rounds,
             stop_after_agreement=self.stop_after_agreement,
             min_tail=self.min_tail,
-            tags=(("campaign", self.name), ("repetition", repetition)),
-            model=self.model,
             loss=self.loss,
             delay=self.delay,
             fault_schedule=self.fault_schedule,
@@ -455,7 +460,6 @@ class CampaignSpec:
             "min_tail": self.min_tail,
             "fault_pattern": self.fault_pattern,
             "metadata": dict(self.metadata),
-            "model": self.model,
             "engine": self.engine,
             "loss": self.loss,
             "delay": self.delay,
@@ -465,7 +469,11 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Definition files written before the model was derived from the
+        algorithms carry a ``"model"`` key; it is ignored.
+        """
         return cls(
             name=data["name"],
             algorithms=tuple(
@@ -480,7 +488,6 @@ class CampaignSpec:
             min_tail=int(data.get("min_tail", 2)),
             fault_pattern=data.get("fault_pattern", "random"),
             metadata=_as_items(data.get("metadata")),
-            model=data.get("model", "broadcast"),
             engine=data.get("engine", "auto"),
             loss=float(data.get("loss", 0.0)),
             delay=int(data.get("delay", 0)),

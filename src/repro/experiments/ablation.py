@@ -26,7 +26,7 @@ from repro.core.recursion import figure2_counter
 from repro.counters.naive import NaiveMajorityCounter
 from repro.counters.trivial import TrivialCounter
 from repro.experiments.common import ExperimentResult, run_counter_trials, summarize_trials
-from repro.network.adversary import AdaptiveSplitAdversary, build_adversary
+from repro.network.adversary import AdaptiveSplitAdversary
 
 __all__ = [
     "run_block_count_ablation",
@@ -102,15 +102,9 @@ def run_adversary_ablation(
     result = ExperimentResult(name="Ablation — adversary strategies on A(12, 3)")
     counter = figure2_counter(levels=1, c=2)
     for name in strategies:
-        # Routed through build_adversary so an accidentally empty faulty set
-        # fails loudly instead of silently running fault-free; a bare
-        # strategy-class constructor would accept it.
-        def factory(faulty, name=name):
-            return build_adversary(name, faulty)
-
         metrics = run_counter_trials(
             counter,
-            adversary_factory=factory,
+            adversary=name,
             trials=trials,
             max_rounds=max_rounds,
             stop_after_agreement=16,

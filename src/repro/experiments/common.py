@@ -4,27 +4,25 @@
   Markdown renderers (the same structure is consumed by the benchmarks and
   by EXPERIMENTS.md).
 * :func:`run_counter_trials` — run a counter repeatedly under randomly drawn
-  fault patterns and adversaries, returning per-trial metrics.
+  fault patterns and one named adversary strategy, returning per-trial
+  metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.analysis.metrics import TrialMetrics
 from repro.analysis.stats import summarize
 from repro.campaigns.executor import ParallelExecutor, SerialExecutor
 from repro.campaigns.spec import RunSpec
 from repro.core.algorithm import SynchronousCountingAlgorithm
-from repro.core.errors import SimulationError
-from repro.network.adversary import Adversary, random_faulty_set
+from repro.core.errors import ParameterError, SimulationError
+from repro.network.adversary import random_faulty_set
 from repro.util.rng import derive_rng, ensure_rng
 
 __all__ = ["ExperimentResult", "run_counter_trials", "summarize_trials"]
-
-#: Factory turning a faulty set into an adversary instance.
-AdversaryFactory = Callable[[frozenset[int]], Adversary]
 
 
 @dataclass
@@ -109,7 +107,7 @@ class ExperimentResult:
 
 def run_counter_trials(
     algorithm: SynchronousCountingAlgorithm,
-    adversary_factory: AdversaryFactory,
+    adversary: str,
     trials: int,
     max_rounds: int,
     num_faults: int | None = None,
@@ -131,11 +129,12 @@ def run_counter_trials(
     ----------
     algorithm:
         Counter under test.
-    adversary_factory:
-        Callable producing an adversary from a faulty set.
+    adversary:
+        Strategy name from the catalogue (``repro list adversaries``); each
+        trial builds it over its own faulty set.
     trials:
         Number of independent trials (different fault sets, initial states
-        and adversary randomness).
+        and adversary randomness); at least 1.
     max_rounds:
         Per-trial round cap (normally the theoretical stabilisation bound or
         a generous multiple of the typical stabilisation time).
@@ -151,6 +150,8 @@ def run_counter_trials(
     executor:
         Campaign executor to run the trials on (default: serial, in-process).
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     faults = algorithm.f if num_faults is None else num_faults
     master = ensure_rng(seed)
     specs: list[RunSpec] = []
@@ -164,7 +165,7 @@ def run_counter_trials(
             RunSpec(
                 run_id=f"trial-{trial}",
                 algorithm=algorithm,
-                adversary=adversary_factory(faulty),
+                adversary=adversary,
                 faulty=tuple(sorted(faulty)),
                 sim_seed=trial_rng.getrandbits(32),
                 max_rounds=max_rounds,

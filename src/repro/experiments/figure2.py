@@ -22,7 +22,6 @@ the 36-node level, which takes a few minutes).
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 from repro.core.boosting import BoostedCounter, BoostedState
@@ -36,7 +35,6 @@ from repro.experiments.common import (
 from repro.network.adversary import (
     PhaseKingSkewAdversary,
     block_concentrated_faults,
-    build_adversary,
     random_faulty_set,
 )
 from repro.network.simulator import SimulationConfig, run_simulation
@@ -104,7 +102,7 @@ def run_figure2(
     for adversary_name in adversaries:
         metrics = run_counter_trials(
             counter,
-            adversary_factory=partial(build_adversary, adversary_name),
+            adversary=adversary_name,
             trials=trials,
             max_rounds=max_rounds,
             stop_after_agreement=16,
@@ -137,7 +135,7 @@ def run_figure2(
         pattern = frozenset(scattered)
         metrics = run_counter_trials(
             counter,
-            adversary_factory=PhaseKingSkewAdversary,
+            adversary="phase-king-skew",
             trials=max(3, trials // 2),
             max_rounds=max_rounds,
             stop_after_agreement=16,

@@ -13,10 +13,11 @@ model.  The quantitative claims checked here:
   and after stabilisation the behaviour is deterministic.
 
 Both experiments run through the campaign engine (:mod:`repro.campaigns`):
-the trials are expressed as explicit pulling-model :class:`RunSpec` objects
-(with the exact RNG derivation the pre-campaign loops used, so every
-simulated trace and every measured value is unchanged) and executed by any
-campaign executor — pass a
+the trials are expressed as explicit :class:`RunSpec` objects over
+pulling-model counters, which run in the pulling model their catalogue
+entries declare (with the exact RNG derivation the pre-campaign loops used,
+so every simulated trace and every measured value is unchanged) and executed
+by any campaign executor — pass a
 :class:`~repro.campaigns.executor.ParallelExecutor` or use the module's
 ``--jobs`` flag to fan trials out over worker processes.  One display-only
 difference from the pre-campaign tables: non-stabilized Corollary 5 rows
@@ -44,13 +45,9 @@ from repro.analysis.metrics import post_agreement_failure_rate
 from repro.campaigns.executor import ParallelExecutor, SerialExecutor
 from repro.campaigns.results import RunResult
 from repro.campaigns.spec import RunSpec
-from repro.core.errors import SimulationError
+from repro.core.errors import ParameterError, SimulationError
 from repro.experiments.common import ExperimentResult
-from repro.network.adversary import (
-    PhaseKingSkewAdversary,
-    RandomStateAdversary,
-    random_faulty_set,
-)
+from repro.network.adversary import random_faulty_set
 from repro.sampling.thresholds import recommended_sample_size
 from repro.semantics import build_algorithm
 from repro.util.rng import derive_rng, ensure_rng
@@ -81,6 +78,8 @@ def run_corollary4(
     executor: SerialExecutor | ParallelExecutor | None = None,
 ) -> ExperimentResult:
     """E9 — messages pulled per round, stabilisation and reliability vs sample size M."""
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     result = ExperimentResult(name="Corollary 4 — pulling model: messages per round vs sample size")
     master = ensure_rng(seed)
 
@@ -102,13 +101,12 @@ def run_corollary4(
                 RunSpec(
                     run_id=f"c4/M{M}/t{trial}",
                     algorithm=counter,
-                    adversary=PhaseKingSkewAdversary(faulty),
+                    adversary="phase-king-skew",
                     faulty=tuple(sorted(faulty)),
                     sim_seed=rng.getrandbits(32),
                     max_rounds=max_rounds,
                     stop_after_agreement=None,
                     min_tail=20,
-                    model="pulling",
                 )
             )
             stress_rng = derive_rng(master, "c4-stress", M, trial)
@@ -117,13 +115,12 @@ def run_corollary4(
                 RunSpec(
                     run_id=f"c4-stress/M{M}/t{trial}",
                     algorithm=counter,
-                    adversary=PhaseKingSkewAdversary(stress_faulty),
+                    adversary="phase-king-skew",
                     faulty=tuple(sorted(stress_faulty)),
                     sim_seed=stress_rng.getrandbits(32),
                     max_rounds=max_rounds // 2,
                     stop_after_agreement=None,
                     min_tail=20,
-                    model="pulling",
                 )
             )
 
@@ -183,6 +180,8 @@ def run_corollary5(
     executor: SerialExecutor | ParallelExecutor | None = None,
 ) -> ExperimentResult:
     """E10 — pseudo-random counters against an oblivious adversary."""
+    if not link_seeds:
+        raise ParameterError("link_seeds must list at least one seed")
     result = ExperimentResult(name="Corollary 5 — pseudo-random sampling, oblivious adversary")
     master = ensure_rng(seed)
     # Oblivious adversary: the faulty set is fixed before the link seeds are drawn.
@@ -197,13 +196,12 @@ def run_corollary5(
             RunSpec(
                 run_id=f"c5/seed{link_seed}",
                 algorithm=counter,
-                adversary=RandomStateAdversary(oblivious_faulty),
+                adversary="random-state",
                 faulty=tuple(sorted(oblivious_faulty)),
                 sim_seed=rng.getrandbits(32),
                 max_rounds=max_rounds,
                 stop_after_agreement=None,
                 min_tail=confirm_rounds,
-                model="pulling",
             )
         )
 

@@ -34,7 +34,6 @@ from repro.core.recursion import (
 )
 from repro.counters.trivial import TrivialCounter
 from repro.experiments.common import ExperimentResult, run_counter_trials, summarize_trials
-from repro.network.adversary import PhaseKingSkewAdversary
 
 __all__ = [
     "run_theorem1_bounds",
@@ -71,7 +70,7 @@ def run_theorem1_bounds(
         expected_bits = theorem1_space_bits(inner.state_bits(), counter_size)
         metrics = run_counter_trials(
             counter,
-            adversary_factory=PhaseKingSkewAdversary,
+            adversary="phase-king-skew",
             trials=trials,
             max_rounds=min(counter.stabilization_bound() or max_rounds_cap, max_rounds_cap),
             stop_after_agreement=12,
@@ -120,7 +119,7 @@ def run_corollary1_scaling(
             counter = plan.instantiate()
             metrics = run_counter_trials(
                 counter,
-                adversary_factory=PhaseKingSkewAdversary,
+                adversary="phase-king-skew",
                 trials=measured_trials,
                 max_rounds=counter.stabilization_bound() or 4000,
                 stop_after_agreement=12,

@@ -23,7 +23,6 @@ from repro.core.recursion import figure2_counter, optimal_resilience_counter
 from repro.counters.baselines import PRIOR_WORK_MODELS
 from repro.counters.randomized import RandomizedFollowMajorityCounter
 from repro.experiments.common import ExperimentResult, run_counter_trials, summarize_trials
-from repro.network.adversary import PhaseKingSkewAdversary, RandomStateAdversary
 
 __all__ = ["run_table1"]
 
@@ -57,7 +56,7 @@ def run_table1(
     randomized = RandomizedFollowMajorityCounter(n=4, f=1, c=2, seed=seed)
     randomized_metrics = run_counter_trials(
         randomized,
-        adversary_factory=RandomStateAdversary,
+        adversary="random-state",
         trials=randomized_trials,
         max_rounds=randomized_max_rounds,
         stop_after_agreement=8,
@@ -90,7 +89,7 @@ def run_table1(
     corollary1 = optimal_resilience_counter(f=1, c=2)
     corollary1_metrics = run_counter_trials(
         corollary1,
-        adversary_factory=PhaseKingSkewAdversary,
+        adversary="phase-king-skew",
         trials=trials,
         max_rounds=max_rounds,
         stop_after_agreement=16,
@@ -119,7 +118,7 @@ def run_table1(
     boosted = figure2_counter(levels=1, c=2)
     boosted_metrics = run_counter_trials(
         boosted,
-        adversary_factory=PhaseKingSkewAdversary,
+        adversary="phase-king-skew",
         trials=max(3, trials // 2),
         max_rounds=max_rounds,
         stop_after_agreement=16,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 
 from repro.consensus.phase_king import run_phase_king_consensus
+from repro.core.errors import ParameterError
 from repro.core.phase_king import INFINITY, PhaseKingRegisters, phase_king_step
 from repro.experiments.common import ExperimentResult
 from repro.util.rng import ensure_rng
@@ -109,6 +110,8 @@ def run_table2(
     seed: int = 0,
 ) -> ExperimentResult:
     """Regenerate the Table 2 behavioural checks (Lemmas 4 and 5) plus the classic protocol."""
+    if trials < 1:
+        raise ParameterError(f"trials must be at least 1, got {trials}")
     rng = ensure_rng(seed)
     result = ExperimentResult(name="Table 2 — phase king instruction sets (Lemmas 4 & 5)")
     for N, F in settings:

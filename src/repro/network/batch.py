@@ -115,13 +115,13 @@ _DISAGREE = -1
 
 @dataclass(frozen=True)
 class BatchTrial:
-    """One trial of a batched group: the seed, faulty set and trace tags.
+    """One trial of a batched group: the seed, faulty set and trace entries.
 
     Mirrors what :func:`repro.campaigns.executor.execute_run` feeds the
     scalar engine for one :class:`~repro.campaigns.spec.RunSpec`: ``sim_seed``
-    is the master seed the RNG streams derive from, ``faulty`` the explicit
-    Byzantine set, and ``metadata`` the caller entries (run id, tags) merged
-    into the trace header.
+    is the master seed the RNG streams derive from and ``faulty`` the
+    explicit Byzantine set.  ``metadata`` holds caller entries merged into
+    the trace header; only recorded traces read it.
     """
 
     sim_seed: int

@@ -83,11 +83,9 @@ def stop_step(
 
     Written in plain arithmetic, so the scalar engine calls it with Python
     ints and the batch engine with ``(B,)`` arrays, one trial per entry.
+    Both engines check ``max_rounds`` and ``window`` once per run, before
+    the first round.
     """
-    if max_rounds < 1:
-        raise SimulationError(f"max_rounds must be positive, got {max_rounds}")
-    if window is not None and window < 1:
-        raise SimulationError(f"stop_after_agreement must be positive, got {window}")
     # ``prev`` only counts where ``streak`` is positive: after a disagreement
     # (``prev = -1``) and before the gate the streak is 0, so the next
     # agreeing round restarts it at 1 whatever ``prev`` holds.
@@ -112,10 +110,6 @@ class ModelAdapter(ABC):
     :class:`~repro.network.pulling.PullingAlgorithm`: ``n``, ``c``, ``info``,
     ``output``, ``random_state`` and ``is_valid_state``.
     """
-
-    #: Model key recorded in trace metadata ("broadcast" models omit it for
-    #: backwards compatibility; see :meth:`trace_metadata`).
-    model = "abstract"
 
     def __init__(self, algorithm: Any, adversary: Any) -> None:
         self.algorithm = algorithm
@@ -271,6 +265,12 @@ def run_engine(
         run-level counters and timing histograms are always recorded when
         an active observer is present.
     """
+    if max_rounds < 1:
+        raise SimulationError(f"max_rounds must be positive, got {max_rounds}")
+    if stop_after_agreement is not None and stop_after_agreement < 1:
+        raise SimulationError(
+            f"stop_after_agreement must be positive, got {stop_after_agreement}"
+        )
     model.validate()
 
     master_rng = ensure_rng(seed)

@@ -196,8 +196,6 @@ class PullingModel(ModelAdapter):
     which the Corollary 4 experiment aggregates.
     """
 
-    model = "pulling"
-
     def bind(self, master_rng: random.Random) -> None:
         self._init_rng, self._adversary_rng, self._sample_rng = derive_streams(
             master_rng, "initial-states", "adversary", "sampling"

@@ -129,8 +129,6 @@ class BroadcastModel(ModelAdapter):
     stay bit-identical.
     """
 
-    model = "broadcast"
-
     def __init__(
         self, algorithm: Any, adversary: Any, perturbations: Any = None
     ) -> None:

@@ -30,9 +30,10 @@ so partial chains can be shared and specialised freely::
 
 Component names and algorithm parameters are checked eagerly against the
 semantics catalogue (:mod:`repro.semantics`), so typos fail at build time
-with the registered alternatives (or the parameter schema) listed, and the
-communication model (broadcast vs pulling) is inferred from the algorithm's
-catalogue entry — a pulling-model scenario needs no extra flag.
+with the registered alternatives (or the parameter schema) listed.  Each
+algorithm runs in the communication model (broadcast vs pulling) its
+catalogue entry declares, so a pulling-model scenario needs no extra flag
+and one scenario may mix models.
 
 Execution speed is governed by :meth:`Scenario.engine`: the default
 ``"auto"`` transparently runs deterministic, kernel-covered grid groups
@@ -101,7 +102,6 @@ class Scenario:
     _min_tail: int = 2
     _fault_pattern: str = "random"
     _metadata: tuple[tuple[str, Any], ...] = ()
-    _model: str | None = None
     _engine: str = "auto"
     _loss: float = 0.0
     _delay: int = 0
@@ -117,23 +117,12 @@ class Scenario:
         """Add a catalogue algorithm (with parameters) to the scenario.
 
         The name and the parameters are checked eagerly against the
-        algorithm's semantics; the scenario's communication model is
-        inferred from it (all algorithms of one scenario must share a model).
+        algorithm's semantics; the algorithm runs in the communication
+        model its catalogue entry declares.
         """
-        semantics = algorithm_semantics(name)
-        semantics.validate(params)
-        if self._model is not None and semantics.model != self._model:
-            raise ParameterError(
-                f"cannot mix models in one scenario: {name!r} is a "
-                f"{semantics.model}-model algorithm but the scenario already "
-                f"uses model {self._model!r}"
-            )
+        algorithm_semantics(name).validate(params)
         spec = AlgorithmSpec.create(name, params)
-        return dataclasses.replace(
-            self,
-            _algorithms=self._algorithms + (spec,),
-            _model=semantics.model,
-        )
+        return dataclasses.replace(self, _algorithms=self._algorithms + (spec,))
 
     def adversary(self, *names: str) -> "Scenario":
         """Add one or more adversary strategies (resolved eagerly)."""
@@ -303,7 +292,6 @@ class Scenario:
             min_tail=self._min_tail,
             fault_pattern=self._fault_pattern,
             metadata=self._metadata,
-            model=self._model or "broadcast",
             engine=self._engine,
             loss=self._loss,
             delay=self._delay,

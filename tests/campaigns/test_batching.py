@@ -341,7 +341,6 @@ class TestPullingGroups:
     def test_pseudo_random_boosted_is_bit_identical(self):
         spec = CampaignSpec(
             name="pulls",
-            model="pulling",
             algorithms=(
                 AlgorithmSpec.create("pseudo-random-boosted", {"sample_size": 3}),
             ),

@@ -277,7 +277,11 @@ class TestErrorPaths:
 
 
 class TestPullingModelRoundTrip:
-    """define -> run -> resume -> summarize for a pulling-model grid."""
+    """define -> run -> resume -> summarize for a pulling-model grid.
+
+    No flag names the model: each algorithm runs in the model its catalogue
+    entry declares.
+    """
 
     def define_pulling_campaign(self, tmp_path) -> str:
         spec_path = str(tmp_path / "pull.campaign.json")
@@ -286,8 +290,6 @@ class TestPullingModelRoundTrip:
                 "define",
                 "--name",
                 "pull-demo",
-                "--model",
-                "pulling",
                 "--algorithm",
                 "sampled-boosted:sample_size=2",
                 "--adversary",
@@ -309,11 +311,28 @@ class TestPullingModelRoundTrip:
         assert code == 0
         return spec_path
 
-    def test_define_records_model(self, tmp_path):
+    def test_define_needs_no_model_flag(self, tmp_path, capsys):
         spec_path = self.define_pulling_campaign(tmp_path)
         data = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-        assert data["model"] == "pulling"
+        assert "model" not in data
         assert data["algorithms"][0]["name"] == "sampled-boosted"
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "define",
+                    "--name",
+                    "flagged",
+                    "--model",
+                    "pulling",
+                    "--algorithm",
+                    "sampled-boosted:sample_size=2",
+                    "--out",
+                    str(tmp_path / "flagged.json"),
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
+        assert not (tmp_path / "flagged.json").exists()
 
     def test_run_resume_and_summarize(self, tmp_path, capsys):
         spec_path = self.define_pulling_campaign(tmp_path)
@@ -347,23 +366,58 @@ class TestPullingModelRoundTrip:
         assert "max_pulls" in out
         assert "max_bits" in out
 
-    def test_broadcast_algorithm_in_pulling_grid_is_rejected(self, tmp_path, capsys):
+    def test_mixed_grid_runs_each_algorithm_in_its_model(self, tmp_path, capsys):
+        spec_path = str(tmp_path / "mixed.json")
         code = main(
             [
                 "define",
                 "--name",
-                "mismatch",
-                "--model",
-                "pulling",
+                "mixed",
                 "--algorithm",
-                "naive-majority:n=6,c=3,claimed_resilience=1",
+                "figure2:levels=1,c=2",
+                "--algorithm",
+                "sampled-boosted:sample_size=2",
+                "--adversary",
+                "crash",
+                "--num-faults",
+                "1",
+                "--runs",
+                "2",
+                "--max-rounds",
+                "30",
+                "--stop-after-agreement",
+                "5",
                 "--out",
-                str(tmp_path / "x.json"),
+                spec_path,
             ]
         )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "broadcast-model algorithm" in err
+        assert code == 0
+        stores = {}
+        for engine in ("auto", "scalar"):
+            store_path = tmp_path / f"mixed-{engine}.jsonl"
+            assert (
+                main(
+                    ["run", spec_path, "--store", str(store_path), "--engine", engine,
+                     "--quiet"]
+                )
+                == 0
+            )
+            assert "4 executed, 0 resumed, 0 failed" in capsys.readouterr().out
+            rows = [
+                json.loads(line)
+                for line in store_path.read_text(encoding="utf-8").splitlines()
+            ]
+            models = {row["algorithm"].split("(")[0]: row["model"] for row in rows}
+            assert models == {"figure2": "broadcast", "sampled-boosted": "pulling"}
+            for row in rows:
+                assert row["error"] is None
+                assert (row["max_pulls"] is not None) == (row["model"] == "pulling")
+            stores[engine] = sorted(
+                store_path.read_text(encoding="utf-8").splitlines()
+            )
+        # figure2 x crash batches bit-identically under auto; the randomised
+        # pulling group falls back to the scalar engine.
+        assert stores["auto"] == stores["scalar"]
 
     def test_parallel_pulling_run_matches_serial(self, tmp_path):
         spec_path = self.define_pulling_campaign(tmp_path)

@@ -121,8 +121,8 @@ class TestExecuteRun:
             adversary="crash",
             faulty=(3,),
             max_rounds=10,
-            model="pulling",
         )
+        assert (broadcast.model, pulling.model) == ("broadcast", "pulling")
         for spec in (broadcast, pulling):
             result = execute_run(spec)
             assert result.error is None, result.error
@@ -137,10 +137,11 @@ class TestExecuteRun:
         spec = RunSpec(
             run_id="tagged",
             algorithm=AlgorithmSpec.create("trivial", {"c": 2}),
-            tags=(("campaign", "meta-test"),),
         )
         config = SimulationConfig(
-            max_rounds=2, seed=0, metadata={"run_id": spec.run_id, **dict(spec.tags)}
+            max_rounds=2,
+            seed=0,
+            metadata={"run_id": spec.run_id, "campaign": "meta-test"},
         )
         trace = run_simulation(spec.resolve_algorithm(), config=config)
         assert trace.metadata["run_id"] == "tagged"
@@ -163,8 +164,8 @@ class TestPullingRuns:
             sim_seed=9,
             max_rounds=15,
             stop_after_agreement=None,
-            model="pulling",
         )
+        assert spec.model == "pulling"
         result = execute_run(spec)
         assert result.error is None
         assert result.model == "pulling"
@@ -200,7 +201,6 @@ class TestPullingRuns:
             sim_seed=1,
             max_rounds=10,
             stop_after_agreement=None,
-            model="pulling",
         )
         result = execute_run(spec)
         assert result.error is None
@@ -227,14 +227,13 @@ class TestSerialVsParallel:
 
     def test_parallel_handles_instance_specs(self):
         from repro.counters.naive import NaiveMajorityCounter
-        from repro.network.adversary import CrashAdversary
 
         algorithm = NaiveMajorityCounter(n=5, c=2, claimed_resilience=1)
         specs = [
             RunSpec(
                 run_id=f"inst-{index}",
                 algorithm=algorithm,
-                adversary=CrashAdversary([4]),
+                adversary="crash",
                 faulty=(4,),
                 sim_seed=index,
                 max_rounds=20,
@@ -250,14 +249,13 @@ class TestSerialVsParallel:
         # execution order: execute_run deep-copies it and reseeds from the
         # spec, so serial and parallel agree run for run.
         from repro.counters.randomized import RandomizedFollowMajorityCounter
-        from repro.network.adversary import CrashAdversary
 
         algorithm = RandomizedFollowMajorityCounter(n=4, f=1, c=2, seed=0)
         specs = [
             RunSpec(
                 run_id=f"rand-{index}",
                 algorithm=algorithm,
-                adversary=CrashAdversary([3]),
+                adversary="crash",
                 faulty=(3,),
                 sim_seed=1000 + index,
                 max_rounds=300,
@@ -491,7 +489,6 @@ class TestRunResultJson:
             faulty=(1,),
             sim_seed=5,
             max_rounds=20,
-            model="pulling",
         )
         (result,) = BatchExecutor(engine="batch").run([spec])
         assert result.rng is not None and result.max_pulls is not None
@@ -749,6 +746,22 @@ class TestSummarize:
         assert row["within_bound"] is False
         (row,) = summarize_results([judged]).rows
         assert row["within_bound"] is True
+
+    def test_group_whose_runs_all_failed_is_not_within_bound(self):
+        # Zero successful runs say nothing about the bound.
+        failed = [
+            execute_run(
+                RunSpec(
+                    run_id=f"broken-{index}",
+                    algorithm=AlgorithmSpec.create("no-such-algorithm"),
+                )
+            )
+            for index in range(2)
+        ]
+        assert all(result.error is not None for result in failed)
+        (row,) = summarize_results(failed).rows
+        assert (row["runs"], row["failed"], row["stabilized"]) == (2, 2, 0)
+        assert row["within_bound"] == "-"
 
     def test_unbounded_counter_reads_within_bound_once_every_run_stabilised(self):
         # A counter without a bound stores no verdict even when it stabilises.

@@ -8,6 +8,7 @@ from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.core.errors import ParameterError, SimulationError
 from repro.counters.naive import NaiveMajorityCounter
 from repro.network.adversary import CrashAdversary, NoAdversary
+from repro.semantics import build_algorithm
 from repro.util.rng import derive_rng
 
 
@@ -56,12 +57,26 @@ class TestRunSpec:
         assert spec.adversary_label() == "crash"
 
     def test_resolves_instances_directly(self):
+        # A pre-built algorithm resolves to itself; the adversary is always
+        # built from its strategy name over the run's faulty set.
         algorithm = NaiveMajorityCounter(n=4, c=2, claimed_resilience=1)
-        adversary = CrashAdversary([3])
-        spec = RunSpec(run_id="r0", algorithm=algorithm, adversary=adversary)
+        spec = RunSpec(run_id="r0", algorithm=algorithm, adversary="crash", faulty=(3,))
         assert spec.resolve_algorithm() is algorithm
-        assert spec.resolve_adversary() is adversary
-        assert spec.adversary_label() == "CrashAdversary"
+        adversary = spec.resolve_adversary()
+        assert isinstance(adversary, CrashAdversary)
+        assert adversary.faulty == frozenset({3})
+        assert spec.resolve_adversary() is not adversary
+        assert spec.adversary_label() == "crash"
+        assert spec.algorithm_label() == algorithm.info.name
+
+    def test_adversary_instance_rejected(self):
+        with pytest.raises(ParameterError, match="strategy name.*CrashAdversary"):
+            RunSpec(
+                run_id="r0",
+                algorithm=AlgorithmSpec.create("trivial", {"c": 3}),
+                adversary=CrashAdversary([0]),
+                faulty=(0,),
+            )
 
     def test_no_adversary_means_fault_free(self):
         spec = RunSpec(
@@ -114,14 +129,16 @@ class TestCampaignSpec:
             assert all(0 <= node < 6 for node in run.faulty)
             assert run.max_rounds == 50
             # Each run's stream is the one derive_rng gives its grid
-            # coordinate under the campaign seed.
+            # coordinate under the campaign seed; the run id ends in the
+            # repetition.
+            repetition = int(run.run_id.rsplit("/r", 1)[1])
             reference = derive_rng(
                 5,
                 "campaign",
                 run.algorithm.label(),
                 run.adversary,
                 len(run.faulty),
-                dict(run.tags)["repetition"],
+                repetition,
             )
             assert run.faulty == tuple(sorted(reference.sample(range(6), 1)))
             assert run.sim_seed == reference.getrandbits(32)
@@ -168,7 +185,7 @@ class TestCampaignSpec:
             {"runs_per_setting": 0},
             {"max_rounds": 0},
             {"fault_pattern": "clustered"},
-            {"model": "gossip"},
+            {"min_tail": 0},
             {"loss": -0.1},
             {"loss": 1.0},
             {"delay": -1},
@@ -227,10 +244,33 @@ class TestPerturbationAxes:
             assert perturbations.schedule.windows[0].start == 3
 
     def test_perturbations_rejected_for_pulling_model(self):
-        with pytest.raises(ParameterError, match="broadcast"):
-            pulling_campaign(loss=0.1)
-        with pytest.raises(ParameterError, match="broadcast"):
-            pulling_campaign(adversaries=("none",), fault_schedule="churn")
+        # The model is the algorithm's, so the campaign-level check runs per
+        # algorithm when the grid expands.
+        message = (
+            "campaign 'pull-unit': perturbations (loss/delay/fault schedules) "
+            "apply to the broadcast model only"
+        )
+        with pytest.raises(ParameterError) as excinfo:
+            pulling_campaign(loss=0.1).expand()
+        assert str(excinfo.value) == message
+        with pytest.raises(ParameterError, match="broadcast model only"):
+            pulling_campaign(adversaries=("none",), fault_schedule="churn").expand()
+        # A mixed grid fails on its pulling algorithm only.
+        with pytest.raises(ParameterError, match="broadcast model only"):
+            pulling_campaign(
+                algorithms=(
+                    small_campaign().algorithms[0],
+                    AlgorithmSpec.create("sampled-boosted", {"sample_size": 2}),
+                ),
+                delay=1,
+            ).expand()
+        # A hand-built perturbed pulling run is rejected too.
+        with pytest.raises(ParameterError, match="broadcast model only"):
+            RunSpec(
+                run_id="r0",
+                algorithm=AlgorithmSpec.create("sampled-boosted", {"sample_size": 2}),
+                loss=0.1,
+            )
 
     def test_dict_round_trip_keeps_perturbation_axes(self):
         spec = small_campaign(
@@ -255,13 +295,14 @@ def pulling_campaign(**overrides) -> CampaignSpec:
         seed=3,
         max_rounds=20,
         stop_after_agreement=4,
-        model="pulling",
     )
     settings.update(overrides)
     return CampaignSpec(**settings)
 
 
 class TestPullingModelAxis:
+    """The algorithm decides the model; the grid never states it."""
+
     def test_expand_propagates_model(self):
         runs = pulling_campaign().expand()
         assert len(runs) == 2
@@ -269,29 +310,68 @@ class TestPullingModelAxis:
 
     def test_dict_round_trip_keeps_model(self):
         spec = pulling_campaign()
-        rebuilt = CampaignSpec.from_dict(spec.to_dict())
+        data = spec.to_dict()
+        assert "model" not in data
+        rebuilt = CampaignSpec.from_dict(data)
         assert rebuilt == spec
-        assert rebuilt.model == "pulling"
         assert rebuilt.expand() == spec.expand()
+        assert all(run.model == "pulling" for run in rebuilt.expand())
 
     def test_from_dict_defaults_to_broadcast(self):
-        # Pre-model-axis campaign files have no 'model' key.
+        # Campaign files without a 'model' key run broadcast algorithms in
+        # the broadcast model.
         data = small_campaign().to_dict()
-        data.pop("model")
-        assert CampaignSpec.from_dict(data).model == "broadcast"
+        assert "model" not in data
+        assert all(
+            run.model == "broadcast" for run in CampaignSpec.from_dict(data).expand()
+        )
 
-    def test_pulling_algorithm_in_broadcast_grid_rejected(self):
-        with pytest.raises(ParameterError, match="pulling-model algorithm"):
-            pulling_campaign(model="broadcast").expand()
+    def test_older_file_stating_pulling_model_loads(self):
+        # Older definition files state the model; the key is ignored, so a
+        # file written for a pulling grid loads and expands to the same runs.
+        spec = pulling_campaign()
+        data = {**spec.to_dict(), "model": "pulling"}
+        rebuilt = CampaignSpec.from_dict(data)
+        assert rebuilt == spec
+        assert rebuilt.expand() == spec.expand()
+        assert all(run.model == "pulling" for run in rebuilt.expand())
 
-    def test_broadcast_algorithm_in_pulling_grid_rejected(self):
-        with pytest.raises(ParameterError, match="broadcast-model algorithm"):
-            small_campaign(model="pulling").expand()
+    def test_older_file_stating_broadcast_model_loads(self):
+        # Likewise an older broadcast file with "model": "broadcast".
+        spec = small_campaign()
+        data = {**spec.to_dict(), "model": "broadcast"}
+        rebuilt = CampaignSpec.from_dict(data)
+        assert rebuilt == spec
+        assert rebuilt.expand() == spec.expand()
+        assert all(run.model == "broadcast" for run in rebuilt.expand())
 
-    def test_run_spec_rejects_unknown_model(self):
-        with pytest.raises(ParameterError):
+    def test_model_is_not_a_constructor_field(self):
+        # The model is no longer a constructor field.
+        with pytest.raises(TypeError, match="model"):
             RunSpec(
                 run_id="r0",
                 algorithm=AlgorithmSpec.create("trivial", {"c": 3}),
                 model="gossip",
             )
+        with pytest.raises(TypeError, match="model"):
+            small_campaign(model="pulling")
+
+
+class TestRunSpecModel:
+    """``RunSpec.model`` is derived from the algorithm, never stated."""
+
+    @pytest.mark.parametrize(
+        "algorithm, model",
+        [
+            (lambda: AlgorithmSpec.create("figure2"), "broadcast"),
+            (lambda: AlgorithmSpec.create("sampled-boosted"), "pulling"),
+            (lambda: build_algorithm("pseudo-random-boosted", sample_size=3), "pulling"),
+            (lambda: NaiveMajorityCounter(n=4, c=2, claimed_resilience=1), "broadcast"),
+            # An unknown name still fails, when the run builds the algorithm.
+            (lambda: AlgorithmSpec.create("no-such-algorithm"), "broadcast"),
+        ],
+        ids=["named-broadcast", "named-pulling", "pulling-instance",
+             "broadcast-instance", "unknown-name"],
+    )
+    def test_model_follows_the_algorithm(self, algorithm, model):
+        assert RunSpec(run_id="r0", algorithm=algorithm()).model == model

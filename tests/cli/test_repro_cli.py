@@ -359,6 +359,79 @@ class TestErrorLines:
         assert not out.exists()
 
 
+class TestStoppingFlags:
+    """A window or tail every run would reject fails before anything is written."""
+
+    ALGORITHM = "naive-majority:n=6,c=3,claimed_resilience=1"
+    CASES = {
+        "--stop-after-agreement": ("-1", "stop_after_agreement must be positive, got -1"),
+        "--min-tail": ("0", "min_tail must be at least 1, got 0"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(CASES))
+    @pytest.mark.parametrize("command", ["run", "campaign-define"])
+    def test_rejected_before_anything_is_written(self, command, flag, tmp_path, capsys):
+        value, message = self.CASES[flag]
+        if command == "run":
+            written = tmp_path / "runs.jsonl"
+            argv = ["run", self.ALGORITHM, "--runs", "1", "--max-rounds", "10",
+                    "--quiet", "--store", str(written)]
+        else:
+            written = tmp_path / "spec.json"
+            argv = ["campaign", "define", "--name", "x", "--algorithm",
+                    self.ALGORITHM, "--out", str(written)]
+        assert main([*argv, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not written.exists()
+
+    def test_zero_window_still_disables_early_stopping(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        argv = ["campaign", "define", "--name", "x", "--algorithm", self.ALGORITHM,
+                "--stop-after-agreement", "0", "--out", str(spec_path)]
+        assert main(argv) == 0
+        data = json.loads(spec_path.read_text(encoding="utf-8"))
+        assert data["stop_after_agreement"] is None
+
+
+class TestExperimentCounts:
+    """A trial count of zero is a one-line error, not a vacuous table."""
+
+    CASES = {
+        "table1-trials": ["table1", "--trials", "0"],
+        "table1-randomized-trials": ["table1", "--randomized-trials", "0"],
+        "table2-trials": ["table2", "--trials", "0"],
+        "figure2-trials": ["figure2", "--trials", "0"],
+        "scaling-trials": ["scaling", "--trials", "0"],
+        "scaling-measured-trials": ["scaling", "--trials", "1", "--measured-trials", "0"],
+        "pulling-trials": ["pulling", "--trials", "0"],
+        "pulling-link-seeds": ["pulling", "--trials", "1", "--link-seeds", "0"],
+        "ablation-trials": ["ablation", "--trials", "0"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_zero_count_is_rejected(self, case, capsys, monkeypatch):
+        if case == "pulling-link-seeds":
+            # The Corollary 4 table runs first; skip its simulation, the
+            # link-seed check belongs to Corollary 5.
+            import repro.experiments.pulling as pulling
+            from repro.experiments.common import ExperimentResult
+
+            monkeypatch.setattr(
+                pulling, "run_corollary4", lambda **_: ExperimentResult(name="stub")
+            )
+        assert main(["experiment", *self.CASES[case]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0] in (
+            "error: trials must be at least 1, got 0",
+            "error: link_seeds must list at least one seed",
+        )
+
+
 class TestExperimentCommands:
     """Every ``repro experiment X`` runs in-process at reduced parameters."""
 

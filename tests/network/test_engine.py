@@ -38,7 +38,7 @@ from repro.network.adversary import (
     RandomStateAdversary,
     SplitStateAdversary,
 )
-from repro.network.engine import stop_step
+from repro.network.engine import run_engine, stop_step
 from repro.network.pulling import (
     PullingAlgorithm,
     PullingModel,
@@ -111,6 +111,48 @@ def steps(request):
     return run
 
 
+class NoRoundsModel(BroadcastModel):
+    """A broadcast model that fails if the engine gets as far as using it."""
+
+    def validate(self) -> None:
+        raise AssertionError("run_engine validated the model before its own checks")
+
+    def step(self, states, round_index):
+        raise AssertionError("run_engine stepped a round before its own checks")
+
+
+@pytest.fixture(params=["ints", "array"])
+def start_run(request):
+    """Start a one-trial run on the scalar engine (``ints``) or the batch
+    engine (``array``) with the given window and round cap."""
+
+    def run(*, window, max_rounds):
+        counter = NaiveMajorityCounter(n=4, c=4, claimed_resilience=1)
+        if request.param == "ints":
+            run_engine(
+                NoRoundsModel(counter, NoAdversary()),
+                max_rounds=max_rounds,
+                stop_after_agreement=window,
+            )
+        else:
+            pytest.importorskip("numpy")
+            from repro.network.batch import (
+                BatchTrial,
+                build_batch_kernel,
+                run_batch_summaries,
+            )
+
+            run_batch_summaries(
+                counter,
+                build_batch_kernel(counter),
+                [BatchTrial(sim_seed=0)],
+                max_rounds=max_rounds,
+                stop_after_agreement=window,
+            )
+
+    return run
+
+
 class TestStopStep:
     def test_frozen_agreement_never_fills_the_window(self, steps):
         result = steps([1] * 5, c=4, window=2, max_rounds=50)
@@ -156,9 +198,12 @@ class TestStopStep:
             {"window": 3, "max_rounds": -1},
         ],
     )
-    def test_rejects_non_positive_window_or_cap(self, steps, params):
-        with pytest.raises(SimulationError):
-            steps([0], c=4, **params)
+    def test_rejects_non_positive_window_or_cap(self, start_run, params):
+        # Both engines check the window and the cap once per run, before the
+        # first round (and, on the scalar engine, before validating the
+        # model).
+        with pytest.raises(SimulationError, match="must be positive"):
+            start_run(**params)
 
 
 BROADCAST_SEEDS = (0, 1, 2, 3, 4)
@@ -362,11 +407,15 @@ class TestPullingMetadataRegression:
 
 class TestModelAdapters:
     def test_broadcast_model_key(self):
-        assert BroadcastModel.model == "broadcast"
+        # The broadcast trace header names no model; the algorithm, not the
+        # adapter, decides which model a run executes in.
+        adapter = BroadcastModel(TrivialCounter(c=3), NoAdversary())
+        assert "model" not in adapter.trace_metadata()
+        assert not hasattr(BroadcastModel, "model")
 
     def test_pulling_model_key_and_metadata(self):
         adapter = PullingModel(PullEchoCounter(), NoAdversary())
-        assert adapter.model == "pulling"
+        assert not hasattr(adapter, "model")
         assert adapter.trace_metadata()["model"] == "pulling"
 
     def test_correct_nodes_excludes_faulty(self):

@@ -280,7 +280,7 @@ class TestBatchExecutorEvents:
         assert len(report.fallback_reasons) == 1
         label, _, reason = report.fallback_reasons[0].partition(": ")
         assert label == "2 run(s) with pre-built instances"
-        assert reason == "pre-built algorithm or adversary instances are never grouped"
+        assert reason == "pre-built algorithm instances are never grouped"
 
 
 class TestDefaultObserverFallback:

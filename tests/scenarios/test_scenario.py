@@ -40,8 +40,9 @@ class TestBuilder:
         assert spec.adversaries == ("phase-king-skew",)
         assert spec.num_faults == (3,)
         assert spec.stop_after_agreement == 12
-        assert spec.model == "broadcast"
-        assert len(spec.expand()) == 200
+        runs = spec.expand()
+        assert len(runs) == 200
+        assert all(run.model == "broadcast" for run in runs)
 
     def test_builder_is_immutable(self):
         base = Scenario.counter("trivial", c=4).runs(5)
@@ -52,13 +53,21 @@ class TestBuilder:
         assert skew.to_campaign_spec().adversaries == ("phase-king-skew",)
 
     def test_model_inferred_from_registry(self):
-        scenario = Scenario.counter("sampled-boosted", sample_size=2)
-        assert scenario.to_campaign_spec().model == "pulling"
+        scenario = Scenario.counter("sampled-boosted", sample_size=2).faults(1)
+        assert "model" not in scenario.describe()
+        assert all(run.model == "pulling" for run in scenario.expand())
 
-    def test_mixed_models_rejected(self):
-        scenario = Scenario.counter("sampled-boosted", sample_size=2)
-        with pytest.raises(ParameterError, match="cannot mix models"):
-            scenario.counter("figure2")
+    def test_mixed_models_allowed(self):
+        # Each algorithm runs in the model its catalogue entry declares.
+        scenario = (
+            Scenario.counter("sampled-boosted", sample_size=2)
+            .counter("figure2")
+            .adversary("crash")
+            .faults(1)
+            .runs(1)
+        )
+        models = {run.algorithm.name: run.model for run in scenario.expand()}
+        assert models == {"sampled-boosted": "pulling", "figure2": "broadcast"}
 
     def test_unknown_names_fail_eagerly(self):
         with pytest.raises(ParameterError, match="unknown algorithm 'bogus'"):
@@ -152,7 +161,7 @@ class TestRoundTrip:
         ).to_campaign_spec()
         restored = CampaignSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert restored == spec
-        assert restored.model == "pulling"
+        assert all(run.model == "pulling" for run in restored.expand())
 
 
 class TestExecution:
