@@ -53,6 +53,17 @@ FAULT_PATTERNS = ("random", "spread")
 ENGINES = ("auto", "batch", "scalar")
 
 
+def _required(data: Any, key: str, owner: str) -> Any:
+    """``data[key]`` from a definition-file object, else a ParameterError."""
+    if not isinstance(data, Mapping):
+        raise ParameterError(
+            f"{owner} must be a JSON object, got {type(data).__name__}"
+        )
+    if key not in data:
+        raise ParameterError(f"{owner} lacks the required key {key!r}")
+    return data[key]
+
+
 def _as_items(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None) -> tuple:
     """Normalise a parameter mapping into a sorted, hashable item tuple."""
     if params is None:
@@ -132,8 +143,9 @@ class AlgorithmSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AlgorithmSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls.create(data["name"], data.get("params"))
+        """Inverse of :meth:`to_dict` (:class:`ParameterError` if malformed)."""
+        name = _required(data, "name", "algorithm entry")
+        return cls.create(name, data.get("params"))
 
 
 @dataclass(frozen=True)
@@ -472,13 +484,15 @@ class CampaignSpec:
         """Inverse of :meth:`to_dict`.
 
         Definition files written before the model was derived from the
-        algorithms carry a ``"model"`` key; it is ignored.
+        algorithms carry a ``"model"`` key; it is ignored.  A file that is
+        not an object or lacks ``"name"`` / ``"algorithms"`` raises
+        :class:`ParameterError` naming what is wrong.
         """
+        name = _required(data, "name", "campaign definition")
+        entries = _required(data, "algorithms", f"campaign {name!r}")
         return cls(
-            name=data["name"],
-            algorithms=tuple(
-                AlgorithmSpec.from_dict(entry) for entry in data["algorithms"]
-            ),
+            name=name,
+            algorithms=tuple(AlgorithmSpec.from_dict(entry) for entry in entries),
             adversaries=tuple(data.get("adversaries", ("random-state",))),
             num_faults=tuple(data.get("num_faults", (None,))),
             runs_per_setting=int(data.get("runs_per_setting", 10)),

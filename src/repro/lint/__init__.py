@@ -10,14 +10,16 @@ time, with an AST pass:
   everywhere else generators arrive as parameters (``DET002``);
 * no hot-path module iterates an unordered ``set``/``frozenset`` raw
   (``DET003``);
-* batch kernel classes never write module-level state (``DET004``);
-* every ``"module:attr"`` binding declared in :mod:`repro.semantics.catalog`
-  statically resolves — and the kernel-purity scope is *derived* from the
-  catalogue, so a newly declared component is covered automatically
-  (``CAT001``);
 * registry/factory modules honour the :class:`~repro.core.errors.ParameterError`
   contract instead of raising bare ``TypeError``/``KeyError`` (``ERR001``);
-* derived modules never duplicate catalogue metadata strings (``META001``).
+* and, interprocedurally over the whole-package call graph
+  (:mod:`repro.lint.flow`): hot-path draws descend from named streams
+  (``FLW001``), stream planes never mix (``FLW002``), catalogue-declared
+  deterministic kernels are RNG-free (``FLW003``), and catalogue-bound
+  kernels and adversaries write no module state and perform no IO on any
+  resolvable path, as ``NullObserver`` must not (``FLW004``).  Their scope is
+  *derived* from :func:`repro.semantics.flowfacts.kernel_expectations`, so
+  a newly declared component is covered automatically.
 
 Violations are waived per line with a mandatory-justification pragma::
 
@@ -26,8 +28,9 @@ Violations are waived per line with a mandatory-justification pragma::
 (see :mod:`repro.lint.waivers`; a justification-less waiver is itself a
 finding, ``WVR001``, and an unused waiver is a warning, ``WVR002``).
 
-Entry points: ``python -m repro lint`` (:mod:`repro.lint.cli`),
-``scripts/run_lint.py`` for CI, and :func:`run_lint` for programmatic use.
+Entry points: ``python -m repro lint`` (:mod:`repro.lint.cli`, also what CI
+runs) and :func:`run_lint` for programmatic use.  That catalogue bindings
+resolve is :func:`repro.semantics.verify`'s job, not the linter's.
 """
 
 from repro.lint.findings import Finding, Report

@@ -1,8 +1,9 @@
 """``repro lint`` — the command line of the static analysis pass.
 
-Mounted as a subcommand of the unified ``python -m repro`` CLI and callable
-standalone via ``scripts/run_lint.py``.  Exit code 0 means clean: no
-unwaived errors (and, under ``--strict``, no unwaived warnings either).
+Mounted as a subcommand of the unified ``python -m repro`` CLI, the one
+entry point (CI runs ``python -m repro lint --strict``).  Exit code 0 means
+clean: no unwaived errors (and, under ``--strict``, no unwaived warnings
+either); 2 means an unknown rule ID.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 from typing import Any
 
 from repro.lint.findings import Report
-from repro.lint.rules import RULES, rule_table
+from repro.lint.rules import rule_table
 from repro.lint.runner import run_lint
 
 __all__ = ["add_lint_arguments", "command_lint", "register_lint_command"]
@@ -48,14 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "--show-waived",
         action="store_true",
         help="print waived findings (with their justifications) too",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files changed against git HEAD (staged, unstaged "
-            "and untracked); falls back to a full run outside a git repo"
-        ),
     )
     parser.add_argument(
         "--flow-graph",
@@ -97,19 +90,13 @@ def command_lint(args: argparse.Namespace) -> int:
     rules = None
     if args.rules:
         rules = [token.strip() for token in args.rules.split(",") if token.strip()]
-        unknown = sorted(set(rules) - set(RULES))
-        if unknown:
-            print(
-                f"unknown rule id(s): {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(RULES))}"
-            )
-            return 2
-    report = run_lint(
-        args.paths or None,
-        rules=rules,
-        changed_only=args.changed,
-        flow_graph_path=args.flow_graph,
-    )
+    try:
+        report = run_lint(
+            args.paths or None, rules=rules, flow_graph_path=args.flow_graph
+        )
+    except ValueError as error:
+        print(error)
+        return 2
     _print_report(report, show_waived=args.show_waived)
     if args.json_out:
         report.write_json(args.json_out)
@@ -128,12 +115,12 @@ def register_lint_command(subparsers: Any) -> None:
             "AST-based static analysis proving the determinism and purity "
             "invariants the parity harness samples dynamically: no "
             "wall-clock/entropy reads, RNG construction only at sanctioned "
-            "derivation sites, no raw set iteration in hot paths, pure "
-            "batch kernels, statically resolving catalogue bindings and "
-            "the ParameterError contract in registries — plus the "
+            "derivation sites, no raw set iteration in hot paths and the "
+            "ParameterError contract in registries — plus the "
             "interprocedural FLW flow pass proving RNG-stream lineage, "
-            "plane separation and the declared determinism classes over "
-            "the whole-package call graph.  Waive single lines with "
+            "plane separation, the declared determinism classes and "
+            "module-state-free catalogue-bound classes over the "
+            "whole-package call graph.  Waive single lines with "
             "'# repro-lint: allow[RULE-ID] -- justification'."
         ),
     )

@@ -1,14 +1,13 @@
 """Per-file and per-run context the lint rules operate on.
 
-A :class:`ModuleUnit` is one parsed source file: AST, source lines, waiver
-pragmas, the dotted module name (when the file sits inside a package) and an
-import map resolving local names to the fully qualified modules/attributes
-they were imported as.  A :class:`LintContext` is the whole run: every unit,
-plus the catalogue-derived knowledge (declared ``"module:attr"`` bindings,
-component descriptions, the kernel-class scope) that makes the kernel and
-metadata rules *derive* their scope from :mod:`repro.semantics.catalog`
-instead of hand-listing modules — a newly declared component is covered
-automatically.
+A :class:`ModuleUnit` is one parsed source file: AST, waiver pragmas, the
+dotted module name (when the file sits inside a package) and an import map
+resolving local names to the fully qualified modules/attributes they were
+imported as.  A :class:`LintContext` is the whole run: every unit, the
+memoised interprocedural flow analysis, and the one catalogue fact the
+linter reads — the kernel expectations of
+:func:`repro.semantics.flowfacts.kernel_expectations`, which scope the FLW
+rules, so a newly declared component is covered automatically.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.lint.waivers import Waiver, parse_waivers
 
@@ -88,7 +87,6 @@ class ModuleUnit:
 
     path: Path
     module: str | None
-    source: str
     tree: ast.Module
     waivers: list[Waiver]
     import_map: dict[str, str]
@@ -122,13 +120,6 @@ class ModuleUnit:
             return None
         return ".".join([qualified_root, *reversed(parts)])
 
-    def first_line_containing(self, needle: str) -> int:
-        """1-based first source line containing ``needle`` (1 if absent)."""
-        for lineno, text in enumerate(self.source.splitlines(), start=1):
-            if needle in text:
-                return lineno
-        return 1
-
 
 def parse_unit(path: Path) -> ModuleUnit:
     """Parse one file into a :class:`ModuleUnit` (raises ``SyntaxError``)."""
@@ -137,7 +128,6 @@ def parse_unit(path: Path) -> ModuleUnit:
     return ModuleUnit(
         path=path,
         module=module_name_for(path),
-        source=source,
         tree=tree,
         waivers=parse_waivers(source),
         import_map=build_import_map(tree),
@@ -146,91 +136,14 @@ def parse_unit(path: Path) -> ModuleUnit:
 
 @dataclass
 class LintContext:
-    """The whole lint run: every unit plus the catalogue-derived scopes."""
+    """The whole lint run: every unit plus the catalogue's kernel facts."""
 
     units: Sequence[ModuleUnit]
-    #: Injected catalogue facts (tests use these); ``None`` means "import
-    #: :mod:`repro.semantics.catalog` lazily when a rule first asks".
-    bindings_override: Sequence[str] | None = None
-    descriptions_override: Sequence[str] | None = None
+    #: Injected kernel expectations (tests use this); ``None`` means "ask
+    #: :func:`repro.semantics.flowfacts.kernel_expectations` when a rule
+    #: first needs them".
     kernel_expectations_override: "Sequence[KernelExpectation] | None" = None
-    _by_module: dict[str, ModuleUnit] = field(default_factory=dict, init=False)
     _flow: "FlowAnalysis | None" = field(default=None, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_module = {
-            unit.module: unit for unit in self.units if unit.module is not None
-        }
-
-    def unit_for(self, module: str) -> ModuleUnit | None:
-        """The scanned unit of a dotted module name, if it was scanned."""
-        return self._by_module.get(module)
-
-    def scans_catalog(self) -> bool:
-        """Whether the run covers the semantics catalogue (project rules run)."""
-        return (
-            self.bindings_override is not None
-            or "repro.semantics.catalog" in self._by_module
-        )
-
-    # ------------------------------------------------------------------ #
-    # Catalogue-derived knowledge
-    # ------------------------------------------------------------------ #
-
-    def declared_bindings(self) -> tuple[str, ...]:
-        """Every ``"module:attr"`` binding the catalogue declares."""
-        if self.bindings_override is not None:
-            return tuple(self.bindings_override)
-        from repro.semantics.catalog import (
-            ADVERSARY_SEMANTICS,
-            ALGORITHM_SEMANTICS,
-            FAULT_SCHEDULE_SEMANTICS,
-        )
-
-        bindings: list[str] = []
-        for algorithm in ALGORITHM_SEMANTICS.values():
-            bindings.append(algorithm.kernel_binding)
-        for adversary in ADVERSARY_SEMANTICS.values():
-            for binding in (adversary.scalar_binding, adversary.kernel_binding):
-                if binding is not None:
-                    bindings.append(binding)
-        for schedule in FAULT_SCHEDULE_SEMANTICS.values():
-            bindings.append(schedule.builder_binding)
-        return tuple(bindings)
-
-    def declared_descriptions(self) -> tuple[str, ...]:
-        """Every component description string the catalogue declares."""
-        if self.descriptions_override is not None:
-            return tuple(self.descriptions_override)
-        from repro.semantics.catalog import (
-            ADVERSARY_SEMANTICS,
-            ALGORITHM_SEMANTICS,
-            FAULT_SCHEDULE_SEMANTICS,
-        )
-
-        return tuple(
-            spec.description
-            for mapping in (
-                ALGORITHM_SEMANTICS,
-                ADVERSARY_SEMANTICS,
-                FAULT_SCHEDULE_SEMANTICS,
-            )
-            for spec in mapping.values()
-        )
-
-    def kernel_scope(self) -> Mapping[str, frozenset[str]]:
-        """Module -> class names bound as kernels/adversaries by the catalogue.
-
-        This is how the kernel-purity rule's scope is *derived*: declare a
-        new component in :mod:`repro.semantics.catalog` and its classes are
-        automatically covered, wherever they live.
-        """
-        scope: dict[str, set[str]] = {}
-        for binding in self.declared_bindings():
-            module, _, attribute = binding.partition(":")
-            if module and attribute:
-                scope.setdefault(module, set()).add(attribute)
-        return {module: frozenset(names) for module, names in scope.items()}
 
     def kernel_expectations(self) -> "tuple[KernelExpectation, ...]":
         """Per-kernel-class determinism obligations for the flow cross-check."""

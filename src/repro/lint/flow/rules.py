@@ -32,9 +32,11 @@ _HOT_PATHS = (
     "repro.sampling",
 )
 
-#: Packageless fallback (mirrors DET004): scratch classes with these name
-#: shapes carry kernel/observer obligations even without a catalogue entry.
+#: Packageless fallback: scratch classes with these name shapes carry the
+#: kernel-purity obligation even without a catalogue entry.
 _KERNEL_SUFFIXES = ("Kernel", "Adversary")
+
+_KERNEL_PURITY = "kernel-purity"
 
 
 class _FlowRule(Rule):
@@ -171,8 +173,15 @@ class EffectContractRule(_FlowRule):
     def check_project(self, context: LintContext) -> Iterator[Finding]:
         analysis = context.flow()
         for info, contract in self._contracted_classes(context):
+            # Kernels are checked whole, constructors included; the
+            # NullObserver contract covers its per-event methods only.
+            dunders = (
+                ("__call__", "__init__")
+                if contract == _KERNEL_PURITY
+                else ("__call__",)
+            )
             for name, method in sorted(analysis.graph.methods_of(info).items()):
-                if name.startswith("__") and name != "__call__":
+                if name.startswith("__") and name not in dunders:
                     continue
                 summary = analysis.summaries.get(method.qname)
                 if summary is None:
@@ -197,7 +206,7 @@ class EffectContractRule(_FlowRule):
             )
             if info is not None and info.qname not in seen:
                 seen.add(info.qname)
-                yield info, "kernel-purity"
+                yield info, _KERNEL_PURITY
         for (module, name), info in sorted(analysis.graph.classes.items()):
             if info.qname in seen:
                 continue
@@ -206,7 +215,7 @@ class EffectContractRule(_FlowRule):
                 yield info, "NullObserver zero-overhead"
             elif info.unit.module is None and name.endswith(_KERNEL_SUFFIXES):
                 seen.add(info.qname)
-                yield info, "kernel-purity"
+                yield info, _KERNEL_PURITY
 
     @staticmethod
     def _violations(summary: EffectSummary, contract: str) -> Iterator[str]:

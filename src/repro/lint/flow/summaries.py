@@ -5,7 +5,14 @@ does it draw from an RNG, forward an RNG into an unresolved call, mutate a
 non-``self`` argument, write module-level state, or perform IO?  The flow
 rules cross-check these against the declared contracts: a kernel the
 catalogue marks deterministic must summarise RNG-free (FLW003), and
-``NullObserver`` must summarise effect-free (FLW004).
+catalogue-bound classes and ``NullObserver`` must write no module state and
+perform no IO (FLW004).
+
+A module-state write is a store to a ``global``-declared name, a subscript
+or attribute store rooted at a module-level name (``CACHE[key] = v``), or a
+mutating method call on one (``SEEN.append(r)``).  Names bound by a plain
+``import x`` are modules, not state, so ``np.append(...)`` is a pure call;
+names bound by ``from x import y`` may be another module's object and stay.
 
 Draw effects carry a *witness chain* — the resolved call path from the
 summarised function down to the concrete draw site — so a finding can name
@@ -109,7 +116,9 @@ def format_chain(chain: Iterable[tuple[str, int]]) -> str:
 # ---------------------------------------------------------------------- #
 
 
-def _local_summary(function: FunctionInfo, flow: FunctionFlow) -> EffectSummary:
+def _local_summary(
+    function: FunctionInfo, flow: FunctionFlow, module_names: frozenset[str]
+) -> EffectSummary:
     draws = bool(flow.draws)
     chain: tuple[tuple[str, int], ...] = ()
     if draws:
@@ -120,7 +129,7 @@ def _local_summary(function: FunctionInfo, flow: FunctionFlow) -> EffectSummary:
         draws_rng=draws,
         forwards_rng=any(site.forwards_rng for site in flow.call_sites),
         mutates_args=_mutates_arguments(function),
-        writes_module_state=_writes_module_state(function),
+        writes_module_state=_writes_module_state(function, module_names),
         performs_io=_performs_io(function),
         draw_chain=chain,
     )
@@ -159,21 +168,69 @@ def _mutates_arguments(function: FunctionInfo) -> bool:
     return False
 
 
-def _writes_module_state(function: FunctionInfo) -> bool:
-    """Whether the function stores to a ``global``-declared name."""
+def _module_state_names(tree: ast.Module) -> frozenset[str]:
+    """Names a module binds at top level that can hold mutable state.
+
+    Assignments, defs, classes and ``from x import y`` names count; plain
+    ``import x`` / ``import x as y`` names are modules and do not.
+    """
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
+            )
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(
+                alias.asname or alias.name
+                for alias in node.names
+                if alias.name != "*"
+            )
+    return frozenset(names)
+
+
+def _writes_module_state(
+    function: FunctionInfo, module_names: frozenset[str]
+) -> bool:
+    """Whether the function writes a module global or mutates one in place.
+
+    Names the function binds itself (parameters, assignment targets) shadow
+    the module's, unless declared ``global``.
+    """
     globals_declared: set[str] = set()
+    local_names: set[str] = set()
     for node in ast.walk(function.node):
         if isinstance(node, ast.Global):
             globals_declared.update(node.names)
-    if not globals_declared:
-        return False
+        elif isinstance(node, ast.arg):
+            local_names.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            local_names.add(node.id)
+    if local_names & globals_declared:
+        return True
+    shared = (module_names - local_names) | globals_declared
     for node in ast.walk(function.node):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            if node.id in globals_declared:
-                return True
-        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
-            if node.target.id in globals_declared:
-                return True
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                root = target
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    root = root.value
+                if root is not target and isinstance(root, ast.Name):
+                    if root.id in shared:
+                        return True
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATING_METHODS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in shared
+        ):
+            return True
     return False
 
 
@@ -211,11 +268,16 @@ def infer_summaries(
     its arguments.
     """
     summaries: dict[str, EffectSummary] = {}
+    module_names = {
+        unit.path: _module_state_names(unit.tree) for unit in graph.units
+    }
     for qname, flow in flows.items():
         function = graph.functions.get(qname)
         if function is None:
             continue
-        summaries[qname] = _local_summary(function, flow)
+        summaries[qname] = _local_summary(
+            function, flow, module_names[function.unit.path]
+        )
 
     changed = True
     while changed:

@@ -6,16 +6,16 @@ module prefixes; a file *outside* any package (a scratch file, a test
 fixture) is treated as fully in scope for every per-module rule, so
 ``repro lint scratch.py`` checks everything.
 
-The two catalogue-driven rules (``DET004`` kernel purity and ``CAT001``
-binding resolution, plus ``META001`` metadata duplication) derive their
-scope from :mod:`repro.semantics.catalog` — declaring a new component is
-what brings its classes under the linter, no rule edit needed.
+The per-file rules here prove local invariants; the catalogue-driven ones
+(declared-deterministic kernels draw nothing, bound classes write no module
+state) are the interprocedural FLW rules of :mod:`repro.lint.flow.rules`,
+registered in the same table.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from repro.lint.context import LintContext, ModuleUnit
 from repro.lint.findings import ERROR, WARNING, Finding
@@ -466,227 +466,6 @@ class UnorderedIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------- #
-# DET004 — kernel purity: no module-level writes from bound classes
-# ---------------------------------------------------------------------- #
-
-_MUTATOR_METHODS = frozenset(
-    {"append", "extend", "add", "update", "setdefault", "pop", "popitem",
-     "remove", "discard", "clear", "insert"}
-)
-
-
-def _module_level_names(tree: ast.Module) -> frozenset[str]:
-    """Names bound at module top level (assignment, def, class, import)."""
-    names: set[str] = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                names.add(alias.asname or alias.name.partition(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name != "*":
-                    names.add(alias.asname or alias.name)
-    return frozenset(names)
-
-
-@register_rule
-class KernelPurityRule(Rule):
-    """Classes bound as kernels must not write module-level state."""
-
-    id = "DET004"
-    title = "kernel classes write no module-level globals"
-    rationale = (
-        "batch kernels are dispatched concurrently over chunked trials and "
-        "re-entered across campaigns; a write to module-level state from a "
-        "kernel method makes results depend on execution interleaving and "
-        "call history — the scope is derived from the catalogue's "
-        "kernel/scalar bindings, so new components are covered automatically"
-    )
-
-    def check(self, unit: ModuleUnit, context: LintContext) -> Iterator[Finding]:
-        bound = context.kernel_scope().get(unit.module or "", frozenset())
-        module_names = _module_level_names(unit.tree)
-        for node in unit.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if unit.module is not None:
-                if node.name not in bound:
-                    continue
-            elif not node.name.endswith(("Kernel", "Adversary")):
-                # Outside a package nothing is catalogue-bound; fall back to
-                # the naming convention so fixtures and scratch kernels are
-                # still checked.
-                continue
-            yield from self._check_class(unit, node, module_names)
-
-    def _check_class(
-        self, unit: ModuleUnit, cls: ast.ClassDef, module_names: frozenset[str]
-    ) -> Iterator[Finding]:
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Global):
-                yield self.finding(
-                    unit,
-                    node,
-                    f"kernel class {cls.name} declares 'global "
-                    f"{', '.join(node.names)}'; kernels must not rebind "
-                    "module-level state",
-                )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    root = target
-                    while isinstance(root, (ast.Attribute, ast.Subscript)):
-                        root = root.value
-                    if (
-                        target is not root  # plain local Name stores are fine
-                        and isinstance(root, ast.Name)
-                        and root.id in module_names
-                        and root.id != "self"
-                    ):
-                        yield self.finding(
-                            unit,
-                            node,
-                            f"kernel class {cls.name} writes into "
-                            f"module-level {root.id!r}; kernel state must "
-                            "live on the instance",
-                        )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATOR_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in module_names
-            ):
-                yield self.finding(
-                    unit,
-                    node,
-                    f"kernel class {cls.name} mutates module-level "
-                    f"{node.func.value.id!r} via .{node.func.attr}(); "
-                    "kernel state must live on the instance",
-                )
-
-
-# ---------------------------------------------------------------------- #
-# CAT001 — every declared "module:attr" binding statically resolves
-# ---------------------------------------------------------------------- #
-
-
-def _top_level_defined_names(tree: ast.Module) -> frozenset[str]:
-    """Names importable from a module: top-level defs, incl. conditional ones."""
-    names: set[str] = set()
-
-    def collect(body: Iterable[ast.stmt]) -> None:
-        for node in body:
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                names.add(node.name)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        names.add(target.id)
-                    elif isinstance(target, (ast.Tuple, ast.List)):
-                        for element in target.elts:
-                            if isinstance(element, ast.Name):
-                                names.add(element.id)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                names.add(node.target.id)
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name != "*":
-                        names.add(alias.asname or alias.name)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    names.add(alias.asname or alias.name.partition(".")[0])
-            elif isinstance(node, ast.If):
-                collect(node.body)
-                collect(node.orelse)
-            elif isinstance(node, ast.Try):
-                collect(node.body)
-                collect(node.orelse)
-                for handler in node.handlers:
-                    collect(handler.body)
-                collect(node.finalbody)
-
-    collect(tree.body)
-    return frozenset(names)
-
-
-@register_rule
-class BindingResolutionRule(Rule):
-    """Every catalogue ``"module:attr"`` binding must statically resolve."""
-
-    id = "CAT001"
-    title = "catalogue bindings statically resolve"
-    rationale = (
-        "the semantics catalogue binds kernels and scalar classes lazily as "
-        "'module:attr' strings; a typo'd binding only explodes when that "
-        "component is first exercised — this proves at lint time that the "
-        "module exists in the scanned tree and defines the attribute at top "
-        "level"
-    )
-
-    def check_project(self, context: LintContext) -> Iterator[Finding]:
-        if not context.scans_catalog():
-            return
-        catalog_unit = context.unit_for("repro.semantics.catalog")
-        for binding in context.declared_bindings():
-            module, _, attribute = binding.partition(":")
-            anchor_line = (
-                catalog_unit.first_line_containing(binding)
-                if catalog_unit is not None
-                else 1
-            )
-            anchor_path = (
-                catalog_unit.display_path
-                if catalog_unit is not None
-                else "repro.semantics.catalog"
-            )
-            if not module or not attribute:
-                yield Finding(
-                    rule=self.id,
-                    path=anchor_path,
-                    line=anchor_line,
-                    column=0,
-                    message=f"malformed binding {binding!r}; expected "
-                    "'module:attribute'",
-                )
-                continue
-            bound_unit = context.unit_for(module)
-            if bound_unit is None:
-                yield Finding(
-                    rule=self.id,
-                    path=anchor_path,
-                    line=anchor_line,
-                    column=0,
-                    message=f"binding {binding!r} names module {module!r} "
-                    "which is not in the scanned tree",
-                )
-                continue
-            if attribute not in _top_level_defined_names(bound_unit.tree):
-                yield Finding(
-                    rule=self.id,
-                    path=anchor_path,
-                    line=anchor_line,
-                    column=0,
-                    message=f"binding {binding!r} does not resolve: "
-                    f"{module} defines no top-level {attribute!r}",
-                )
-
-
-# ---------------------------------------------------------------------- #
 # ERR001 — ParameterError contract in registry/factory code
 # ---------------------------------------------------------------------- #
 
@@ -728,68 +507,6 @@ class BareRaiseRule(Rule):
                     "contract is ParameterError carrying the parameter "
                     "schema",
                 )
-
-
-# ---------------------------------------------------------------------- #
-# META001 — derived modules duplicate no catalogue metadata
-# ---------------------------------------------------------------------- #
-
-#: Derived modules beyond the catalogue-bound ones: they generate their
-#: listings/sweeps from the specs and must not re-embed the strings.
-_DERIVED_MODULES = (
-    "repro.network.parity",
-    "repro.network.batch",
-    "repro.cli",
-)
-_MIN_DESCRIPTION_LENGTH = 16
-
-
-@register_rule
-class DuplicatedMetadataRule(Rule):
-    """No literal copy of a catalogue description in a derived module."""
-
-    id = "META001"
-    title = "derived modules duplicate no catalogue metadata"
-    rationale = (
-        "descriptions, determinism notes and strategy lists are declared "
-        "once in repro.semantics.catalog and derived everywhere else; a "
-        "literal copy in a derived module is the drift the semantics layer "
-        "exists to prevent (subsumes the PR 7 no-duplicated-metadata source "
-        "greps)"
-    )
-
-    def _scoped_modules(self, context: LintContext) -> frozenset[str]:
-        return frozenset(context.kernel_scope()) | frozenset(_DERIVED_MODULES)
-
-    def check_project(self, context: LintContext) -> Iterator[Finding]:
-        if not context.scans_catalog():
-            return
-        descriptions = tuple(
-            text
-            for text in context.declared_descriptions()
-            if len(text) >= _MIN_DESCRIPTION_LENGTH
-        )
-        for module in sorted(self._scoped_modules(context)):
-            if module.startswith("repro.semantics"):
-                continue
-            unit = context.unit_for(module)
-            if unit is None:
-                continue
-            for node in ast.walk(unit.tree):
-                if not isinstance(node, ast.Constant) or not isinstance(
-                    node.value, str
-                ):
-                    continue
-                for description in descriptions:
-                    if description in node.value:
-                        yield self.finding(
-                            unit,
-                            node,
-                            f"literal duplicates the catalogue description "
-                            f"{description!r}; derive the text from "
-                            "repro.semantics instead",
-                        )
-                        break
 
 
 # ---------------------------------------------------------------------- #

@@ -4,15 +4,14 @@ One AST parse per file *per process*: parsed units are cached keyed on
 ``(path, mtime_ns, size)``, so the per-file rules and the interprocedural
 flow pass share one parse, and repeated in-process runs (the test suite, the
 ``repro verify`` gate) re-parse only what changed on disk.  Per-module rules
-run over every in-scope unit, project rules (catalogue binding resolution,
-the FLW flow rules) run once per invocation.  Waivers are applied last, so
-the JSON artifact records the waived findings alongside their
-justifications — an audit trail, not a silent hole.
+run over every in-scope unit, project rules (the FLW flow rules) run once
+per invocation.  Waivers are applied last, so the JSON artifact records the
+waived findings alongside their justifications — an audit trail, not a
+silent hole.
 """
 
 from __future__ import annotations
 
-import subprocess
 import time
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,7 +21,6 @@ from repro.lint.findings import Finding, Report, sort_findings
 from repro.lint.rules import RULES, Rule, iter_rules
 
 __all__ = [
-    "changed_files",
     "default_root",
     "discover_files",
     "lint_paths",
@@ -71,48 +69,6 @@ def _load_unit(path: Path) -> ModuleUnit:
     unit = parse_unit(path)
     _UNIT_CACHE[path] = (stamp, unit)
     return unit
-
-
-def changed_files(root: Path | None = None) -> list[Path] | None:
-    """Python files changed against git ``HEAD`` (staged, unstaged, untracked).
-
-    Returns ``None`` when ``root`` (default: the current directory) is not
-    inside a git work tree or git is unavailable — callers then fall back to
-    a full run.
-    """
-    cwd = root if root is not None else Path.cwd()
-    try:
-        top = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-        listing = subprocess.run(
-            ["git", "status", "--porcelain", "--untracked-files=all"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    files: list[Path] = []
-    for line in listing.splitlines():
-        if len(line) < 4:
-            continue
-        name = line[3:]
-        # Renames are listed as "old -> new"; lint the new path.
-        if " -> " in name:
-            name = name.split(" -> ", 1)[1]
-        name = name.strip().strip('"')
-        if not name.endswith(".py"):
-            continue
-        path = Path(top) / name
-        if path.exists():
-            files.append(path.resolve())
-    return sorted(set(files))
 
 
 def _apply_waivers(
@@ -195,34 +151,29 @@ def run_lint(
     paths: Sequence[str | Path] | None = None,
     *,
     rules: Sequence[str] | None = None,
-    bindings_override: Sequence[str] | None = None,
-    descriptions_override: Sequence[str] | None = None,
     kernel_expectations_override: Sequence[object] | None = None,
-    changed_only: bool = False,
     flow_graph_path: str | Path | None = None,
 ) -> Report:
     """Lint ``paths`` (default: the installed ``repro`` package tree).
 
     ``rules`` restricts the run to the given rule IDs (framework rules —
-    waiver hygiene, syntax — always apply).  The ``*_override`` parameters
-    inject catalogue facts for tests; by default the real
-    :mod:`repro.semantics.catalog` is consulted.  ``changed_only`` narrows
-    the file set to git-changed files (full run when not in a repo or
-    nothing changed); ``flow_graph_path`` writes the call-graph +
-    effect-summary JSON artifact after the rules run.
+    waiver hygiene, syntax — always apply); an unknown ID raises
+    ``ValueError`` rather than lint nothing.  ``kernel_expectations_override``
+    injects the catalogue's kernel expectations for tests; by default
+    :func:`repro.semantics.flowfacts.kernel_expectations` is consulted.
+    ``flow_graph_path`` writes the call-graph + effect-summary JSON artifact
+    after the rules run.
     """
     started = time.perf_counter()
+    if rules is not None:
+        unknown = sorted(set(rules) - set(RULES))
+        if unknown:
+            raise ValueError(
+                f"unknown rule id(s): {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(RULES))}"
+            )
     roots = [str(p) for p in paths] if paths else [str(default_root())]
     files = discover_files(roots)
-    if changed_only:
-        changed = changed_files()
-        if changed:
-            changed_set = set(changed)
-            narrowed = [file for file in files if file in changed_set]
-            if narrowed:
-                files = narrowed
-            # A change set disjoint from the requested tree means the edit
-            # was elsewhere; keep the full run rather than lint nothing.
 
     units: list[ModuleUnit] = []
     findings: list[Finding] = []
@@ -242,8 +193,6 @@ def run_lint(
 
     context = LintContext(
         units=units,
-        bindings_override=bindings_override,
-        descriptions_override=descriptions_override,
         kernel_expectations_override=kernel_expectations_override,  # type: ignore[arg-type]
     )
 

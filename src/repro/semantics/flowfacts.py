@@ -5,10 +5,12 @@ summaries against the *declared* determinism classes.  This module is the
 bridge: it folds :mod:`repro.semantics.catalog` into per-kernel-class
 expectations the linter can consume without touching dataclass internals.
 
-One kernel class may serve several catalogue entries (the boosted kernel
-backs both phase-king variants; :class:`SampledBoostedBatchKernel` backs the
-sampled — randomised — *and* the pseudo-random — deterministic — counters,
-depending on construction parameters).  The fold is therefore three-valued:
+Every catalogue-bound class is covered: the algorithm kernels, the adversary
+kernels and the scalar adversary classes.  One kernel class may serve several
+catalogue entries (the boosted kernel backs both phase-king variants;
+:class:`SampledBoostedBatchKernel` backs the sampled — randomised — *and* the
+pseudo-random — deterministic — counters, depending on construction
+parameters).  The fold is therefore three-valued:
 
 ``"pure"``
     every entry binding the kernel declares it deterministic — the flow
@@ -27,9 +29,13 @@ from dataclasses import dataclass
 
 __all__ = ["KernelExpectation", "kernel_expectations"]
 
-#: Root methods the engines invoke per round, by component kind.
-_ALGORITHM_ROOTS = ("step",)
-_ADVERSARY_ROOTS = ("begin_round", "forge")
+#: Root methods the engines invoke per round, by component kind (in the
+#: order :func:`kernel_expectations` lists the kinds).
+_ROOTS: dict[str, tuple[str, ...]] = {
+    "algorithm": ("step",),
+    "adversary": ("begin_round", "forge"),
+    "scalar-adversary": ("on_round_start", "forge"),
+}
 
 
 @dataclass(frozen=True)
@@ -74,43 +80,50 @@ def _fold(flags: list[bool]) -> str:
 
 
 def kernel_expectations() -> tuple[KernelExpectation, ...]:
-    """Every catalogue-bound kernel class with its folded obligation."""
+    """Every catalogue-bound class with its folded obligation."""
     from repro.semantics.catalog import (
         ADVERSARY_SEMANTICS,
         ALGORITHM_SEMANTICS,
     )
 
-    algorithm_groups: dict[str, list] = {}
-    for spec in ALGORITHM_SEMANTICS.values():
-        algorithm_groups.setdefault(spec.kernel_binding, []).append(spec)
-    adversary_groups: dict[str, list] = {}
-    for spec in ADVERSARY_SEMANTICS.values():
-        if spec.kernel_binding is not None:
-            adversary_groups.setdefault(spec.kernel_binding, []).append(spec)
+    #: (kind, binding) -> [(entry name, declared deterministic), ...]
+    groups: dict[tuple[str, str], list[tuple[str, bool]]] = {}
 
-    expectations: list[KernelExpectation] = []
-    for binding in sorted(algorithm_groups):
-        specs = algorithm_groups[binding]
-        expectations.append(
-            KernelExpectation(
-                binding=binding,
-                kind="algorithm",
-                expectation=_fold([spec.batch_deterministic for spec in specs]),
-                declared_by=tuple(sorted(spec.name for spec in specs)),
-                root_methods=_ALGORITHM_ROOTS,
-            )
+    def declare(kind: str, binding: str | None, name: str, pure: bool) -> None:
+        if binding is not None:
+            groups.setdefault((kind, binding), []).append((name, pure))
+
+    for algorithm in ALGORITHM_SEMANTICS.values():
+        declare(
+            "algorithm",
+            algorithm.kernel_binding,
+            algorithm.name,
+            algorithm.batch_deterministic,
         )
-    for binding in sorted(adversary_groups):
-        specs = adversary_groups[binding]
-        expectations.append(
-            KernelExpectation(
-                binding=binding,
-                kind="adversary",
-                expectation=_fold(
-                    [spec.determinism.bit_identical for spec in specs]
-                ),
-                declared_by=tuple(sorted(spec.name for spec in specs)),
-                root_methods=_ADVERSARY_ROOTS,
-            )
+    for adversary in ADVERSARY_SEMANTICS.values():
+        declare(
+            "adversary",
+            adversary.kernel_binding,
+            adversary.name,
+            adversary.determinism.bit_identical,
         )
-    return tuple(expectations)
+        declare(
+            "scalar-adversary",
+            adversary.scalar_binding,
+            adversary.name,
+            adversary.scalar_deterministic,
+        )
+
+    kinds = list(_ROOTS)
+    return tuple(
+        KernelExpectation(
+            binding=binding,
+            kind=kind,
+            expectation=_fold([pure for _, pure in groups[kind, binding]]),
+            declared_by=tuple(sorted(name for name, _ in groups[kind, binding])),
+            root_methods=_ROOTS[kind],
+        )
+        for kind, binding in sorted(
+            groups, key=lambda key: (kinds.index(key[0]), key[1])
+        )
+    )

@@ -11,6 +11,7 @@ declaration against the actual implementations:
 * every adversary spec resolves to its scalar class, and the scalar
   ``forge`` path's actual RNG consumption (probed against a flat and a
   boosted algorithm) matches ``scalar_deterministic``;
+* every fault-schedule builder binding resolves and builds its defaults;
 * with NumPy available, every kernel binding resolves, the algorithm
   kernels' ``deterministic`` / ``fields`` match the declared
   ``batch_deterministic`` / ``flat_state``, and the adversary kernels'
@@ -20,7 +21,10 @@ declaration against the actual implementations:
 
 ``verify`` returns a list of human-readable problems (empty means the
 catalogue is sound); the CI ``semantics-audit`` job and the test suite run
-it so a spec edit cannot drift from the implementations.
+it so a spec edit cannot drift from the implementations.  It is also the
+one check that every ``"module:attr"`` binding resolves: a mistyped or
+malformed binding of any kind is reported as one problem naming the entry,
+never raised.
 """
 
 from __future__ import annotations
@@ -150,6 +154,11 @@ def _check_algorithms(
             continue
         from repro.network.batch import build_batch_kernel
 
+        try:
+            kernel_cls = spec.kernel_class()
+        except Exception as exc:  # noqa: BLE001
+            problems.append(f"algorithm {name!r}: kernel binding broken: {exc}")
+            continue
         kernel = build_batch_kernel(instance)
         if kernel is None:
             problems.append(
@@ -157,7 +166,7 @@ def _check_algorithms(
                 "declared but build_batch_kernel found no kernel"
             )
             continue
-        if not isinstance(kernel, spec.kernel_class()):
+        if not isinstance(kernel, kernel_cls):
             problems.append(
                 f"algorithm {name!r}: built kernel {type(kernel).__name__} is "
                 f"not the declared {spec.kernel_binding!r}"

@@ -324,7 +324,7 @@ class FaultScheduleSemantics:
         The preset name, the one-line listing text and the paper reference.
     builder_binding:
         Lazy ``"module:attribute"`` binding of the builder callable
-        (statically checked by the CAT001 lint rule like every binding).
+        (resolved by :func:`repro.semantics.verify` like every binding).
     parameters:
         The builder's full parameter schema with defaults.
     scalar_deterministic:

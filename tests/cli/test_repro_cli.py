@@ -359,6 +359,38 @@ class TestErrorLines:
         assert not out.exists()
 
 
+class TestMalformedCampaignFile:
+    """A malformed definition file is one ``error:`` line, and no store."""
+
+    CASES = {
+        "no-name": (
+            {"algorithms": [{"name": "trivial"}]},
+            "campaign definition lacks the required key 'name'",
+        ),
+        "algorithm-without-name": (
+            {"name": "x", "algorithms": [{"params": {"c": 3}}]},
+            "algorithm entry lacks the required key 'name'",
+        ),
+        "top-level-list": (
+            [{"name": "trivial"}],
+            "campaign definition must be a JSON object, got list",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_error_line_and_no_store(self, case, tmp_path, capsys):
+        data, message = self.CASES[case]
+        spec_path = tmp_path / "bad.campaign.json"
+        spec_path.write_text(json.dumps(data), encoding="utf-8")
+        store = tmp_path / "bad.jsonl"
+        argv = ["campaign", "run", str(spec_path), "--store", str(store)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not store.exists()
+
+
 class TestStoppingFlags:
     """A window or tail every run would reject fails before anything is written."""
 

@@ -58,8 +58,10 @@ class TestCommand:
     def test_list_rules_prints_the_table(self, capsys):
         assert command_lint(parse_args("--list-rules")) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET004", "CAT001", "ERR001", "WVR001"):
+        for rule_id in ("DET001", "DET003", "ERR001", "FLW004", "WVR001"):
             assert rule_id in out
+        for removed in ("DET004", "CAT001", "META001"):
+            assert removed not in out
 
     def test_show_waived_prints_justifications(self, tmp_path, capsys):
         path = tmp_path / "waived.py"
@@ -124,11 +126,7 @@ class TestAcceptance:
 
     def test_shipped_tree_lints_clean_under_strict(self):
         result = subprocess.run(
-            [
-                sys.executable,
-                str(REPO_ROOT / "scripts" / "run_lint.py"),
-                "--strict",
-            ],
+            [sys.executable, "-m", "repro", "lint", "--strict"],
             capture_output=True,
             text=True,
             env=cli_env(),
@@ -167,6 +165,13 @@ class TestUnifiedCli:
         args = build_parser().parse_args(["lint", "--strict", "src/repro"])
         assert args.strict
         assert args.handler is command_lint
+
+    def test_lint_has_no_changed_option(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lint", "--changed"])
+        assert "unrecognized arguments: --changed" in capsys.readouterr().err
 
     def test_verify_grows_a_skip_lint_flag(self):
         from repro.cli import build_parser

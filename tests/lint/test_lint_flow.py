@@ -14,7 +14,7 @@ import pytest
 from repro.lint import run_lint
 from repro.lint.context import LintContext, parse_unit
 from repro.lint.flow import CallGraph, analyze
-from repro.lint.runner import _load_unit, changed_files, discover_files
+from repro.lint.runner import _load_unit, discover_files
 from repro.semantics.flowfacts import KernelExpectation, kernel_expectations
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -43,6 +43,16 @@ def expectation(binding: str, expectation_kind: str = "pure") -> KernelExpectati
         expectation=expectation_kind,
         declared_by=("fixture-entry",),
         root_methods=("step",),
+    )
+
+
+def scalar_adversary_expectation(binding: str) -> KernelExpectation:
+    return KernelExpectation(
+        binding=binding,
+        kind="scalar-adversary",
+        expectation="pure",
+        declared_by=("fixture-strategy",),
+        root_methods=("on_round_start", "forge"),
     )
 
 
@@ -476,6 +486,199 @@ class TestEffectContractsFLW004:
         assert "FLW004" in unwaived_ids(report)
 
 
+class TestModuleStateFLW004:
+    """Module-state writes from catalogue-bound classes, on any path."""
+
+    def test_global_statement_fires(self, lint_source):
+        report = lint_source(
+            """
+            COUNTER = 0
+
+            class ProbeKernel:
+                def forge(self):
+                    global COUNTER
+                    COUNTER = COUNTER + 1
+            """
+        )
+        assert "FLW004" in unwaived_ids(report)
+
+    def test_subscript_write_into_module_state_fires(self, lint_source):
+        report = lint_source(
+            """
+            CACHE = {}
+
+            class ProbeAdversary:
+                def forge(self, key):
+                    CACHE[key] = 1
+            """
+        )
+        assert unwaived_ids(report) == ["FLW004"]
+
+    def test_mutator_call_on_module_state_fires(self, lint_source):
+        report = lint_source(
+            """
+            SEEN = []
+
+            class ProbeKernel:
+                def begin_round(self, r):
+                    SEEN.append(r)
+            """
+        )
+        assert unwaived_ids(report) == ["FLW004"]
+
+    def test_instance_state_is_allowed(self, lint_source):
+        report = lint_source(
+            """
+            class ProbeKernel:
+                def __init__(self):
+                    self.cache = {}
+                    self.seen = []
+
+                def begin_round(self, r):
+                    self.cache[r] = 1
+                    self.seen.append(r)
+                    local = []
+                    local.append(r)
+            """
+        )
+        assert report.unwaived() == ()
+
+    def test_unbound_class_outside_naming_convention_is_skipped(self, lint_source):
+        # Outside a package only *Kernel/*Adversary names are checked.
+        report = lint_source(
+            """
+            REGISTRY = {}
+
+            class Registrar:
+                def register(self, name):
+                    REGISTRY[name] = self
+            """
+        )
+        assert report.unwaived() == ()
+
+    def test_scope_is_derived_from_catalogue_bindings(self, fake_package):
+        root = fake_package(
+            "coolpkg.engine",
+            """
+            STATE = {}
+
+            class Declared:
+                def step(self):
+                    STATE["hits"] = 1
+
+            class Undeclared:
+                def step(self):
+                    STATE["hits"] = 1
+            """,
+        )
+        report = run_lint(
+            [root],
+            rules=["FLW004"],
+            kernel_expectations_override=[expectation("coolpkg.engine:Declared")],
+        )
+        findings = report.unwaived()
+        assert [f.rule for f in findings] == ["FLW004"]
+        assert findings[0].message.startswith("Declared.step ")
+
+    def test_write_reached_through_a_helper_fires(self, fake_package):
+        fake_package(
+            "helperpkg.memo",
+            """
+            _FORGED = []
+
+            def remember(shape):
+                _FORGED.append(shape)
+            """,
+        )
+        root = fake_package(
+            "helperpkg.kernels",
+            """
+            from helperpkg.memo import remember
+
+            class StuckBatchKernel:
+                def forge(self, shape):
+                    remember(shape)
+                    return shape
+            """,
+        )
+        report = run_lint(
+            [root],
+            kernel_expectations_override=[
+                expectation("helperpkg.kernels:StuckBatchKernel")
+            ],
+        )
+        findings = report.unwaived()
+        assert [f.rule for f in findings] == ["FLW004"]
+        assert findings[0].message.startswith(
+            "StuckBatchKernel.forge writes module-level state"
+        )
+
+    def test_scalar_adversary_class_is_in_scope(self, fake_package):
+        root = fake_package(
+            "advpkg.adversary",
+            """
+            SEEN = []
+
+            class StuckAdversary:
+                def on_round_start(self, round_index, states, algorithm, rng):
+                    SEEN.append(round_index)
+
+                def forge(self, round_index, sender, receiver, states, algorithm, rng):
+                    return algorithm.default_state()
+            """,
+        )
+        report = run_lint(
+            [root],
+            kernel_expectations_override=[
+                scalar_adversary_expectation("advpkg.adversary:StuckAdversary")
+            ],
+        )
+        findings = report.unwaived()
+        assert [f.rule for f in findings] == ["FLW004"]
+        assert findings[0].message.startswith("StuckAdversary.on_round_start ")
+
+    def test_kernel_constructor_is_checked(self, lint_source):
+        report = lint_source(
+            """
+            _REGISTRY = {}
+
+            class FixedBatchKernel:
+                def __init__(self, kernel, state=0):
+                    _REGISTRY[id(self)] = state
+            """
+        )
+        findings = report.unwaived()
+        assert [f.rule for f in findings] == ["FLW004"]
+        assert findings[0].message.startswith("FixedBatchKernel.__init__ ")
+
+    def test_numpy_calls_are_not_module_state_writes(self, lint_source):
+        report = lint_source(
+            """
+            import numpy as np
+
+            class ProbeKernel:
+                def step(self, states, extra):
+                    grown = np.append(states, extra)
+                    return np.add(grown, 1)
+            """,
+            rules=["FLW004"],
+        )
+        assert report.unwaived() == ()
+
+    def test_from_imported_object_is_module_state(self, lint_source):
+        report = lint_source(
+            """
+            from m import CACHE
+
+            class ProbeKernel:
+                def step(self, x):
+                    CACHE.append(x)
+            """,
+            rules=["FLW004"],
+        )
+        assert unwaived_ids(report) == ["FLW004"]
+
+
 # ---------------------------------------------------------------------- #
 # Effect summaries
 # ---------------------------------------------------------------------- #
@@ -537,6 +740,51 @@ class TestEffectSummaries:
         assert summaries["<file>effects.mutates"].mutates_args
         assert summaries["<file>effects.does_io"].performs_io
         assert summaries["<file>effects.forwards"].forwards_rng
+
+    def test_module_state_write_shapes(self, tmp_path):
+        path = tmp_path / "shapes.py"
+        path.write_text(
+            textwrap.dedent(
+                """
+                import numpy as np
+                from registry import TABLE
+
+                CACHE = {}
+                SEEN = []
+
+                def stores_subscript(key):
+                    CACHE[key] = 1
+
+                def mutates_via_method(r):
+                    SEEN.append(r)
+
+                def mutates_imported_object(entries):
+                    TABLE.update(entries)
+
+                def calls_numpy(states):
+                    return np.append(states, 1)
+
+                def shadows_with_a_parameter(CACHE):
+                    CACHE[0] = 1
+
+                def shadows_with_a_local():
+                    SEEN = []
+                    SEEN.append(1)
+                """
+            ),
+            encoding="utf-8",
+        )
+        summaries = analyze(context_for(path)).summaries
+        writes = {
+            qname.rpartition(".")[2]
+            for qname, summary in summaries.items()
+            if summary.writes_module_state
+        }
+        assert writes == {
+            "stores_subscript",
+            "mutates_via_method",
+            "mutates_imported_object",
+        }
 
     def test_mutation_propagates_only_through_own_parameters(self, tmp_path):
         path = tmp_path / "mutprop.py"
@@ -601,6 +849,14 @@ class TestShippedTree:
                 checked += 1
         assert checked >= 10  # the catalogue binds a dozen kernels today
 
+    def test_every_catalogue_bound_class_is_in_scope(self):
+        from repro.semantics import ADVERSARY_SEMANTICS, ALGORITHM_SEMANTICS
+
+        bound = {spec.kernel_binding for spec in ALGORITHM_SEMANTICS.values()}
+        for spec in ADVERSARY_SEMANTICS.values():
+            bound |= {spec.kernel_binding, spec.scalar_binding} - {None}
+        assert {entry.binding for entry in kernel_expectations()} == bound
+
     def test_the_mixed_kernel_is_the_sampled_boosted_one(self):
         mixed = [
             entry.binding
@@ -611,7 +867,7 @@ class TestShippedTree:
 
 
 # ---------------------------------------------------------------------- #
-# AST cache + --changed (the runner satellites)
+# AST cache (the runner satellite)
 # ---------------------------------------------------------------------- #
 
 
@@ -643,22 +899,6 @@ class TestRunnerSatellites:
             report = run_lint([path])
             assert report.unwaived() == ()
             assert [f.rule for f in report.waived()] == ["DET001"]
-
-    def test_changed_files_outside_a_repo_returns_none(self, tmp_path):
-        assert changed_files(tmp_path) is None
-
-    def test_changed_only_falls_back_to_full_run(self, tmp_path, monkeypatch):
-        path = tmp_path / "plain.py"
-        path.write_text("import time\n\ndef f():\n    return time.time()\n")
-        monkeypatch.chdir(tmp_path)  # not a git repo -> full run
-        report = run_lint([path], changed_only=True)
-        assert unwaived_ids(report) == ["DET001"]
-
-    def test_changed_flag_is_mounted_on_the_cli(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["lint", "--changed"])
-        assert args.changed
 
 
 # ---------------------------------------------------------------------- #

@@ -7,11 +7,10 @@ Four families of checks:
   whole strategy vocabulary;
 * **self-check** — :func:`repro.semantics.verify` passes on the real
   catalogue and *fails* on tampered copies (a mis-declared determinism
-  class, state space or parameter schema is caught, not trusted);
+  class, state space or parameter schema, or a broken binding, is caught,
+  not trusted);
 * **derivation** — the parity-fuzz sweep space, the strategy vocabulary and
-  the kernel dispatch tables are generated from the catalogue, and the old
-  hand-maintained copies are verifiably gone from the derived modules'
-  source;
+  the kernel dispatch tables are generated from the catalogue;
 * **error style** — unknown names raise one
   :class:`~repro.core.errors.ParameterError` listing the registered
   alternatives, and unknown parameters raise one carrying the spec's schema
@@ -30,6 +29,7 @@ from repro.semantics import (
     ADVERSARY_SEMANTICS,
     ALGORITHM_SEMANTICS,
     BIT_IDENTICAL,
+    FAULT_SCHEDULE_SEMANTICS,
     FLAT_ONLY,
     STATISTICAL,
     DeterminismClass,
@@ -160,6 +160,57 @@ class TestVerify:
         problems = verify(algorithms=tampered)
         assert any("trivial" in p and "fuzz" in p for p in problems)
 
+    @pytest.mark.parametrize(
+        ("table", "entry", "field", "binding"),
+        [
+            (
+                "algorithms",
+                "trivial",
+                "kernel_binding",
+                "repro.counters.kernels:NoSuchKernel",
+            ),
+            (
+                "adversaries",
+                "crash",
+                "scalar_binding",
+                "repro.network.adversary:NoSuchAdversary",
+            ),
+            (
+                "adversaries",
+                "crash",
+                "kernel_binding",
+                "repro.network.batch:NoSuchKernel",
+            ),
+            (
+                "schedules",
+                "churn",
+                "builder_binding",
+                "repro.faults.schedule:no_such_builder",
+            ),
+            ("algorithms", "trivial", "kernel_binding", "repro.counters.kernels"),
+        ],
+        ids=[
+            "algorithm-kernel",
+            "adversary-scalar",
+            "adversary-kernel",
+            "schedule-builder",
+            "malformed",
+        ],
+    )
+    def test_a_broken_binding_is_one_problem_naming_the_entry(
+        self, table: str, entry: str, field: str, binding: str
+    ) -> None:
+        catalogue = {
+            "algorithms": ALGORITHM_SEMANTICS,
+            "adversaries": ADVERSARY_SEMANTICS,
+            "schedules": FAULT_SCHEDULE_SEMANTICS,
+        }
+        tampered = dict(catalogue[table])
+        tampered[entry] = dataclasses.replace(tampered[entry], **{field: binding})
+        problems = verify(**{table: tampered})
+        assert len(problems) == 1, problems
+        assert repr(entry) in problems[0]
+
 
 # ---------------------------------------------------------------------- #
 # Derivation: sweep space and dispatch generated from the catalogue
@@ -260,23 +311,6 @@ class TestFaultScheduleSemantics:
         assert schedule.windows[0].duration == 3
         with pytest.raises(ParameterError):
             churn.build(onset=2)
-
-
-class TestNoDuplicatedMetadata:
-    """Derived modules carry no literal copies of catalogue metadata.
-
-    The PR 7 hand-written source greps are subsumed by the ``META001`` lint
-    rule, which matches *every* declared description against every string
-    constant in the catalogue-bound and derived modules (and whose scope
-    grows automatically with the catalogue).  This test pins the rule to the
-    real tree; the rule's own unit tests live in ``tests/lint``.
-    """
-
-    def test_meta001_finds_no_duplication_in_the_shipped_tree(self) -> None:
-        from repro.lint import run_lint
-
-        report = run_lint(rules=["META001"])
-        assert [f.format() for f in report.unwaived()] == []
 
 
 # ---------------------------------------------------------------------- #
