@@ -3,8 +3,8 @@
 In a circuit, attributing communication cost to the *pulling* node lets each
 node operate under a fixed per-round energy budget.  This example sweeps the
 sample size ``M`` of the Theorem 4 sampled construction through a single
-``repro.scenarios`` scenario — one pulling-model campaign whose algorithm
-axis carries one ``sampled-boosted`` entry per ``M`` — and compares messages
+pulling-model campaign whose algorithm axis carries one ``sampled-boosted``
+entry per ``M``, and compares messages
 pulled per round against the deterministic broadcast construction (where
 every node effectively hears from all ``n`` nodes each round).
 
@@ -15,8 +15,8 @@ Run with::
 
 from __future__ import annotations
 
+from repro.campaigns import AlgorithmSpec, CampaignSpec, run_campaign
 from repro.sampling import recommended_sample_size
-from repro.scenarios import Scenario
 from repro.semantics import build_algorithm
 
 
@@ -32,21 +32,23 @@ def main(
           "(larger than the network at this scale — the win appears for large eta)")
     print()
 
-    # One scenario, one campaign: the algorithm axis sweeps the sample size.
-    scenario = Scenario()
-    for sample_size in sample_sizes:
-        scenario = scenario.counter("sampled-boosted", sample_size=sample_size)
-    scenario = (
-        scenario.adversary("phase-king-skew")
-        .faults(1)
-        .runs(runs)
-        .max_rounds(max_rounds)
-        .stop_after_agreement(0)
-        .min_tail(20)
-        .seed(seed)
-        .named("energy-efficient-pulling")
+    # One campaign: the algorithm axis sweeps the sample size, and early
+    # stopping is off so every run measures the whole horizon.
+    spec = CampaignSpec(
+        name="energy-efficient-pulling",
+        algorithms=tuple(
+            AlgorithmSpec.create("sampled-boosted", {"sample_size": sample_size})
+            for sample_size in sample_sizes
+        ),
+        adversaries=("phase-king-skew",),
+        num_faults=(1,),
+        runs_per_setting=runs,
+        max_rounds=max_rounds,
+        stop_after_agreement=None,
+        min_tail=20,
+        seed=seed,
     )
-    report = scenario.execute()
+    report = run_campaign(spec)
 
     print(f"{'M':>4} {'pulls/round':>12} {'broadcast':>10} {'stabilised':>11} "
           f"{'max pulls':>10} {'blips/round':>12}")

@@ -1,11 +1,11 @@
 """Fault-injection study: how different Byzantine strategies affect stabilisation.
 
 Sweeps every registered adversary strategy against the ``A(12, 3)`` counter
-through the ``repro.scenarios`` facade — the strategy names come from the
-semantics catalogue, so a newly declared adversary automatically joins the
-sweep.  Two hand-crafted cases follow: the Figure 2 fault pattern
-(one whole block Byzantine) and the negative baseline, a naive
-majority-following counter kept split forever by an adaptive adversary.
+in one campaign grid — the strategy names come from the semantics
+catalogue, so a newly declared adversary automatically joins the sweep.
+Two hand-crafted cases follow: the Figure 2 fault pattern (one whole block
+Byzantine) and the negative baseline, a naive majority-following counter
+kept split forever by an adaptive adversary.
 
 Run with::
 
@@ -15,6 +15,12 @@ Run with::
 from __future__ import annotations
 
 from repro import SimulationConfig, figure2_counter, run_simulation
+from repro.campaigns import (
+    AlgorithmSpec,
+    CampaignSpec,
+    run_campaign,
+    summarize_results,
+)
 from repro.counters import NaiveMajorityCounter
 from repro.network import (
     AdaptiveSplitAdversary,
@@ -22,7 +28,6 @@ from repro.network import (
     block_concentrated_faults,
 )
 from repro.network.stabilization import stabilization_round
-from repro.scenarios import Scenario
 from repro.semantics import active_strategy_names
 
 
@@ -32,19 +37,23 @@ def main(runs: int = 2, seed: int = 13) -> None:
     print(f"Counter A({counter.n}, {counter.f}), stabilisation bound {bound} rounds")
     print()
 
-    # Every *active* strategy in the catalogue, with the maximal fault budget.
-    scenario = (
-        Scenario.counter("figure2", levels=1, c=2)
-        .adversary(*active_strategy_names())
-        .faults("auto")
-        .runs(runs)
-        .max_rounds(bound)
-        .stop_after_agreement(16)
-        .seed(seed)
-        .named("fault-injection-study")
+    # Every *active* strategy in the catalogue, with the maximal fault
+    # budget (a fault count of None is the algorithm's resilience f).
+    spec = CampaignSpec(
+        name="fault-injection-study",
+        algorithms=(AlgorithmSpec.create("figure2", {"levels": 1, "c": 2}),),
+        adversaries=active_strategy_names(),
+        num_faults=(None,),
+        runs_per_setting=runs,
+        max_rounds=bound,
+        stop_after_agreement=16,
+        seed=seed,
     )
-    report = scenario.execute()
-    print(scenario.summarize(report).format_table())
+    report = run_campaign(spec)
+    summary = summarize_results(
+        report.results, name=f"Scenario summary — {spec.name}"
+    )
+    print(summary.format_table())
     print()
 
     # The Figure 2 pattern: one whole block Byzantine.

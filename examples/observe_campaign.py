@@ -28,6 +28,9 @@ Run with::
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.campaigns import AlgorithmSpec, CampaignSpec, run_campaign
 from repro.obs import (
     BatchGroupScheduled,
     FallbackTaken,
@@ -37,24 +40,27 @@ from repro.obs import (
     RingBufferSink,
     RunFinished,
 )
-from repro.scenarios import Scenario
 
 
-def build_scenario(runs: int, max_rounds: int, seed: int) -> Scenario:
-    return (
-        Scenario.counter("naive-majority", n=6, c=3, claimed_resilience=1)
-        .adversary("crash", "mimic")
-        .faults(1)
-        .runs(runs)
-        .max_rounds(max_rounds)
-        .stop_after_agreement(6)
-        .seed(seed)
-        .named("observed-demo")
+def build_campaign(runs: int, max_rounds: int, seed: int) -> CampaignSpec:
+    return CampaignSpec(
+        name="observed-demo",
+        algorithms=(
+            AlgorithmSpec.create(
+                "naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}
+            ),
+        ),
+        adversaries=("crash", "mimic"),
+        num_faults=(1,),
+        runs_per_setting=runs,
+        max_rounds=max_rounds,
+        stop_after_agreement=6,
+        seed=seed,
     )
 
 
 def main(runs: int = 25, max_rounds: int = 80, seed: int = 11) -> None:
-    scenario = build_scenario(runs, max_rounds, seed)
+    spec = build_campaign(runs, max_rounds, seed)
 
     # Part 1 — scalar engine, fully observed.  The observer bundles three
     # things: sinks for the event stream (here a progress line and an
@@ -67,7 +73,9 @@ def main(runs: int = 25, max_rounds: int = 80, seed: int = 11) -> None:
         round_stride=0,
     )
     with observer:
-        report = scenario.engine("scalar").execute(observer=observer)
+        report = run_campaign(
+            dataclasses.replace(spec, engine="scalar"), observer=observer
+        )
 
     print(f"campaign finished: {report.executed} runs, {report.failed} failed")
     print()
@@ -94,7 +102,7 @@ def main(runs: int = 25, max_rounds: int = 80, seed: int = 11) -> None:
     # Part 2 — the same grid on the batch engine.  The event stream now
     # records which groups vectorised and which fell back (and why).
     batch_observer = Observer.recording(round_stride=0)
-    batch_report = scenario.engine("auto").execute(observer=batch_observer)
+    batch_report = run_campaign(spec, observer=batch_observer)  # engine "auto"
     for event in batch_observer.buffer.of_kind(BatchGroupScheduled):
         print(f"batched: {event.label} ({event.runs} runs, "
               f"deterministic={event.deterministic})")

@@ -2,8 +2,9 @@
 
 Two views of the same system:
 
-1. the ``repro.scenarios`` facade — the one-chain way to run a whole
-   campaign of adversarial simulations and summarise it, and
+1. a campaign grid — one :class:`~repro.campaigns.spec.CampaignSpec`
+   describes a whole study of adversarial simulations, and
+   :func:`~repro.campaigns.runner.run_campaign` runs and summarises it, and
 2. the trace-level API underneath, reproducing the example execution from
    the introduction of the paper: a network with Byzantine nodes and
    arbitrary initial states eventually has all correct nodes counting
@@ -17,27 +18,36 @@ Run with::
 from __future__ import annotations
 
 from repro import SimulationConfig, figure2_counter, run_simulation
+from repro.campaigns import (
+    AlgorithmSpec,
+    CampaignSpec,
+    run_campaign,
+    summarize_results,
+)
 from repro.network import PhaseKingSkewAdversary, random_faulty_set
 from repro.network.stabilization import stabilization_round
-from repro.scenarios import Scenario
 
 
 def main(runs: int = 5, max_rounds: int = 4000, seed: int = 42) -> None:
-    # Part 1 — the facade.  One chain describes the whole study: the
+    # Part 1 — the campaign grid.  One spec describes the whole study: the
     # Figure 2 counter A(12, 3) counting modulo 3, attacked by the
     # phase-king-skew adversary controlling 3 Byzantine nodes, repeated
     # over independent fault sets and seeds.
-    scenario = (
-        Scenario.counter("figure2", levels=1, c=3)
-        .adversary("phase-king-skew")
-        .faults(3)
-        .runs(runs)
-        .max_rounds(max_rounds)
-        .stop_after_agreement(12)
-        .seed(seed)
+    spec = CampaignSpec(
+        name="figure2",
+        algorithms=(AlgorithmSpec.create("figure2", {"levels": 1, "c": 3}),),
+        adversaries=("phase-king-skew",),
+        num_faults=(3,),
+        runs_per_setting=runs,
+        max_rounds=max_rounds,
+        stop_after_agreement=12,
+        seed=seed,
     )
-    report = scenario.execute()
-    print(scenario.summarize(report).format_table())
+    report = run_campaign(spec)
+    summary = summarize_results(
+        report.results, name=f"Scenario summary — {spec.name}"
+    )
+    print(summary.format_table())
     print()
 
     # Part 2 — the trace-level API, for when one run must be inspected

@@ -12,28 +12,35 @@ Suomela, PODC 2015).  The library provides:
 * an exhaustive configuration-space verifier for small instances, and
 * an experiment harness regenerating every table and figure of the paper.
 
-Quick start — the :mod:`repro.scenarios` facade is the front door: one chain
-describes a whole campaign of adversarial simulations, compiled onto the
-campaign engine (serial or multi-process execution, bit-identical results,
-JSONL persistence and resume)::
+Quick start — one :class:`~repro.campaigns.spec.CampaignSpec` describes a
+whole grid of adversarial simulations, and
+:func:`~repro.campaigns.runner.run_campaign` executes it (serial or
+multi-process execution, bit-identical results, JSONL persistence and
+resume)::
 
-    from repro import Scenario
-
-    scenario = (
-        Scenario.counter("figure2", levels=1, c=3)   # A(12, 3), counting mod 3
-        .adversary("phase-king-skew")
-        .faults(3)
-        .runs(200)
-        .stop_after_agreement(12)
+    from repro.campaigns import (
+        AlgorithmSpec, CampaignSpec, default_executor, run_campaign,
+        summarize_results,
     )
-    report = scenario.execute(jobs=4)
-    print(scenario.summarize(report).format_table())
 
-The same surface is available from the shell as ``python -m repro`` (or the
-``repro`` console script): ``repro run``, ``repro campaign``,
-``repro experiment``, ``repro list`` and ``repro verify``.  Component names
-("figure2", "phase-king-skew", ...) come from the semantics catalogue —
-``repro list`` shows them all with descriptions, and
+    spec = CampaignSpec(
+        name="figure2",
+        # A(12, 3), counting mod 3
+        algorithms=(AlgorithmSpec.create("figure2", {"levels": 1, "c": 3}),),
+        adversaries=("phase-king-skew",),
+        num_faults=(3,),
+        runs_per_setting=200,
+        stop_after_agreement=12,
+    )
+    report = run_campaign(spec, executor=default_executor(4, spec.engine))
+    print(summarize_results(report.results).format_table())
+
+From the shell the same grid is ``repro run "figure2:levels=1,c=3"
+--adversary phase-king-skew --faults 3 --runs 200 --stop-after-agreement 12
+--jobs 4``; ``python -m repro`` (or the ``repro`` console script) also offers
+``repro campaign``, ``repro experiment``, ``repro list`` and ``repro
+verify``.  Component names ("figure2", "phase-king-skew", ...) come from the
+semantics catalogue — ``repro list`` shows them all with descriptions, and
 :func:`repro.semantics.build_algorithm` builds an algorithm by name.
 
 For round-by-round inspection of a single run, drop one level down to the
@@ -88,12 +95,9 @@ from repro.network import (
     run_pull_simulation,
     run_simulation,
 )
-from repro.scenarios import Scenario
 
 __all__ = [
     "__version__",
-    # The scenario facade (the documented quick-start path)
-    "Scenario",
     # Core abstractions
     "SynchronousCountingAlgorithm",
     "AlgorithmInfo",

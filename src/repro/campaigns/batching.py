@@ -2,7 +2,7 @@
 
 :class:`BatchExecutor` is the engine-aware executor behind the
 ``engine="auto" | "batch"`` knob of :class:`~repro.campaigns.spec.CampaignSpec`
-and the :class:`~repro.scenarios.scenario.Scenario` facade.  It partitions the
+(``--engine`` of ``repro run`` and ``repro campaign``).  It partitions the
 expanded :class:`~repro.campaigns.spec.RunSpec` list into *groups* of trials
 that share one configuration — same declarative algorithm, same adversary
 strategy and parameters, same fault count and simulation envelope, differing

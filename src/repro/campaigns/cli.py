@@ -51,12 +51,14 @@ from repro.campaigns.spec import (
     CampaignSpec,
 )
 from repro.core.errors import ParameterError, ReproError
-from repro.semantics import strategy_names
 from repro.obs.cli import add_observability_arguments, observation_from_args
 
 __all__ = [
     "register_commands",
     "dispatch",
+    "add_grid_arguments",
+    "campaign_from_args",
+    "print_progress",
     "parse_algorithm",
     "parse_num_faults",
     "parse_fault_schedule",
@@ -141,18 +143,101 @@ def parse_group_by(argument: str) -> tuple[str, ...]:
     return group_by
 
 
-def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
-    """Build a CampaignSpec from ``define`` flags."""
-    schedule_name: str | None = None
-    schedule_params: tuple[tuple[str, Any], ...] = ()
-    if getattr(args, "fault_schedule", None) is not None:
-        schedule_name, schedule_params = args.fault_schedule
+def add_grid_arguments(parser: argparse.ArgumentParser) -> None:
+    """Register the grid flags ``repro run`` and ``campaign define`` share.
+
+    Each command adds its own algorithm argument, fault-count flag and
+    ``--name``; :func:`campaign_from_args` reads all of them back.
+    """
+    parser.add_argument(
+        "--adversary",
+        action="append",
+        metavar="STRATEGY",
+        help=(
+            "adversary strategy (repeatable; default: random-state, or none "
+            "with --fault-schedule; see `repro list adversaries`)"
+        ),
+    )
+    parser.add_argument("--runs", type=int, default=10, help="runs per grid setting")
+    parser.add_argument("--seed", type=int, default=0, help="campaign master seed")
+    parser.add_argument(
+        "--max-rounds", type=int, default=1000, help="per-run round cap"
+    )
+    parser.add_argument(
+        "--stop-after-agreement",
+        type=int,
+        default=20,
+        help="early-stop window; 0 disables early stopping",
+    )
+    parser.add_argument(
+        "--min-tail",
+        type=int,
+        default=2,
+        help="rounds of agreement a run needs to count as stabilised",
+    )
+    parser.add_argument(
+        "--fault-pattern",
+        choices=FAULT_PATTERNS,
+        default="random",
+        help="placement of the faulty nodes",
+    )
+    parser.add_argument(
+        "--fault-schedule",
+        type=parse_fault_schedule,
+        metavar="NAME[:k=v,...]",
+        help=(
+            "named fault schedule with parameters, e.g. "
+            "'churn:start=5,down=6' (see `repro list fault-schedules`); "
+            "scheduled grids run fault-free baselines (adversary 'none') "
+            "and the schedule drives the faulty set per round"
+        ),
+    )
+    parser.add_argument(
+        "--loss",
+        type=float,
+        default=0.0,
+        help=(
+            "per-link message loss probability in [0, 1) — a lost link "
+            "re-delivers the sender's previous broadcast (broadcast model only)"
+        ),
+    )
+    parser.add_argument(
+        "--delay",
+        type=int,
+        default=0,
+        help=(
+            "maximum per-link message delay in rounds; each link delivers a "
+            "uniformly random 0..DELAY-old broadcast (broadcast model only)"
+        ),
+    )
+    parser.add_argument(
+        "--engine",
+        choices=list(ENGINES),
+        default="auto",
+        help=(
+            "execution engine: 'auto' vectorises bit-identical run groups "
+            "through the NumPy batch engine, 'batch' forces it for every "
+            "kernel-covered group, 'scalar' runs one simulation at a time"
+        ),
+    )
+
+
+def campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
+    """Build the CampaignSpec the grid flags of ``run`` / ``campaign define`` describe.
+
+    Without ``--name`` the campaign is named after its algorithms, joined
+    with ``+``.
+    """
+    schedule_name, schedule_params = args.fault_schedule or (None, ())
     # A scheduled campaign owns its faulty set, so the baseline defaults to
     # the fault-free 'none' rows (an explicit --adversary still wins and is
     # then rejected by CampaignSpec with a descriptive error).
     default_adversaries = ["none"] if schedule_name is not None else ["random-state"]
+    name = args.name
+    if name is None:
+        name = "+".join(algorithm.name for algorithm in args.algorithm)
     return CampaignSpec(
-        name=args.name,
+        name=name,
         algorithms=tuple(args.algorithm),
         adversaries=tuple(args.adversary or default_adversaries),
         num_faults=tuple(args.num_faults or [None]),
@@ -164,11 +249,19 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         min_tail=args.min_tail,
         fault_pattern=args.fault_pattern,
         engine=args.engine,
-        loss=getattr(args, "loss", 0.0),
-        delay=getattr(args, "delay", 0),
+        loss=args.loss,
+        delay=args.delay,
         fault_schedule=schedule_name,
         fault_schedule_params=schedule_params,
     )
+
+
+def print_progress(done: int, total: int, result: RunResult) -> None:
+    """The per-run progress line of ``repro run`` and ``campaign run``."""
+    status = "FAIL" if result.error else (
+        f"stab@{result.stabilization_round}" if result.stabilized else "no-stab"
+    )
+    print(f"[{done}/{total}] {result.run_id}: {status}", flush=True)
 
 
 def register_commands(subparsers) -> None:
@@ -194,70 +287,13 @@ def register_commands(subparsers) -> None:
         help="registry algorithm with parameters (repeatable)",
     )
     define.add_argument(
-        "--adversary",
-        action="append",
-        choices=list(strategy_names()),
-        help="adversary strategy (repeatable; default: random-state)",
-    )
-    define.add_argument(
         "--num-faults",
         action="append",
         type=parse_num_faults,
         metavar="N|auto",
         help="faults per run (repeatable; default: auto = the algorithm's f)",
     )
-    define.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="auto",
-        help=(
-            "execution engine: 'auto' vectorises bit-identical run groups, "
-            "'batch' forces the NumPy batch engine for every kernel-covered "
-            "group, 'scalar' runs one simulation at a time"
-        ),
-    )
-    define.add_argument("--runs", type=int, default=10, help="runs per grid setting")
-    define.add_argument("--seed", type=int, default=0, help="campaign master seed")
-    define.add_argument("--max-rounds", type=int, default=1000)
-    define.add_argument(
-        "--stop-after-agreement",
-        type=int,
-        default=20,
-        help="early-stop window; 0 disables early stopping",
-    )
-    define.add_argument("--min-tail", type=int, default=2)
-    define.add_argument(
-        "--fault-pattern", choices=FAULT_PATTERNS, default="random"
-    )
-    define.add_argument(
-        "--fault-schedule",
-        type=parse_fault_schedule,
-        metavar="NAME[:k=v,...]",
-        help=(
-            "named fault schedule with parameters, e.g. "
-            "'churn:start=5,down=6' (see `repro list fault-schedules`); "
-            "scheduled campaigns run fault-free baselines (adversary 'none') "
-            "and the schedule drives the faulty set per round"
-        ),
-    )
-    define.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help=(
-            "per-link message loss probability in [0, 1) — a lost link "
-            "re-delivers the sender's previous broadcast (broadcast model only)"
-        ),
-    )
-    define.add_argument(
-        "--delay",
-        type=int,
-        default=0,
-        help=(
-            "maximum per-link message delay in rounds; each link delivers a "
-            "uniformly random 0..DELAY-old broadcast (broadcast model only)"
-        ),
-    )
+    add_grid_arguments(define)
     define.add_argument("--out", required=True, help="path of the definition file")
 
     for verb, description in (
@@ -307,7 +343,7 @@ def register_commands(subparsers) -> None:
 
 
 def _command_define(args: argparse.Namespace) -> int:
-    spec = _spec_from_args(args)
+    spec = campaign_from_args(args)
     runs = spec.expand()
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(spec.to_dict(), handle, indent=2, sort_keys=True)
@@ -322,21 +358,12 @@ def _command_run(args: argparse.Namespace) -> int:
     store = CampaignStore(args.store)
     engine = args.engine or spec.engine
     executor = default_executor(args.jobs, engine)
-
-    def progress(done: int, total: int, result: RunResult) -> None:
-        status = "FAIL" if result.error else (
-            f"stab@{result.stabilization_round}"
-            if result.stabilized
-            else "no-stab"
-        )
-        print(f"[{done}/{total}] {result.run_id}: {status}", flush=True)
-
     with observation_from_args(args) as observer:
         report = run_campaign(
             spec,
             store=store,
             executor=executor,
-            progress=None if args.quiet else progress,
+            progress=None if args.quiet else print_progress,
             observer=observer,
         )
     print(

@@ -392,7 +392,7 @@ class ParallelExecutor:
 
 
 def default_executor(jobs: int | None = None, engine: str | None = None):
-    """Executor factory used by the CLIs and the Scenario facade.
+    """Executor factory used by the CLIs and :func:`~repro.campaigns.run_campaign`.
 
     ``engine`` selects the execution path: ``None`` / ``"scalar"`` keeps the
     per-run engines (serial for ``jobs in (None, 0, 1)``, multiprocessing

@@ -20,6 +20,7 @@ order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -32,8 +33,14 @@ from repro.network.adversary import (
     random_faulty_set,
     spread_faults,
 )
-from repro.semantics import ALGORITHM_SEMANTICS, adversary_semantics, build_algorithm
+from repro.semantics import (
+    ALGORITHM_SEMANTICS,
+    adversary_semantics,
+    algorithm_semantics,
+    build_algorithm,
+)
 from repro.util.rng import derivation_base, derive_rng_from_base
+from repro.util.validation import is_integer
 
 __all__ = [
     "AlgorithmSpec",
@@ -64,6 +71,13 @@ def _required(data: Any, key: str, owner: str) -> Any:
     return data[key]
 
 
+def _as_list(owner: str, key: str, value: Any) -> tuple:
+    """A grid axis read from a definition file, which must be a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"{owner}: {key} must be a list, got {value!r}")
+    return tuple(value)
+
+
 def _as_items(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None) -> tuple:
     """Normalise a parameter mapping into a sorted, hashable item tuple."""
     if params is None:
@@ -73,6 +87,13 @@ def _as_items(params: Mapping[str, Any] | Iterable[tuple[str, Any]] | None) -> t
     else:
         items = list(params)
     return tuple(sorted((str(key), value) for key, value in items))
+
+
+def _check_integer(owner: str, key: str, value: Any, *, optional: bool = False) -> None:
+    """Reject a grid field that is not an integer (nor ``None``, when ``optional``)."""
+    if not (is_integer(value) or (optional and value is None)):
+        expected = "an integer or null" if optional else "an integer"
+        raise ParameterError(f"{owner}: {key} must be {expected}, got {value!r}")
 
 
 def _validate_perturbation_knobs(owner: str, loss: float, delay: int) -> None:
@@ -145,7 +166,12 @@ class AlgorithmSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "AlgorithmSpec":
         """Inverse of :meth:`to_dict` (:class:`ParameterError` if malformed)."""
         name = _required(data, "name", "algorithm entry")
-        return cls.create(name, data.get("params"))
+        params = data.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ParameterError(
+                f"algorithm {name!r}: params must be a JSON object, got {params!r}"
+            )
+        return cls.create(name, params)
 
 
 @dataclass(frozen=True)
@@ -290,7 +316,6 @@ class CampaignSpec:
     stop_after_agreement: int | None = 20
     min_tail: int = 2
     fault_pattern: str = "random"
-    metadata: tuple[tuple[str, Any], ...] = ()
     engine: str = "auto"
     loss: float = 0.0
     delay: int = 0
@@ -300,15 +325,27 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ParameterError("campaign name must be non-empty")
-        _validate_perturbation_knobs(f"campaign {self.name!r}", self.loss, self.delay)
+        owner = f"campaign {self.name!r}"
+        # Types first: a definition file is checked as written, so the range
+        # checks below never compare a string or a null.
+        for key in ("runs_per_setting", "seed", "max_rounds", "min_tail", "delay"):
+            _check_integer(owner, key, getattr(self, key))
+        _check_integer(
+            owner, "stop_after_agreement", self.stop_after_agreement, optional=True
+        )
+        for count in self.num_faults:
+            _check_integer(owner, "num_faults entry", count, optional=True)
+        if isinstance(self.loss, bool) or not isinstance(self.loss, numbers.Real):
+            raise ParameterError(f"{owner}: loss must be a number, got {self.loss!r}")
+        _validate_perturbation_knobs(owner, self.loss, self.delay)
         if self.fault_schedule is not None:
             from repro.semantics import fault_schedule_semantics
 
             # Unknown names and bad builder parameters fail at definition
             # time; per-algorithm feasibility (fault counts vs resilience)
             # is checked against each algorithm during expand().
-            fault_schedule_semantics(self.fault_schedule).validate(
-                dict(self.fault_schedule_params)
+            fault_schedule_semantics(self.fault_schedule).build(
+                **dict(self.fault_schedule_params)
             )
             if tuple(self.adversaries) != ("none",):
                 raise ParameterError(
@@ -324,6 +361,10 @@ class CampaignSpec:
             )
         if not self.algorithms:
             raise ParameterError("campaign must list at least one algorithm")
+        # Unknown names and parameters fail here, before any run executes or
+        # any store, metrics or events file is written.
+        for algorithm in self.algorithms:
+            algorithm_semantics(algorithm.name).validate(dict(algorithm.params))
         if not self.adversaries:
             raise ParameterError("campaign must list at least one adversary strategy")
         if self.runs_per_setting < 1:
@@ -471,7 +512,6 @@ class CampaignSpec:
             "stop_after_agreement": self.stop_after_agreement,
             "min_tail": self.min_tail,
             "fault_pattern": self.fault_pattern,
-            "metadata": dict(self.metadata),
             "engine": self.engine,
             "loss": self.loss,
             "delay": self.delay,
@@ -483,28 +523,32 @@ class CampaignSpec:
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
         """Inverse of :meth:`to_dict`.
 
-        Definition files written before the model was derived from the
-        algorithms carry a ``"model"`` key; it is ignored.  A file that is
-        not an object or lacks ``"name"`` / ``"algorithms"`` raises
-        :class:`ParameterError` naming what is wrong.
+        Older definition files may carry a ``"model"`` key (from before the
+        model was derived from the algorithms) or a ``"metadata"`` object of
+        free-form tags nothing read; both are ignored.  A file that
+        is not an object or lacks ``"name"`` / ``"algorithms"`` raises
+        :class:`ParameterError` naming what is wrong, and so does a field of
+        the wrong type: values are taken as written, never coerced.
         """
         name = _required(data, "name", "campaign definition")
-        entries = _required(data, "algorithms", f"campaign {name!r}")
+        owner = f"campaign {name!r}"
+        entries = _as_list(owner, "algorithms", _required(data, "algorithms", owner))
         return cls(
             name=name,
             algorithms=tuple(AlgorithmSpec.from_dict(entry) for entry in entries),
-            adversaries=tuple(data.get("adversaries", ("random-state",))),
-            num_faults=tuple(data.get("num_faults", (None,))),
-            runs_per_setting=int(data.get("runs_per_setting", 10)),
-            seed=int(data.get("seed", 0)),
-            max_rounds=int(data.get("max_rounds", 1000)),
+            adversaries=_as_list(
+                owner, "adversaries", data.get("adversaries", ("random-state",))
+            ),
+            num_faults=_as_list(owner, "num_faults", data.get("num_faults", (None,))),
+            runs_per_setting=data.get("runs_per_setting", 10),
+            seed=data.get("seed", 0),
+            max_rounds=data.get("max_rounds", 1000),
             stop_after_agreement=data.get("stop_after_agreement", 20),
-            min_tail=int(data.get("min_tail", 2)),
+            min_tail=data.get("min_tail", 2),
             fault_pattern=data.get("fault_pattern", "random"),
-            metadata=_as_items(data.get("metadata")),
             engine=data.get("engine", "auto"),
-            loss=float(data.get("loss", 0.0)),
-            delay=int(data.get("delay", 0)),
+            loss=data.get("loss", 0.0),
+            delay=data.get("delay", 0),
             fault_schedule=data.get("fault_schedule"),
             fault_schedule_params=_as_items(data.get("fault_schedule_params")),
         )

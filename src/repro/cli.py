@@ -4,9 +4,10 @@ Installed as the ``repro`` console script and runnable as ``python -m
 repro``.  Subcommands:
 
 ========== ==================================================================
-``run``        run one scenario (algorithms x adversaries x faults grid)
-               through the :class:`~repro.scenarios.scenario.Scenario`
-               facade and print a stabilisation summary
+``run``        run one campaign grid (algorithms x adversaries x faults)
+               and print a stabilisation summary: ``campaign define`` +
+               ``campaign run`` + ``summarize`` in one process, with the
+               same grid flags
 ``campaign``   ``define`` / ``run`` / ``resume`` / ``summarize`` — the
                campaign engine commands (:mod:`repro.campaigns.cli`)
 ``experiment`` regenerate a paper artefact: ``table1``, ``table2``,
@@ -34,20 +35,22 @@ from typing import Sequence
 
 from repro._version import __version__
 from repro.campaigns.cli import (
+    add_grid_arguments,
+    campaign_from_args,
     dispatch,
     parse_algorithm,
-    parse_fault_schedule,
     parse_group_by,
     parse_num_faults,
+    print_progress,
     register_commands,
 )
-from repro.campaigns.results import CampaignStore, RunResult, summarize_results
-from repro.campaigns.spec import ENGINES, FAULT_PATTERNS
+from repro.campaigns.executor import default_executor
+from repro.campaigns.results import CampaignStore, summarize_results
+from repro.campaigns.runner import run_campaign
 from repro.core.errors import ParameterError
 from repro.experiments.catalog import experiment_catalog
 from repro.lint.cli import register_lint_command
 from repro.obs.cli import add_observability_arguments, observation_from_args
-from repro.scenarios import Scenario
 from repro.semantics import (
     ADVERSARY_SEMANTICS,
     ALGORITHM_SEMANTICS,
@@ -69,54 +72,22 @@ __all__ = ["main", "build_parser"]
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    """Compile the flags into a Scenario, execute it, print a summary."""
-    # Validated up front: an unknown field must not cost a whole scenario.
+    """Build the flags' campaign, run it, print a summary."""
+    # Validated up front: an unknown field must not cost a whole campaign.
     group_by = parse_group_by(args.group_by)
-    scenario = Scenario()
-    for spec in args.algorithm:
-        scenario = scenario.counter(spec.name, **dict(spec.params))
-    if args.adversary:
-        scenario = scenario.adversary(*args.adversary)
-    if args.faults:
-        scenario = scenario.faults(*args.faults)
-    scenario = (
-        scenario.runs(args.runs)
-        .seed(args.seed)
-        .max_rounds(args.max_rounds)
-        .stop_after_agreement(args.stop_after_agreement)
-        .min_tail(args.min_tail)
-        .fault_pattern(args.fault_pattern)
-        .engine(args.engine)
-    )
-    if args.loss:
-        scenario = scenario.loss(args.loss)
-    if args.delay:
-        scenario = scenario.delay(args.delay)
-    if args.fault_schedule:
-        schedule_name, schedule_params = args.fault_schedule
-        scenario = scenario.fault_schedule(schedule_name, **dict(schedule_params))
-    if args.name:
-        scenario = scenario.named(args.name)
-
+    spec = campaign_from_args(args)
     store = CampaignStore(args.store) if args.store else None
-
-    def progress(done: int, total: int, result: RunResult) -> None:
-        status = "FAIL" if result.error else (
-            f"stab@{result.stabilization_round}" if result.stabilized else "no-stab"
-        )
-        print(f"[{done}/{total}] {result.run_id}: {status}", flush=True)
-
     with observation_from_args(args) as observer:
-        report = scenario.execute(
-            jobs=args.jobs,
+        report = run_campaign(
+            spec,
             store=store,
-            progress=None if args.quiet else progress,
+            executor=default_executor(args.jobs, spec.engine),
+            progress=None if args.quiet else print_progress,
             observer=observer,
         )
-    name = scenario.to_campaign_spec().name
     suffix = f" -> {store.path}" if store is not None else ""
     print(
-        f"scenario '{name}': {report.total} runs "
+        f"scenario '{spec.name}': {report.total} runs "
         f"({report.executed} executed, {report.skipped} resumed, "
         f"{report.failed} failed) in {report.elapsed:.2f}s{suffix}"
     )
@@ -125,7 +96,7 @@ def _command_run(args: argparse.Namespace) -> int:
         for reason in report.fallback_reasons:
             print(f"  - {reason}")
     table = summarize_results(
-        report.results, group_by=group_by, name=f"Scenario summary — {name}"
+        report.results, group_by=group_by, name=f"Scenario summary — {spec.name}"
     )
     print(table.to_markdown() if args.markdown else table.format_table())
     return 1 if report.failed else 0
@@ -335,9 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run one scenario (algorithms x adversaries x faults) and summarize it",
         description=(
-            "Run one scenario through the repro.scenarios facade: the grid "
-            "algorithms x adversaries x fault counts x runs, executed "
-            "serially or over worker processes with bit-identical results."
+            "Run one campaign grid — algorithms x adversaries x fault counts "
+            "x runs — and print its stabilisation summary: campaign define, "
+            "campaign run and summarize in one command, with the same grid "
+            "flags.  Runs execute serially or over worker processes with "
+            "bit-identical results."
         ),
     )
     run.set_defaults(handler=_command_run)
@@ -349,69 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="registry algorithm(s) with parameters, e.g. 'figure2:levels=1,c=2'",
     )
     run.add_argument(
-        "--adversary",
-        action="append",
-        metavar="STRATEGY",
-        help="adversary strategy (repeatable; default: random-state)",
-    )
-    run.add_argument(
         "--faults",
+        dest="num_faults",
         action="append",
         type=parse_num_faults,
         metavar="N|auto",
         help="faults per run (repeatable; default: auto = the algorithm's f)",
     )
-    run.add_argument("--runs", type=int, default=10, help="runs per grid setting")
-    run.add_argument("--seed", type=int, default=0, help="master seed")
-    run.add_argument("--max-rounds", type=int, default=1000, help="per-run round cap")
+    add_grid_arguments(run)
     run.add_argument(
-        "--stop-after-agreement",
-        type=int,
-        default=20,
-        help="early-stop window; 0 disables early stopping",
+        "--name", help="scenario name (default: the algorithm names joined by '+')"
     )
-    run.add_argument("--min-tail", type=int, default=2)
-    run.add_argument("--fault-pattern", choices=FAULT_PATTERNS, default="random")
-    run.add_argument(
-        "--fault-schedule",
-        type=parse_fault_schedule,
-        metavar="NAME[:k=v,...]",
-        help=(
-            "named fault schedule with parameters, e.g. "
-            "'churn:start=5,down=6' (see `repro list fault-schedules`); "
-            "the schedule owns the faulty set, so the scenario runs "
-            "fault-free baselines and measures re-stabilisation"
-        ),
-    )
-    run.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help=(
-            "per-link message loss probability in [0, 1) — a lost link "
-            "re-delivers the sender's previous broadcast (broadcast model only)"
-        ),
-    )
-    run.add_argument(
-        "--delay",
-        type=int,
-        default=0,
-        help=(
-            "maximum per-link message delay in rounds; each link delivers a "
-            "uniformly random 0..DELAY-old broadcast (broadcast model only)"
-        ),
-    )
-    run.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="auto",
-        help=(
-            "execution engine: 'auto' vectorises bit-identical run groups "
-            "through the NumPy batch engine, 'batch' forces it for every "
-            "kernel-covered group, 'scalar' runs one simulation at a time"
-        ),
-    )
-    run.add_argument("--name", help="scenario name (default: the algorithm names)")
     run.add_argument(
         "--jobs",
         type=int,

@@ -7,7 +7,8 @@ registry in between:
 * :func:`build_algorithm` constructs every algorithm built by name (the
   campaign specs, ``repro verify``, the parity harness, the examples), and
   :func:`algorithm_semantics` / :func:`adversary_semantics` raise the one
-  unknown-name error the ``Scenario`` facade and the CLI print;
+  unknown-name error :class:`~repro.campaigns.spec.CampaignSpec` and the
+  CLI print;
 * :func:`repro.network.adversary.build_adversary` constructs the scalar
   strategy classes bound in :data:`ADVERSARY_SEMANTICS`;
 * the batch engine resolves adversary kernels by strategy name from
@@ -388,8 +389,9 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
 }
 
 
-#: Every fault-schedule preset accepted by the scenario builder and the
-#: campaign CLI's ``--fault-schedule``.  Schedules replace the per-run
+#: Every fault-schedule preset accepted by
+#: :class:`~repro.campaigns.spec.CampaignSpec` and the ``--fault-schedule``
+#: flag of ``repro run`` / ``campaign define``.  Schedules replace the per-run
 #: adversary with a time-varying plan; none of them is vectorised, so the
 #: batching layer degrades them to the scalar engine via a named fallback.
 FAULT_SCHEDULE_SEMANTICS: dict[str, FaultScheduleSemantics] = {

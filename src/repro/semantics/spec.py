@@ -30,6 +30,7 @@ from importlib import import_module
 from typing import Any, Callable, Iterable, Mapping
 
 from repro.core.errors import ParameterError
+from repro.util.validation import is_integer
 
 __all__ = [
     "Parameter",
@@ -235,8 +236,19 @@ class AlgorithmSemantics:
         return "vectorised, statistically equivalent (NumPy RNG)"
 
     def validate(self, params: Mapping[str, Any]) -> None:
-        """Reject parameters outside the schema (:class:`ParameterError`)."""
+        """Reject unknown parameters and non-integer values (:class:`ParameterError`).
+
+        Every algorithm parameter is an integer; a string, float, null or
+        bool would otherwise reach the constructor and fail there with a
+        ``TypeError``, or be silently read as a number.
+        """
         validate_parameters("algorithm", self.name, self.parameters, params)
+        for parameter in self.parameters:
+            if parameter.name in params and not is_integer(params[parameter.name]):
+                raise ParameterError(
+                    f"parameter {parameter.name!r} of algorithm {self.name!r} "
+                    f"must be an integer, got {params[parameter.name]!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,22 @@ counters.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 __all__ = [
+    "is_integer",
     "check_type",
     "check_positive",
     "check_range",
     "check_index",
     "check_probability",
 ]
+
+
+def is_integer(value: Any) -> bool:
+    """Whether ``value`` is a Python or NumPy integer (a ``bool`` is not)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> None:

@@ -10,10 +10,10 @@ import pytest
 from repro.campaigns.batching import BatchExecutor, group_runs
 from repro.campaigns.cli import parse_algorithm
 from repro.campaigns.executor import SerialExecutor, default_executor
+from repro.campaigns.runner import run_campaign
 from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.core.errors import ParameterError
 from repro.network.batch import BATCH_RNG_NOTE, bit_identical, build_batch_kernel
-from repro.scenarios import Scenario
 from repro.semantics import active_strategy_names
 
 
@@ -382,26 +382,28 @@ class TestEngineKnob:
         with pytest.raises(ParameterError, match="unknown engine"):
             default_executor(None, "warp")
 
-    def test_scenario_engine_is_bit_identical_across_engines(self):
-        scenario = (
-            Scenario.counter("naive-majority", n=6, c=3, claimed_resilience=1)
-            .adversary("crash")
-            .faults(1)
-            .runs(4)
-            .max_rounds(60)
-            .stop_after_agreement(5)
+    def test_campaign_engine_is_bit_identical_across_engines(self):
+        spec = CampaignSpec(
+            name="engines",
+            algorithms=(
+                AlgorithmSpec.create(
+                    "naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}
+                ),
+            ),
+            adversaries=("crash",),
+            num_faults=(1,),
+            runs_per_setting=4,
+            max_rounds=60,
+            stop_after_agreement=5,
         )
-        scalar = scenario.engine("scalar").execute()
-        auto = scenario.execute()  # default engine is auto
-        forced = scenario.engine("batch").execute()
-        assert as_dicts(scalar.results) == as_dicts(auto.results)
-        assert as_dicts(scalar.results) == as_dicts(forced.results)
+        reports = {
+            engine: run_campaign(dataclasses.replace(spec, engine=engine))
+            for engine in ("scalar", "auto", "batch")
+        }
+        assert as_dicts(reports["scalar"].results) == as_dicts(reports["auto"].results)
+        assert as_dicts(reports["scalar"].results) == as_dicts(reports["batch"].results)
         with pytest.raises(ParameterError, match="unknown engine"):
-            scenario.engine("warp")
-
-    def test_scenario_compiles_engine_into_campaign_spec(self):
-        scenario = Scenario.counter("trivial", c=2).engine("batch")
-        assert scenario.to_campaign_spec().engine == "batch"
+            dataclasses.replace(spec, engine="warp")
 
 
 class TestCli:

@@ -192,11 +192,53 @@ class TestCampaignSpec:
             {"fault_schedule": "no-such-schedule", "adversaries": ("none",)},
             {"fault_schedule": "churn", "fault_schedule_params": (("onset", 5),),
              "adversaries": ("none",)},
+            {"algorithms": (AlgorithmSpec.create("bogus"),)},
+            {"algorithms": (AlgorithmSpec.create("trivial", {"bogus": 1}),)},
         ],
     )
     def test_validation(self, overrides):
         with pytest.raises(ParameterError):
             small_campaign(**overrides)
+
+    def test_a_bad_algorithm_is_reported_before_a_bad_adversary(self):
+        with pytest.raises(ParameterError) as excinfo:
+            small_campaign(
+                algorithms=(AlgorithmSpec.create("bogus"),), adversaries=("bogus2",)
+            )
+        assert str(excinfo.value) == (
+            "unknown algorithm 'bogus'; registered algorithms: corollary1, "
+            "figure2, naive-majority, pseudo-random-boosted, "
+            "randomized-follow-majority, sampled-boosted, trivial"
+        )
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"runs_per_setting": 2.5}, "runs_per_setting must be an integer, got 2.5"),
+            ({"seed": None}, "seed must be an integer, got None"),
+            ({"delay": True}, "delay must be an integer, got True"),
+            ({"stop_after_agreement": "5"},
+             "stop_after_agreement must be an integer or null, got '5'"),
+            ({"num_faults": (None, "auto")},
+             "num_faults entry must be an integer or null, got 'auto'"),
+            ({"loss": "0.1"}, "loss must be a number, got '0.1'"),
+        ],
+    )
+    def test_a_wrongly_typed_field_names_the_campaign_key_and_value(
+        self, overrides, message
+    ):
+        with pytest.raises(ParameterError) as excinfo:
+            small_campaign(**overrides)
+        assert str(excinfo.value) == f"campaign 'unit': {message}"
+
+    def test_numpy_numbers_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        spec = small_campaign(
+            runs_per_setting=np.int64(2),
+            num_faults=(np.int32(1),),
+            loss=np.float64(0.0),
+        )
+        assert len(spec.expand()) == 2 * 2
 
     def test_unknown_strategy_lists_the_registered_adversaries(self):
         with pytest.raises(ParameterError) as excinfo:
@@ -344,6 +386,16 @@ class TestPullingModelAxis:
         assert rebuilt == spec
         assert rebuilt.expand() == spec.expand()
         assert all(run.model == "broadcast" for run in rebuilt.expand())
+
+    def test_older_file_with_metadata_loads(self):
+        # Older definition files carry free-form "metadata" tags nothing
+        # read; the key is ignored.
+        spec = small_campaign()
+        data = {**spec.to_dict(), "metadata": {"owner": "ci"}}
+        assert "metadata" not in spec.to_dict()
+        rebuilt = CampaignSpec.from_dict(data)
+        assert rebuilt == spec
+        assert rebuilt.expand() == spec.expand()
 
     def test_model_is_not_a_constructor_field(self):
         # The model is no longer a constructor field.

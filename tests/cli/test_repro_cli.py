@@ -272,6 +272,64 @@ class TestCampaignMount:
         assert "Campaign summary" in capsys.readouterr().out
 
 
+class TestOneGridDescription:
+    """``repro run`` and ``campaign define`` build their grid with one builder."""
+
+    ALGORITHM = "naive-majority:n=6,c=3,claimed_resilience=1"
+
+    def spec_for(self, command, *flags):
+        from repro.campaigns.cli import campaign_from_args
+        from repro.cli import build_parser
+
+        if command == "run":
+            argv = ["run", self.ALGORITHM, *flags]
+        else:
+            flags = ["--num-faults" if flag == "--faults" else flag for flag in flags]
+            argv = ["campaign", "define", "--name", "x", "--algorithm",
+                    self.ALGORITHM, "--out", "unused.json", *flags]
+        return campaign_from_args(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("command", ["run", "campaign-define"])
+    def test_auto_fault_count_is_none(self, command):
+        spec = self.spec_for(command, "--faults", "auto", "--faults", "1")
+        assert spec.num_faults == (None, 1)
+
+    @pytest.mark.parametrize("command", ["run", "campaign-define"])
+    def test_fault_schedule_defaults_to_fault_free_baseline(self, command):
+        spec = self.spec_for(command, "--fault-schedule", "churn:start=3,down=2")
+        assert spec.fault_schedule == "churn"
+        assert spec.fault_schedule_params == (("down", 2), ("start", 3))
+        # No --adversary: the schedule owns the faulty set, so the grid runs
+        # fault-free baselines.
+        assert spec.adversaries == ("none",)
+        assert all(run.faulty == () for run in spec.expand())
+
+    def test_default_name_joins_the_algorithms(self, capsys):
+        argv = ["run", "trivial", "naive-majority", "--adversary", "none",
+                "--runs", "1", "--quiet"]
+        assert main(argv) == 0
+        assert "scenario 'trivial+naive-majority': 2 runs" in capsys.readouterr().out
+        assert main([*argv, "--name", "demo"]) == 0
+        assert "scenario 'demo': 2 runs" in capsys.readouterr().out
+
+    def test_run_writes_the_rows_of_define_then_campaign_run(self, tmp_path, capsys):
+        flags = ["--adversary", "crash", "--adversary", "random-state", "--runs", "2",
+                 "--max-rounds", "60", "--stop-after-agreement", "5", "--seed", "3"]
+        direct = tmp_path / "run.jsonl"
+        assert main(["run", self.ALGORITHM, "--faults", "1", *flags, "--quiet",
+                     "--store", str(direct)]) == 0
+        spec_path = tmp_path / "grid.campaign.json"
+        assert main(["campaign", "define", "--name", "grid", "--algorithm",
+                     self.ALGORITHM, "--num-faults", "1", *flags,
+                     "--out", str(spec_path)]) == 0
+        defined = tmp_path / "campaign.jsonl"
+        assert main(["campaign", "run", str(spec_path), "--store", str(defined),
+                     "--quiet"]) == 0
+        rows = lambda path: sorted(path.read_text(encoding="utf-8").splitlines())
+        assert len(rows(direct)) == 4
+        assert rows(direct) == rows(defined)
+
+
 class TestVerify:
     def test_verify_trivial_counter(self, capsys):
         assert main(["verify", "trivial:c=3"]) == 0
@@ -346,6 +404,47 @@ class TestErrorLines:
             ["campaign", "define", "--name", "x", "--algorithm", "bogus"],
             f"unknown algorithm 'bogus'; registered algorithms: {ALGORITHMS}",
         ),
+        "campaign-define-unknown-adversary": (
+            ["campaign", "define", "--name", "x", "--algorithm", "trivial",
+             "--adversary", "bogus"],
+            f"unknown adversary 'bogus'; registered adversaries: {ADVERSARIES}",
+        ),
+        "run-unknown-algorithm-and-adversary": (
+            ["run", "bogus", "--adversary", "bogus2"],
+            f"unknown algorithm 'bogus'; registered algorithms: {ALGORITHMS}",
+        ),
+        "run-string-parameter": (
+            ["run", "trivial:c=abc"],
+            "parameter 'c' of algorithm 'trivial' must be an integer, got 'abc'",
+        ),
+        "run-null-parameter": (
+            ["run", "trivial:c=null"],
+            "parameter 'c' of algorithm 'trivial' must be an integer, got None",
+        ),
+        "run-float-parameter": (
+            ["run", "corollary1:f=1.0"],
+            "parameter 'f' of algorithm 'corollary1' must be an integer, got 1.0",
+        ),
+        "run-fractional-parameter": (
+            ["run", "trivial:c=2.5"],
+            "parameter 'c' of algorithm 'trivial' must be an integer, got 2.5",
+        ),
+        "run-bool-parameter": (
+            ["run", "figure2:levels=true"],
+            "parameter 'levels' of algorithm 'figure2' must be an integer, got True",
+        ),
+        "campaign-define-string-parameter": (
+            ["campaign", "define", "--name", "x", "--algorithm", "trivial:c=abc"],
+            "parameter 'c' of algorithm 'trivial' must be an integer, got 'abc'",
+        ),
+        "verify-null-parameter": (
+            ["verify", "trivial:c=null", "--skip-lint"],
+            "parameter 'c' of algorithm 'trivial' must be an integer, got None",
+        ),
+        "verify-fractional-parameter": (
+            ["verify", "trivial:c=2.5", "--skip-lint"],
+            "parameter 'c' of algorithm 'trivial' must be an integer, got 2.5",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -375,6 +474,51 @@ class TestMalformedCampaignFile:
             [{"name": "trivial"}],
             "campaign definition must be a JSON object, got list",
         ),
+        "unknown-algorithm": (
+            {"name": "x", "algorithms": [{"name": "bogus"}]},
+            f"unknown algorithm 'bogus'; registered algorithms: {ALGORITHMS}",
+        ),
+        "unknown-parameter": (
+            {"name": "x", "algorithms": [{"name": "trivial", "params": {"bogus": 1}}]},
+            "unknown parameter(s) 'bogus' for algorithm 'trivial'; "
+            "accepted parameters: c (default 2)",
+        ),
+        "params-not-an-object": (
+            {"name": "x", "algorithms": [{"name": "trivial", "params": [1, 2]}]},
+            "algorithm 'trivial': params must be a JSON object, got [1, 2]",
+        ),
+        "auto-fault-count": (
+            {"name": "x", "algorithms": [{"name": "trivial"}], "num_faults": ["auto"]},
+            "campaign 'x': num_faults entry must be an integer or null, got 'auto'",
+        ),
+        "string-window": (
+            {"name": "x", "algorithms": [{"name": "trivial"}],
+             "stop_after_agreement": "5"},
+            "campaign 'x': stop_after_agreement must be an integer or null, got '5'",
+        ),
+        "fractional-runs": (
+            {"name": "x", "algorithms": [{"name": "trivial"}], "runs_per_setting": 2.5},
+            "campaign 'x': runs_per_setting must be an integer, got 2.5",
+        ),
+        "scalar-fault-count": (
+            {"name": "x", "algorithms": [{"name": "trivial"}], "num_faults": 1},
+            "campaign 'x': num_faults must be a list, got 1",
+        ),
+        "string-adversaries": (
+            {"name": "x", "algorithms": [{"name": "trivial"}], "adversaries": "crash"},
+            "campaign 'x': adversaries must be a list, got 'crash'",
+        ),
+        "object-algorithms": (
+            {"name": "x", "algorithms": {"name": "trivial"}},
+            "campaign 'x': algorithms must be a list, got {'name': 'trivial'}",
+        ),
+        **{
+            f"null-{key}": (
+                {"name": "x", "algorithms": [{"name": "trivial"}], key: None},
+                f"campaign 'x': {key} must be an integer, got None",
+            )
+            for key in ("min_tail", "seed", "max_rounds", "runs_per_setting", "delay")
+        },
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -389,6 +533,18 @@ class TestMalformedCampaignFile:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert not store.exists()
+
+    @pytest.mark.parametrize("case", ["unknown-algorithm", "unknown-parameter"])
+    def test_observed_run_writes_no_file(self, case, tmp_path, capsys):
+        data, message = self.CASES[case]
+        spec_path = tmp_path / "bad.campaign.json"
+        spec_path.write_text(json.dumps(data), encoding="utf-8")
+        written = [tmp_path / name for name in ("bad.jsonl", "m.json", "e.jsonl")]
+        argv = ["campaign", "run", str(spec_path), "--store", str(written[0]),
+                "--metrics-out", str(written[1]), "--events-out", str(written[2])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(path.exists() for path in written)
 
 
 class TestStoppingFlags:

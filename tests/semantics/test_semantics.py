@@ -349,6 +349,19 @@ class TestParameterErrors:
         assert "accepted parameters" in message
         assert "claimed_resilience" in message
 
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_build_algorithm_rejects_a_non_integer_parameter(self, value) -> None:
+        with pytest.raises(ParameterError) as excinfo:
+            build_algorithm("figure2", levels=value)
+        assert str(excinfo.value) == (
+            "parameter 'levels' of algorithm 'figure2' must be an integer, "
+            f"got {value!r}"
+        )
+
+    def test_build_algorithm_accepts_numpy_integers(self) -> None:
+        np = pytest.importorskip("numpy")
+        assert build_algorithm("trivial", c=np.int64(3)).c == 3
+
 
 class TestLookups:
     """Names resolve to components in the catalogue, with one error style."""
