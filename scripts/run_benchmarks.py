@@ -6,9 +6,10 @@ the scalar and batch wall-clock and CPU seconds, rounds/second (total and
 per core) on both engines, the speedup, and — crucially — how many runs
 actually took the vectorised path (``batched_runs``) versus the scalar
 fallback (``fallback_runs``).  Every entry is stamped with the UTC
-timestamp and the git commit it measured, and each invocation *appends* the
-payload as one line to ``BENCH_history.jsonl`` so the trajectory survives
-across PRs instead of being overwritten; ``BENCH_batch.json`` remains the
+timestamp and the git commit it measured (``git_dirty`` marks uncommitted
+changes on top of it), and each invocation *appends* the payload as one
+line to ``BENCH_history.jsonl`` so the trajectory survives across PRs
+instead of being overwritten; ``BENCH_batch.json`` remains the
 latest-snapshot view.  The CI benchmark-smoke job runs this in ``--quick``
 mode, fails when a kernel-covered case silently fell back to scalar or the
 NullObserver overhead budget is blown (``--max-null-overhead``), and
@@ -64,11 +65,31 @@ def git_sha() -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
-def stamp(comparison: dict, timestamp: str, sha: str | None) -> dict:
+def git_dirty() -> bool | None:
+    """Whether tracked files differ from the commit (None outside git).
+
+    A dirty run measured ``git_sha`` plus uncommitted changes, such as a
+    change whose numbers are recorded before it is committed.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return bool(out.stdout.strip()) if out.returncode == 0 else None
+
+
+def stamp(comparison: dict, timestamp: str, sha: str | None, dirty: bool | None) -> dict:
     """Stamp one case entry with provenance and derived per-core rates."""
     comparison = dict(comparison)
     comparison["timestamp"] = timestamp
     comparison["git_sha"] = sha
+    comparison["git_dirty"] = dirty
     comparison["cores"] = ENGINE_CORES
     for engine in ("scalar", "batch"):
         comparison[f"{engine}_rounds_per_second_per_core"] = (
@@ -134,12 +155,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     sha = git_sha()
+    dirty = git_dirty()
     comparisons = []
     for case in BENCH_CASES:
         if wanted is not None and case.name not in wanted:
             continue
         effective = scaled(case, case.quick_runs) if args.quick else case
-        comparison = stamp(time_engines(effective), timestamp, sha)
+        comparison = stamp(time_engines(effective), timestamp, sha, dirty)
         comparisons.append(comparison)
         print(
             f"{comparison['case']}: {comparison['runs']} runs, "
@@ -178,6 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         "quick": args.quick,
         "timestamp": timestamp,
         "git_sha": sha,
+        "git_dirty": dirty,
         "python": platform.python_version(),
         "platform": platform.platform(),
         "cases": comparisons,

@@ -338,13 +338,13 @@ class CampaignSpec:
         if isinstance(self.loss, bool) or not isinstance(self.loss, numbers.Real):
             raise ParameterError(f"{owner}: loss must be a number, got {self.loss!r}")
         _validate_perturbation_knobs(owner, self.loss, self.delay)
+        schedule = None
         if self.fault_schedule is not None:
             from repro.semantics import fault_schedule_semantics
 
             # Unknown names and bad builder parameters fail at definition
-            # time; per-algorithm feasibility (fault counts vs resilience)
-            # is checked against each algorithm during expand().
-            fault_schedule_semantics(self.fault_schedule).build(
+            # time, like every per-algorithm check below.
+            schedule = fault_schedule_semantics(self.fault_schedule).build(
                 **dict(self.fault_schedule_params)
             )
             if tuple(self.adversaries) != ("none",):
@@ -387,57 +387,79 @@ class CampaignSpec:
             )
         for strategy in self.adversaries:
             adversary_semantics(strategy)
+        # Every grid coordinate must be runnable.  Checked here, not during
+        # expand(), so that no front door writes a store, metrics or events
+        # file for a grid that cannot expand.
+        for algorithm_spec in self.algorithms:
+            self._check_feasible(algorithm_spec, schedule)
+
+    def _check_feasible(self, algorithm_spec: AlgorithmSpec, schedule: Any) -> None:
+        """Reject grid coordinates ``algorithm_spec`` cannot run.
+
+        The fault counts must fit the algorithm's resilience, an active
+        strategy needs at least one fault, a pulling algorithm takes no
+        perturbation, and the fault schedule's windows must fit the
+        algorithm (``schedule`` is the built schedule, or ``None``).
+        """
+        from repro.network.pulling import PullingAlgorithm
+
+        algorithm = algorithm_spec.build()
+        label = algorithm_spec.label()
+        perturbed = (
+            self.loss > 0.0 or self.delay > 0 or self.fault_schedule is not None
+        )
+        if perturbed and isinstance(algorithm, PullingAlgorithm):
+            raise _pulling_perturbation_error(f"campaign {self.name!r}")
+        if schedule is not None:
+            # The schedule's fault counts must fit this algorithm's
+            # resilience; the error names the offending window.
+            schedule.validate(algorithm)
+        for strategy in self.adversaries:
+            for requested_faults in self.num_faults:
+                faults = self._faults_for(algorithm, strategy, requested_faults)
+                if not 0 <= faults <= algorithm.f:
+                    raise ParameterError(
+                        f"campaign {self.name!r} requests {faults} faults for "
+                        f"{label} (resilience f={algorithm.f})"
+                    )
+                if faults == 0 and strategy != "none":
+                    # An active strategy with nothing to control would
+                    # silently duplicate the 'none' rows of the grid.
+                    raise ParameterError(
+                        f"campaign {self.name!r} pairs adversary strategy "
+                        f"{strategy!r} with 0 faults for "
+                        f"{label}; list strategy 'none' "
+                        "for fault-free rows instead"
+                    )
+
+    @staticmethod
+    def _faults_for(
+        algorithm: SynchronousCountingAlgorithm, strategy: str, requested: int | None
+    ) -> int:
+        """The fault count of one grid coordinate (``None`` reads as ``f``)."""
+        if strategy == "none":
+            return 0
+        return algorithm.f if requested is None else requested
 
     # ------------------------------------------------------------------ #
     # Expansion
     # ------------------------------------------------------------------ #
 
     def expand(self) -> list[RunSpec]:
-        """Flatten the grid into explicit, deterministic run specifications."""
-        from repro.network.pulling import PullingAlgorithm
+        """Flatten the grid into explicit, deterministic run specifications.
 
+        Construction has checked that every coordinate is runnable.
+        """
         # Every run derives its stream from the campaign seed; the seed's
         # base is the same for all of them, so it is drawn once.
         base = derivation_base(self.seed)
-        perturbed = (
-            self.loss > 0.0 or self.delay > 0 or self.fault_schedule is not None
-        )
         runs: dict[str, RunSpec] = {}
         for algorithm_spec in self.algorithms:
             algorithm = algorithm_spec.build()
             label = algorithm_spec.label()
-            if perturbed and isinstance(algorithm, PullingAlgorithm):
-                raise _pulling_perturbation_error(f"campaign {self.name!r}")
-            if self.fault_schedule is not None:
-                from repro.semantics import fault_schedule_semantics
-
-                # Eager feasibility check: the schedule's fault counts must
-                # fit this algorithm's resilience, or expansion fails with
-                # the offending window named instead of every run erroring.
-                fault_schedule_semantics(self.fault_schedule).build(
-                    **dict(self.fault_schedule_params)
-                ).validate(algorithm)
             for strategy in self.adversaries:
                 for requested_faults in self.num_faults:
-                    faults = (
-                        algorithm.f if requested_faults is None else requested_faults
-                    )
-                    if strategy == "none":
-                        faults = 0
-                    if not 0 <= faults <= algorithm.f:
-                        raise ParameterError(
-                            f"campaign {self.name!r} requests {faults} faults for "
-                            f"{label} (resilience f={algorithm.f})"
-                        )
-                    if faults == 0 and strategy != "none":
-                        # An active strategy with nothing to control would
-                        # silently duplicate the 'none' rows of the grid.
-                        raise ParameterError(
-                            f"campaign {self.name!r} pairs adversary strategy "
-                            f"{strategy!r} with 0 faults for "
-                            f"{label}; list strategy 'none' "
-                            "for fault-free rows instead"
-                        )
+                    faults = self._faults_for(algorithm, strategy, requested_faults)
                     for repetition in range(self.runs_per_setting):
                         spec = self._make_run(
                             base,

@@ -14,7 +14,16 @@ experiment harness: the resilience ``f``, counter size ``c``, the space
 complexity ``S(A) = ⌈log |X|⌉`` and an upper bound on the stabilisation time
 ``T(A)``.
 
-Algorithms are *pure*: :meth:`transition` and :meth:`output` must not mutate
+A receiver reads an arbitrary bit pattern as *some* state exactly once, on
+receipt (:meth:`~SynchronousCountingAlgorithm.coerce_message`).  Algorithms
+therefore implement :meth:`~SynchronousCountingAlgorithm.next_state`, the map
+``g`` on ``X^n`` whose entries are already valid states; the engines coerce
+each message once, where it arrives, and call it directly.
+:meth:`~SynchronousCountingAlgorithm.transition` is the one entry point for
+direct callers (the model checker, tests): it checks the node and the message
+count, coerces every message and delegates to ``next_state``.
+
+Algorithms are *pure*: :meth:`next_state` and :meth:`output` must not mutate
 any shared state, so the same algorithm object can be exercised by the
 broadcast simulator, the pulling simulator and the model checker.
 """
@@ -91,7 +100,7 @@ class SynchronousCountingAlgorithm(ABC):
     """Abstract base class for synchronous ``c``-counters on ``n`` nodes.
 
     Subclasses must set :attr:`n`, :attr:`f` and :attr:`c` (via the
-    constructor of this base class) and implement :meth:`transition`,
+    constructor of this base class) and implement :meth:`next_state`,
     :meth:`output` and :meth:`num_states`.
     """
 
@@ -135,23 +144,44 @@ class SynchronousCountingAlgorithm(ABC):
     # The (X, g, h) triple
     # ------------------------------------------------------------------ #
 
-    @abstractmethod
     def transition(self, node: int, messages: Sequence[State]) -> State:
-        """The transition function ``g(i, x)``.
+        """The transition function ``g(i, x)`` on arbitrary received messages.
+
+        Checks that ``node`` is in ``[n]`` and that there are ``n`` messages,
+        reads every message as a state (:meth:`coerce_message`) and returns
+        :meth:`next_state` of the result.  This is the entry point for direct
+        callers; the engines coerce each message once, on receipt, and call
+        :meth:`next_state` themselves.
 
         Parameters
         ----------
         node:
             Identifier ``i`` of the node performing the update, ``0 <= i < n``.
         messages:
-            The vector of states received from all ``n`` nodes this round
+            The vector of messages received from all ``n`` nodes this round
             (``messages[j]`` is the message from node ``j``; ``messages[i]``
             is the node's own state).  Messages originating from Byzantine
-            nodes may be arbitrary valid states and may differ per receiver.
+            nodes may be arbitrary objects and may differ per receiver.
 
         Returns
         -------
         The node's new state.
+        """
+        if not 0 <= node < self._n:
+            raise ParameterError(f"node must be in [0, {self._n}), got {node}")
+        if len(messages) != self._n:
+            raise ParameterError(f"expected {self._n} messages, got {len(messages)}")
+        coerce = self.coerce_message
+        return self.next_state(node, [coerce(message) for message in messages])
+
+    @abstractmethod
+    def next_state(self, node: int, states: Sequence[State]) -> State:
+        """The paper's ``g(i, x)`` on ``x ∈ X^n``: every entry is a valid state.
+
+        ``states[j]`` is what node ``i`` received from node ``j``, already
+        read as a state by :meth:`coerce_message`, and ``0 <= i < n``.
+        Implementations read ``states`` without coercing it again and must
+        not mutate it: the engines share one vector between receivers.
         """
 
     @abstractmethod
@@ -213,6 +243,10 @@ class SynchronousCountingAlgorithm(ABC):
         default implementation returns the message unchanged if it is a valid
         state and otherwise falls back to :meth:`default_state`.  Subclasses
         with structured states override this to coerce field-by-field.
+
+        Coercion is pure, draws no randomness and is idempotent (every valid
+        state maps to itself), so reading a message once, where it arrives,
+        is the same as reading it again at every use.
         """
         if self.is_valid_state(message):
             return message

@@ -141,6 +141,12 @@ class CounterInterpretation:
         self._m = ceil_div(k, 2)
         self._tau = 3 * (F + 2)
         self._base = 2 * self._m
+        # c_i = τ·(2m)^{i+1} for i = -1, ..., k-1 (index i + 1; the last is
+        # the max period), and the pointer divisor (2m)^i of every block i:
+        # computed once, read by every decomposition and vote.
+        self._periods = tuple(self._tau * self._base**i for i in range(k + 1))
+        self._divisors = tuple(self._base**i for i in range(k))
+        self._block_tables = tuple(zip(self._periods[1:], self._divisors))
 
     @property
     def k(self) -> int:
@@ -162,6 +168,16 @@ class CounterInterpretation:
         """``2m`` — the factor between consecutive block counter periods."""
         return self._base
 
+    @property
+    def block_tables(self) -> tuple[tuple[int, int], ...]:
+        """``(c_i, (2m)^i)`` for every block ``i ∈ [k]``: period and pointer divisor.
+
+        A block-``i`` value ``v`` reads as ``reduced = v mod c_i``,
+        ``r = reduced mod τ`` and ``b = ⌊⌊reduced / τ⌋ / (2m)^i⌋ mod m``
+        (:meth:`decompose`); vote loops read these numbers directly.
+        """
+        return self._block_tables
+
     def block_period(self, block: int) -> int:
         """Return ``c_i = τ·(2m)^{i+1}``, the period of block ``i``'s counter.
 
@@ -169,7 +185,7 @@ class CounterInterpretation:
         """
         if block < -1 or block >= self._k:
             raise ParameterError(f"block must be in [-1, {self._k}), got {block}")
-        return self._tau * self._base ** (block + 1)
+        return self._periods[block + 1]
 
     def max_period(self) -> int:
         """Return ``τ·(2m)^k``, the period of the slowest block counter.
@@ -177,7 +193,7 @@ class CounterInterpretation:
         The inner counter size ``c`` must be a multiple of this value and the
         extra stabilisation time of Theorem 1 equals it.
         """
-        return self._tau * self._base**self._k
+        return self._periods[-1]
 
     def decompose(self, value: int, block: int) -> BlockCounterValue:
         """Interpret an inner counter output for ``block``.
@@ -189,10 +205,12 @@ class CounterInterpretation:
         """
         if value < 0:
             raise ParameterError(f"counter value must be non-negative, got {value}")
-        reduced = value % self.block_period(block)
+        if not 0 <= block < self._k:
+            raise ParameterError(f"block must be in [0, {self._k}), got {block}")
+        reduced = value % self._periods[block + 1]
         r = reduced % self._tau
         y = reduced // self._tau
-        pointer = (y // self._base**block) % self._m
+        pointer = (y // self._divisors[block]) % self._m
         return BlockCounterValue(r=r, y=y, pointer=pointer)
 
     def leader_pointer(self, value: int, block: int) -> int:

@@ -27,13 +27,12 @@ from typing import Any, Iterator, NamedTuple, Sequence
 
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.blocks import BlockLayout, CounterInterpretation
-from repro.core.errors import ParameterError
 from repro.core.parameters import BoostingParameters
 from repro.core.phase_king import (
     INFINITY,
     PhaseKingRegisters,
     coerce_register_value,
-    phase_king_step,
+    instruction_step,
 )
 from repro.core.voting import majority
 from repro.util.rng import ensure_rng
@@ -124,6 +123,8 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         self._inner = inner
         self._layout = BlockLayout(k=k, n=inner.n)
         self._interpretation = CounterInterpretation(k=k, F=params.resilience)
+        #: The values of the output register ``a``: ``[C] ∪ {∞}``.
+        self._a_values = (*range(counter_size), INFINITY)
         info = AlgorithmInfo(
             name=name or f"Boosted[{inner.info.name}, k={k}]",
             deterministic=inner.deterministic,
@@ -183,18 +184,16 @@ class BoostedCounter(SynchronousCountingAlgorithm):
 
     def random_state(self, rng: Any = None) -> BoostedState:
         generator = ensure_rng(rng)
-        a_choices = list(range(self.c)) + [INFINITY]
         return BoostedState(
             inner=self._inner.random_state(generator),
-            a=generator.choice(a_choices),
+            a=generator.choice(self._a_values),
             d=generator.randrange(2),
         )
 
     def states(self) -> Iterator[BoostedState]:
         """Enumerate the full state space (only feasible for tiny inner counters)."""
-        a_values = list(range(self.c)) + [INFINITY]
         for inner_state in self._inner.states():
-            for a in a_values:
+            for a in self._a_values:
                 for d in (0, 1):
                     yield BoostedState(inner=inner_state, a=a, d=d)
 
@@ -204,7 +203,8 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         inner, a, d = state
         if d not in (0, 1):
             return False
-        if not (a == INFINITY or (isinstance(a, int) and 0 <= a < self.c)):
+        # ``a`` is valid when a receiver reads it as itself (so no bool is).
+        if coerce_register_value(a, self.c) != a:
             return False
         return self._inner.is_valid_state(inner)
 
@@ -225,44 +225,44 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         return BoostedState(inner=coerced_inner, a=coerced_a, d=coerced_d)
 
     def output(self, node: int, state: State) -> int:
-        """``h(v, s)``: the phase king output register (0 while reset)."""
+        """``h(v, s)``: the phase king output register (0 while reset).
+
+        ``a`` is read as :func:`coerce_register_value` reads it, so a bool
+        is the reset marker.
+        """
         if not isinstance(state, tuple) or len(state) != 3:
             return 0
         a = state[1]
-        if isinstance(a, int) and 0 <= a < self.c:
+        if isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.c:
             return a
         return 0
 
-    def transition(self, node: int, messages: Sequence[State]) -> BoostedState:
+    def next_state(self, node: int, states: Sequence[Any]) -> BoostedState:
         """One round of the boosted counter for node ``v = (i, j)``.
 
+        ``states`` are :class:`BoostedState` values, read once on receipt.
         Mirrors the three steps listed in Section 3.5:
 
         1. update the state of the block algorithm ``A_i``,
         2. compute the voted round counter ``R``,
         3. execute instruction set ``I_R`` of the phase king protocol.
         """
-        if len(messages) != self.n:
-            raise ParameterError(
-                f"expected {self.n} messages, got {len(messages)}"
-            )
-        coerced = [self.coerce_message(message) for message in messages]
         block, index = self._layout.split(node)
+        n = self._layout.n
 
         # Step 1: update the block-level copy of the inner algorithm using the
-        # messages originating from the node's own block.
-        inner_messages = [coerced[u].inner for u in self._layout.block_members(block)]
-        new_inner = self._inner.transition(index, inner_messages)
+        # states received from the node's own block.
+        own_block = states[block * n : (block + 1) * n]
+        new_inner = self._inner.next_state(index, [state.inner for state in own_block])
 
         # Step 2: derive the voted round counter R from the broadcast states.
-        diagnostics = self._compute_votes(coerced)
+        diagnostics = self._compute_votes(states)
 
         # Step 3: run the phase king instruction set selected by R.
-        registers = PhaseKingRegisters(a=coerced[node].a, d=coerced[node].d)
-        received_a = [state.a for state in coerced]
-        updated = phase_king_step(
-            registers,
-            received_a,
+        own = states[node]
+        updated = instruction_step(
+            PhaseKingRegisters(a=own.a, d=own.d),
+            [state.a for state in states],
             round_value=diagnostics.round_value,
             N=self.n,
             F=self.f,
@@ -274,24 +274,24 @@ class BoostedCounter(SynchronousCountingAlgorithm):
     # Voting internals (exposed for tracing and experiments)
     # ------------------------------------------------------------------ #
 
-    def _compute_votes(self, coerced: Sequence[BoostedState]) -> VoteDiagnostics:
-        layout = self._layout
-        interpretation = self._interpretation
-        inner = self._inner
+    def _compute_votes(self, states: Sequence[BoostedState]) -> VoteDiagnostics:
+        n = self._layout.n
+        tau = self._interpretation.tau
+        m = self._interpretation.m
+        output = self._inner.output
 
         block_pointers: list[list[int]] = []
         block_rounds: list[list[int]] = []
-        for block in range(layout.k):
-            pointers: list[int] = []
-            rounds: list[int] = []
-            for member in layout.block_members(block):
-                member_index = member - block * layout.n
-                value = inner.output(member_index, coerced[member].inner)
-                decomposed = interpretation.decompose(value, block)
-                pointers.append(decomposed.pointer)
-                rounds.append(decomposed.r)
-            block_pointers.append(pointers)
-            block_rounds.append(rounds)
+        for block, (period, divisor) in enumerate(self._interpretation.block_tables):
+            # interpretation.decompose(value, block), inline: the value mod
+            # the block period c_i, its round component r and the pointer b.
+            members = states[block * n : (block + 1) * n]
+            reduced = [
+                output(index, state.inner) % period
+                for index, state in enumerate(members)
+            ]
+            block_rounds.append([value % tau for value in reduced])
+            block_pointers.append([value // tau // divisor % m for value in reduced])
 
         block_votes = [majority(pointers, 0) for pointers in block_pointers]
         leader = majority(block_votes, 0)

@@ -17,9 +17,11 @@ voted round counter; ``ℓ = ⌊R/3⌋ ∈ [F+2]`` identifies the *king* node of
 current phase.
 
 The functions in this module are pure: they take the register values and the
-vector of received ``a``-values and return the new register values.  They are
-used both inside :class:`repro.core.boosting.BoostedCounter` and on their own
-by the Table 2 experiment and the Lemma 4/5 tests.
+vector of received ``a``-values and return the new register values.
+:func:`phase_king_step` reads arbitrary received values (the Table 2
+experiment and the Lemma 4/5 tests call it); :func:`instruction_step` is its
+non-coercing core, which :class:`repro.core.boosting.BoostedCounter` calls on
+registers it has already read once, on receipt.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "instruction_broadcast",
     "instruction_vote",
     "instruction_king",
+    "instruction_step",
     "phase_king_step",
     "schedule_length",
 ]
@@ -185,6 +188,29 @@ def instruction_king(
     return PhaseKingRegisters(a=(a + 1) % C, d=1)
 
 
+def instruction_step(
+    registers: PhaseKingRegisters,
+    received: Sequence[int],
+    round_value: int,
+    N: int,
+    F: int,
+    C: int,
+) -> PhaseKingRegisters:
+    """Execute instruction set ``I_R`` for ``R = round_value mod τ``.
+
+    The non-coercing core of :func:`phase_king_step`: ``received`` holds
+    ``N`` values already in ``[C] ∪ {∞}``, as :func:`coerce_register_value`
+    reads them.  ``ℓ = ⌊R/3⌋`` is the phase's king and ``R mod 3`` selects
+    the instruction inside the phase.
+    """
+    phase, step = divmod(round_value % schedule_length(F), 3)
+    if step == 0:
+        return instruction_broadcast(registers, received, N, F, C)
+    if step == 1:
+        return instruction_vote(registers, received, N, F, C)
+    return instruction_king(registers, received, king=phase, N=N, F=F, C=C)
+
+
 def phase_king_step(
     registers: PhaseKingRegisters,
     received: Sequence[object],
@@ -212,12 +238,5 @@ def phase_king_step(
         )
     if C < 2:
         raise ParameterError(f"counter size C must be at least 2, got {C}")
-    tau = schedule_length(F)
-    R = round_value % tau
     coerced = [coerce_register_value(value, C) for value in received]
-    phase, step = divmod(R, 3)
-    if step == 0:
-        return instruction_broadcast(registers, coerced, N, F, C)
-    if step == 1:
-        return instruction_vote(registers, coerced, N, F, C)
-    return instruction_king(registers, coerced, king=phase, N=N, F=F, C=C)
+    return instruction_step(registers, coerced, round_value, N, F, C)

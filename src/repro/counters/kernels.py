@@ -14,7 +14,7 @@ of trials with array operations:
   (Corollary 1 / Figure 2 stacks): recursive inner-counter transitions,
   leader-pointer decomposition and two-level majority votes, and the
   vectorised phase king of Table 2.  Deterministic and bit-identical to
-  :meth:`repro.core.boosting.BoostedCounter.transition`.
+  :meth:`repro.core.boosting.BoostedCounter.next_state`.
 
 The boosted kernel represents a node state as the concatenation of its inner
 counter's fields plus the phase king registers ``(a, d)``, mirroring
@@ -274,7 +274,7 @@ class _BoostedCore:
     receiver read from all ``n`` members of the *current* level — plus the
     receivers' within-level node indices ``(R,)``.  Nested levels reuse the
     same interface on the sliced own-block columns, mirroring the recursion
-    of :meth:`repro.core.boosting.BoostedCounter.transition` exactly.
+    of :meth:`repro.core.boosting.BoostedCounter.next_state` exactly.
     """
 
     def __init__(self, algorithm: BoostedCounter, inner: "_TrivialCore | _BoostedCore"):

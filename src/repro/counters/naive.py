@@ -65,23 +65,16 @@ class NaiveMajorityCounter(SynchronousCountingAlgorithm):
             return 0
         return message % self.c
 
-    def transition(self, node: int, messages: Sequence[State]) -> int:
-        if len(messages) != self.n:
-            raise ParameterError(f"expected {self.n} messages, got {len(messages)}")
-        # Single pass: coerce, tally, and track both the running majority
-        # candidate and the minimum (the no-strict-majority fallback).  A
-        # strict majority is unique, so first-to-the-top equals Counter's
+    def next_state(self, node: int, states: Sequence[Any]) -> int:
+        # Single pass: tally, and track both the running majority candidate
+        # and the minimum (the no-strict-majority fallback).  A strict
+        # majority is unique, so first-to-the-top equals Counter's
         # most_common winner whenever the strict test below passes.
-        c = self.c
         counts: dict[int, int] = {}
         best_value = 0
         best_count = 0
         minimum: int | None = None
-        for message in messages:
-            if isinstance(message, bool) or not isinstance(message, int):
-                value = 0
-            else:
-                value = message % c
+        for value in states:
             count = counts.get(value, 0) + 1
             counts[value] = count
             if count > best_count:
@@ -89,8 +82,8 @@ class NaiveMajorityCounter(SynchronousCountingAlgorithm):
             if minimum is None or value < minimum:
                 minimum = value
         agreed = best_value if 2 * best_count > self.n else minimum
-        assert agreed is not None  # n >= 1 guarantees at least one message
-        return (agreed + 1) % c
+        assert agreed is not None  # n >= 1 guarantees at least one state
+        return (agreed + 1) % self.c
 
     def output(self, node: int, state: State) -> int:
         return self.coerce_message(state)

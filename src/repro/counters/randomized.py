@@ -88,30 +88,23 @@ class RandomizedFollowMajorityCounter(SynchronousCountingAlgorithm):
             return 0
         return message % self.c
 
-    def transition(self, node: int, messages: Sequence[State]) -> int:
-        if len(messages) != self.n:
-            raise ParameterError(f"expected {self.n} messages, got {len(messages)}")
-        # Single pass: coerce, tally and track the smallest value reaching
-        # the n - f threshold at once (no Counter, no candidate-list scan).
+    def next_state(self, node: int, states: Sequence[Any]) -> int:
+        # Single pass: tally and track the smallest value reaching the
+        # n - f threshold at once (no Counter, no candidate-list scan).
         # At most one value can reach n - f support among correct nodes
         # (two would require 2(n - 2f) <= n - f, i.e. n <= 3f), but the
         # minimum is tracked anyway to keep the historical tie-break exact.
         threshold = self._threshold
         counts: dict[int, int] = {}
         supported: int | None = None
-        c = self.c
-        for message in messages:
-            if isinstance(message, bool) or not isinstance(message, int):
-                value = 0
-            else:
-                value = message % c
+        for value in states:
             count = counts.get(value, 0) + 1
             counts[value] = count
             if count >= threshold and (supported is None or value < supported):
                 supported = value
         if supported is not None:
-            return (supported + 1) % c
-        return self._rng.randrange(c)
+            return (supported + 1) % self.c
+        return self._rng.randrange(self.c)
 
     def output(self, node: int, state: State) -> int:
         return self.coerce_message(state)

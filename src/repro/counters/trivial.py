@@ -54,12 +54,8 @@ class TrivialCounter(SynchronousCountingAlgorithm):
             return 0
         return message % self.c
 
-    def transition(self, node: int, messages: Sequence[State]) -> int:
-        if node != 0:
-            raise ParameterError(f"TrivialCounter has a single node, got node={node}")
-        if len(messages) != 1:
-            raise ParameterError(f"expected 1 message, got {len(messages)}")
-        return (self.coerce_message(messages[0]) + 1) % self.c
+    def next_state(self, node: int, states: Sequence[Any]) -> int:
+        return (states[0] + 1) % self.c
 
     def output(self, node: int, state: State) -> int:
         return self.coerce_message(state)

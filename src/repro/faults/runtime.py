@@ -48,7 +48,8 @@ def run_perturbed_round(
     and a sender missing from an old snapshot (it was faulty back then)
     falls back to its current state.  Receivers are visited in sorted order
     and senders in identifier order, so the ``faults_rng`` draw sequence is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed.  Every delivered message is read as a
+    state where it arrives, and the receiver runs ``next_state`` on them.
     """
     faulty = adversary.faulty
     adversary.on_round_start(round_index, states, algorithm, rng)
@@ -65,14 +66,14 @@ def run_perturbed_round(
                 )
                 continue
             if sender == receiver:
-                messages.append(states[sender])
+                messages.append(coerce(states[sender]))
                 continue
             staleness = faults_rng.randrange(delay + 1) if delay > 0 else 0
             if loss > 0.0 and faults_rng.random() < loss:
                 staleness += 1
             snapshot = history[min(staleness, oldest)]
-            messages.append(snapshot.get(sender, states[sender]))
-        new_states[receiver] = algorithm.transition(receiver, messages)
+            messages.append(coerce(snapshot.get(sender, states[sender])))
+        new_states[receiver] = algorithm.next_state(receiver, messages)
     return new_states
 
 

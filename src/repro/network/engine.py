@@ -108,7 +108,9 @@ class ModelAdapter(ABC):
     simulation surface shared by
     :class:`~repro.core.algorithm.SynchronousCountingAlgorithm` and
     :class:`~repro.network.pulling.PullingAlgorithm`: ``n``, ``c``, ``info``,
-    ``output``, ``random_state`` and ``is_valid_state``.
+    ``output``, ``random_state`` and ``is_valid_state``.  A model's
+    :meth:`step` reads each message as a state once, where it arrives
+    (``coerce_message``), and hands the result to ``next_state``.
     """
 
     def __init__(self, algorithm: Any, adversary: Any) -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from repro.core.algorithm import AlgorithmInfo, State, check_counting_parameters
-from repro.core.errors import SimulationError
+from repro.core.errors import ParameterError, SimulationError
 from repro.network.adversary import Adversary, NoAdversary
 from repro.network.engine import ModelAdapter, derive_streams, run_engine
 from repro.network.trace import ExecutionTrace
@@ -49,7 +49,9 @@ class PullingAlgorithm(ABC):
     but communication is initiated by the receiver: :meth:`pull_targets`
     names the nodes whose state is requested this round (repetitions allowed —
     the paper samples with repetition so Chernoff bounds apply directly) and
-    :meth:`transition` consumes the aligned list of responses.
+    :meth:`next_state` consumes the aligned list of responses, each already
+    read as a state.  :meth:`transition` is the entry point for direct
+    callers: it reads the own state and every response as a state first.
     """
 
     def __init__(self, n: int, f: int, c: int, info: AlgorithmInfo | None = None) -> None:
@@ -92,7 +94,6 @@ class PullingAlgorithm(ABC):
     def pull_targets(self, node: int, state: State, rng: random.Random) -> list[int]:
         """The nodes whose state ``node`` pulls this round (repetitions allowed)."""
 
-    @abstractmethod
     def transition(
         self,
         node: int,
@@ -101,7 +102,37 @@ class PullingAlgorithm(ABC):
         responses: Sequence[State],
         rng: random.Random,
     ) -> State:
-        """Update ``node``'s state from the pulled ``responses`` (aligned with ``targets``)."""
+        """Update ``node``'s state from arbitrary pulled ``responses``.
+
+        Checks that ``node`` is in ``[n]`` and that ``responses`` align with
+        ``targets``, reads the own state and every response as a state
+        (:meth:`coerce_message`) and returns :meth:`next_state` of the
+        result.  The pulling model coerces each state once, on receipt, and
+        calls :meth:`next_state` itself.
+        """
+        if not 0 <= node < self._n:
+            raise ParameterError(f"node must be in [0, {self._n}), got {node}")
+        if len(targets) != len(responses):
+            raise ParameterError("targets and responses must be aligned")
+        coerce = self.coerce_message
+        received = [coerce(response) for response in responses]
+        return self.next_state(node, coerce(state), targets, received, rng)
+
+    @abstractmethod
+    def next_state(
+        self,
+        node: int,
+        state: State,
+        targets: Sequence[int],
+        responses: Sequence[State],
+        rng: random.Random,
+    ) -> State:
+        """Update ``node``'s ``state`` from ``responses`` (aligned with ``targets``).
+
+        The own state and every response are valid states, already read by
+        :meth:`coerce_message`; implementations do not coerce them again and
+        do not mutate them.
+        """
 
     @abstractmethod
     def output(self, node: int, state: State) -> int:
@@ -214,14 +245,20 @@ class PullingModel(ModelAdapter):
         algorithm = self.algorithm
         adversary = self.adversary
         faulty = adversary.faulty
+        n = algorithm.n
+        coerce = algorithm.coerce_message
         adversary.on_round_start(round_index, states, algorithm, self._adversary_rng)
+        # Every response is read as a state once, where it arrives: each
+        # correct node's state once per round (it answers every pull of it,
+        # and is its own node's state), each forged response once per pull.
+        delivered = {node: coerce(state) for node, state in states.items()}
         new_states: dict[int, State] = {}
         pull_counts: list[int] = []
         for node in states:
             targets = algorithm.pull_targets(node, states[node], self._sample_rng)
             responses: list[State] = []
             for target in targets:
-                if not 0 <= target < algorithm.n:
+                if not 0 <= target < n:
                     raise SimulationError(
                         f"node {node} pulled invalid target {target}"
                     )
@@ -229,12 +266,12 @@ class PullingModel(ModelAdapter):
                     forged = adversary.forge(
                         round_index, target, node, states, algorithm, self._adversary_rng
                     )
-                    responses.append(algorithm.coerce_message(forged))
+                    responses.append(coerce(forged))
                 else:
-                    responses.append(states[target])
+                    responses.append(delivered[target])
             pull_counts.append(len(targets))
-            new_states[node] = algorithm.transition(
-                node, states[node], targets, responses, self._sample_rng
+            new_states[node] = algorithm.next_state(
+                node, delivered[node], targets, responses, self._sample_rng
             )
         max_pulls = max(pull_counts) if pull_counts else 0
         metadata = {

@@ -105,7 +105,7 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         """Per-round pull targets ``(B, n, P)`` in the scalar plan layout.
 
         Positional layout (consumed by :meth:`step` exactly like the scalar
-        ``transition``): own block, ``M`` samples per block grouped by block,
+        ``next_state``): own block, ``M`` samples per block grouped by block,
         ``M`` whole-network samples for the phase king, the ``F + 2``
         potential kings.
         """

@@ -43,7 +43,7 @@ from repro.core.parameters import BoostingParameters
 from repro.core.phase_king import INFINITY, PhaseKingRegisters, coerce_register_value
 from repro.core.voting import majority
 from repro.network.pulling import PullingAlgorithm
-from repro.sampling.thresholds import recommended_sample_size, sampled_phase_king_step
+from repro.sampling.thresholds import recommended_sample_size, sampled_instruction_step
 from repro.util.rng import ensure_rng
 
 __all__ = ["SampledBoostedCounter"]
@@ -95,6 +95,8 @@ class SampledBoostedCounter(PullingAlgorithm):
         self._inner = inner
         self._layout = BlockLayout(k=k, n=inner.n)
         self._interpretation = CounterInterpretation(k=k, F=params.resilience)
+        #: The values of the output register ``a``: ``[C] ∪ {∞}``.
+        self._a_values = (*range(counter_size), INFINITY)
         self._eta = eta if eta is not None else params.total_nodes
         if sample_size is None:
             sample_size = min(
@@ -164,10 +166,9 @@ class SampledBoostedCounter(PullingAlgorithm):
 
     def random_state(self, rng: Any = None) -> BoostedState:
         generator = ensure_rng(rng)
-        a_choices = list(range(self.c)) + [INFINITY]
         return BoostedState(
             inner=self._inner.random_state(generator),
-            a=generator.choice(a_choices),
+            a=generator.choice(self._a_values),
             d=generator.randrange(2),
         )
 
@@ -183,10 +184,11 @@ class SampledBoostedCounter(PullingAlgorithm):
         )
 
     def output(self, node: int, state: Any) -> int:
+        """The output register ``a`` (0 while reset), read as a receiver reads it."""
         if not isinstance(state, tuple) or len(state) != 3:
             return 0
         a = state[1]
-        if isinstance(a, int) and 0 <= a < self.c:
+        if isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.c:
             return a
         return 0
 
@@ -198,7 +200,7 @@ class SampledBoostedCounter(PullingAlgorithm):
         """Draw the per-round pull targets for ``node``.
 
         Layout of the returned list (consumed positionally by
-        :meth:`transition`):
+        :meth:`next_state`):
 
         1. the ``n`` members of the node's own block (in order),
         2. ``M`` uniform samples (with repetition) from each of the ``k``
@@ -223,7 +225,7 @@ class SampledBoostedCounter(PullingAlgorithm):
     # Transition
     # ------------------------------------------------------------------ #
 
-    def transition(
+    def next_state(
         self,
         node: int,
         state: Any,
@@ -231,52 +233,49 @@ class SampledBoostedCounter(PullingAlgorithm):
         responses: Sequence[Any],
         rng: random.Random,
     ) -> BoostedState:
-        if len(targets) != len(responses):
-            raise ParameterError("targets and responses must be aligned")
-        own = self.coerce_message(state)
-        coerced = [self.coerce_message(response) for response in responses]
         n = self._inner.n
-        k = self._layout.k
         M = self._sample_size
-        block, index = self._layout.split(node)
+        _, index = self._layout.split(node)
+        if len(responses) != self.expected_pulls_per_round():
+            raise ParameterError(
+                f"expected {self.expected_pulls_per_round()} responses "
+                f"(the sampling plan), got {len(responses)}"
+            )
 
         # 1. Inner algorithm update from the own-block responses.
-        own_block = coerced[:n]
-        new_inner = self._inner.transition(index, [s.inner for s in own_block])
+        new_inner = self._inner.next_state(
+            index, [response.inner for response in responses[:n]]
+        )
 
-        # 2. Sampled leader-block voting (Lemma 9).
+        # 2. Sampled leader-block voting (Lemma 9): interpretation.decompose
+        #    of every sampled value, inline, from the per-block tables.
+        tau = self._interpretation.tau
+        m = self._interpretation.m
+        output = self._inner.output
         offset = n
         block_votes: list[int] = []
         block_round_samples: list[list[int]] = []
-        for other in range(k):
-            samples = coerced[offset : offset + M]
-            sample_targets = targets[offset : offset + M]
+        for other, (period, divisor) in enumerate(self._interpretation.block_tables):
+            start = other * n
+            reduced = [
+                output(targets[position] - start, responses[position].inner) % period
+                for position in range(offset, offset + M)
+            ]
             offset += M
-            pointers: list[int] = []
-            rounds: list[int] = []
-            for target, sample in zip(sample_targets, samples):
-                member_index = target - other * n
-                value = self._inner.output(member_index, sample.inner)
-                decomposed = self._interpretation.decompose(value, other)
-                pointers.append(decomposed.pointer)
-                rounds.append(decomposed.r)
+            pointers = [value // tau // divisor % m for value in reduced]
             block_votes.append(majority(pointers, 0))
-            block_round_samples.append(rounds)
+            block_round_samples.append([value % tau for value in reduced])
         leader = majority(block_votes, 0)
         round_value = majority(block_round_samples[leader], 0)
 
-        # 3. Sampled phase king (Lemma 8) — the king is pulled directly.
-        phase_samples = coerced[offset : offset + M]
-        offset += M
-        kings = coerced[offset : offset + self.f + 2]
-        tau = self._params.tau
-        king_index = (round_value % tau) // 3
-        king_value = kings[king_index].a if king_index < len(kings) else INFINITY
-        registers = PhaseKingRegisters(a=own.a, d=own.d)
-        updated = sampled_phase_king_step(
-            registers,
+        # 3. Sampled phase king (Lemma 8) — the king ℓ = ⌊R/3⌋ is pulled
+        #    directly, among the F + 2 candidates after the phase samples.
+        phase_samples = responses[offset : offset + M]
+        king = responses[offset + M + round_value // 3]
+        updated = sampled_instruction_step(
+            PhaseKingRegisters(a=state.a, d=state.d),
             [sample.a for sample in phase_samples],
-            king_value=king_value,
+            king_value=king.a,
             round_value=round_value,
             F=self.f,
             C=self.c,

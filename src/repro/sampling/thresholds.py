@@ -15,7 +15,9 @@ thresholds ``2M/3`` and ``M/3``.  Lemma 8 shows that for
 each with probability at least ``1 - η^{-κ}`` (Chernoff bounds).
 
 :func:`sampled_phase_king_step` mirrors
-:func:`repro.core.phase_king.phase_king_step` with these thresholds, and
+:func:`repro.core.phase_king.phase_king_step` with these thresholds (and
+:func:`sampled_instruction_step` mirrors its non-coercing core
+:func:`~repro.core.phase_king.instruction_step`), and
 :func:`recommended_sample_size` evaluates an explicit, conservative ``M₀``.
 """
 
@@ -38,6 +40,7 @@ __all__ = [
     "recommended_sample_size",
     "high_threshold",
     "low_threshold",
+    "sampled_instruction_step",
     "sampled_phase_king_step",
 ]
 
@@ -81,31 +84,23 @@ def low_threshold(samples: int) -> float:
     return samples / 3
 
 
-def sampled_phase_king_step(
+def sampled_instruction_step(
     registers: PhaseKingRegisters,
-    sampled_values: Sequence[object],
-    king_value: object,
+    sampled_values: Sequence[int],
+    king_value: int,
     round_value: int,
     F: int,
     C: int,
 ) -> PhaseKingRegisters:
-    """One step of the randomised phase king (Section 5.3).
+    """Instruction set ``I_R`` of the randomised phase king, ``R = round_value mod τ``.
 
-    Identical to :func:`repro.core.phase_king.phase_king_step` except that the
-    received vector is a multiset of ``M`` sampled register values and the
-    thresholds are ``2M/3`` (instead of ``N - F``) and ``M/3`` (instead of
-    ``F``).  The king's value is pulled directly and passed separately.
+    The non-coercing core of :func:`sampled_phase_king_step`: the ``M``
+    samples and the king's value are already in ``[C] ∪ {∞}``, as
+    :func:`~repro.core.phase_king.coerce_register_value` reads them.
     """
-    if C < 2:
-        raise ParameterError(f"counter size C must be at least 2, got {C}")
-    if not sampled_values:
-        raise ParameterError("sampled_values must not be empty")
     M = len(sampled_values)
-    tau = schedule_length(F)
-    R = round_value % tau
-    step = R % 3
-    values = [coerce_register_value(value, C) for value in sampled_values]
-    counts = Counter(values)
+    step = round_value % schedule_length(F) % 3
+    counts = Counter(sampled_values)
     high = high_threshold(M)
     low = low_threshold(M)
 
@@ -135,6 +130,35 @@ def sampled_phase_king_step(
     # step == 2: king instruction
     a = registers.a
     if a == INFINITY or registers.d == 0:
-        king = coerce_register_value(king_value, C)
-        a = C if king == INFINITY else min(C, king)
+        a = C if king_value == INFINITY else min(C, king_value)
     return PhaseKingRegisters(a=(a + 1) % C, d=1)
+
+
+def sampled_phase_king_step(
+    registers: PhaseKingRegisters,
+    sampled_values: Sequence[object],
+    king_value: object,
+    round_value: int,
+    F: int,
+    C: int,
+) -> PhaseKingRegisters:
+    """One step of the randomised phase king (Section 5.3).
+
+    Identical to :func:`repro.core.phase_king.phase_king_step` except that the
+    received vector is a multiset of ``M`` sampled register values and the
+    thresholds are ``2M/3`` (instead of ``N - F``) and ``M/3`` (instead of
+    ``F``).  The king's value is pulled directly and passed separately.
+    Arbitrary values are coerced first.
+    """
+    if C < 2:
+        raise ParameterError(f"counter size C must be at least 2, got {C}")
+    if not sampled_values:
+        raise ParameterError("sampled_values must not be empty")
+    return sampled_instruction_step(
+        registers,
+        [coerce_register_value(value, C) for value in sampled_values],
+        coerce_register_value(king_value, C),
+        round_value,
+        F,
+        C,
+    )

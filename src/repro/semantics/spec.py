@@ -373,5 +373,24 @@ class FaultScheduleSemantics:
         return self.builder()(**merged)
 
     def validate(self, params: Mapping[str, Any]) -> None:
-        """Reject parameters outside the schema (:class:`ParameterError`)."""
+        """Reject unknown parameters and mistyped values (:class:`ParameterError`).
+
+        Every preset parameter is an integer (a bool is not), except
+        ``strategy``, a strategy name, and ``num_faults`` / ``duration``,
+        which may also be null.  A mistyped value would otherwise reach the
+        builder and fail there with a ``TypeError``.
+        """
         validate_parameters("fault schedule", self.name, self.parameters, params)
+        for name, value in params.items():
+            if name == "strategy":
+                valid, expected = isinstance(value, str), "a string"
+            elif name in ("num_faults", "duration"):
+                valid = value is None or is_integer(value)
+                expected = "an integer or null"
+            else:
+                valid, expected = is_integer(value), "an integer"
+            if not valid:
+                raise ParameterError(
+                    f"parameter {name!r} of fault schedule {self.name!r} "
+                    f"must be {expected}, got {value!r}"
+                )

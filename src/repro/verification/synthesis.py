@@ -82,8 +82,8 @@ class SymmetricTableCounter(SynchronousCountingAlgorithm):
             return 0
         return message % self.c
 
-    def transition(self, node: int, messages: Sequence[State]) -> int:
-        key = tuple(sorted(self.coerce_message(message) for message in messages))
+    def next_state(self, node: int, states: Sequence[Any]) -> int:
+        key = tuple(sorted(states))
         try:
             return self._table[key]
         except KeyError:

@@ -33,10 +33,10 @@ class ParentOnlyCounter(TrivialCounter):
         super().__init__(c=c)
         self._home_pid = os.getpid()
 
-    def transition(self, node, messages):
+    def next_state(self, node, states):
         if os.getpid() != self._home_pid:
             os._exit(1)
-        return super().transition(node, messages)
+        return super().next_state(node, states)
 
 
 def track_append_opens(monkeypatch) -> list[str]:

@@ -445,6 +445,29 @@ class TestErrorLines:
             ["verify", "trivial:c=2.5", "--skip-lint"],
             "parameter 'c' of algorithm 'trivial' must be an integer, got 2.5",
         ),
+        "run-string-schedule-parameter": (
+            ["run", "trivial", "--fault-schedule", "churn:start=a"],
+            "parameter 'start' of fault schedule 'churn' must be an integer, got 'a'",
+        ),
+        "run-bool-schedule-parameter": (
+            ["run", "trivial", "--fault-schedule", "rolling:period=true"],
+            "parameter 'period' of fault schedule 'rolling' must be an integer, "
+            "got True",
+        ),
+        "run-string-schedule-count": (
+            ["run", "trivial", "--fault-schedule", "churn:num_faults=x"],
+            "parameter 'num_faults' of fault schedule 'churn' must be an integer "
+            "or null, got 'x'",
+        ),
+        "run-integer-schedule-strategy": (
+            ["run", "trivial", "--fault-schedule", "rolling:strategy=3"],
+            "parameter 'strategy' of fault schedule 'rolling' must be a string, got 3",
+        ),
+        "campaign-define-string-schedule-parameter": (
+            ["campaign", "define", "--name", "x", "--algorithm", "trivial",
+             "--adversary", "none", "--fault-schedule", "churn:start=a"],
+            "parameter 'start' of fault schedule 'churn' must be an integer, got 'a'",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -519,6 +542,11 @@ class TestMalformedCampaignFile:
             )
             for key in ("min_tail", "seed", "max_rounds", "runs_per_setting", "delay")
         },
+        "string-schedule-parameter": (
+            {"name": "x", "algorithms": [{"name": "trivial"}], "adversaries": ["none"],
+             "fault_schedule": "churn", "fault_schedule_params": {"start": "3"}},
+            "parameter 'start' of fault schedule 'churn' must be an integer, got '3'",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -544,6 +572,42 @@ class TestMalformedCampaignFile:
                 "--metrics-out", str(written[1]), "--events-out", str(written[2])]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(path.exists() for path in written)
+
+
+class TestInfeasibleGrid:
+    """A grid that names valid components but cannot expand writes no file."""
+
+    CASES = {
+        "run-faults-over-resilience": (
+            ["run", "trivial", "--faults", "3"],
+            "campaign 'trivial' requests 3 faults for trivial (resilience f=0)",
+        ),
+        "run-perturbed-pulling": (
+            ["run", "sampled-boosted", "--loss", "0.1"],
+            "campaign 'sampled-boosted': perturbations (loss/delay/fault "
+            "schedules) apply to the broadcast model only",
+        ),
+        "campaign-run-faults-over-resilience": (
+            {"name": "x", "algorithms": [{"name": "trivial"}], "num_faults": [3]},
+            "campaign 'x' requests 3 faults for trivial (resilience f=0)",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exact_error_line_and_no_file(self, case, tmp_path, capsys):
+        command, message = self.CASES[case]
+        written = [tmp_path / name for name in ("runs.jsonl", "m.json", "e.jsonl")]
+        if isinstance(command, dict):
+            spec_path = tmp_path / "grid.campaign.json"
+            spec_path.write_text(json.dumps(command), encoding="utf-8")
+            command = ["campaign", "run", str(spec_path)]
+        argv = [*command, "--store", str(written[0]),
+                "--metrics-out", str(written[1]), "--events-out", str(written[2])]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
         assert not any(path.exists() for path in written)
 
 

@@ -95,8 +95,8 @@ class TestIterMessageVectors:
             def __init__(self):
                 super().__init__(n=2, f=0, c=2)
 
-            def transition(self, node, messages):
-                return messages[node]
+            def next_state(self, node, states):
+                return states[node]
 
             def output(self, node, state):
                 return state

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.boosting import BoostedCounter, BoostedState, boost
-from repro.core.errors import ParameterError
+from repro.core.errors import ParameterError, SimulationError
 from repro.core.phase_king import INFINITY
 from repro.counters.trivial import TrivialCounter
+from repro.network.simulator import SimulationConfig, run_simulation
+from repro.semantics import build_algorithm
 from repro.util.rng import ensure_rng
 
 
@@ -114,6 +116,26 @@ class TestStates:
         assert counter.output(0, BoostedState(inner=0, a=1, d=1)) == 1
         assert counter.output(0, BoostedState(inner=0, a=INFINITY, d=1)) == 0
         assert counter.output(0, "garbage") == 0
+
+    @pytest.mark.parametrize("name", ["corollary1", "sampled-boosted"])
+    @pytest.mark.parametrize("register", [True, False])
+    def test_bool_register_reads_as_reset(self, name, register):
+        # A receiver reads a bool ``a`` as the reset marker, so it is no
+        # counter value: not a valid state, and output 0.
+        counter = build_algorithm(name)
+        state = BoostedState(inner=counter.inner.default_state(), a=register, d=0)
+        assert counter.coerce_message(state).a == INFINITY
+        assert not counter.is_valid_state(state)
+        assert counter.output(0, state) == 0
+
+    def test_bool_register_initial_state_is_rejected(self):
+        counter = build_algorithm("corollary1", f=1, c=2)
+        states = [counter.default_state() for _ in range(counter.n)]
+        states[2] = BoostedState(inner=0, a=True, d=0)
+        with pytest.raises(SimulationError, match="initial state for node 2 "):
+            run_simulation(
+                counter, config=SimulationConfig(max_rounds=3), initial_states=states
+            )
 
     def test_states_enumeration_small(self):
         inner = TrivialCounter(c=3 * 2 * 4**3)

@@ -63,7 +63,7 @@ class PullEchoCounter(PullingAlgorithm):
     def pull_targets(self, node: int, state: Any, rng: random.Random) -> list[int]:
         return [(node + offset) % self.n for offset in range(1, self._pulls + 1)]
 
-    def transition(self, node, state, targets, responses, rng) -> int:
+    def next_state(self, node, state, targets, responses, rng) -> int:
         values = [self.coerce_message(state)] + [self.coerce_message(r) for r in responses]
         return (max(values) + 1) % self.c
 

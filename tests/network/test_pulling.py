@@ -9,8 +9,14 @@ import pytest
 
 from repro.core.algorithm import AlgorithmInfo
 from repro.core.errors import SimulationError
-from repro.network.adversary import CrashAdversary, NoAdversary
-from repro.network.pulling import PullingAlgorithm, PullSimulationConfig, run_pull_simulation
+from repro.network.adversary import CrashAdversary, NoAdversary, build_adversary
+from repro.network.pulling import (
+    PullingAlgorithm,
+    PullingModel,
+    PullSimulationConfig,
+    run_pull_simulation,
+)
+from repro.semantics import build_algorithm
 from repro.util.rng import ensure_rng
 
 
@@ -32,7 +38,7 @@ class PullEchoCounter(PullingAlgorithm):
     def pull_targets(self, node: int, state: Any, rng: random.Random) -> list[int]:
         return [(node + offset) % self.n for offset in range(1, self._pulls + 1)]
 
-    def transition(self, node, state, targets, responses, rng) -> int:
+    def next_state(self, node, state, targets, responses, rng) -> int:
         values = [self.coerce_message(state)] + [self.coerce_message(r) for r in responses]
         return (max(values) + 1) % self.c
 
@@ -128,6 +134,36 @@ class TestRunPullSimulation:
             initial_states={0: 1, 1: 1, 2: 1, 3: 1},
         )
         assert trace.rounds[0].outputs == {0: 2, 1: 2, 2: 2, 3: 2}
+
+    def test_each_response_is_coerced_once_where_it_arrives(self):
+        # Each correct node's state is read once per round (it answers every
+        # pull of it), and each forged response once for its puller.
+        counter = build_algorithm("sampled-boosted", sample_size=8)
+        calls = []
+        coerce = counter.coerce_message
+
+        def counting(message):
+            calls.append(message)
+            return coerce(message)
+
+        counter.coerce_message = counting
+        adversary = build_adversary("random-state", [4])
+        forged = []
+        forge = adversary.forge
+
+        def counting_forge(*args):
+            forged.append(args)
+            return forge(*args)
+
+        adversary.forge = counting_forge
+        model = PullingModel(counter, adversary)
+        model.bind(random.Random(0))
+        rng = random.Random(1)
+        states = {node: counter.random_state(rng) for node in range(counter.n) if node != 4}
+        new_states, _ = model.step(states, 0)
+        assert forged
+        assert len(calls) == len(states) + len(forged)
+        assert all(counter.is_valid_state(state) for state in new_states.values())
 
     def test_describe(self):
         counter = PullEchoCounter()

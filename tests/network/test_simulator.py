@@ -11,9 +11,11 @@ from repro.network.adversary import (
     CrashAdversary,
     NoAdversary,
     RandomStateAdversary,
+    build_adversary,
 )
 from repro.network.simulator import SimulationConfig, run_round, run_simulation
 from repro.network.stabilization import stabilization_round
+from repro.semantics import build_algorithm
 
 
 class TestSimulationConfig:
@@ -55,6 +57,32 @@ class TestRunRound:
         run_round(counter, {0: 0, 1: 0, 2: 0}, adversary, 0, rng=random.Random(0))
         # One forged message per (faulty sender, correct receiver) pair.
         assert sorted(adversary.calls) == [(3, 0), (3, 1), (3, 2)]
+
+    def test_each_message_is_coerced_once_where_it_arrives(self):
+        # A(12, 3) with 3 faulty nodes: the 9 correct states are read once
+        # per round (they are shared by every receiver), and each of the
+        # 9 x 3 forged messages once for its receiver — 36 top-level
+        # coercions, none repeated inside the transition.
+        import random
+
+        counter = build_algorithm("figure2", levels=1, c=2)
+        calls = []
+        coerce = counter.coerce_message
+
+        def counting(message):
+            calls.append(message)
+            return coerce(message)
+
+        counter.coerce_message = counting
+        rng = random.Random(3)
+        faulty = [0, 5, 10]
+        states = {
+            node: counter.random_state(rng) for node in range(counter.n) if node not in faulty
+        }
+        adversary = build_adversary("random-state", faulty)
+        new_states = run_round(counter, states, adversary, 0, rng=rng)
+        assert len(calls) == 9 + 9 * 3
+        assert all(counter.is_valid_state(state) for state in new_states.values())
 
 
 class TestRunSimulation:
@@ -198,8 +226,8 @@ class TestRunSimulation:
 class _CaptureAlgorithm(NaiveMajorityCounter):
     """Stores the received message vector as the new state (for fast-path tests)."""
 
-    def transition(self, node, messages):
-        return tuple(messages)
+    def next_state(self, node, states):
+        return tuple(states)
 
     def is_valid_state(self, state):
         return True
@@ -286,8 +314,8 @@ class TestRunRoundFastPath:
 class _FrozenCounter(NaiveMajorityCounter):
     """Outputs a constant value: agreement without counting."""
 
-    def transition(self, node, messages):
-        return messages[node]
+    def next_state(self, node, states):
+        return states[node]
 
 
 class TestStopAfterAgreementWraparound:
@@ -321,8 +349,8 @@ class TestStopAfterAgreementWraparound:
         # A counter that jumps by 2 mod c agrees every round but never
         # produces consecutive increments, so early stopping never triggers.
         class SkippingCounter(NaiveMajorityCounter):
-            def transition(self, node, messages):
-                return (messages[node] + 2) % self.c
+            def next_state(self, node, states):
+                return (states[node] + 2) % self.c
 
         skipping = SkippingCounter(n=2, c=5)
         trace = run_simulation(

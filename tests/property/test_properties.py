@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +12,11 @@ from repro.core.blocks import CounterInterpretation, common_pointer_intervals, i
 from repro.core.phase_king import INFINITY, PhaseKingRegisters, phase_king_step
 from repro.core.voting import has_majority, majority
 from repro.counters.trivial import TrivialCounter
+from repro.network.pulling import PullingAlgorithm
 from repro.network.stabilization import is_counting_suffix
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.network.stabilization import stabilization_round
+from repro.semantics import ALGORITHM_SEMANTICS, build_algorithm
 from repro.util.intmath import ceil_div, ceil_log2, next_multiple
 
 
@@ -202,6 +207,82 @@ def test_boosted_transition_survives_garbage_messages(messages, small_boosted_co
     counter = small_boosted_counter
     state = counter.transition(0, messages)
     assert counter.is_valid_state(state)
+
+
+# --------------------------------------------------------------------------- #
+# Reading a message once: coercion is idempotent and transition == next_state
+# of the coerced messages, for every catalogue algorithm
+# --------------------------------------------------------------------------- #
+
+#: Every catalogue algorithm at its first parity-fuzz parameterisation.
+CATALOGUE = {
+    name: build_algorithm(name, **dict(semantics.fuzz[0].params))
+    for name, semantics in ALGORITHM_SEMANTICS.items()
+}
+
+
+def received(algorithm):
+    """Junk, or a valid state of ``algorithm`` drawn from a seeded generator."""
+    return st.one_of(
+        junk,
+        st.integers(min_value=0, max_value=2**32).map(
+            lambda seed: algorithm.random_state(random.Random(seed))
+        ),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coercion_is_idempotent(name, data):
+    algorithm = CATALOGUE[name]
+    coerced = algorithm.coerce_message(data.draw(received(algorithm)))
+    assert algorithm.coerce_message(coerced) == coerced
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_random_state_is_a_coercion_fixed_point(name, seed):
+    algorithm = CATALOGUE[name]
+    state = algorithm.random_state(random.Random(seed))
+    assert algorithm.coerce_message(state) == state
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+def test_transition_is_next_state_of_coerced_messages(name, data, seed):
+    """Both sides run under equally seeded generators (randomised algorithms)."""
+    algorithm = CATALOGUE[name]
+    coerce = algorithm.coerce_message
+    node = data.draw(st.integers(min_value=0, max_value=algorithm.n - 1))
+    if isinstance(algorithm, PullingAlgorithm):
+        state = data.draw(received(algorithm))
+        targets = algorithm.pull_targets(node, state, random.Random(seed))
+        responses = data.draw(
+            st.lists(received(algorithm), min_size=len(targets), max_size=len(targets))
+        )
+        direct = algorithm.transition(node, state, targets, responses, random.Random(seed))
+        delivered = algorithm.next_state(
+            node,
+            coerce(state),
+            targets,
+            [coerce(response) for response in responses],
+            random.Random(seed),
+        )
+    else:
+        messages = data.draw(
+            st.lists(received(algorithm), min_size=algorithm.n, max_size=algorithm.n)
+        )
+        if not algorithm.deterministic:
+            algorithm.reseed(seed)
+        direct = algorithm.transition(node, messages)
+        if not algorithm.deterministic:
+            algorithm.reseed(seed)
+        delivered = algorithm.next_state(node, [coerce(message) for message in messages])
+    assert direct == delivered
+    assert algorithm.is_valid_state(direct)
 
 
 # --------------------------------------------------------------------------- #

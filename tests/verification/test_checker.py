@@ -28,8 +28,8 @@ class FrozenCounter(SynchronousCountingAlgorithm):
     def random_state(self, rng: Any = None) -> int:
         return ensure_rng(rng).randrange(self.c)
 
-    def transition(self, node: int, messages: Sequence[State]) -> int:
-        return messages[node]
+    def next_state(self, node: int, states: Sequence[State]) -> int:
+        return states[node]
 
     def output(self, node: int, state: State) -> int:
         return int(state)
