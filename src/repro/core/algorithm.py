@@ -17,22 +17,32 @@ complexity ``S(A) = ⌈log |X|⌉`` and an upper bound on the stabilisation time
 A receiver reads an arbitrary bit pattern as *some* state exactly once, on
 receipt (:meth:`~SynchronousCountingAlgorithm.coerce_message`).  Algorithms
 therefore implement :meth:`~SynchronousCountingAlgorithm.next_state`, the map
-``g`` on ``X^n`` whose entries are already valid states; the engines coerce
-each message once, where it arrives, and call it directly.
+``g`` on ``X^n`` whose entries are already valid states.
 :meth:`~SynchronousCountingAlgorithm.transition` is the one entry point for
 direct callers (the model checker, tests): it checks the node and the message
 count, coerces every message and delegates to ``next_state``.
 
-Algorithms are *pure*: :meth:`next_state` and :meth:`output` must not mutate
-any shared state, so the same algorithm object can be exercised by the
-broadcast simulator, the pulling simulator and the model checker.
+The broadcast engine runs an unperturbed round through one call of
+:meth:`~SynchronousCountingAlgorithm.next_states`, ``g`` for every correct
+receiver at once.  In the broadcast model every correct receiver receives the
+same vector except at the faulty senders, so the call takes that shared
+vector, with ``None`` at the faulty senders, plus each receiver's own forged
+entries for them.  The base class runs ``next_state`` once per receiver; an
+algorithm whose receivers can share work overrides it (the boosted counter
+reads each correct sender's block counter once per round instead of once
+per receiver).
+
+Algorithms are *pure*: :meth:`next_state`, :meth:`next_states` and
+:meth:`output` must not mutate any shared state, so the same algorithm object
+can be exercised by the broadcast simulator, the pulling simulator and the
+model checker.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.errors import ParameterError
 from repro.util.intmath import ceil_log2
@@ -151,7 +161,8 @@ class SynchronousCountingAlgorithm(ABC):
         reads every message as a state (:meth:`coerce_message`) and returns
         :meth:`next_state` of the result.  This is the entry point for direct
         callers; the engines coerce each message once, on receipt, and call
-        :meth:`next_state` themselves.
+        :meth:`next_states` (the broadcast model) or :meth:`next_state`
+        themselves.
 
         Parameters
         ----------
@@ -183,6 +194,37 @@ class SynchronousCountingAlgorithm(ABC):
         Implementations read ``states`` without coercing it again and must
         not mutate it: the engines share one vector between receivers.
         """
+
+    def next_states(
+        self,
+        shared: Sequence[State | None],
+        forged: Mapping[int, Mapping[int, State]],
+    ) -> dict[int, State]:
+        """``g(i, x)`` for every correct receiver ``i`` of one round.
+
+        ``shared`` is the vector every receiver receives, read as states,
+        with ``None`` at each sender whose message differs per receiver (a
+        faulty one).  ``forged`` maps each receiver, in update order, to its
+        own entries ``{sender: state}`` for exactly those senders, also read
+        as states.  Returns ``{i: next_state(i, x_i)}`` in that order, where
+        ``x_i`` is ``shared`` with ``forged[i]`` filled in.  (The engines
+        never make a receiver one of those senders, but a nested level may:
+        the sampled counter's one-node case reads its whole block from its
+        responses.)
+
+        This default calls :meth:`next_state` once per receiver, on one
+        buffer that every receiver's entries overwrite; an algorithm whose
+        receivers can share work overrides it.  Implementations do not
+        mutate their arguments.
+        """
+        next_state = self.next_state
+        messages = list(shared)
+        new_states: dict[int, State] = {}
+        for receiver, entries in forged.items():
+            for sender, state in entries.items():
+                messages[sender] = state
+            new_states[receiver] = next_state(receiver, messages)
+        return new_states
 
     @abstractmethod
     def output(self, node: int, state: State) -> int:

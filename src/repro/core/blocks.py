@@ -168,15 +168,17 @@ class CounterInterpretation:
         """``2m`` — the factor between consecutive block counter periods."""
         return self._base
 
-    @property
-    def block_tables(self) -> tuple[tuple[int, int], ...]:
-        """``(c_i, (2m)^i)`` for every block ``i ∈ [k]``: period and pointer divisor.
+    def round_and_pointer(self, value: int, block: int) -> tuple[int, int]:
+        """``(r, b)`` of a block-``i`` value ``v``, the two numbers a vote reads.
 
-        A block-``i`` value ``v`` reads as ``reduced = v mod c_i``,
-        ``r = reduced mod τ`` and ``b = ⌊⌊reduced / τ⌋ / (2m)^i⌋ mod m``
-        (:meth:`decompose`); vote loops read these numbers directly.
+        ``reduced = v mod c_i``, ``r = reduced mod τ`` and
+        ``b = ⌊⌊reduced / τ⌋ / (2m)^i⌋ mod m``, as :meth:`decompose` computes
+        them, from the per-block period and divisor table, without its
+        checks (``v >= 0`` and ``block ∈ [k]`` are the caller's).
         """
-        return self._block_tables
+        period, divisor = self._block_tables[block]
+        reduced = value % period
+        return reduced % self._tau, reduced // self._tau // divisor % self._m
 
     def block_period(self, block: int) -> int:
         """Return ``c_i = τ·(2m)^{i+1}``, the period of block ``i``'s counter.

@@ -18,12 +18,17 @@ blocks ``k >= 3``, :class:`BoostedCounter` realises the counter
 Every node's state is a :class:`BoostedState` consisting of the inner state
 of its block algorithm plus the phase king registers ``(a, d)``, so the
 space complexity is exactly ``S(A) + ⌈log2(C+1)⌉ + 1`` bits as claimed.
+
+One broadcast round runs through :meth:`BoostedCounter.next_states` for every
+correct receiver at once: every correct sender's block counter is read once
+per round, since all receivers receive the same state from it, and each
+receiver reads only the entries forged for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence, cast
 
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.blocks import BlockLayout, CounterInterpretation
@@ -37,7 +42,15 @@ from repro.core.phase_king import (
 from repro.core.voting import majority
 from repro.util.rng import ensure_rng
 
-__all__ = ["BoostedState", "BoostedCounter", "VoteDiagnostics", "boost"]
+__all__ = [
+    "BoostedState",
+    "BoostedCounter",
+    "VoteDiagnostics",
+    "block_next_states",
+    "boost",
+    "is_boosted_state",
+    "read_boosted_state",
+]
 
 
 class BoostedState(NamedTuple):
@@ -198,31 +211,10 @@ class BoostedCounter(SynchronousCountingAlgorithm):
                     yield BoostedState(inner=inner_state, a=a, d=d)
 
     def is_valid_state(self, state: Any) -> bool:
-        if not isinstance(state, tuple) or len(state) != 3:
-            return False
-        inner, a, d = state
-        if d not in (0, 1):
-            return False
-        # ``a`` is valid when a receiver reads it as itself (so no bool is).
-        if coerce_register_value(a, self.c) != a:
-            return False
-        return self._inner.is_valid_state(inner)
+        return is_boosted_state(state, self._inner, self.c)
 
     def coerce_message(self, message: Any) -> BoostedState:
-        """Interpret an arbitrary received object as a :class:`BoostedState`.
-
-        Byzantine senders may transmit anything; each field is coerced
-        independently so a partially valid forgery is read field-by-field,
-        matching the "arbitrary bit pattern" interpretation of the model.
-        """
-        if isinstance(message, tuple) and len(message) == 3:
-            inner, a, d = message
-        else:
-            inner, a, d = None, INFINITY, 0
-        coerced_inner = self._inner.coerce_message(inner)
-        coerced_a = coerce_register_value(a, self.c)
-        coerced_d = d if d in (0, 1) else 0
-        return BoostedState(inner=coerced_inner, a=coerced_a, d=coerced_d)
+        return read_boosted_state(message, self._inner, self.c)
 
     def output(self, node: int, state: State) -> int:
         """``h(v, s)``: the phase king output register (0 while reset).
@@ -238,71 +230,117 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         return 0
 
     def next_state(self, node: int, states: Sequence[Any]) -> BoostedState:
-        """One round of the boosted counter for node ``v = (i, j)``.
+        """One round of the boosted counter for node ``v``.
 
-        ``states`` are :class:`BoostedState` values, read once on receipt.
-        Mirrors the three steps listed in Section 3.5:
+        The one-receiver case of :meth:`next_states`: ``states`` are
+        :class:`BoostedState` values, read once on receipt.
+        """
+        return cast(BoostedState, self.next_states(states, {node: {}})[node])
 
-        1. update the state of the block algorithm ``A_i``,
-        2. compute the voted round counter ``R``,
+    def next_states(
+        self,
+        shared: Sequence[Any],
+        forged: Mapping[int, Mapping[int, Any]],
+    ) -> dict[int, State]:
+        """One round of the boosted counter for every receiver ``v = (i, j)``.
+
+        ``shared`` and ``forged`` hold :class:`BoostedState` values, read
+        once on receipt, as
+        :meth:`~repro.core.algorithm.SynchronousCountingAlgorithm.next_states`
+        describes.  Mirrors the three steps listed in Section 3.5:
+
+        1. update the state of the block algorithm ``A_i``: one
+           ``inner.next_states`` call per block covers its receivers;
+        2. compute the voted round counter ``R``: each correct sender's
+           ``(r, b)`` is read once per round and the vote of every block
+           without a forged entry is taken once, so per receiver only the
+           forged entries are read and only their blocks voted again;
         3. execute instruction set ``I_R`` of the phase king protocol.
         """
-        block, index = self._layout.split(node)
         n = self._layout.n
+        read = self._read
+        block_vote = self._block_vote
 
-        # Step 1: update the block-level copy of the inner algorithm using the
-        # states received from the node's own block.
-        own_block = states[block * n : (block + 1) * n]
-        new_inner = self._inner.next_state(index, [state.inner for state in own_block])
+        # Step 1: each receiver's block-level copy of the inner algorithm,
+        # on the states received from the receiver's own block.
+        own_block: dict[int, dict[int, Any]] = {}
+        for receiver, entries in forged.items():
+            start = receiver - receiver % n
+            own_block[receiver] = {
+                sender - start: state.inner
+                for sender, state in entries.items()
+                if start <= sender < start + n
+            }
+        new_inner = block_next_states(self._inner, shared, own_block)
 
-        # Step 2: derive the voted round counter R from the broadcast states.
-        diagnostics = self._compute_votes(states)
-
-        # Step 3: run the phase king instruction set selected by R.
-        own = states[node]
-        updated = instruction_step(
-            PhaseKingRegisters(a=own.a, d=own.d),
-            [state.a for state in states],
-            round_value=diagnostics.round_value,
-            N=self.n,
-            F=self.f,
-            C=self.c,
+        # Step 2: the per-sender reads and block votes every receiver shares.
+        rounds, pointers = self._reads(shared)
+        votes = [block_vote(pointers, block) for block in range(self._layout.k)]
+        forged_blocks = sorted(
+            {sender // n for sender, state in enumerate(shared) if state is None}
         )
-        return BoostedState(inner=new_inner, a=updated.a, d=updated.d)
+        a_values = [None if state is None else state.a for state in shared]
+
+        new_states: dict[int, State] = {}
+        for receiver, entries in forged.items():
+            # Every receiver's entries overwrite the same senders, so one
+            # set of buffers serves the whole round.
+            for sender, state in entries.items():
+                rounds[sender], pointers[sender] = read(sender, state)
+                a_values[sender] = state.a
+            for block in forged_blocks:
+                votes[block] = block_vote(pointers, block)
+            _, round_value = self._round_value(rounds, votes)
+
+            # Step 3: run the phase king instruction set selected by R.
+            own = shared[receiver]
+            if own is None:
+                own = entries[receiver]
+            updated = instruction_step(
+                PhaseKingRegisters(a=own.a, d=own.d),
+                a_values,
+                round_value=round_value,
+                N=self.n,
+                F=self.f,
+                C=self.c,
+            )
+            new_states[receiver] = BoostedState(
+                inner=new_inner[receiver], a=updated.a, d=updated.d
+            )
+        return new_states
 
     # ------------------------------------------------------------------ #
     # Voting internals (exposed for tracing and experiments)
     # ------------------------------------------------------------------ #
 
-    def _compute_votes(self, states: Sequence[BoostedState]) -> VoteDiagnostics:
-        n = self._layout.n
-        tau = self._interpretation.tau
-        m = self._interpretation.m
-        output = self._inner.output
-
-        block_pointers: list[list[int]] = []
-        block_rounds: list[list[int]] = []
-        for block, (period, divisor) in enumerate(self._interpretation.block_tables):
-            # interpretation.decompose(value, block), inline: the value mod
-            # the block period c_i, its round component r and the pointer b.
-            members = states[block * n : (block + 1) * n]
-            reduced = [
-                output(index, state.inner) % period
-                for index, state in enumerate(members)
-            ]
-            block_rounds.append([value % tau for value in reduced])
-            block_pointers.append([value // tau // divisor % m for value in reduced])
-
-        block_votes = [majority(pointers, 0) for pointers in block_pointers]
-        leader = majority(block_votes, 0)
-        round_value = majority(block_rounds[leader], 0)
-        return VoteDiagnostics(
-            block_pointers=block_pointers,
-            block_rounds=block_rounds,
-            block_votes=block_votes,
-            leader=leader,
-            round_value=round_value,
+    def _read(self, sender: int, state: BoostedState) -> tuple[int, int]:
+        """``(r, b)``: the round component and leader pointer ``sender`` sends."""
+        block, index = divmod(sender, self._layout.n)
+        return self._interpretation.round_and_pointer(
+            self._inner.output(index, state.inner), block
         )
+
+    def _reads(self, states: Sequence[Any]) -> tuple[list[Any], list[Any]]:
+        """Every sender's ``r`` and ``b``, one read each (``None`` stays ``None``)."""
+        read = self._read
+        rounds: list[Any] = []
+        pointers: list[Any] = []
+        for sender, state in enumerate(states):
+            r, b = (None, None) if state is None else read(sender, state)
+            rounds.append(r)
+            pointers.append(b)
+        return rounds, pointers
+
+    def _block_vote(self, pointers: Sequence[int], block: int) -> int:
+        """``b^i = majority_j b[i, j]``: the leader block ``block`` supports."""
+        n = self._layout.n
+        return majority(pointers[block * n : (block + 1) * n], 0)
+
+    def _round_value(self, rounds: Sequence[int], votes: Sequence[int]) -> tuple[int, int]:
+        """``B = majority_i b^i`` and ``R = majority_j r[B, j]``."""
+        n = self._layout.n
+        leader = majority(votes, 0)
+        return leader, majority(rounds[leader * n : (leader + 1) * n], 0)
 
     def vote_diagnostics(self, messages: Sequence[State]) -> VoteDiagnostics:
         """Compute the voting scheme's intermediate values for a message vector.
@@ -310,8 +348,18 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         Useful for tracing executions (for example the Figure 1 experiment
         reads ``block_votes`` and ``leader`` directly from a running system).
         """
-        coerced = [self.coerce_message(message) for message in messages]
-        return self._compute_votes(coerced)
+        n = self._layout.n
+        blocks = range(self._layout.k)
+        rounds, pointers = self._reads([self.coerce_message(message) for message in messages])
+        votes = [self._block_vote(pointers, block) for block in blocks]
+        leader, round_value = self._round_value(rounds, votes)
+        return VoteDiagnostics(
+            block_pointers=[pointers[block * n : (block + 1) * n] for block in blocks],
+            block_rounds=[rounds[block * n : (block + 1) * n] for block in blocks],
+            block_votes=votes,
+            leader=leader,
+            round_value=round_value,
+        )
 
     def block_counter_value(self, node: int, state: State) -> tuple[int, int, int]:
         """Return ``(r, y, b)`` as announced by ``node`` in ``state``."""
@@ -320,6 +368,78 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         value = self._inner.output(index, coerced.inner)
         decomposed = self._interpretation.decompose(value, block)
         return decomposed.r, decomposed.y, decomposed.pointer
+
+
+def read_boosted_state(
+    message: Any, inner: SynchronousCountingAlgorithm, C: int
+) -> BoostedState:
+    """Interpret an arbitrary received object as a :class:`BoostedState`.
+
+    Byzantine senders may transmit anything; each field is coerced
+    independently so a partially valid forgery is read field-by-field,
+    matching the "arbitrary bit pattern" interpretation of the model.  A
+    bool is no register value: ``a`` reads it as the reset marker ``∞``
+    (:func:`coerce_register_value`) and ``d`` as 0.
+    """
+    if isinstance(message, tuple) and len(message) == 3:
+        inner_state, a, d = message
+    else:
+        inner_state, a, d = None, INFINITY, 0
+    return BoostedState(
+        inner=inner.coerce_message(inner_state),
+        a=coerce_register_value(a, C),
+        d=d if d in (0, 1) and not isinstance(d, bool) else 0,
+    )
+
+
+def is_boosted_state(state: Any, inner: SynchronousCountingAlgorithm, C: int) -> bool:
+    """Whether ``state`` is a valid :class:`BoostedState` over ``inner``.
+
+    Each register is valid when a receiver reads it as itself
+    (:func:`read_boosted_state`), so neither ``a`` nor ``d`` is a bool.
+    """
+    if not isinstance(state, tuple) or len(state) != 3:
+        return False
+    inner_state, a, d = state
+    if isinstance(d, bool) or d not in (0, 1):
+        return False
+    if coerce_register_value(a, C) != a:
+        return False
+    return inner.is_valid_state(inner_state)
+
+
+def block_next_states(
+    inner: SynchronousCountingAlgorithm,
+    shared: Sequence[Any],
+    own_block: Mapping[int, Mapping[int, State]],
+) -> dict[int, State]:
+    """Step 1 of a boosted round for every receiver: the block copies ``A_i``.
+
+    ``shared`` holds the boosted states every receiver receives (``None``
+    where they differ per receiver) and ``own_block`` maps each receiver, in
+    update order, to its forged inner states from its own block, keyed by
+    index inside the block; every receiver of a block has entries at the same
+    members.  Each block with a receiver makes one ``inner.next_states`` call
+    on its members' inner states, with ``None`` at those members; the result
+    maps each receiver to its new inner state.
+    """
+    n = inner.n
+    by_block: dict[int, dict[int, Mapping[int, State]]] = {}
+    for receiver, entries in own_block.items():
+        block, index = divmod(receiver, n)
+        by_block.setdefault(block, {})[index] = entries
+    new_inner: dict[int, State] = {}
+    for block, receivers in by_block.items():
+        start = block * n
+        members = [
+            None if state is None else state.inner for state in shared[start : start + n]
+        ]
+        for entries in receivers.values():
+            for index in entries:
+                members[index] = None
+        for index, state in inner.next_states(members, receivers).items():
+            new_inner[start + index] = state
+    return new_inner
 
 
 def boost(

@@ -110,7 +110,7 @@ class ModelAdapter(ABC):
     :class:`~repro.network.pulling.PullingAlgorithm`: ``n``, ``c``, ``info``,
     ``output``, ``random_state`` and ``is_valid_state``.  A model's
     :meth:`step` reads each message as a state once, where it arrives
-    (``coerce_message``), and hands the result to ``next_state``.
+    (``coerce_message``), and hands the round to ``next_states``.
     """
 
     def __init__(self, algorithm: Any, adversary: Any) -> None:

@@ -17,6 +17,19 @@ loop, RNG stream derivation, initial-state validation and early stopping are
 the shared kernel's (:mod:`repro.network.engine`), so the pulling path
 reports missing/invalid initial states, ``stopped_early`` and
 ``agreement_streak`` exactly like the broadcast path.
+
+A round reaches the algorithm through one call of
+:meth:`PullingAlgorithm.next_states`, the update of every correct node at
+once: every correct node answers every pull of it with the same state, so
+the call takes the vector of those states (``None`` at faulty nodes), each
+node's pull plan and each node's forged responses.  The model first draws
+every node's plan (``pull_targets``) from the ``sampling`` stream and every
+forged response from the ``adversary`` stream, node by node as before, and
+then makes that call.  The default runs :meth:`PullingAlgorithm.next_state`
+once per node, in the same order, with the ``sampling`` generator, so a
+``next_state`` that draws from it now draws after the round's last plan
+rather than right after its own node's plan.  No catalogued algorithm draws
+there.
 """
 
 from __future__ import annotations
@@ -50,8 +63,9 @@ class PullingAlgorithm(ABC):
     names the nodes whose state is requested this round (repetitions allowed —
     the paper samples with repetition so Chernoff bounds apply directly) and
     :meth:`next_state` consumes the aligned list of responses, each already
-    read as a state.  :meth:`transition` is the entry point for direct
-    callers: it reads the own state and every response as a state first.
+    read as a state.  :meth:`next_states` runs it for every correct node of
+    a round; :meth:`transition` is the entry point for direct callers: it
+    reads the own state and every response as a state first.
     """
 
     def __init__(self, n: int, f: int, c: int, info: AlgorithmInfo | None = None) -> None:
@@ -108,7 +122,7 @@ class PullingAlgorithm(ABC):
         ``targets``, reads the own state and every response as a state
         (:meth:`coerce_message`) and returns :meth:`next_state` of the
         result.  The pulling model coerces each state once, on receipt, and
-        calls :meth:`next_state` itself.
+        calls :meth:`next_states` itself.
         """
         if not 0 <= node < self._n:
             raise ParameterError(f"node must be in [0, {self._n}), got {node}")
@@ -133,6 +147,36 @@ class PullingAlgorithm(ABC):
         :meth:`coerce_message`; implementations do not coerce them again and
         do not mutate them.
         """
+
+    def next_states(
+        self,
+        shared: Sequence[State | None],
+        targets: Mapping[int, Sequence[int]],
+        forged: Mapping[int, Mapping[int, State]],
+        rng: random.Random,
+    ) -> dict[int, State]:
+        """:meth:`next_state` for every correct node of one round.
+
+        ``shared[j]`` is the state every pull of node ``j`` returns, read as
+        a state, and ``None`` for a node whose answers differ per pull (a
+        faulty one); a pulling node's own state is its entry.  ``targets``
+        maps each pulling node, in update order, to its plan, and ``forged``
+        maps it to its responses from those nodes, ``{position: state}`` by
+        plan position, also read as states.  Returns ``{node: new state}``
+        in that order.
+
+        This default calls :meth:`next_state` once per node with the
+        responses its plan selects; an algorithm whose nodes can share work
+        overrides it.  Implementations do not mutate their arguments.
+        """
+        next_state = self.next_state
+        new_states: dict[int, State] = {}
+        for node, plan in targets.items():
+            responses = [shared[target] for target in plan]
+            for position, state in forged[node].items():
+                responses[position] = state
+            new_states[node] = next_state(node, shared[node], plan, responses, rng)
+        return new_states
 
     @abstractmethod
     def output(self, node: int, state: State) -> int:
@@ -251,28 +295,29 @@ class PullingModel(ModelAdapter):
         # Every response is read as a state once, where it arrives: each
         # correct node's state once per round (it answers every pull of it,
         # and is its own node's state), each forged response once per pull.
-        delivered = {node: coerce(state) for node, state in states.items()}
-        new_states: dict[int, State] = {}
-        pull_counts: list[int] = []
+        # Every plan and every forge is drawn first, node by node; then one
+        # ``next_states`` call updates every node.
+        shared = tuple(None if node in faulty else coerce(states[node]) for node in range(n))
+        plans: dict[int, list[int]] = {}
+        forged: dict[int, dict[int, State]] = {}
         for node in states:
-            targets = algorithm.pull_targets(node, states[node], self._sample_rng)
-            responses: list[State] = []
-            for target in targets:
+            plan = algorithm.pull_targets(node, states[node], self._sample_rng)
+            entries: dict[int, State] = {}
+            for position, target in enumerate(plan):
                 if not 0 <= target < n:
                     raise SimulationError(
                         f"node {node} pulled invalid target {target}"
                     )
                 if target in faulty:
-                    forged = adversary.forge(
-                        round_index, target, node, states, algorithm, self._adversary_rng
+                    entries[position] = coerce(
+                        adversary.forge(
+                            round_index, target, node, states, algorithm, self._adversary_rng
+                        )
                     )
-                    responses.append(coerce(forged))
-                else:
-                    responses.append(delivered[target])
-            pull_counts.append(len(targets))
-            new_states[node] = algorithm.next_state(
-                node, delivered[node], targets, responses, self._sample_rng
-            )
+            plans[node] = plan
+            forged[node] = entries
+        new_states = algorithm.next_states(shared, plans, forged, self._sample_rng)
+        pull_counts = [len(plan) for plan in plans.values()]
         max_pulls = max(pull_counts) if pull_counts else 0
         metadata = {
             "max_pulls": max_pulls,

@@ -3,7 +3,8 @@
 In every round each correct node receives the vector of states broadcast by
 all nodes — with the entries of Byzantine senders replaced, per receiver, by
 whatever the adversary forges — reads each message as a state once, where it
-arrives, and applies the algorithm's transition function ``next_state``.
+arrives, and applies the algorithm's transition function: one
+``next_states`` call per round covers every correct receiver.
 The round loop, RNG stream derivation, trace recording and early stopping
 live in the shared kernel (:mod:`repro.network.engine`); this module
 contributes the broadcast-specific pieces: the per-round message-vector
@@ -85,41 +86,29 @@ def run_round(
     """
     faulty = adversary.faulty
     adversary.on_round_start(round_index, states, algorithm, rng)
-    new_states: dict[int, State] = {}
     coerce = algorithm.coerce_message
-    next_state = algorithm.next_state
+    forge = adversary.forge
+    faulty_senders = sorted(faulty)
 
-    # Every message is read as a state once, where it arrives, and the
-    # receivers run ``next_state`` on the result.  Correct senders broadcast
-    # the same state to every receiver, so the shared part of the vector is
-    # built — and coerced — once per round; only the entries of faulty
-    # senders differ per receiver.  Without faults the whole vector is
-    # shared — as an immutable tuple, so a ``next_state`` that mutated its
-    # input would fail loudly instead of corrupting sibling receivers.
-    base: tuple[State, ...] = tuple(
+    # Every message is read as a state once, where it arrives.  Correct
+    # senders broadcast the same state to every receiver, so the shared
+    # vector is built — and coerced — once per round; only the entries of
+    # faulty senders differ per receiver.  They are forged receiver by
+    # receiver in ``states`` order, faulty senders ascending (the order the
+    # adversary's generator is drawn in), before the one ``next_states``
+    # call runs the paper's ``g`` for every receiver.
+    shared = tuple(
         None if sender in faulty else coerce(states[sender])
         for sender in range(algorithm.n)
     )
-
-    if not faulty:
-        for receiver in states:
-            new_states[receiver] = next_state(receiver, base)
-        return new_states
-
-    faulty_senders = sorted(faulty)
-    # One message buffer is reused across receivers: only the faulty entries
-    # differ per receiver and every one of them is overwritten by the forge
-    # below before ``next_state`` reads the list.  ``next_state`` only reads
-    # its input, so this saves one O(n) list allocation per receiver per
-    # round.
-    messages = list(base)
-    forge = adversary.forge
-    for receiver in states:
-        for sender in faulty_senders:
-            forged = forge(round_index, sender, receiver, states, algorithm, rng)
-            messages[sender] = coerce(forged)
-        new_states[receiver] = next_state(receiver, messages)
-    return new_states
+    forged = {
+        receiver: {
+            sender: coerce(forge(round_index, sender, receiver, states, algorithm, rng))
+            for sender in faulty_senders
+        }
+        for receiver in states
+    }
+    return algorithm.next_states(shared, forged)
 
 
 class BroadcastModel(ModelAdapter):

@@ -28,19 +28,29 @@ The resulting counter is *probabilistic*: in every round after stabilisation
 the sampled majorities fail with probability at most ``η^{-κ}``; with fresh
 per-round randomness a failure can perturb the phase king registers of a few
 nodes, which the construction subsequently repairs.
+
+A round of the pulling model runs through :meth:`SampledBoostedCounter.next_states`
+for every correct node at once: every correct node's block counter is read
+once per round into a table the samples index, since every pull of a correct
+node returns the same state, and each node reads only its forged responses.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence, cast
 
-from repro.core.algorithm import AlgorithmInfo, SynchronousCountingAlgorithm
+from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.blocks import BlockLayout, CounterInterpretation
-from repro.core.boosting import BoostedState
+from repro.core.boosting import (
+    BoostedState,
+    block_next_states,
+    is_boosted_state,
+    read_boosted_state,
+)
 from repro.core.errors import ParameterError
 from repro.core.parameters import BoostingParameters
-from repro.core.phase_king import INFINITY, PhaseKingRegisters, coerce_register_value
+from repro.core.phase_king import INFINITY, PhaseKingRegisters
 from repro.core.voting import majority
 from repro.network.pulling import PullingAlgorithm
 from repro.sampling.thresholds import recommended_sample_size, sampled_instruction_step
@@ -173,15 +183,10 @@ class SampledBoostedCounter(PullingAlgorithm):
         )
 
     def coerce_message(self, message: Any) -> BoostedState:
-        if isinstance(message, tuple) and len(message) == 3:
-            inner, a, d = message
-        else:
-            inner, a, d = None, INFINITY, 0
-        return BoostedState(
-            inner=self._inner.coerce_message(inner),
-            a=coerce_register_value(a, self.c),
-            d=d if d in (0, 1) else 0,
-        )
+        return read_boosted_state(message, self._inner, self.c)
+
+    def is_valid_state(self, state: Any) -> bool:
+        return is_boosted_state(state, self._inner, self.c)
 
     def output(self, node: int, state: Any) -> int:
         """The output register ``a`` (0 while reset), read as a receiver reads it."""
@@ -233,51 +238,108 @@ class SampledBoostedCounter(PullingAlgorithm):
         responses: Sequence[Any],
         rng: random.Random,
     ) -> BoostedState:
+        """One round of ``node``: the one-node case of :meth:`next_states`.
+
+        Every response counts as forged, so each is read where it sits in
+        the plan.
+        """
+        shared: list[Any] = [None] * self.n
+        shared[node] = state
+        new_states = self.next_states(
+            shared, {node: targets}, {node: dict(enumerate(responses))}, rng
+        )
+        return cast(BoostedState, new_states[node])
+
+    def next_states(
+        self,
+        shared: Sequence[Any],
+        targets: Mapping[int, Sequence[int]],
+        forged: Mapping[int, Mapping[int, Any]],
+        rng: random.Random,
+    ) -> dict[int, State]:
+        """One round of every pulling node, as
+        :meth:`~repro.network.pulling.PullingAlgorithm.next_states` describes.
+
+        Each correct node's ``(r, b)`` is read once per round into a table
+        that every sample of it indexes; per node only the forged responses
+        are read.  Every plan must follow :meth:`_sample_plan`'s layout.
+        """
         n = self._inner.n
         M = self._sample_size
-        _, index = self._layout.split(node)
-        if len(responses) != self.expected_pulls_per_round():
-            raise ParameterError(
-                f"expected {self.expected_pulls_per_round()} responses "
-                f"(the sampling plan), got {len(responses)}"
-            )
-
-        # 1. Inner algorithm update from the own-block responses.
-        new_inner = self._inner.next_state(
-            index, [response.inner for response in responses[:n]]
-        )
-
-        # 2. Sampled leader-block voting (Lemma 9): interpretation.decompose
-        #    of every sampled value, inline, from the per-block tables.
-        tau = self._interpretation.tau
-        m = self._interpretation.m
+        k = self._layout.k
+        votes_end = n + k * M
+        phase_end = votes_end + M
+        expected = self.expected_pulls_per_round()
+        read = self._interpretation.round_and_pointer
         output = self._inner.output
-        offset = n
-        block_votes: list[int] = []
-        block_round_samples: list[list[int]] = []
-        for other, (period, divisor) in enumerate(self._interpretation.block_tables):
-            start = other * n
-            reduced = [
-                output(targets[position] - start, responses[position].inner) % period
-                for position in range(offset, offset + M)
-            ]
-            offset += M
-            pointers = [value // tau // divisor % m for value in reduced]
-            block_votes.append(majority(pointers, 0))
-            block_round_samples.append([value % tau for value in reduced])
-        leader = majority(block_votes, 0)
-        round_value = majority(block_round_samples[leader], 0)
 
-        # 3. Sampled phase king (Lemma 8) — the king ℓ = ⌊R/3⌋ is pulled
-        #    directly, among the F + 2 candidates after the phase samples.
-        phase_samples = responses[offset : offset + M]
-        king = responses[offset + M + round_value // 3]
-        updated = sampled_instruction_step(
-            PhaseKingRegisters(a=state.a, d=state.d),
-            [sample.a for sample in phase_samples],
-            king_value=king.a,
-            round_value=round_value,
-            F=self.f,
-            C=self.c,
-        )
-        return BoostedState(inner=new_inner, a=updated.a, d=updated.d)
+        # 1. Inner algorithm update: each block's pulling nodes read their
+        #    whole block (the first n plan positions, in member order).
+        own_block: dict[int, dict[int, Any]] = {}
+        for node, plan in targets.items():
+            if len(plan) != expected:
+                raise ParameterError(
+                    f"expected {expected} responses (the sampling plan), got {len(plan)}"
+                )
+            own_block[node] = {
+                position: response.inner
+                for position, response in forged[node].items()
+                if position < n
+            }
+        new_inner = block_next_states(self._inner, shared, own_block)
+
+        # 2. The read table: every correct node's round component and
+        #    leader pointer, read once.
+        round_table: list[Any] = []
+        pointer_table: list[Any] = []
+        for sender, response in enumerate(shared):
+            block, index = divmod(sender, n)
+            r, b = (
+                (None, None) if response is None else read(output(index, response.inner), block)
+            )
+            round_table.append(r)
+            pointer_table.append(b)
+
+        new_states: dict[int, State] = {}
+        for node, plan in targets.items():
+            entries = forged[node]
+            sampled = plan[n:votes_end]
+            rounds = [round_table[target] for target in sampled]
+            pointers = [pointer_table[target] for target in sampled]
+            phase_samples = [shared[target] for target in plan[votes_end:phase_end]]
+            for position, response in entries.items():
+                if n <= position < votes_end:
+                    # A sample of block ``other`` is its member plan[position].
+                    other = (position - n) // M
+                    rounds[position - n], pointers[position - n] = read(
+                        output(plan[position] - other * n, response.inner), other
+                    )
+                elif votes_end <= position < phase_end:
+                    phase_samples[position - votes_end] = response
+
+            #    Sampled leader-block voting (Lemma 9).
+            block_votes = [
+                majority(pointers[other * M : (other + 1) * M], 0) for other in range(k)
+            ]
+            leader = majority(block_votes, 0)
+            round_value = majority(rounds[leader * M : (leader + 1) * M], 0)
+
+            # 3. Sampled phase king (Lemma 8) — the king ℓ = ⌊R/3⌋ is pulled
+            #    directly, among the F + 2 candidates after the phase samples.
+            king_position = phase_end + round_value // 3
+            king = (
+                entries[king_position]
+                if king_position in entries
+                else shared[plan[king_position]]
+            )
+            own = shared[node]
+            updated = sampled_instruction_step(
+                PhaseKingRegisters(a=own.a, d=own.d),
+                [sample.a for sample in phase_samples],
+                king_value=king.a,
+                round_value=round_value,
+                F=self.f,
+                C=self.c,
+            )
+            new_states[node] = BoostedState(inner=new_inner[node], a=updated.a, d=updated.d)
+        return new_states

@@ -118,20 +118,26 @@ class TestStates:
         assert counter.output(0, "garbage") == 0
 
     @pytest.mark.parametrize("name", ["corollary1", "sampled-boosted"])
+    @pytest.mark.parametrize("field", ["a", "d"])
     @pytest.mark.parametrize("register", [True, False])
-    def test_bool_register_reads_as_reset(self, name, register):
-        # A receiver reads a bool ``a`` as the reset marker, so it is no
-        # counter value: not a valid state, and output 0.
+    def test_bool_register_reads_as_reset(self, name, field, register):
+        # A bool is no register value: a receiver reads a bool ``a`` as the
+        # reset marker and a bool ``d`` as 0, so neither is a valid state.
         counter = build_algorithm(name)
-        state = BoostedState(inner=counter.inner.default_state(), a=register, d=0)
-        assert counter.coerce_message(state).a == INFINITY
+        state = BoostedState(inner=counter.inner.default_state(), a=0, d=0)._replace(
+            **{field: register}
+        )
+        read = counter.coerce_message(state)
+        assert getattr(read, field) == (INFINITY if field == "a" else 0)
+        assert type(read.d) is int
         assert not counter.is_valid_state(state)
         assert counter.output(0, state) == 0
 
-    def test_bool_register_initial_state_is_rejected(self):
+    @pytest.mark.parametrize("field", ["a", "d"])
+    def test_bool_register_initial_state_is_rejected(self, field):
         counter = build_algorithm("corollary1", f=1, c=2)
         states = [counter.default_state() for _ in range(counter.n)]
-        states[2] = BoostedState(inner=0, a=True, d=0)
+        states[2] = BoostedState(inner=0, a=1, d=1)._replace(**{field: True})
         with pytest.raises(SimulationError, match="initial state for node 2 "):
             run_simulation(
                 counter, config=SimulationConfig(max_rounds=3), initial_states=states

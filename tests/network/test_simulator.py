@@ -13,9 +13,10 @@ from repro.network.adversary import (
     RandomStateAdversary,
     build_adversary,
 )
+from repro.network import simulator
 from repro.network.simulator import SimulationConfig, run_round, run_simulation
 from repro.network.stabilization import stabilization_round
-from repro.semantics import build_algorithm
+from repro.semantics import active_strategy_names, build_algorithm
 
 
 class TestSimulationConfig:
@@ -62,18 +63,27 @@ class TestRunRound:
         # A(12, 3) with 3 faulty nodes: the 9 correct states are read once
         # per round (they are shared by every receiver), and each of the
         # 9 x 3 forged messages once for its receiver — 36 top-level
-        # coercions, none repeated inside the transition.
+        # coercions, none repeated inside the transition.  The same holds
+        # for the block counters the votes read: 36 top-level
+        # ``inner.output`` calls, not one per sender per receiver (108).
         import random
 
         counter = build_algorithm("figure2", levels=1, c=2)
         calls = []
+        reads = []
         coerce = counter.coerce_message
+        inner_output = counter.inner.output
 
         def counting(message):
             calls.append(message)
             return coerce(message)
 
+        def counting_output(node, state):
+            reads.append(node)
+            return inner_output(node, state)
+
         counter.coerce_message = counting
+        counter.inner.output = counting_output
         rng = random.Random(3)
         faulty = [0, 5, 10]
         states = {
@@ -82,7 +92,51 @@ class TestRunRound:
         adversary = build_adversary("random-state", faulty)
         new_states = run_round(counter, states, adversary, 0, rng=rng)
         assert len(calls) == 9 + 9 * 3
+        assert len(reads) == 9 + 9 * 3
         assert all(counter.is_valid_state(state) for state in new_states.values())
+
+
+def reference_round(algorithm, states, adversary, round_index, rng):
+    """One broadcast round built receiver by receiver: each receiver's whole
+    vector is formed from scratch (every faulty sender's entry forged for it,
+    senders ascending), every message is read as a state, and ``next_state``
+    runs on the result."""
+    adversary.on_round_start(round_index, states, algorithm, rng)
+    coerce = algorithm.coerce_message
+    new_states = {}
+    for receiver in states:
+        messages = [
+            coerce(
+                adversary.forge(round_index, sender, receiver, states, algorithm, rng)
+                if sender in adversary.faulty
+                else states[sender]
+            )
+            for sender in range(algorithm.n)
+        ]
+        new_states[receiver] = algorithm.next_state(receiver, messages)
+    return new_states
+
+
+class TestRoundLevelTransition:
+    """``run_round``'s one ``next_states`` call replays the per-receiver loop."""
+
+    @pytest.mark.parametrize("strategy", active_strategy_names())
+    @pytest.mark.parametrize(
+        "name, params, faulty",
+        [("figure2", {"levels": 1}, [0, 5, 10]), ("corollary1", {"f": 1, "c": 2}, [1])],
+    )
+    def test_trace_matches_per_receiver_reference(
+        self, monkeypatch, name, params, faulty, strategy
+    ):
+        algorithm = build_algorithm(name, **params)
+        config = SimulationConfig(max_rounds=60, seed=5, record_states=True)
+        live = run_simulation(algorithm, build_adversary(strategy, faulty), config)
+        monkeypatch.setattr(simulator, "run_round", reference_round)
+        reference = run_simulation(algorithm, build_adversary(strategy, faulty), config)
+        assert [record.states for record in live.rounds] == [
+            record.states for record in reference.rounds
+        ]
+        assert live.output_rows() == reference.output_rows()
 
 
 class TestRunSimulation:

@@ -285,6 +285,71 @@ def test_transition_is_next_state_of_coerced_messages(name, data, seed):
     assert algorithm.is_valid_state(direct)
 
 
+def forged_senders(algorithm):
+    """Senders whose messages differ per receiver: none, some inside one
+    block, some among the phase kings (nodes ``0 … F+1``), or any."""
+    n = algorithm.n
+    layout = getattr(algorithm, "layout", None)
+    size = layout.n if layout is not None else n
+    return st.one_of(
+        st.just(frozenset()),
+        st.integers(min_value=0, max_value=n // size - 1).flatmap(
+            lambda block: st.frozensets(
+                st.sampled_from(range(block * size, (block + 1) * size)), min_size=1
+            )
+        ),
+        st.frozensets(st.sampled_from(range(min(n, algorithm.f + 2))), min_size=1),
+        st.frozensets(st.integers(min_value=0, max_value=n - 1), min_size=1),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), seed=st.integers(min_value=0, max_value=2**32))
+def test_next_states_is_next_state_per_receiver(name, data, seed):
+    """The round-level transition equals ``next_state`` run receiver by
+    receiver on the shared vector with that receiver's forged entries filled
+    in; both sides run under equally seeded generators."""
+    algorithm = CATALOGUE[name]
+    coerce = algorithm.coerce_message
+
+    def read():
+        return coerce(data.draw(received(algorithm)))
+
+    faulty = data.draw(forged_senders(algorithm))
+    shared = tuple(None if node in faulty else read() for node in range(algorithm.n))
+    correct = [node for node in range(algorithm.n) if node not in faulty]
+    receivers = sorted(data.draw(st.sets(st.sampled_from(correct)))) if correct else []
+    expected = {}
+    if isinstance(algorithm, PullingAlgorithm):
+        plan_rng = random.Random(seed)
+        targets = {node: algorithm.pull_targets(node, shared[node], plan_rng) for node in receivers}
+        forged = {
+            node: {
+                position: read() for position, target in enumerate(plan) if target in faulty
+            }
+            for node, plan in targets.items()
+        }
+        rng = random.Random(seed)
+        for node, plan in targets.items():
+            responses = [
+                forged[node].get(position, shared[target]) for position, target in enumerate(plan)
+            ]
+            expected[node] = algorithm.next_state(node, shared[node], plan, responses, rng)
+        actual = algorithm.next_states(shared, targets, forged, random.Random(seed))
+    else:
+        forged = {node: {sender: read() for sender in sorted(faulty)} for node in receivers}
+        if not algorithm.deterministic:
+            algorithm.reseed(seed)
+        for node, entries in forged.items():
+            messages = [entries.get(sender, state) for sender, state in enumerate(shared)]
+            expected[node] = algorithm.next_state(node, messages)
+        if not algorithm.deterministic:
+            algorithm.reseed(seed)
+        actual = algorithm.next_states(shared, forged)
+    assert list(actual.items()) == list(expected.items())
+
+
 # --------------------------------------------------------------------------- #
 # Stabilisation detection
 # --------------------------------------------------------------------------- #

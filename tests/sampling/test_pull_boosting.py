@@ -126,6 +126,21 @@ class TestTransition:
         with pytest.raises(ParameterError):
             counter.transition(0, counter.random_state(0), [0, 1], [counter.random_state(0)], random.Random(0))
 
+    def test_next_state_reads_its_block_from_the_responses(self):
+        # The own registers come from ``state``; the inner update reads the
+        # whole own block, the node itself included, from the responses.
+        counter = make_large_counter(sample_size=3)
+        rng = random.Random(8)
+        node, n = 6, counter.inner.n
+        state = counter.random_state(rng)
+        targets = counter.pull_targets(node, state, rng)
+        responses = [counter.random_state(rng) for _ in targets]
+        assert responses[node % n] != state
+        new_state = counter.next_state(node, state, targets, responses, rng)
+        assert new_state.inner == counter.inner.next_state(
+            node % n, [response.inner for response in responses[:n]]
+        )
+
     def test_agreement_persists_with_clean_samples(self):
         """Lemma 5 analogue: agreed registers keep counting when samples are clean."""
         counter = make_counter(sample_size=5, counter_size=4)
