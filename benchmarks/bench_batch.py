@@ -1,10 +1,10 @@
 """Scalar-vs-batch engine benchmarks: whole campaigns as array programs.
 
-The cases below are shared with ``scripts/run_benchmarks.py`` (which times
-both engines and emits the machine-readable ``BENCH_batch.json`` tracked
-across PRs).  The pytest-benchmark entry points time the batch path and — for
-the headline Figure-1-style case — assert the ≥10x per-campaign speedup the
-vectorised engine exists for.
+The cases below are read by ``scripts/run_benchmarks.py``, which times both
+engines with :func:`time_engines` and emits the machine-readable
+``BENCH_batch.json`` (``--require-speedup 10`` asserts the per-campaign
+speedup the vectorised engine exists for on the headline Figure-1-style
+case).
 
 Case catalogue:
 
@@ -238,37 +238,3 @@ def time_engines(case: BatchBenchCase) -> dict:
         "failed_runs": batch_stats.failed,
     }
 
-
-# ---------------------------------------------------------------------- #
-# pytest-benchmark entry points
-# ---------------------------------------------------------------------- #
-
-
-def _case(name: str) -> BatchBenchCase:
-    return next(case for case in BENCH_CASES if case.name == name)
-
-
-def test_batch_engine_figure1_style_speedup(benchmark):
-    """The acceptance criterion: >= 10x on n = 16, 200 trials."""
-    case = _case("figure1-style-randomized-n16")
-    comparison = benchmark.pedantic(
-        time_engines, args=(case,), rounds=1, iterations=1
-    )
-    assert comparison["batched_runs"] == comparison["runs"]
-    assert comparison["fallback_runs"] == 0
-    assert comparison["speedup"] >= 10.0, comparison
-
-
-def test_batch_engine_deterministic_cases_bit_identical(benchmark):
-    """Deterministic cases: vectorised, faster, and byte-identical."""
-
-    def run_all():
-        return [
-            time_engines(case) for case in BENCH_CASES if case.deterministic
-        ]
-
-    comparisons = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    for comparison in comparisons:
-        assert comparison["identical_results"] is True, comparison
-        assert comparison["fallback_runs"] == 0, comparison
-        assert comparison["speedup"] > 1.0, comparison

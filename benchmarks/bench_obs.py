@@ -137,18 +137,3 @@ def measure_null_overhead(
     best["within_threshold"] = best["overhead"] <= threshold
     return best
 
-
-# ---------------------------------------------------------------------- #
-# pytest-benchmark entry point
-# ---------------------------------------------------------------------- #
-
-
-def test_null_observer_overhead(benchmark):
-    """The instrumentation budget: NullObserver within 2% of no observer."""
-    report = benchmark.pedantic(
-        measure_null_overhead,
-        kwargs={"runs": 60, "repeats": 3, "attempts": 4},
-        rounds=1,
-        iterations=1,
-    )
-    assert report["within_threshold"], report

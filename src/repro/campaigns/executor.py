@@ -355,7 +355,15 @@ class ParallelExecutor:
         ]
         pool_broken = False
         with ProcessPoolExecutor(max_workers=processes) as pool:
-            futures = [pool.submit(_execute_chunk, chunk) for chunk in chunks]
+            futures = []
+            try:
+                for chunk in chunks:
+                    futures.append(pool.submit(_execute_chunk, chunk))
+            except BrokenProcessPool:
+                # A worker died before the last chunk was submitted: the
+                # chunks never submitted have no result either, so they are
+                # retried below with every other run a dead worker lost.
+                pool_broken = True
             for future in as_completed(futures):
                 try:
                     batch = future.result()

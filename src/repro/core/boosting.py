@@ -23,6 +23,12 @@ One broadcast round runs through :meth:`BoostedCounter.next_states` for every
 correct receiver at once: every correct sender's block counter is read once
 per round, since all receivers receive the same state from it, and each
 receiver reads only the entries forged for it.
+
+The pulling-model counter of Theorem 4
+(:class:`repro.sampling.pull_boosting.SampledBoostedCounter`) is the same
+construction read through samples.  :class:`BoostedStructure` holds what the
+two share: the parameters, the blocks, the :class:`BoostedState` space and its
+bounds, the output map and the per-sender ``(r, b)`` read.
 """
 
 from __future__ import annotations
@@ -44,12 +50,11 @@ from repro.util.rng import ensure_rng
 
 __all__ = [
     "BoostedState",
+    "BoostedStructure",
     "BoostedCounter",
     "VoteDiagnostics",
     "block_next_states",
     "boost",
-    "is_boosted_state",
-    "read_boosted_state",
 ]
 
 
@@ -97,32 +102,29 @@ class VoteDiagnostics:
     round_value: int
 
 
-class BoostedCounter(SynchronousCountingAlgorithm):
-    """Synchronous ``C``-counter obtained by boosting an inner counter (Theorem 1)."""
+class BoostedStructure:
+    """The Theorem 1 structure both boosted counters share.
 
-    def __init__(
+    The validated parameters, the blocks, the :class:`BoostedState` space
+    with its bounds, the output map and the per-sender ``(r, b)`` read of
+    :class:`BoostedCounter` and of the pulling-model
+    :class:`~repro.sampling.pull_boosting.SampledBoostedCounter` (Theorem 4).
+    Each counter calls :meth:`_init_structure` before its algorithm base
+    class and adds which states a node reads and its phase king thresholds.
+    """
+
+    def _init_structure(
         self,
         inner: SynchronousCountingAlgorithm,
         k: int,
         counter_size: int,
-        resilience: int | None = None,
-        name: str | None = None,
-    ) -> None:
-        """Create the boosted counter.
+        resilience: int | None,
+    ) -> BoostingParameters:
+        """Validate the Theorem 1 parameters and lay out the blocks.
 
-        Parameters
-        ----------
-        inner:
-            The inner counter ``A ∈ A(n, f, c)``.  Its counter size ``c`` must
-            be a multiple of ``3(F+2)(2m)^k``.
-        k:
-            Number of blocks (``>= 3``).
-        counter_size:
-            The output counter size ``C > 1``.
-        resilience:
-            The boosted resilience ``F``.  Defaults to the largest value
-            allowed by Theorem 1 together with the phase king requirement
-            ``F < N/3``.
+        ``F`` defaults to the largest value Theorem 1 allows together with
+        the phase king requirement ``F < N/3``; the inner counter size must
+        be a multiple of ``3(F+2)(2m)^k``.
         """
         params = BoostingParameters.for_inner(
             inner_n=inner.n,
@@ -138,15 +140,7 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         self._interpretation = CounterInterpretation(k=k, F=params.resilience)
         #: The values of the output register ``a``: ``[C] ∪ {∞}``.
         self._a_values = (*range(counter_size), INFINITY)
-        info = AlgorithmInfo(
-            name=name or f"Boosted[{inner.info.name}, k={k}]",
-            deterministic=inner.deterministic,
-            source="Theorem 1",
-            notes="resilience boosting construction",
-        )
-        super().__init__(
-            n=params.total_nodes, f=params.resilience, c=counter_size, info=info
-        )
+        return params
 
     # ------------------------------------------------------------------ #
     # Structure accessors
@@ -178,22 +172,19 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         return self._params.tau
 
     # ------------------------------------------------------------------ #
-    # (X, g, h)
+    # The state space X and the output map h
     # ------------------------------------------------------------------ #
 
     def num_states(self) -> int:
-        return self._inner.num_states() * (self.c + 1) * 2
+        return self._inner.num_states() * (self._params.counter_size + 1) * 2
 
     def state_bits(self) -> int:
         """``S(B) = S(A) + ⌈log2(C+1)⌉ + 1`` (Theorem 1)."""
         return self._params.space_bound(self._inner.state_bits())
 
     def stabilization_bound(self) -> int | None:
-        """``T(B) <= T(A) + 3(F+2)(2m)^k`` (Theorem 1)."""
+        """``T(B) <= T(A) + 3(F+2)(2m)^k`` (Theorem 1; Theorem 4 with high probability)."""
         return self._params.stabilization_bound(self._inner.stabilization_bound())
-
-    def default_state(self) -> BoostedState:
-        return BoostedState(inner=self._inner.default_state(), a=INFINITY, d=0)
 
     def random_state(self, rng: Any = None) -> BoostedState:
         generator = ensure_rng(rng)
@@ -203,18 +194,39 @@ class BoostedCounter(SynchronousCountingAlgorithm):
             d=generator.randrange(2),
         )
 
-    def states(self) -> Iterator[BoostedState]:
-        """Enumerate the full state space (only feasible for tiny inner counters)."""
-        for inner_state in self._inner.states():
-            for a in self._a_values:
-                for d in (0, 1):
-                    yield BoostedState(inner=inner_state, a=a, d=d)
-
     def is_valid_state(self, state: Any) -> bool:
-        return is_boosted_state(state, self._inner, self.c)
+        """Whether ``state`` is a valid :class:`BoostedState`.
+
+        Each register is valid when a receiver reads it as itself
+        (:meth:`coerce_message`), so neither ``a`` nor ``d`` is a bool.
+        """
+        if not isinstance(state, tuple) or len(state) != 3:
+            return False
+        inner_state, a, d = state
+        if isinstance(d, bool) or d not in (0, 1):
+            return False
+        if coerce_register_value(a, self._params.counter_size) != a:
+            return False
+        return self._inner.is_valid_state(inner_state)
 
     def coerce_message(self, message: Any) -> BoostedState:
-        return read_boosted_state(message, self._inner, self.c)
+        """Interpret an arbitrary received object as a :class:`BoostedState`.
+
+        Byzantine senders may transmit anything; each field is coerced
+        independently so a partially valid forgery is read field-by-field,
+        matching the "arbitrary bit pattern" interpretation of the model.  A
+        bool is no register value: ``a`` reads it as the reset marker ``∞``
+        (:func:`coerce_register_value`) and ``d`` as 0.
+        """
+        if isinstance(message, tuple) and len(message) == 3:
+            inner_state, a, d = message
+        else:
+            inner_state, a, d = None, INFINITY, 0
+        return BoostedState(
+            inner=self._inner.coerce_message(inner_state),
+            a=coerce_register_value(a, self._params.counter_size),
+            d=d if d in (0, 1) and not isinstance(d, bool) else 0,
+        )
 
     def output(self, node: int, state: State) -> int:
         """``h(v, s)``: the phase king output register (0 while reset).
@@ -225,9 +237,89 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         if not isinstance(state, tuple) or len(state) != 3:
             return 0
         a = state[1]
-        if isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.c:
+        if isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self._params.counter_size:
             return a
         return 0
+
+    # ------------------------------------------------------------------ #
+    # The per-sender read of the voting scheme
+    # ------------------------------------------------------------------ #
+
+    def _read(self, sender: int, state: BoostedState, block: int) -> tuple[int, int]:
+        """``(r, b)``: what ``sender`` announces, read as a member of ``block``.
+
+        A receiver reads node ``sender`` of block ``block`` (index
+        ``sender - block·n`` inside it); a pulled sample is read as a member
+        of the block its plan slot samples, forged or not.
+        """
+        return self._interpretation.round_and_pointer(
+            self._inner.output(sender - block * self._layout.n, state.inner), block
+        )
+
+    def _reads(self, states: Sequence[Any]) -> tuple[list[Any], list[Any]]:
+        """Every sender's ``r`` and ``b``, one read each (``None`` stays ``None``)."""
+        read = self._read
+        n = self._layout.n
+        rounds: list[Any] = []
+        pointers: list[Any] = []
+        for sender, state in enumerate(states):
+            r, b = (None, None) if state is None else read(sender, state, sender // n)
+            rounds.append(r)
+            pointers.append(b)
+        return rounds, pointers
+
+
+class BoostedCounter(BoostedStructure, SynchronousCountingAlgorithm):
+    """Synchronous ``C``-counter obtained by boosting an inner counter (Theorem 1)."""
+
+    def __init__(
+        self,
+        inner: SynchronousCountingAlgorithm,
+        k: int,
+        counter_size: int,
+        resilience: int | None = None,
+        name: str | None = None,
+    ) -> None:
+        """Create the boosted counter.
+
+        Parameters
+        ----------
+        inner:
+            The inner counter ``A ∈ A(n, f, c)``.  Its counter size ``c`` must
+            be a multiple of ``3(F+2)(2m)^k``.
+        k:
+            Number of blocks (``>= 3``).
+        counter_size:
+            The output counter size ``C > 1``.
+        resilience:
+            The boosted resilience ``F``.  Defaults to the largest value
+            allowed by Theorem 1 together with the phase king requirement
+            ``F < N/3``.
+        """
+        params = self._init_structure(inner, k, counter_size, resilience)
+        info = AlgorithmInfo(
+            name=name or f"Boosted[{inner.info.name}, k={k}]",
+            deterministic=inner.deterministic,
+            source="Theorem 1",
+            notes="resilience boosting construction",
+        )
+        super().__init__(
+            n=params.total_nodes, f=params.resilience, c=counter_size, info=info
+        )
+
+    # ------------------------------------------------------------------ #
+    # (X, g, h)
+    # ------------------------------------------------------------------ #
+
+    def default_state(self) -> BoostedState:
+        return BoostedState(inner=self._inner.default_state(), a=INFINITY, d=0)
+
+    def states(self) -> Iterator[BoostedState]:
+        """Enumerate the full state space (only feasible for tiny inner counters)."""
+        for inner_state in self._inner.states():
+            for a in self._a_values:
+                for d in (0, 1):
+                    yield BoostedState(inner=inner_state, a=a, d=d)
 
     def next_state(self, node: int, states: Sequence[Any]) -> BoostedState:
         """One round of the boosted counter for node ``v``.
@@ -258,6 +350,7 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         3. execute instruction set ``I_R`` of the phase king protocol.
         """
         n = self._layout.n
+        N, F, C = self.n, self.f, self.c
         read = self._read
         block_vote = self._block_vote
 
@@ -286,23 +379,26 @@ class BoostedCounter(SynchronousCountingAlgorithm):
             # Every receiver's entries overwrite the same senders, so one
             # set of buffers serves the whole round.
             for sender, state in entries.items():
-                rounds[sender], pointers[sender] = read(sender, state)
+                rounds[sender], pointers[sender] = read(sender, state, sender // n)
                 a_values[sender] = state.a
             for block in forged_blocks:
                 votes[block] = block_vote(pointers, block)
             _, round_value = self._round_value(rounds, votes)
 
-            # Step 3: run the phase king instruction set selected by R.
+            # Step 3: run the phase king instruction set selected by R, with
+            # the absolute thresholds N - F and F; the king ⌊R/3⌋ is a sender.
             own = shared[receiver]
             if own is None:
                 own = entries[receiver]
             updated = instruction_step(
                 PhaseKingRegisters(a=own.a, d=own.d),
                 a_values,
-                round_value=round_value,
-                N=self.n,
-                F=self.f,
-                C=self.c,
+                a_values[round_value // 3],
+                round_value,
+                F,
+                C,
+                high=N - F,
+                low=F,
             )
             new_states[receiver] = BoostedState(
                 inner=new_inner[receiver], a=updated.a, d=updated.d
@@ -312,24 +408,6 @@ class BoostedCounter(SynchronousCountingAlgorithm):
     # ------------------------------------------------------------------ #
     # Voting internals (exposed for tracing and experiments)
     # ------------------------------------------------------------------ #
-
-    def _read(self, sender: int, state: BoostedState) -> tuple[int, int]:
-        """``(r, b)``: the round component and leader pointer ``sender`` sends."""
-        block, index = divmod(sender, self._layout.n)
-        return self._interpretation.round_and_pointer(
-            self._inner.output(index, state.inner), block
-        )
-
-    def _reads(self, states: Sequence[Any]) -> tuple[list[Any], list[Any]]:
-        """Every sender's ``r`` and ``b``, one read each (``None`` stays ``None``)."""
-        read = self._read
-        rounds: list[Any] = []
-        pointers: list[Any] = []
-        for sender, state in enumerate(states):
-            r, b = (None, None) if state is None else read(sender, state)
-            rounds.append(r)
-            pointers.append(b)
-        return rounds, pointers
 
     def _block_vote(self, pointers: Sequence[int], block: int) -> int:
         """``b^i = majority_j b[i, j]``: the leader block ``block`` supports."""
@@ -368,44 +446,6 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         value = self._inner.output(index, coerced.inner)
         decomposed = self._interpretation.decompose(value, block)
         return decomposed.r, decomposed.y, decomposed.pointer
-
-
-def read_boosted_state(
-    message: Any, inner: SynchronousCountingAlgorithm, C: int
-) -> BoostedState:
-    """Interpret an arbitrary received object as a :class:`BoostedState`.
-
-    Byzantine senders may transmit anything; each field is coerced
-    independently so a partially valid forgery is read field-by-field,
-    matching the "arbitrary bit pattern" interpretation of the model.  A
-    bool is no register value: ``a`` reads it as the reset marker ``∞``
-    (:func:`coerce_register_value`) and ``d`` as 0.
-    """
-    if isinstance(message, tuple) and len(message) == 3:
-        inner_state, a, d = message
-    else:
-        inner_state, a, d = None, INFINITY, 0
-    return BoostedState(
-        inner=inner.coerce_message(inner_state),
-        a=coerce_register_value(a, C),
-        d=d if d in (0, 1) and not isinstance(d, bool) else 0,
-    )
-
-
-def is_boosted_state(state: Any, inner: SynchronousCountingAlgorithm, C: int) -> bool:
-    """Whether ``state`` is a valid :class:`BoostedState` over ``inner``.
-
-    Each register is valid when a receiver reads it as itself
-    (:func:`read_boosted_state`), so neither ``a`` nor ``d`` is a bool.
-    """
-    if not isinstance(state, tuple) or len(state) != 3:
-        return False
-    inner_state, a, d = state
-    if isinstance(d, bool) or d not in (0, 1):
-        return False
-    if coerce_register_value(a, C) != a:
-        return False
-    return inner.is_valid_state(inner_state)
 
 
 def block_next_states(

@@ -16,12 +16,16 @@ node executes one of the instruction sets ``I_{3ℓ}``, ``I_{3ℓ+1}``,
 voted round counter; ``ℓ = ⌊R/3⌋ ∈ [F+2]`` identifies the *king* node of the
 current phase.
 
-The functions in this module are pure: they take the register values and the
-vector of received ``a``-values and return the new register values.
-:func:`phase_king_step` reads arbitrary received values (the Table 2
-experiment and the Lemma 4/5 tests call it); :func:`instruction_step` is its
-non-coercing core, which :class:`repro.core.boosting.BoostedCounter` calls on
-registers it has already read once, on receipt.
+One Table 2 step serves both models of the paper.  :func:`instruction_step`
+takes the node's registers, the ``a``-values it read this round, the king's
+value and two thresholds, and returns the new registers; it is pure.  The
+broadcast model reads all ``N`` senders and compares against ``N - F`` and
+``F`` (:func:`phase_king_step`); the pulling model of Section 5 reads ``M``
+samples and compares against ``⌈2M/3⌉`` and ``M/3`` (Lemma 8,
+:func:`repro.sampling.thresholds.sampled_phase_king_step`).  Both boosted
+counters call :func:`instruction_step` on values they have already read once,
+on receipt; the two wrappers coerce arbitrary values for direct callers (the
+Table 2 experiment and the Lemma 4/5 tests).
 """
 
 from __future__ import annotations
@@ -37,9 +41,6 @@ __all__ = [
     "PhaseKingRegisters",
     "coerce_register_value",
     "increment",
-    "instruction_broadcast",
-    "instruction_vote",
-    "instruction_king",
     "instruction_step",
     "phase_king_step",
     "schedule_length",
@@ -61,8 +62,9 @@ class PhaseKingRegisters:
     a:
         Output register, a value in ``[C]`` or :data:`INFINITY`.
     d:
-        Auxiliary bit recording whether the node saw ``N - F`` support for its
-        own value in the most recent voting step.
+        Auxiliary bit recording whether the node saw ``N - F`` support (with
+        sampling, ``⌈2M/3⌉``) for its own value in the most recent voting
+        step.
     """
 
     a: int
@@ -108,107 +110,63 @@ def increment(a: int, C: int) -> int:
     return (a + 1) % C
 
 
-def instruction_broadcast(
-    registers: PhaseKingRegisters, received: Sequence[int], N: int, F: int, C: int
-) -> PhaseKingRegisters:
-    """Instruction set ``I_{3ℓ}`` of Table 2.
-
-    1. If fewer than ``N - F`` nodes sent ``a[v]`` (the node's own value),
-       reset ``a[v] ← ∞``.
-    2. Increment ``a[v]``.
-    """
-    support = sum(1 for value in received if value == registers.a)
-    a = registers.a
-    if support < N - F:
-        a = INFINITY
-    return PhaseKingRegisters(a=increment(a, C), d=registers.d)
-
-
-def instruction_vote(
-    registers: PhaseKingRegisters, received: Sequence[int], N: int, F: int, C: int
-) -> PhaseKingRegisters:
-    """Instruction set ``I_{3ℓ+1}`` of Table 2.
-
-    1. Count ``z_j``, the number of received values equal to ``j``.
-    2. If ``z_{a[v]} >= N - F`` set ``d[v] ← 1``, otherwise ``d[v] ← 0``.
-       The counts ``z_j`` are defined for counter values ``j ∈ [C]``; a node
-       whose own register is the reset marker ``∞`` therefore sets
-       ``d[v] ← 0`` (this is the reading that makes the Lemma 4 argument
-       airtight: ``d = 1`` certifies that a *counter value* had ``N - F``
-       support).
-    3. Set ``a[v] ← min{ j : z_j > F }`` (over counter values ``j ∈ [C]``;
-       if no value has more than ``F`` support the register is reset to ``∞``
-       — the subsequent king step will repair it).
-    4. Increment ``a[v]``.
-    """
-    counts = Counter(received)
-    own_support = counts.get(registers.a, 0)
-    d = 1 if (registers.a != INFINITY and own_support >= N - F) else 0
-    # min{j in [C] : z_j > F} without scanning all C counter values: only
-    # received values can have positive support, so the distinct received
-    # values (at most N of them) are the only candidates — but exactly as in
-    # the [C] scan, only genuine counter values qualify (uncoerced garbage
-    # from a caller bypassing phase_king_step must not be adopted).
-    a = INFINITY
-    for value, count in counts.items():
-        if (
-            count > F
-            and isinstance(value, int)
-            and 0 <= value < C
-            and (a == INFINITY or value < a)
-        ):
-            a = value
-    return PhaseKingRegisters(a=increment(a, C), d=d)
-
-
-def instruction_king(
-    registers: PhaseKingRegisters,
-    received: Sequence[int],
-    king: int,
-    N: int,
-    F: int,
-    C: int,
-) -> PhaseKingRegisters:
-    """Instruction set ``I_{3ℓ+2}`` of Table 2.
-
-    1. If ``a[v] = ∞`` or ``d[v] = 0``, adopt the king's value:
-       ``a[v] ← min{C, a[ℓ]}`` (so a king broadcasting ``∞`` is read as the
-       capped value ``C``).
-    2. Set ``d[v] ← 1`` and increment ``a[v]``.
-    """
-    if not 0 <= king < N:
-        raise ParameterError(f"king index must be in [0, {N}), got {king}")
-    a = registers.a
-    if a == INFINITY or registers.d == 0:
-        king_value = received[king]
-        if king_value == INFINITY:
-            a = C
-        else:
-            a = min(C, king_value)
-    return PhaseKingRegisters(a=(a + 1) % C, d=1)
-
-
 def instruction_step(
     registers: PhaseKingRegisters,
-    received: Sequence[int],
+    values: Sequence[int],
+    king_value: int,
     round_value: int,
-    N: int,
     F: int,
     C: int,
+    high: int,
+    low: float,
 ) -> PhaseKingRegisters:
-    """Execute instruction set ``I_R`` for ``R = round_value mod τ``.
+    """Execute instruction set ``I_R`` of Table 2 for ``R = round_value mod τ``.
 
-    The non-coercing core of :func:`phase_king_step`: ``received`` holds
-    ``N`` values already in ``[C] ∪ {∞}``, as :func:`coerce_register_value`
-    reads them.  ``ℓ = ⌊R/3⌋`` is the phase's king and ``R mod 3`` selects
-    the instruction inside the phase.
+    ``values`` are the ``a``-values the node read this round and
+    ``king_value`` is the register of the phase's king ``ℓ = ⌊R/3⌋``, all
+    already in ``[C] ∪ {∞}``, as :func:`coerce_register_value` reads them.
+    With ``z_j`` the number of ``values`` equal to ``j``, ``R mod 3`` selects
+    the instruction:
+
+    * ``I_{3ℓ}``: if ``z_{a[v]} < high``, reset ``a[v] ← ∞``; increment.
+    * ``I_{3ℓ+1}``: set ``d[v] ← 1`` iff ``a[v]`` is a counter value with
+      ``z_{a[v]} >= high`` (so ``d = 1`` certifies that a *counter value*
+      had that support, the reading that makes the Lemma 4 argument
+      airtight); set ``a[v] ← min{j ∈ [C] : z_j > low}``, or ``∞`` when no
+      value qualifies (the king step repairs it); increment.
+    * ``I_{3ℓ+2}``: if ``a[v] = ∞`` or ``d[v] = 0``, adopt
+      ``a[v] ← min{C, king_value}`` (a king sending ``∞`` is read as the
+      cap ``C``); set ``d[v] ← 1`` and increment.
+
+    The broadcast model passes ``high = N - F`` and ``low = F``; the pulling
+    model passes ``high = ⌈2M/3⌉`` and ``low = M/3`` (Lemma 8).
     """
-    phase, step = divmod(round_value % schedule_length(F), 3)
+    step = round_value % schedule_length(F) % 3
+    a = registers.a
     if step == 0:
-        return instruction_broadcast(registers, received, N, F, C)
+        if values.count(a) < high:
+            a = INFINITY
+        return PhaseKingRegisters(a=increment(a, C), d=registers.d)
     if step == 1:
-        return instruction_vote(registers, received, N, F, C)
-    return instruction_king(registers, received, king=phase, N=N, F=F, C=C)
+        counts = Counter(values)
+        d = 1 if (a != INFINITY and counts.get(a, 0) >= high) else 0
+        # min{j in [C] : z_j > low} without scanning all C counter values:
+        # only values read can have positive support, so the distinct values
+        # are the only candidates — but exactly as in the [C] scan, only
+        # genuine counter values qualify.
+        a = INFINITY
+        for value, count in counts.items():
+            if (
+                count > low
+                and isinstance(value, int)
+                and 0 <= value < C
+                and (a == INFINITY or value < a)
+            ):
+                a = value
+        return PhaseKingRegisters(a=increment(a, C), d=d)
+    if a == INFINITY or registers.d == 0:
+        a = C if king_value == INFINITY else min(C, king_value)
+    return PhaseKingRegisters(a=(a + 1) % C, d=1)
 
 
 def phase_king_step(
@@ -219,7 +177,10 @@ def phase_king_step(
     F: int,
     C: int,
 ) -> PhaseKingRegisters:
-    """Execute instruction set ``I_R`` for ``R = round_value ∈ [τ]``.
+    """Execute instruction set ``I_R`` for ``R = round_value ∈ [τ]`` (broadcast model).
+
+    :func:`instruction_step` on the values of all ``N`` senders with the
+    thresholds ``N - F`` and ``F``; the king ``ℓ = ⌊R/3⌋`` is sender ``ℓ``.
 
     Parameters
     ----------
@@ -238,5 +199,12 @@ def phase_king_step(
         )
     if C < 2:
         raise ParameterError(f"counter size C must be at least 2, got {C}")
-    coerced = [coerce_register_value(value, C) for value in received]
-    return instruction_step(registers, coerced, round_value, N, F, C)
+    king, step = divmod(round_value % schedule_length(F), 3)
+    if step == 2 and not 0 <= king < N:
+        raise ParameterError(f"king index must be in [0, {N}), got {king}")
+    values = [coerce_register_value(value, C) for value in received]
+    # Only the king instruction reads the king's value.
+    king_value = values[king] if step == 2 else INFINITY
+    return instruction_step(
+        registers, values, king_value, round_value, F, C, high=N - F, low=F
+    )

@@ -145,6 +145,24 @@ class NoAdversary(Adversary):
 class CrashAdversary(Adversary):
     """Faulty nodes appear stuck: they always broadcast the algorithm's default state."""
 
+    def __init__(self, faulty: Iterable[int]) -> None:
+        super().__init__(faulty)
+        self._round_index = -1
+        self._default: State | None = None
+
+    def on_round_start(  # noqa: D102
+        self,
+        round_index: int,
+        states: Mapping[int, State],
+        algorithm: SynchronousCountingAlgorithm,
+        rng: random.Random,
+    ) -> None:
+        # forge() runs once per (faulty sender, receiver) pair, so the
+        # default state is built once per round here.  States are immutable,
+        # so every receiver may read the same one; no randomness is drawn.
+        self._round_index = round_index
+        self._default = algorithm.default_state()
+
     def forge(  # noqa: D102
         self,
         round_index: int,
@@ -154,6 +172,8 @@ class CrashAdversary(Adversary):
         algorithm: SynchronousCountingAlgorithm,
         rng: random.Random,
     ) -> Any:
+        if round_index == self._round_index:
+            return self._default
         return algorithm.default_state()
 
 

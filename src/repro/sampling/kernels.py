@@ -4,8 +4,13 @@
 for a whole batch of trials at once: the per-round pull plans become integer
 target arrays, the responses one gather over the ``(B, n, fields)`` state
 array (with faulty targets patched by the adversary kernel), and the sampled
-leader votes plus the sampled phase king of Lemmas 8/9 become the same
-pairwise-count majorities the broadcast boosted kernel uses.
+leader votes become the same pairwise-count majorities the broadcast boosted
+kernel uses.  The phase king is the one vectorised Table 2 step,
+:func:`~repro.counters.kernels.vectorized_phase_king`, with the Lemma 8
+thresholds ``⌈2M/3⌉`` and ``M/3`` where the broadcast kernel passes ``N - F``
+and ``F``, exactly as both scalar counters call
+:func:`~repro.core.phase_king.instruction_step`.  The block structure and the
+thresholds are read from the algorithm, not rebuilt.
 
 Randomness:
 
@@ -21,12 +26,10 @@ Randomness:
 
 from __future__ import annotations
 
-import math
 from typing import Any, Sequence
 
 import numpy as np
 
-from repro.core.blocks import CounterInterpretation
 from repro.core.boosting import BoostedState
 from repro.core.phase_king import INFINITY
 from repro.counters.kernels import (
@@ -39,6 +42,7 @@ from repro.counters.kernels import (
 from repro.network.batch import PullBatchKernel
 from repro.sampling.pull_boosting import SampledBoostedCounter
 from repro.sampling.pseudo_random import PseudoRandomBoostedCounter
+from repro.sampling.thresholds import high_threshold
 
 __all__ = ["SampledBoostedBatchKernel", "build_pulling_kernel"]
 
@@ -56,7 +60,7 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         self.block_size = layout.n
         self.samples = algorithm.sample_size
         self.kings = algorithm.f + 2
-        interpretation = CounterInterpretation(k=layout.k, F=algorithm.f)
+        interpretation = algorithm.interpretation
         self.tau = interpretation.tau
         self.m = interpretation.m
         self.block_periods = np.array(
@@ -66,8 +70,8 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         self.block_pointer_divisor = np.array(
             [interpretation.base**block for block in range(self.k)], dtype=np.int64
         )
-        # Lemma 8 thresholds: >= 2M/3 instead of N - F, > M/3 instead of F.
-        self.high_threshold = math.ceil(2 * self.samples / 3)
+        # Lemma 8 thresholds: >= ⌈2M/3⌉ instead of N - F, > M/3 instead of F.
+        self.high_threshold = high_threshold(self.samples)
         node_ids = np.arange(algorithm.n)
         #: Slots 0..n-1 of every plan: the node's own block, in order.
         self.own_block_columns = (
@@ -209,7 +213,6 @@ def build_pulling_kernel(algorithm: Any) -> SampledBoostedBatchKernel | None:
     inner_core = build_boosted_core(algorithm.inner)
     if inner_core is None:
         return None
-    interpretation = CounterInterpretation(k=algorithm.layout.k, F=algorithm.f)
-    if interpretation.max_period() >= _INT64_SAFE:
+    if algorithm.interpretation.max_period() >= _INT64_SAFE:
         return None
     return SampledBoostedBatchKernel(algorithm, inner_core)

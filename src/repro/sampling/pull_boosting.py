@@ -1,17 +1,20 @@
 """The randomised resilience boosting construction for the pulling model (Theorem 4).
 
 :class:`SampledBoostedCounter` is the pulling-model counterpart of
-:class:`~repro.core.boosting.BoostedCounter`.  The structural ingredients are
-identical — ``k`` blocks running copies of an inner counter, leader-pointer
-voting, and the phase king — but the two steps that relied on hearing from
-*all* nodes are replaced by random sampling (Sections 5.3–5.4):
+:class:`~repro.core.boosting.BoostedCounter`.  The structure is the same
+code — ``k`` blocks running copies of an inner counter, one
+:class:`~repro.core.boosting.BoostedState` space and one ``(r, b)`` read
+(:class:`~repro.core.boosting.BoostedStructure`), leader-pointer voting, and
+the one Table 2 step :func:`~repro.core.phase_king.instruction_step` — but
+the two steps that relied on hearing from *all* nodes read random samples
+instead (Sections 5.3–5.4):
 
 * **Block-majority voting** — instead of reading the leader pointer of every
   node in every block, the node uniformly samples ``M`` members of each block
   (with repetition) and takes majorities over the samples (Lemma 9).
 * **Phase king thresholds** — instead of the absolute thresholds ``N - F``
-  and ``F + 1``, the node samples ``M`` output registers and compares against
-  ``2M/3`` and ``M/3`` (Lemma 8).
+  and ``F``, the node samples ``M`` output registers and passes the phase
+  king step ``⌈2M/3⌉`` and ``M/3`` (Lemma 8).
 
 The node still pulls the full state of its **own block** (it must execute the
 inner algorithm ``A_i`` exactly) and of the ``F + 2`` potential phase kings
@@ -41,26 +44,29 @@ import random
 from typing import Any, Mapping, Sequence, cast
 
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
-from repro.core.blocks import BlockLayout, CounterInterpretation
-from repro.core.boosting import (
-    BoostedState,
-    block_next_states,
-    is_boosted_state,
-    read_boosted_state,
-)
+from repro.core.boosting import BoostedState, BoostedStructure, block_next_states
 from repro.core.errors import ParameterError
-from repro.core.parameters import BoostingParameters
-from repro.core.phase_king import INFINITY, PhaseKingRegisters
+from repro.core.phase_king import PhaseKingRegisters, instruction_step
 from repro.core.voting import majority
 from repro.network.pulling import PullingAlgorithm
-from repro.sampling.thresholds import recommended_sample_size, sampled_instruction_step
-from repro.util.rng import ensure_rng
+from repro.sampling.thresholds import (
+    high_threshold,
+    low_threshold,
+    recommended_sample_size,
+)
 
 __all__ = ["SampledBoostedCounter"]
 
 
-class SampledBoostedCounter(PullingAlgorithm):
-    """Pulling-model boosted counter with sampled voting (Theorem 4)."""
+class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
+    """Pulling-model boosted counter with sampled voting (Theorem 4).
+
+    The parameters, state space, bounds, output map and ``(r, b)`` read are
+    those of :class:`~repro.core.boosting.BoostedStructure`; this class adds
+    the sampling plan and the Lemma 8 thresholds.  Its ``default_state`` is
+    the pulling model's (:meth:`PullingAlgorithm.default_state`), which the
+    crash adversary forges.
+    """
 
     def __init__(
         self,
@@ -93,30 +99,21 @@ class SampledBoostedCounter(PullingAlgorithm):
             The exponent ``κ`` and slack ``γ`` of Theorem 4 (used only when
             ``sample_size`` is derived automatically).
         """
-        params = BoostingParameters.for_inner(
-            inner_n=inner.n,
-            inner_f=inner.f,
-            k=k,
-            counter_size=counter_size,
-            resilience=resilience,
-        )
-        params.validate_inner_counter(inner.c)
-        self._params = params
-        self._inner = inner
-        self._layout = BlockLayout(k=k, n=inner.n)
-        self._interpretation = CounterInterpretation(k=k, F=params.resilience)
-        #: The values of the output register ``a``: ``[C] ∪ {∞}``.
-        self._a_values = (*range(counter_size), INFINITY)
-        self._eta = eta if eta is not None else params.total_nodes
+        params = self._init_structure(inner, k, counter_size, resilience)
+        if eta is None:
+            eta = params.total_nodes
         if sample_size is None:
             sample_size = min(
-                recommended_sample_size(self._eta, kappa=kappa, gamma=gamma),
+                recommended_sample_size(eta, kappa=kappa, gamma=gamma),
                 inner.n,
             ) if inner.n > 1 else 1
             sample_size = max(1, sample_size)
         if sample_size < 1:
             raise ParameterError(f"sample_size must be positive, got {sample_size}")
         self._sample_size = sample_size
+        # Lemma 8: >= ⌈2M/3⌉ instead of N - F, > M/3 instead of F.
+        self._high = high_threshold(sample_size)
+        self._low = low_threshold(sample_size)
         info = AlgorithmInfo(
             name=name or f"SampledBoosted[{inner.info.name}, k={k}, M={sample_size}]",
             deterministic=False,
@@ -124,25 +121,6 @@ class SampledBoostedCounter(PullingAlgorithm):
             notes="pulling-model boosting with sampled voting and phase king",
         )
         super().__init__(n=params.total_nodes, f=params.resilience, c=counter_size, info=info)
-
-    # ------------------------------------------------------------------ #
-    # Structure accessors
-    # ------------------------------------------------------------------ #
-
-    @property
-    def inner(self) -> SynchronousCountingAlgorithm:
-        """The inner counter ``A``."""
-        return self._inner
-
-    @property
-    def parameters(self) -> BoostingParameters:
-        """The Theorem 1/4 parameter set."""
-        return self._params
-
-    @property
-    def layout(self) -> BlockLayout:
-        """Block layout."""
-        return self._layout
 
     @property
     def sample_size(self) -> int:
@@ -158,44 +136,6 @@ class SampledBoostedCounter(PullingAlgorithm):
             + self.f
             + 2
         )
-
-    def num_states(self) -> int:
-        return self._inner.num_states() * (self.c + 1) * 2
-
-    def state_bits(self) -> int:
-        """Same space bound as the deterministic construction (Theorem 4)."""
-        return self._params.space_bound(self._inner.state_bits())
-
-    def stabilization_bound(self) -> int | None:
-        """``T(P) = T(A) + 3(F+2)(2m)^k`` (holds with high probability)."""
-        return self._params.stabilization_bound(self._inner.stabilization_bound())
-
-    # ------------------------------------------------------------------ #
-    # States
-    # ------------------------------------------------------------------ #
-
-    def random_state(self, rng: Any = None) -> BoostedState:
-        generator = ensure_rng(rng)
-        return BoostedState(
-            inner=self._inner.random_state(generator),
-            a=generator.choice(self._a_values),
-            d=generator.randrange(2),
-        )
-
-    def coerce_message(self, message: Any) -> BoostedState:
-        return read_boosted_state(message, self._inner, self.c)
-
-    def is_valid_state(self, state: Any) -> bool:
-        return is_boosted_state(state, self._inner, self.c)
-
-    def output(self, node: int, state: Any) -> int:
-        """The output register ``a`` (0 while reset), read as a receiver reads it."""
-        if not isinstance(state, tuple) or len(state) != 3:
-            return 0
-        a = state[1]
-        if isinstance(a, int) and not isinstance(a, bool) and 0 <= a < self.c:
-            return a
-        return 0
 
     # ------------------------------------------------------------------ #
     # Sampling plan
@@ -267,11 +207,11 @@ class SampledBoostedCounter(PullingAlgorithm):
         n = self._inner.n
         M = self._sample_size
         k = self._layout.k
+        F, C, high, low = self.f, self.c, self._high, self._low
         votes_end = n + k * M
         phase_end = votes_end + M
         expected = self.expected_pulls_per_round()
-        read = self._interpretation.round_and_pointer
-        output = self._inner.output
+        read = self._read
 
         # 1. Inner algorithm update: each block's pulling nodes read their
         #    whole block (the first n plan positions, in member order).
@@ -290,15 +230,7 @@ class SampledBoostedCounter(PullingAlgorithm):
 
         # 2. The read table: every correct node's round component and
         #    leader pointer, read once.
-        round_table: list[Any] = []
-        pointer_table: list[Any] = []
-        for sender, response in enumerate(shared):
-            block, index = divmod(sender, n)
-            r, b = (
-                (None, None) if response is None else read(output(index, response.inner), block)
-            )
-            round_table.append(r)
-            pointer_table.append(b)
+        round_table, pointer_table = self._reads(shared)
 
         new_states: dict[int, State] = {}
         for node, plan in targets.items():
@@ -312,7 +244,7 @@ class SampledBoostedCounter(PullingAlgorithm):
                     # A sample of block ``other`` is its member plan[position].
                     other = (position - n) // M
                     rounds[position - n], pointers[position - n] = read(
-                        output(plan[position] - other * n, response.inner), other
+                        plan[position], response, other
                     )
                 elif votes_end <= position < phase_end:
                     phase_samples[position - votes_end] = response
@@ -333,13 +265,15 @@ class SampledBoostedCounter(PullingAlgorithm):
                 else shared[plan[king_position]]
             )
             own = shared[node]
-            updated = sampled_instruction_step(
+            updated = instruction_step(
                 PhaseKingRegisters(a=own.a, d=own.d),
                 [sample.a for sample in phase_samples],
-                king_value=king.a,
-                round_value=round_value,
-                F=self.f,
-                C=self.c,
+                king.a,
+                round_value,
+                F,
+                C,
+                high=high,
+                low=low,
             )
             new_states[node] = BoostedState(inner=new_inner[node], a=updated.a, d=updated.d)
         return new_states

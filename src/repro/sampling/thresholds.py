@@ -14,33 +14,29 @@ thresholds ``2M/3`` and ``M/3``.  Lemma 8 shows that for
 
 each with probability at least ``1 - η^{-κ}`` (Chernoff bounds).
 
-:func:`sampled_phase_king_step` mirrors
-:func:`repro.core.phase_king.phase_king_step` with these thresholds (and
-:func:`sampled_instruction_step` mirrors its non-coercing core
-:func:`~repro.core.phase_king.instruction_step`), and
-:func:`recommended_sample_size` evaluates an explicit, conservative ``M₀``.
+:func:`sampled_phase_king_step` is the one Table 2 step,
+:func:`repro.core.phase_king.instruction_step`, with these thresholds
+(:func:`high_threshold` and :func:`low_threshold`) and the king's value
+pulled directly; :func:`recommended_sample_size` evaluates an explicit,
+conservative ``M₀``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
 from repro.core.errors import ParameterError
 from repro.core.phase_king import (
-    INFINITY,
     PhaseKingRegisters,
     coerce_register_value,
-    increment,
-    schedule_length,
+    instruction_step,
 )
 
 __all__ = [
     "recommended_sample_size",
     "high_threshold",
     "low_threshold",
-    "sampled_instruction_step",
     "sampled_phase_king_step",
 ]
 
@@ -84,56 +80,6 @@ def low_threshold(samples: int) -> float:
     return samples / 3
 
 
-def sampled_instruction_step(
-    registers: PhaseKingRegisters,
-    sampled_values: Sequence[int],
-    king_value: int,
-    round_value: int,
-    F: int,
-    C: int,
-) -> PhaseKingRegisters:
-    """Instruction set ``I_R`` of the randomised phase king, ``R = round_value mod τ``.
-
-    The non-coercing core of :func:`sampled_phase_king_step`: the ``M``
-    samples and the king's value are already in ``[C] ∪ {∞}``, as
-    :func:`~repro.core.phase_king.coerce_register_value` reads them.
-    """
-    M = len(sampled_values)
-    step = round_value % schedule_length(F) % 3
-    counts = Counter(sampled_values)
-    high = high_threshold(M)
-    low = low_threshold(M)
-
-    if step == 0:
-        a = registers.a
-        if counts.get(a, 0) < high:
-            a = INFINITY
-        return PhaseKingRegisters(a=increment(a, C), d=registers.d)
-
-    if step == 1:
-        own_support = counts.get(registers.a, 0)
-        d = 1 if (registers.a != INFINITY and own_support >= high) else 0
-        # Only sampled values can clear the threshold, so the distinct
-        # samples (at most M) are the only candidates — no [C] scan.  As in
-        # the scan, only genuine counter values in [C] qualify.
-        a = INFINITY
-        for value, count in counts.items():
-            if (
-                count > low
-                and isinstance(value, int)
-                and 0 <= value < C
-                and (a == INFINITY or value < a)
-            ):
-                a = value
-        return PhaseKingRegisters(a=increment(a, C), d=d)
-
-    # step == 2: king instruction
-    a = registers.a
-    if a == INFINITY or registers.d == 0:
-        a = C if king_value == INFINITY else min(C, king_value)
-    return PhaseKingRegisters(a=(a + 1) % C, d=1)
-
-
 def sampled_phase_king_step(
     registers: PhaseKingRegisters,
     sampled_values: Sequence[object],
@@ -144,21 +90,25 @@ def sampled_phase_king_step(
 ) -> PhaseKingRegisters:
     """One step of the randomised phase king (Section 5.3).
 
-    Identical to :func:`repro.core.phase_king.phase_king_step` except that the
-    received vector is a multiset of ``M`` sampled register values and the
-    thresholds are ``2M/3`` (instead of ``N - F``) and ``M/3`` (instead of
-    ``F``).  The king's value is pulled directly and passed separately.
+    :func:`~repro.core.phase_king.instruction_step` on a multiset of ``M``
+    sampled register values with the thresholds ``⌈2M/3⌉`` (instead of
+    ``N - F``) and ``M/3`` (instead of ``F``), exactly as
+    :func:`~repro.core.phase_king.phase_king_step` runs it on all ``N``
+    senders.  The king's value is pulled directly and passed separately.
     Arbitrary values are coerced first.
     """
     if C < 2:
         raise ParameterError(f"counter size C must be at least 2, got {C}")
     if not sampled_values:
         raise ParameterError("sampled_values must not be empty")
-    return sampled_instruction_step(
+    samples = len(sampled_values)
+    return instruction_step(
         registers,
         [coerce_register_value(value, C) for value in sampled_values],
         coerce_register_value(king_value, C),
         round_value,
         F,
         C,
+        high=high_threshold(samples),
+        low=low_threshold(samples),
     )

@@ -6,6 +6,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,32 @@ class ParentOnlyCounter(TrivialCounter):
         if os.getpid() != self._home_pid:
             os._exit(1)
         return super().next_state(node, states)
+
+
+class BreaksAfterFirstSubmit:
+    """A stand-in process pool whose worker dies after the first submission.
+
+    The first ``submit`` runs its chunk in-process and returns a finished
+    future; every later one raises ``BrokenProcessPool``, as a real pool
+    does once a worker has died while chunks are still being submitted.
+    """
+
+    def __init__(self, max_workers: int) -> None:
+        self.submitted = 0
+
+    def __enter__(self) -> "BreaksAfterFirstSubmit":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def submit(self, function, *args) -> Future:
+        self.submitted += 1
+        if self.submitted > 1:
+            raise BrokenProcessPool("A child process terminated abruptly")
+        future: Future = Future()
+        future.set_result(function(*args))
+        return future
 
 
 def track_append_opens(monkeypatch) -> list[str]:
@@ -322,6 +350,25 @@ class TestWorkerDeath:
         assert all(result.rounds_simulated == 10 for result in results)
         reasons = executor.stats.fallback_reasons
         assert reasons and "BrokenProcessPool" in reasons[0]
+
+    def test_death_during_submission_degrades_to_serial(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.campaigns.executor.ProcessPoolExecutor", BreaksAfterFirstSubmit
+        )
+        executor = ParallelExecutor(processes=2, chunksize=2)
+        results = executor.run(self.specs())
+        # The first chunk ran in the pool; the two never submitted ran on
+        # the serial path, and the results keep submission order.
+        assert [result.run_id for result in results] == [
+            f"killer-{index}" for index in range(6)
+        ]
+        assert all(result.error is None for result in results)
+        assert all(result.rounds_simulated == 10 for result in results)
+        reasons = executor.stats.fallback_reasons
+        assert len(reasons) == 1
+        assert reasons[0].startswith("parallel-executor: ")
+        assert "BrokenProcessPool" in reasons[0]
+        assert executor.stats.fallback == 4
 
     def test_degradation_is_observable(self):
         from repro.obs import Observer

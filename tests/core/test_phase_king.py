@@ -12,9 +12,7 @@ from repro.core.phase_king import (
     PhaseKingRegisters,
     coerce_register_value,
     increment,
-    instruction_broadcast,
-    instruction_king,
-    instruction_vote,
+    instruction_step,
     phase_king_step,
     schedule_length,
 )
@@ -69,97 +67,100 @@ class TestHelpers:
 
 
 class TestInstructionBroadcast:
-    """Instruction set I_{3l}."""
+    """Instruction set I_{3l}: phase_king_step at R = 0."""
 
     def test_keeps_supported_value(self):
         registers = PhaseKingRegisters(a=2, d=0)
         received = [2, 2, 2, 0]
-        updated = instruction_broadcast(registers, received, N, F, C)
+        updated = phase_king_step(registers, received, 0, N, F, C)
         assert updated.a == 3  # incremented
 
     def test_resets_unsupported_value(self):
         registers = PhaseKingRegisters(a=2, d=0)
         received = [2, 0, 1, 0]
-        updated = instruction_broadcast(registers, received, N, F, C)
+        updated = phase_king_step(registers, received, 0, N, F, C)
         assert updated.a == INFINITY
 
     def test_d_unchanged(self):
         registers = PhaseKingRegisters(a=2, d=1)
-        updated = instruction_broadcast(registers, [2, 2, 2, 2], N, F, C)
+        updated = phase_king_step(registers, [2, 2, 2, 2], 0, N, F, C)
         assert updated.d == 1
 
 
 class TestInstructionVote:
-    """Instruction set I_{3l+1}."""
+    """Instruction set I_{3l+1}: phase_king_step at R = 1."""
 
     def test_strong_support_sets_d(self):
         registers = PhaseKingRegisters(a=1, d=0)
-        updated = instruction_vote(registers, [1, 1, 1, 0], N, F, C)
+        updated = phase_king_step(registers, [1, 1, 1, 0], 1, N, F, C)
         assert updated.d == 1
         assert updated.a == 2  # adopts min candidate 1, then increments
 
     def test_weak_support_clears_d(self):
         registers = PhaseKingRegisters(a=1, d=1)
-        updated = instruction_vote(registers, [1, 1, 0, 0], N, F, C)
+        updated = phase_king_step(registers, [1, 1, 0, 0], 1, N, F, C)
         assert updated.d == 0
 
     def test_infinity_register_never_sets_d(self):
         registers = PhaseKingRegisters(a=INFINITY, d=1)
-        updated = instruction_vote(registers, [INFINITY] * N, N, F, C)
+        updated = phase_king_step(registers, [INFINITY] * N, 1, N, F, C)
         assert updated.d == 0
 
     def test_adopts_smallest_supported_value(self):
         registers = PhaseKingRegisters(a=4, d=0)
-        updated = instruction_vote(registers, [3, 3, 1, 1], N, F, C)
+        updated = phase_king_step(registers, [3, 3, 1, 1], 1, N, F, C)
         assert updated.a == 2  # min{1, 3} = 1, incremented
 
     def test_no_candidate_resets(self):
         registers = PhaseKingRegisters(a=0, d=0)
-        updated = instruction_vote(registers, [0, 1, 2, 3], N, F, C)
+        updated = phase_king_step(registers, [0, 1, 2, 3], 1, N, F, C)
         # every value has support 1 = F, so no candidate exceeds F
         assert updated.a == INFINITY
 
 
 class TestInstructionKing:
-    """Instruction set I_{3l+2}."""
+    """Instruction set I_{3l+2}: phase_king_step at R = 2 (king 0)."""
 
     def test_adopts_king_when_reset(self):
         registers = PhaseKingRegisters(a=INFINITY, d=1)
-        updated = instruction_king(registers, [3, 0, 0, 0], king=0, N=N, F=F, C=C)
+        updated = phase_king_step(registers, [3, 0, 0, 0], 2, N, F, C)
         assert updated.a == 4  # adopts 3, increments
         assert updated.d == 1
 
     def test_adopts_king_when_d_zero(self):
         registers = PhaseKingRegisters(a=1, d=0)
-        updated = instruction_king(registers, [3, 0, 0, 0], king=0, N=N, F=F, C=C)
+        updated = phase_king_step(registers, [3, 0, 0, 0], 2, N, F, C)
         assert updated.a == 4
 
     def test_keeps_value_when_confident(self):
         registers = PhaseKingRegisters(a=1, d=1)
-        updated = instruction_king(registers, [3, 0, 0, 0], king=0, N=N, F=F, C=C)
+        updated = phase_king_step(registers, [3, 0, 0, 0], 2, N, F, C)
         assert updated.a == 2
 
     def test_king_infinity_read_as_cap(self):
         registers = PhaseKingRegisters(a=INFINITY, d=0)
-        updated = instruction_king(registers, [INFINITY, 0, 0, 0], king=0, N=N, F=F, C=C)
+        updated = phase_king_step(registers, [INFINITY, 0, 0, 0], 2, N, F, C)
         assert updated.a == (C + 1) % C
         assert updated.d == 1
 
     def test_invalid_king_index(self):
+        # N = 2, F = 1, R = 8: the king step of phase 2, and node 2 is no sender.
         with pytest.raises(ParameterError):
-            instruction_king(PhaseKingRegisters(a=0, d=0), [0] * N, king=N, N=N, F=F, C=C)
+            phase_king_step(PhaseKingRegisters(a=0, d=0), [0, 0], 8, 2, 1, C)
 
 
 class TestPhaseKingStep:
     def test_dispatches_by_round_value(self):
+        # phase_king_step is instruction_step on the coerced values of all N
+        # senders, with high = N - F, low = F and sender ⌊R/3⌋ as the king.
         registers = PhaseKingRegisters(a=2, d=0)
         received = [2, 2, 2, 2]
-        step0 = phase_king_step(registers, received, 0, N, F, C)
-        step1 = phase_king_step(registers, received, 1, N, F, C)
-        step2 = phase_king_step(registers, received, 2, N, F, C)
-        assert step0 == instruction_broadcast(registers, received, N, F, C)
-        assert step1 == instruction_vote(registers, received, N, F, C)
-        assert step2 == instruction_king(registers, received, 0, N, F, C)
+        for round_value in (0, 1, 2):
+            assert phase_king_step(
+                registers, received, round_value, N, F, C
+            ) == instruction_step(
+                registers, received, received[0], round_value, F, C, high=N - F, low=F
+            )
 
     def test_round_value_reduced_modulo_tau(self):
         registers = PhaseKingRegisters(a=2, d=1)

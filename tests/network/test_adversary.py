@@ -76,6 +76,32 @@ class TestSimpleStrategies:
         forged = adversary.forge(sender=3, receiver=0, **forge_args(counter, {0: 1, 1: 2, 2: 3}))
         assert forged == counter.default_state()
 
+    def test_crash_builds_the_default_state_once_per_round(self, monkeypatch):
+        # figure2:levels=1 with faults [0, 5, 10]: 9 receivers times 3 faulty
+        # senders forge 27 messages a round, all one default state.
+        from repro.core.recursion import figure2_counter
+        from repro.network.simulator import run_round
+
+        counter = figure2_counter(levels=1, c=2)
+        calls = []
+        build = counter.default_state
+
+        def counting_default_state():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(counter, "default_state", counting_default_state)
+        adversary = CrashAdversary([0, 5, 10])
+        rng = random.Random(0)
+        states = {
+            node: counter.random_state(rng)
+            for node in range(counter.n)
+            if node not in adversary.faulty
+        }
+        for round_index in range(4):
+            states = run_round(counter, states, adversary, round_index, rng)
+            assert len(calls) == round_index + 1
+
     def test_fixed_state(self):
         counter = NaiveMajorityCounter(n=4, c=5)
         adversary = FixedStateAdversary([3], state=4)

@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import CounterInterpretation, common_pointer_intervals, ideal_pointer_trace
-from repro.core.phase_king import INFINITY, PhaseKingRegisters, phase_king_step
+from repro.core.phase_king import (
+    INFINITY,
+    PhaseKingRegisters,
+    phase_king_step,
+    schedule_length,
+)
 from repro.core.voting import has_majority, majority
 from repro.counters.trivial import TrivialCounter
 from repro.network.pulling import PullingAlgorithm
 from repro.network.stabilization import is_counting_suffix
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.network.stabilization import stabilization_round
+from repro.sampling.thresholds import sampled_phase_king_step
 from repro.semantics import ALGORITHM_SEMANTICS, build_algorithm
 from repro.util.intmath import ceil_div, ceil_log2, next_multiple
 
@@ -185,6 +191,39 @@ junk = st.one_of(
     st.tuples(st.integers(), st.integers()),
     st.tuples(st.text(max_size=3), st.integers(), st.integers()),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_broadcast_and_sampled_phase_king_are_one_step(data):
+    """With N = M = 3F the thresholds coincide (N - F = ⌈2M/3⌉, F = M/3).
+
+    The broadcast step on all N senders and the sampled step on M = N
+    samples, with the king's value pulled from the broadcast king, must then
+    agree on any received objects: they are one algorithm.
+    """
+    F = data.draw(st.integers(min_value=1, max_value=4), label="F")
+    N = 3 * F
+    C = data.draw(st.integers(min_value=2, max_value=6), label="C")
+    registers = PhaseKingRegisters(
+        a=data.draw(st.integers(min_value=-1, max_value=C + 1), label="a"),
+        d=data.draw(st.integers(min_value=0, max_value=1), label="d"),
+    )
+    round_value = data.draw(st.integers(min_value=0, max_value=10**4), label="R")
+    received = data.draw(
+        st.lists(
+            st.one_of(st.integers(min_value=-1, max_value=C), junk),
+            min_size=N,
+            max_size=N,
+        ),
+        label="received",
+    )
+    king = round_value % schedule_length(F) // 3
+    assert phase_king_step(
+        registers, received, round_value, N, F, C
+    ) == sampled_phase_king_step(
+        registers, received, received[king], round_value, F, C
+    )
 
 
 @given(junk)
