@@ -39,12 +39,7 @@ from typing import Any, Iterator, Mapping, NamedTuple, Sequence, cast
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.blocks import BlockLayout, CounterInterpretation
 from repro.core.parameters import BoostingParameters
-from repro.core.phase_king import (
-    INFINITY,
-    PhaseKingRegisters,
-    coerce_register_value,
-    instruction_step,
-)
+from repro.core.phase_king import INFINITY, coerce_register_value, instruction_step
 from repro.core.voting import majority
 from repro.util.rng import ensure_rng
 
@@ -217,14 +212,30 @@ class BoostedStructure:
         matching the "arbitrary bit pattern" interpretation of the model.  A
         bool is no register value: ``a`` reads it as the reset marker ``∞``
         (:func:`coerce_register_value`) and ``d`` as 0.
+
+        A :class:`BoostedState` whose inner state reads as itself and whose
+        registers are plain ints in range is returned as it is: the
+        field-by-field read would rebuild an equal state from the same
+        fields.  Every correct sender's state is such a state.
         """
         if isinstance(message, tuple) and len(message) == 3:
             inner_state, a, d = message
         else:
             inner_state, a, d = None, INFINITY, 0
+        inner = self._inner.coerce_message(inner_state)
+        C = self._params.counter_size
+        if (
+            inner is inner_state
+            and type(message) is BoostedState
+            and type(a) is int
+            and (0 <= a < C or a == INFINITY)
+            and type(d) is int
+            and (d == 0 or d == 1)
+        ):
+            return message
         return BoostedState(
-            inner=self._inner.coerce_message(inner_state),
-            a=coerce_register_value(a, self._params.counter_size),
+            inner=inner,
+            a=coerce_register_value(a, C),
             d=d if d in (0, 1) and not isinstance(d, bool) else 0,
         )
 
@@ -350,7 +361,8 @@ class BoostedCounter(BoostedStructure, SynchronousCountingAlgorithm):
         3. execute instruction set ``I_R`` of the phase king protocol.
         """
         n = self._layout.n
-        N, F, C = self.n, self.f, self.c
+        F, C = self.f, self.c
+        high = self.n - F
         read = self._read
         block_vote = self._block_vote
 
@@ -390,19 +402,10 @@ class BoostedCounter(BoostedStructure, SynchronousCountingAlgorithm):
             own = shared[receiver]
             if own is None:
                 own = entries[receiver]
-            updated = instruction_step(
-                PhaseKingRegisters(a=own.a, d=own.d),
-                a_values,
-                a_values[round_value // 3],
-                round_value,
-                F,
-                C,
-                high=N - F,
-                low=F,
+            a, d = instruction_step(
+                own.a, own.d, a_values, a_values[round_value // 3], round_value, C, high, F
             )
-            new_states[receiver] = BoostedState(
-                inner=new_inner[receiver], a=updated.a, d=updated.d
-            )
+            new_states[receiver] = BoostedState(new_inner[receiver], a, d)
         return new_states
 
     # ------------------------------------------------------------------ #

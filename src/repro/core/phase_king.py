@@ -17,15 +17,16 @@ voted round counter; ``ℓ = ⌊R/3⌋ ∈ [F+2]`` identifies the *king* node of
 current phase.
 
 One Table 2 step serves both models of the paper.  :func:`instruction_step`
-takes the node's registers, the ``a``-values it read this round, the king's
-value and two thresholds, and returns the new registers; it is pure.  The
-broadcast model reads all ``N`` senders and compares against ``N - F`` and
-``F`` (:func:`phase_king_step`); the pulling model of Section 5 reads ``M``
-samples and compares against ``⌈2M/3⌉`` and ``M/3`` (Lemma 8,
-:func:`repro.sampling.thresholds.sampled_phase_king_step`).  Both boosted
-counters call :func:`instruction_step` on values they have already read once,
-on receipt; the two wrappers coerce arbitrary values for direct callers (the
-Table 2 experiment and the Lemma 4/5 tests).
+takes the node's registers ``(a, d)`` as plain ints, the ``a``-values it
+read this round, the king's value and two thresholds, and returns the new
+``(a, d)``; it is pure.  The broadcast model reads all ``N`` senders and
+compares against ``N - F`` and ``F`` (:func:`phase_king_step`); the pulling
+model of Section 5 reads ``M`` samples and compares against ``⌈2M/3⌉`` and
+``M/3`` (Lemma 8, :func:`repro.sampling.thresholds.sampled_phase_king_step`).
+Both boosted counters call :func:`instruction_step` on values they have
+already read once, on receipt; the two wrappers coerce arbitrary values for
+direct callers (the Table 2 experiment and the Lemma 4/5 tests) and hold the
+registers in a :class:`PhaseKingRegisters`.
 """
 
 from __future__ import annotations
@@ -111,22 +112,23 @@ def increment(a: int, C: int) -> int:
 
 
 def instruction_step(
-    registers: PhaseKingRegisters,
+    a: int,
+    d: int,
     values: Sequence[int],
     king_value: int,
     round_value: int,
-    F: int,
     C: int,
     high: int,
     low: float,
-) -> PhaseKingRegisters:
-    """Execute instruction set ``I_R`` of Table 2 for ``R = round_value mod τ``.
+) -> tuple[int, int]:
+    """Execute instruction set ``I_R`` of Table 2 on the registers ``(a, d)``.
 
     ``values`` are the ``a``-values the node read this round and
     ``king_value`` is the register of the phase's king ``ℓ = ⌊R/3⌋``, all
     already in ``[C] ∪ {∞}``, as :func:`coerce_register_value` reads them.
-    With ``z_j`` the number of ``values`` equal to ``j``, ``R mod 3`` selects
-    the instruction:
+    Returns the new ``(a, d)``.  ``τ = 3(F+2)`` is a multiple of 3, so
+    ``R mod 3`` selects the instruction for ``R = round_value mod τ``; with
+    ``z_j`` the number of ``values`` equal to ``j``:
 
     * ``I_{3ℓ}``: if ``z_{a[v]} < high``, reset ``a[v] ← ∞``; increment.
     * ``I_{3ℓ+1}``: set ``d[v] ← 1`` iff ``a[v]`` is a counter value with
@@ -139,14 +141,15 @@ def instruction_step(
       cap ``C``); set ``d[v] ← 1`` and increment.
 
     The broadcast model passes ``high = N - F`` and ``low = F``; the pulling
-    model passes ``high = ⌈2M/3⌉`` and ``low = M/3`` (Lemma 8).
+    model passes ``high = ⌈2M/3⌉`` and ``low = M/3`` (Lemma 8).  The boosted
+    counters call this on every node and round, so it takes and returns
+    plain ints; :class:`PhaseKingRegisters` is for the two wrappers.
     """
-    step = round_value % schedule_length(F) % 3
-    a = registers.a
+    step = round_value % 3
     if step == 0:
         if values.count(a) < high:
-            a = INFINITY
-        return PhaseKingRegisters(a=increment(a, C), d=registers.d)
+            return INFINITY, d
+        return increment(a, C), d
     if step == 1:
         counts = Counter(values)
         d = 1 if (a != INFINITY and counts.get(a, 0) >= high) else 0
@@ -163,10 +166,10 @@ def instruction_step(
                 and (a == INFINITY or value < a)
             ):
                 a = value
-        return PhaseKingRegisters(a=increment(a, C), d=d)
-    if a == INFINITY or registers.d == 0:
+        return increment(a, C), d
+    if a == INFINITY or d == 0:
         a = C if king_value == INFINITY else min(C, king_value)
-    return PhaseKingRegisters(a=(a + 1) % C, d=1)
+    return (a + 1) % C, 1
 
 
 def phase_king_step(
@@ -205,6 +208,7 @@ def phase_king_step(
     values = [coerce_register_value(value, C) for value in received]
     # Only the king instruction reads the king's value.
     king_value = values[king] if step == 2 else INFINITY
-    return instruction_step(
-        registers, values, king_value, round_value, F, C, high=N - F, low=F
+    a, d = instruction_step(
+        registers.a, registers.d, values, king_value, round_value, C, high=N - F, low=F
     )
+    return PhaseKingRegisters(a=a, d=d)

@@ -49,13 +49,17 @@ def majority(values: Sequence[T], default: T) -> T:
     arbitrary (non-faulty nodes broadcast consistently, so at most one value
     can ever hold a strict majority of non-faulty votes).
 
-    This sits on the boosted counter's per-node per-round hot path, so the
-    tally is a single pass tracking the running leader (a strict majority is
-    unique, so first-to-the-top is the Counter.most_common winner whenever
-    the strict test passes).
+    This sits on the boosted counter's per-node per-round hot path.  After
+    stabilisation the first value usually holds the majority, which one
+    ``list.count`` confirms; otherwise the tally is a single pass tracking
+    the running leader (a strict majority is unique, so first-to-the-top is
+    the Counter.most_common winner whenever the strict test passes).
     """
     if not values:
         return default
+    first = values[0]
+    if 2 * values.count(first) > len(values):
+        return first
     counts: dict[T, int] = {}
     best = default
     best_count = 0

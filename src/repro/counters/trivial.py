@@ -50,6 +50,8 @@ class TrivialCounter(SynchronousCountingAlgorithm):
         return isinstance(state, int) and not isinstance(state, bool) and 0 <= state < self.c
 
     def coerce_message(self, message: Any) -> int:
+        if type(message) is int and 0 <= message < self.c:
+            return message
         if isinstance(message, bool) or not isinstance(message, int):
             return 0
         return message % self.c

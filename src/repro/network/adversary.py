@@ -387,6 +387,7 @@ class AdaptiveSplitAdversary(Adversary):
         self._round_index = -1
         self._outputs: dict[int, int] = {}
         self._state_by_output: dict[int, State] = {}
+        self._flat = False
 
     def on_round_start(  # noqa: D102
         self,
@@ -397,11 +398,13 @@ class AdaptiveSplitAdversary(Adversary):
     ) -> None:
         # forge() is called once per (sender, receiver) pair, so everything
         # derivable from the round's states is precomputed here: the per-node
-        # outputs, the two camps, and — for _state_with_output — the first
-        # state exhibiting each output value (first in states iteration
-        # order, matching the former per-forge linear scan exactly).  No
-        # randomness is drawn, so seeded RNG streams are unchanged.
+        # outputs, the two camps, whether states are plain ints (for
+        # _fabricate_state), and — for _state_with_output — the first state
+        # exhibiting each output value (first in states iteration order,
+        # matching the former per-forge linear scan exactly).  No randomness
+        # is drawn, so seeded RNG streams are unchanged.
         self._round_index = round_index
+        self._flat = isinstance(algorithm.default_state(), int)
         self._outputs = {
             node: algorithm.output(node, state) for node, state in states.items()
         }
@@ -446,7 +449,7 @@ class AdaptiveSplitAdversary(Adversary):
         if cached:
             if target in self._state_by_output:
                 return self._state_by_output[target]
-            return self._fabricate_state(algorithm, target, rng)
+            return self._fabricate_state(algorithm, target, rng, self._flat)
         return self._state_with_output(algorithm, states, target, rng)
 
     @classmethod
@@ -461,14 +464,21 @@ class AdaptiveSplitAdversary(Adversary):
         for node, state in states.items():
             if algorithm.output(node, state) == target:
                 return state
-        return cls._fabricate_state(algorithm, target, rng)
+        flat = isinstance(algorithm.default_state(), int)
+        return cls._fabricate_state(algorithm, target, rng, flat)
 
     @staticmethod
     def _fabricate_state(
-        algorithm: SynchronousCountingAlgorithm, target: int, rng: random.Random
+        algorithm: SynchronousCountingAlgorithm,
+        target: int,
+        rng: random.Random,
+        flat: bool,
     ) -> State:
-        """Fabricate a plausible state whose output equals ``target``."""
-        if isinstance(algorithm.default_state(), int):
+        """Fabricate a plausible state whose output equals ``target``.
+
+        ``flat`` says whether the algorithm's states are plain ints.
+        """
+        if flat:
             return target
         candidate = algorithm.random_state(rng)
         if isinstance(candidate, BoostedState):

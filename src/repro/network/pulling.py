@@ -298,17 +298,22 @@ class PullingModel(ModelAdapter):
         # Every plan and every forge is drawn first, node by node; then one
         # ``next_states`` call updates every node.
         shared = tuple(None if node in faulty else coerce(states[node]) for node in range(n))
+        # One lookup per pulled position both checks the target and says
+        # whether its answer is forged.
+        is_faulty = {node: node in faulty for node in range(n)}
         plans: dict[int, list[int]] = {}
         forged: dict[int, dict[int, State]] = {}
         for node in states:
             plan = algorithm.pull_targets(node, states[node], self._sample_rng)
             entries: dict[int, State] = {}
             for position, target in enumerate(plan):
-                if not 0 <= target < n:
+                try:
+                    forges = is_faulty[target]
+                except KeyError:
                     raise SimulationError(
                         f"node {node} pulled invalid target {target}"
-                    )
-                if target in faulty:
+                    ) from None
+                if forges:
                     entries[position] = coerce(
                         adversary.forge(
                             round_index, target, node, states, algorithm, self._adversary_rng

@@ -46,7 +46,7 @@ from typing import Any, Mapping, Sequence, cast
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.boosting import BoostedState, BoostedStructure, block_next_states
 from repro.core.errors import ParameterError
-from repro.core.phase_king import PhaseKingRegisters, instruction_step
+from repro.core.phase_king import instruction_step
 from repro.core.voting import majority
 from repro.network.pulling import PullingAlgorithm
 from repro.sampling.thresholds import (
@@ -111,6 +111,12 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
         if sample_size < 1:
             raise ParameterError(f"sample_size must be positive, got {sample_size}")
         self._sample_size = sample_size
+        #: ``(start, size)`` of the ranges :meth:`_sample_plan` samples ``M``
+        #: times each: every block, then the whole network.
+        self._sample_ranges = (
+            *((block * inner.n, inner.n) for block in range(k)),
+            (0, params.total_nodes),
+        )
         # Lemma 8: >= ⌈2M/3⌉ instead of N - F, > M/3 instead of F.
         self._high = high_threshold(sample_size)
         self._low = low_threshold(sample_size)
@@ -155,11 +161,20 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
         """
         block, _ = self._layout.split(node)
         targets: list[int] = list(self._layout.block_members(block))
-        n = self._inner.n
-        for other in range(self._layout.k):
-            start = other * n
-            targets.extend(start + rng.randrange(n) for _ in range(self._sample_size))
-        targets.extend(rng.randrange(self.n) for _ in range(self._sample_size))
+        append = targets.append
+        getrandbits = rng.getrandbits
+        samples = range(self._sample_size)
+        # Each sample is ``start + rng.randrange(bound)``, drawn the way
+        # CPython's randrange draws it (``_randbelow_with_getrandbits``):
+        # ``getrandbits(bound.bit_length())``, redrawn while ``>= bound``.  The
+        # stream yields the same plan and ends at the same position.
+        for start, bound in self._sample_ranges:
+            bits = bound.bit_length()
+            for _ in samples:
+                draw = getrandbits(bits)
+                while draw >= bound:
+                    draw = getrandbits(bits)
+                append(start + draw)
         targets.extend(range(self.f + 2))
         return targets
 
@@ -207,7 +222,7 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
         n = self._inner.n
         M = self._sample_size
         k = self._layout.k
-        F, C, high, low = self.f, self.c, self._high, self._low
+        C, high, low = self.c, self._high, self._low
         votes_end = n + k * M
         phase_end = votes_end + M
         expected = self.expected_pulls_per_round()
@@ -228,9 +243,10 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
             }
         new_inner = block_next_states(self._inner, shared, own_block)
 
-        # 2. The read table: every correct node's round component and
-        #    leader pointer, read once.
+        # 2. The read tables: every correct node's round component, leader
+        #    pointer and output register, read once.
         round_table, pointer_table = self._reads(shared)
+        a_table = [None if state is None else state.a for state in shared]
 
         new_states: dict[int, State] = {}
         for node, plan in targets.items():
@@ -238,7 +254,7 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
             sampled = plan[n:votes_end]
             rounds = [round_table[target] for target in sampled]
             pointers = [pointer_table[target] for target in sampled]
-            phase_samples = [shared[target] for target in plan[votes_end:phase_end]]
+            a_values = [a_table[target] for target in plan[votes_end:phase_end]]
             for position, response in entries.items():
                 if n <= position < votes_end:
                     # A sample of block ``other`` is its member plan[position].
@@ -247,7 +263,7 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
                         plan[position], response, other
                     )
                 elif votes_end <= position < phase_end:
-                    phase_samples[position - votes_end] = response
+                    a_values[position - votes_end] = response.a
 
             #    Sampled leader-block voting (Lemma 9).
             block_votes = [
@@ -265,15 +281,8 @@ class SampledBoostedCounter(BoostedStructure, PullingAlgorithm):
                 else shared[plan[king_position]]
             )
             own = shared[node]
-            updated = instruction_step(
-                PhaseKingRegisters(a=own.a, d=own.d),
-                [sample.a for sample in phase_samples],
-                king.a,
-                round_value,
-                F,
-                C,
-                high=high,
-                low=low,
+            a, d = instruction_step(
+                own.a, own.d, a_values, king.a, round_value, C, high, low
             )
-            new_states[node] = BoostedState(inner=new_inner[node], a=updated.a, d=updated.d)
+            new_states[node] = BoostedState(new_inner[node], a, d)
         return new_states

@@ -31,6 +31,7 @@ from repro.core.phase_king import (
     PhaseKingRegisters,
     coerce_register_value,
     instruction_step,
+    schedule_length,
 )
 
 __all__ = [
@@ -101,14 +102,16 @@ def sampled_phase_king_step(
         raise ParameterError(f"counter size C must be at least 2, got {C}")
     if not sampled_values:
         raise ParameterError("sampled_values must not be empty")
+    schedule_length(F)  # rejects a negative F, as phase_king_step does
     samples = len(sampled_values)
-    return instruction_step(
-        registers,
+    a, d = instruction_step(
+        registers.a,
+        registers.d,
         [coerce_register_value(value, C) for value in sampled_values],
         coerce_register_value(king_value, C),
         round_value,
-        F,
         C,
         high=high_threshold(samples),
         low=low_threshold(samples),
     )
+    return PhaseKingRegisters(a=a, d=d)

@@ -158,8 +158,8 @@ class TestPhaseKingStep:
         for round_value in (0, 1, 2):
             assert phase_king_step(
                 registers, received, round_value, N, F, C
-            ) == instruction_step(
-                registers, received, received[0], round_value, F, C, high=N - F, low=F
+            ) == PhaseKingRegisters(
+                *instruction_step(2, 0, received, received[0], round_value, C, N - F, F)
             )
 
     def test_round_value_reduced_modulo_tau(self):

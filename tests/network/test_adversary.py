@@ -176,6 +176,62 @@ class TestAdaptiveSplit:
         assert counter.output(4, vote_for_camp0_receiver) == 1
         assert counter.output(4, vote_for_camp1_receiver) == 0
 
+    def test_decides_flat_states_once_per_round(self, monkeypatch):
+        # figure2:levels=1 with faults [0, 5, 10]: most of the 27 forges a
+        # round fabricate a boosted state, and whether the states are plain
+        # ints is decided once per round, from one default state.
+        from repro.core.recursion import figure2_counter
+        from repro.network.simulator import run_round
+
+        counter = figure2_counter(levels=1, c=2)
+        calls = []
+        build = counter.default_state
+
+        def counting_default_state():
+            calls.append(1)
+            return build()
+
+        monkeypatch.setattr(counter, "default_state", counting_default_state)
+        adversary = AdaptiveSplitAdversary([0, 5, 10])
+        fabricated = []
+        fabricate = adversary._fabricate_state
+
+        def counting_fabricate_state(*args):
+            fabricated.append(1)
+            return fabricate(*args)
+
+        monkeypatch.setattr(adversary, "_fabricate_state", counting_fabricate_state)
+        rng = random.Random(0)
+        states = {
+            node: counter.random_state(rng)
+            for node in range(counter.n)
+            if node not in adversary.faulty
+        }
+        for round_index in range(4):
+            states = run_round(counter, states, adversary, round_index, rng)
+            assert len(calls) <= round_index + 1
+        assert len(fabricated) > 4
+
+    @pytest.mark.parametrize("flat", (True, False))
+    def test_forge_without_round_start_fabricates_the_target(self, flat):
+        # No on_round_start: the camps stay (0, 1), so receiver 0 is shown
+        # the camp its own output is not in; no state has that output, so
+        # the uncached path fabricates one.
+        from repro.core.recursion import figure2_counter
+
+        counter = NaiveMajorityCounter(n=5, c=3, claimed_resilience=1) if flat else (
+            figure2_counter(levels=1, c=3)
+        )
+        rng = random.Random(0)
+        states = {0: counter.random_state(rng)}
+        target = 1 if counter.output(0, states[0]) == 0 else 0
+        forged = AdaptiveSplitAdversary([1]).forge(
+            round_index=3, sender=1, receiver=0, states=states, algorithm=counter, rng=rng
+        )
+        assert counter.is_valid_state(forged)
+        assert counter.output(1, forged) == target
+        assert isinstance(forged, int) == flat
+
     def test_single_camp_still_produces_valid_state(self):
         counter = NaiveMajorityCounter(n=5, c=3, claimed_resilience=1)
         adversary = AdaptiveSplitAdversary([4])

@@ -3,25 +3,36 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.blocks import CounterInterpretation, common_pointer_intervals, ideal_pointer_trace
+from repro.core.boosting import BoostedState
 from repro.core.phase_king import (
     INFINITY,
     PhaseKingRegisters,
+    coerce_register_value,
+    increment,
+    instruction_step,
     phase_king_step,
     schedule_length,
 )
 from repro.core.voting import has_majority, majority
 from repro.counters.trivial import TrivialCounter
-from repro.network.pulling import PullingAlgorithm
+from repro.network.adversary import RandomStateAdversary
+from repro.network.pulling import PullingAlgorithm, PullSimulationConfig, run_pull_simulation
+from repro.network.simulator import SimulationConfig, run_simulation
 from repro.network.stabilization import is_counting_suffix
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.network.stabilization import stabilization_round
-from repro.sampling.thresholds import sampled_phase_king_step
+from repro.sampling.thresholds import (
+    high_threshold,
+    low_threshold,
+    sampled_phase_king_step,
+)
 from repro.semantics import ALGORITHM_SEMANTICS, build_algorithm
 from repro.util.intmath import ceil_div, ceil_log2, next_multiple
 
@@ -58,15 +69,19 @@ def test_next_multiple_properties(value, base):
 # --------------------------------------------------------------------------- #
 
 
-@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25))
-def test_majority_is_correct_when_it_exists(values):
-    result = majority(values, default=-1)
-    counts = {value: values.count(value) for value in set(values)}
-    true_majority = [value for value, count in counts.items() if 2 * count > len(values)]
-    if true_majority:
-        assert result == true_majority[0]
-    else:
-        assert result == -1
+@given(
+    st.lists(st.one_of(st.none(), st.integers(min_value=0, max_value=5)), max_size=25),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=5)),
+)
+def test_majority_is_correct_when_it_exists(values, default):
+    """The strict majority by ``collections.Counter``, else ``default``;
+    with ``None`` entries and the empty list."""
+    expected = default
+    if values:
+        value, count = Counter(values).most_common(1)[0]
+        if 2 * count > len(values):
+            expected = value
+    assert majority(values, default) == expected
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=25), st.randoms())
@@ -415,3 +430,220 @@ def test_stabilization_detected_after_appended_counting_suffix(prefix, start, su
     assert result.round <= len(prefix)
     # The detected suffix really is a counting run.
     assert is_counting_suffix(trace.agreed_values()[result.round :], c)
+
+
+# --------------------------------------------------------------------------- #
+# Exactness of the scalar fast paths: a valid state passes coercion as
+# itself, and the Table 2 step runs on plain registers
+# --------------------------------------------------------------------------- #
+
+#: The catalogue algorithms whose ``coerce_message`` returns a valid state
+#: itself: the trivial counter and the four boosted ones.
+IDENTITY_COERCION = (
+    "corollary1",
+    "figure2",
+    "pseudo-random-boosted",
+    "sampled-boosted",
+    "trivial",
+)
+
+
+class Register(int):
+    """An int subclass: compares like an int, but is no plain int."""
+
+
+def reference_coerce(algorithm, message):
+    """The field-by-field read every message took before the identity
+    shortcut, kept verbatim as the reference for arbitrary objects."""
+    if isinstance(algorithm, TrivialCounter):
+        if isinstance(message, bool) or not isinstance(message, int):
+            return 0
+        return message % algorithm.c
+    if isinstance(message, tuple) and len(message) == 3:
+        inner_state, a, d = message
+    else:
+        inner_state, a, d = None, INFINITY, 0
+    return BoostedState(
+        inner=reference_coerce(algorithm.inner, inner_state),
+        a=coerce_register_value(a, algorithm.c),
+        d=d if d in (0, 1) and not isinstance(d, bool) else 0,
+    )
+
+
+def same(left, right):
+    """Equal, with the same types all the way down (a bool is no int)."""
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, tuple):
+        return len(left) == len(right) and all(map(same, left, right))
+    return left == right
+
+
+def registers(bound):
+    """Register values around ``[bound]``: valid ints, out-of-range ints,
+    bools, int subclasses and non-ints."""
+    return st.one_of(
+        st.integers(min_value=-2, max_value=bound + 1),
+        st.booleans(),
+        st.integers(min_value=-2, max_value=bound + 1).map(Register),
+        st.none(),
+        st.floats(min_value=-2, max_value=bound + 1),
+        st.text(max_size=2),
+    )
+
+
+def garbage(algorithm):
+    """Valid states of ``algorithm`` and near misses at every nesting level:
+    boosted states and plain tuples with any field garbled, wrong lengths."""
+    valid = st.integers(min_value=0, max_value=2**32).map(
+        lambda seed: algorithm.random_state(random.Random(seed))
+    )
+    if isinstance(algorithm, TrivialCounter):
+        return st.one_of(valid, registers(2 * algorithm.c))
+    fields = st.tuples(garbage(algorithm.inner), registers(algorithm.c), registers(2))
+    return st.one_of(
+        valid,
+        fields.map(lambda values: BoostedState(*values)),
+        fields,
+        st.lists(registers(algorithm.c), max_size=5).filter(lambda x: len(x) != 3).map(tuple),
+        junk,
+    )
+
+
+@pytest.mark.parametrize("name", IDENTITY_COERCION)
+def test_valid_states_pass_coercion_as_themselves(name):
+    # A trivial counter modulo 1000 holds ints above CPython's small-int
+    # cache, where a rebuilt int is a new object.
+    algorithm = build_algorithm("trivial", c=1000) if name == "trivial" else CATALOGUE[name]
+    rng = random.Random(2015)
+    for _ in range(2000):
+        state = algorithm.random_state(rng)
+        assert algorithm.coerce_message(state) is state
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUE))
+def test_states_a_run_reaches_read_as_themselves(name):
+    """Every state the correct nodes hold in a run is a coercion fixed
+    point, and the identical object for the identity-coercion algorithms."""
+    algorithm = CATALOGUE[name]
+    adversary = RandomStateAdversary([algorithm.n - 1]) if algorithm.f else None
+    if isinstance(algorithm, PullingAlgorithm):
+        config = PullSimulationConfig(max_rounds=15, record_states=True, seed=3)
+        trace = run_pull_simulation(algorithm, adversary=adversary, config=config)
+    else:
+        config = SimulationConfig(max_rounds=15, record_states=True, seed=3)
+        trace = run_simulation(algorithm, adversary=adversary, config=config)
+    for record in trace.rounds:
+        for state in record.states.values():
+            coerced = algorithm.coerce_message(state)
+            assert same(coerced, state)
+            if name in IDENTITY_COERCION:
+                assert coerced is state
+
+
+def near_misses(algorithm, state):
+    """``state`` with one register, or the inner state, made a near miss: a
+    bool, an int subclass, an out-of-range or non-int value; and ``state``
+    as a plain tuple or with the wrong length."""
+    if isinstance(algorithm, TrivialCounter):
+        c = algorithm.c
+        return [True, False, Register(state), state + c, -1, float(state), None, str(state)]
+    bad = [True, False, Register(0), Register(1), Register(INFINITY), -2, algorithm.c]
+    bad += [algorithm.c + 1, 0.0, 1.0, None, "0"]
+    inner, a, d = state
+    misses = [BoostedState(inner, value, d) for value in bad]
+    misses += [BoostedState(inner, a, value) for value in bad]
+    misses += [BoostedState(miss, a, d) for miss in near_misses(algorithm.inner, inner)]
+    return misses + [tuple(state), state[:2], (*state, 0)]
+
+
+@pytest.mark.parametrize("name", IDENTITY_COERCION)
+def test_coercion_of_near_misses_matches_the_field_by_field_read(name):
+    algorithm = CATALOGUE[name]
+    rng = random.Random(7)
+    for _ in range(20):
+        for message in near_misses(algorithm, algorithm.random_state(rng)):
+            expected = reference_coerce(algorithm, message)
+            assert same(algorithm.coerce_message(message), expected), message
+
+
+@pytest.mark.parametrize("name", IDENTITY_COERCION)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coercion_of_any_object_matches_the_field_by_field_read(name, data):
+    algorithm = CATALOGUE[name]
+    message = data.draw(garbage(algorithm))
+    assert same(algorithm.coerce_message(message), reference_coerce(algorithm, message))
+
+
+def reference_step(registers, values, king_value, round_value, F, C, high, low):
+    """Table 2 on :class:`PhaseKingRegisters`, as the step read before its
+    registers became plain ints."""
+    step = round_value % schedule_length(F) % 3
+    a = registers.a
+    if step == 0:
+        if values.count(a) < high:
+            a = INFINITY
+        return PhaseKingRegisters(a=increment(a, C), d=registers.d)
+    if step == 1:
+        counts = Counter(values)
+        d = 1 if (a != INFINITY and counts.get(a, 0) >= high) else 0
+        a = INFINITY
+        for value, count in counts.items():
+            if (
+                count > low
+                and isinstance(value, int)
+                and 0 <= value < C
+                and (a == INFINITY or value < a)
+            ):
+                a = value
+        return PhaseKingRegisters(a=increment(a, C), d=d)
+    if a == INFINITY or registers.d == 0:
+        a = C if king_value == INFINITY else min(C, king_value)
+    return PhaseKingRegisters(a=(a + 1) % C, d=1)
+
+
+@pytest.mark.parametrize("step", (0, 1, 2))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_plain_register_step_is_both_wrappers_step(step, data):
+    """At every ``R mod 3`` the plain-register step returns the registers
+    ``phase_king_step`` (all ``N`` senders) and ``sampled_phase_king_step``
+    (``M`` samples) return, and both equal the reference."""
+    F = data.draw(st.integers(min_value=0, max_value=3), label="F")
+    N = data.draw(st.integers(min_value=max(F + 2, 3 * F + 1), max_value=3 * F + 4), label="N")
+    C = data.draw(st.integers(min_value=2, max_value=5), label="C")
+    a = data.draw(st.integers(min_value=-1, max_value=C - 1), label="a")
+    d = data.draw(st.integers(min_value=0, max_value=1), label="d")
+    round_value = 3 * data.draw(st.integers(min_value=0, max_value=10**3), label="q") + step
+    value = st.integers(min_value=-1, max_value=C - 1)
+    received = data.draw(st.lists(value, min_size=N, max_size=N), label="received")
+    samples = data.draw(st.lists(value, min_size=1, max_size=9), label="samples")
+    king_value = received[round_value % schedule_length(F) // 3]
+
+    expected = reference_step(
+        PhaseKingRegisters(a=a, d=d), received, king_value, round_value, F, C, N - F, F
+    )
+    plain = instruction_step(a, d, received, king_value, round_value, C, N - F, F)
+    assert [type(register) for register in plain] == [int, int]
+    assert plain == (expected.a, expected.d)
+    assert phase_king_step(PhaseKingRegisters(a=a, d=d), received, round_value, N, F, C) == expected
+
+    M = len(samples)
+    expected = reference_step(
+        PhaseKingRegisters(a=a, d=d),
+        samples,
+        king_value,
+        round_value,
+        F,
+        C,
+        high_threshold(M),
+        low_threshold(M),
+    )
+    plain = instruction_step(
+        a, d, samples, king_value, round_value, C, high_threshold(M), low_threshold(M)
+    )
+    assert plain == (expected.a, expected.d)
+    assert sampled_phase_king_step(
+        PhaseKingRegisters(a=a, d=d), samples, king_value, round_value, F, C
+    ) == expected

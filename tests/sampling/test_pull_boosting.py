@@ -8,7 +8,9 @@ import pytest
 
 from repro.core.boosting import BoostedState
 from repro.core.errors import ParameterError
+from repro.core.parameters import BoostingParameters
 from repro.core.phase_king import INFINITY
+from repro.counters.naive import NaiveMajorityCounter
 from repro.counters.trivial import TrivialCounter
 from repro.network.adversary import NoAdversary, RandomStateAdversary
 from repro.network.pulling import PullSimulationConfig, run_pull_simulation
@@ -92,6 +94,29 @@ class TestSamplingPlan:
             offset += M
         # Phase king samples are arbitrary nodes; kings are nodes 0..F+1.
         assert targets[-(counter.f + 2):] == [0, 1, 2]
+
+    @pytest.mark.parametrize("k", (3, 4))
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_plan_draws_what_randrange_draws(self, n, k):
+        # Block sizes 1-9 with k = 3 and 4 cover bounds that are powers of
+        # two (n = 1, 2, 4, 8; N = 4, 8, 16, 32) and bounds that are not.
+        params = BoostingParameters.for_inner(inner_n=n, inner_f=0, k=k, counter_size=2)
+        inner = NaiveMajorityCounter(n=n, c=params.minimal_inner_counter())
+        counter = SampledBoostedCounter(inner=inner, k=k, counter_size=2, sample_size=5)
+        M, N = counter.sample_size, counter.n
+        for seed in range(10):
+            for node in range(N):
+                rng, reference = random.Random(seed), random.Random(seed)
+                plan = counter._sample_plan(node, rng)
+                start = node - node % n
+                expected = list(range(start, start + n))
+                for block in range(k):
+                    expected.extend(block * n + reference.randrange(n) for _ in range(M))
+                expected.extend(reference.randrange(N) for _ in range(M))
+                expected.extend(range(counter.f + 2))
+                assert plan == expected
+                # The stream is left where the randrange loop leaves it.
+                assert rng.getrandbits(32) == reference.getrandbits(32)
 
     def test_plan_is_random_per_call(self):
         counter = make_counter(sample_size=4)
