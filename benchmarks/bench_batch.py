@@ -1,7 +1,8 @@
 """Scalar-vs-batch engine benchmarks: whole campaigns as array programs.
 
 The cases below are read by ``scripts/run_benchmarks.py``, which times both
-engines with :func:`time_engines` and emits the machine-readable
+engines with :func:`time_engines` (three alternating runs each, the median
+reported) and emits the machine-readable
 ``BENCH_batch.json`` (``--require-speedup 10`` asserts the per-campaign
 speedup the vectorised engine exists for on the headline Figure-1-style
 case).
@@ -29,6 +30,7 @@ Case catalogue:
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass, replace
 
@@ -200,41 +202,54 @@ def run_case(case: BatchBenchCase, engine: str):
     return elapsed, cpu, results, executor.stats
 
 
-def time_engines(case: BatchBenchCase) -> dict:
+def time_engines(case: BatchBenchCase, repeats: int = 1) -> dict:
     """Scalar-vs-batch comparison of one case (with a batch warm-up).
 
     The warm-up run keeps one-time costs (NumPy submodule imports, kernel
     construction) out of the timing, mirroring a long campaign where they
-    amortise to nothing.
+    amortise to nothing.  The two engines then run ``repeats`` times each,
+    alternating, and each time column reports the median run (the spread
+    in ``*_min`` / ``*_max``), so one slow run on a shared machine moves
+    neither the reading nor the speedup.
     """
     warmup = scaled(case, 2)
     run_case(warmup, case.engine)
-    scalar_elapsed, scalar_cpu, scalar_results, _ = run_case(case, "scalar")
-    batch_elapsed, batch_cpu, batch_results, batch_stats = run_case(
-        case, case.engine
-    )
+    runs: dict[str, list] = {"scalar": [], "batch": []}
+    for _ in range(repeats):
+        runs["scalar"].append(run_case(case, "scalar"))
+        runs["batch"].append(run_case(case, case.engine))
+    _, _, scalar_results, _ = runs["scalar"][-1]
+    _, _, batch_results, batch_stats = runs["batch"][-1]
     identical = None
     if case.deterministic:
         identical = [r.to_json() for r in scalar_results] == [
             r.to_json() for r in batch_results
         ]
-    scalar_rounds = sum(r.rounds_simulated for r in scalar_results)
-    batch_rounds = sum(r.rounds_simulated for r in batch_results)
-    return {
+    comparison = {
         "case": case.name,
         "engine": case.engine,
         "runs": len(batch_results),
+        "repeats": repeats,
         "deterministic": case.deterministic,
         "identical_results": identical,
-        "scalar_seconds": scalar_elapsed,
-        "batch_seconds": batch_elapsed,
-        "scalar_cpu_seconds": scalar_cpu,
-        "batch_cpu_seconds": batch_cpu,
-        "speedup": scalar_elapsed / batch_elapsed if batch_elapsed else None,
-        "scalar_rounds_per_second": scalar_rounds / scalar_elapsed,
-        "batch_rounds_per_second": batch_rounds / batch_elapsed,
         "batched_runs": batch_stats.batched,
         "fallback_runs": batch_stats.fallback,
         "failed_runs": batch_stats.failed,
     }
-
+    for engine, results in (("scalar", scalar_results), ("batch", batch_results)):
+        walls = sorted(elapsed for elapsed, _, _, _ in runs[engine])
+        wall = statistics.median(walls)
+        rounds = sum(r.rounds_simulated for r in results)
+        comparison[f"{engine}_seconds"] = wall
+        comparison[f"{engine}_seconds_min"] = walls[0]
+        comparison[f"{engine}_seconds_max"] = walls[-1]
+        comparison[f"{engine}_cpu_seconds"] = statistics.median(
+            cpu for _, cpu, _, _ in runs[engine]
+        )
+        comparison[f"{engine}_rounds_per_second"] = rounds / wall
+    comparison["speedup"] = (
+        comparison["scalar_seconds"] / comparison["batch_seconds"]
+        if comparison["batch_seconds"]
+        else None
+    )
+    return comparison

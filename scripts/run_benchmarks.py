@@ -2,8 +2,10 @@
 """Run the scalar-vs-batch benchmark suite and emit ``BENCH_batch.json``.
 
 The machine-readable output tracks the perf trajectory across PRs: per case,
-the scalar and batch wall-clock and CPU seconds, rounds/second (total and
-per core) on both engines, the speedup, and — crucially — how many runs
+the scalar and batch wall-clock and CPU seconds (the median of three
+alternating runs each, with the fastest and slowest wall-clock run beside
+it), rounds/second (total and per core) on both engines, the speedup, and —
+crucially — how many runs
 actually took the vectorised path (``batched_runs``) versus the scalar
 fallback (``fallback_runs``).  Every entry is stamped with the UTC
 timestamp and the git commit it measured (``git_dirty`` marks uncommitted
@@ -42,6 +44,10 @@ from bench_batch import BENCH_CASES, scaled, time_engines  # noqa: E402
 
 #: The acceptance-criterion case: n >= 16, >= 200 trials, randomised.
 HEADLINE_CASE = "figure1-style-randomized-n16"
+
+#: Alternating scalar/batch runs per case; the median is reported, with the
+#: fastest and slowest run beside it.  ``--quick`` makes one.
+REPEATS = 3
 
 #: Both engines run in-process on a single core; the per-core rounds/second
 #: columns therefore equal the totals today, but stay honest if a future
@@ -161,13 +167,19 @@ def main(argv: list[str] | None = None) -> int:
         if wanted is not None and case.name not in wanted:
             continue
         effective = scaled(case, case.quick_runs) if args.quick else case
-        comparison = stamp(time_engines(effective), timestamp, sha, dirty)
+        repeats = 1 if args.quick else REPEATS
+        comparison = stamp(time_engines(effective, repeats), timestamp, sha, dirty)
         comparisons.append(comparison)
         print(
             f"{comparison['case']}: {comparison['runs']} runs, "
+            f"median of {repeats}: "
             f"scalar {comparison['scalar_seconds']:.3f}s "
+            f"[{comparison['scalar_seconds_min']:.3f}-"
+            f"{comparison['scalar_seconds_max']:.3f}] "
             f"({comparison['scalar_rounds_per_second']:.0f} rounds/s), "
             f"batch {comparison['batch_seconds']:.3f}s "
+            f"[{comparison['batch_seconds_min']:.3f}-"
+            f"{comparison['batch_seconds_max']:.3f}] "
             f"({comparison['batch_rounds_per_second']:.0f} rounds/s), "
             f"speedup {comparison['speedup']:.1f}x, "
             f"batched {comparison['batched_runs']}, "

@@ -41,7 +41,7 @@ from repro.core.blocks import BlockLayout, CounterInterpretation
 from repro.core.parameters import BoostingParameters
 from repro.core.phase_king import INFINITY, coerce_register_value, instruction_step
 from repro.core.voting import majority
-from repro.util.rng import ensure_rng
+from repro.util.rng import ensure_rng, randbelow
 
 __all__ = [
     "BoostedState",
@@ -183,10 +183,11 @@ class BoostedStructure:
 
     def random_state(self, rng: Any = None) -> BoostedState:
         generator = ensure_rng(rng)
+        # choice(self._a_values) and randrange(2), at the cost of their bits.
         return BoostedState(
             inner=self._inner.random_state(generator),
-            a=generator.choice(self._a_values),
-            d=generator.randrange(2),
+            a=self._a_values[randbelow(generator, len(self._a_values))],
+            d=randbelow(generator, 2),
         )
 
     def is_valid_state(self, state: Any) -> bool:

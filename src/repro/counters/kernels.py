@@ -14,7 +14,8 @@ of trials with array operations:
   (Corollary 1 / Figure 2 stacks): recursive inner-counter transitions,
   leader-pointer decomposition and two-level majority votes, and the
   vectorised phase king of Table 2.  Deterministic and bit-identical to
-  :meth:`repro.core.boosting.BoostedCounter.next_state`.
+  :meth:`repro.core.boosting.BoostedCounter.next_states` for every correct
+  receiver.
 
 The boosted kernel represents a node state as the concatenation of its inner
 counter's fields plus the phase king registers ``(a, d)``, mirroring
@@ -23,6 +24,15 @@ counter's fields plus the phase king registers ``(a, d)``, mirroring
 integer encoding for every counter the planner instantiates.  Constructions
 whose counter periods would overflow int64 (Corollary 1 beyond ``f = 4``)
 report no kernel and fall back to the scalar engine.
+
+Like the scalar round, the boosted kernel reads each delivered state once:
+once per trial for the correct senders of a broadcast, once per link under
+loss or delay, and once per receiver only for the forged entries, which are
+then patched into per-receiver arrays of round values, leader pointers and
+registers (:class:`_BoostedCore`).  Its votes read each receiver's sorted
+entries: a strict majority is the median, and the phase king's
+``min{j : z_j > F}`` starts the first run of ``F + 1`` equal values.
+Faulty nodes' own rows are placeholders, as :class:`BatchKernel` allows.
 """
 
 from __future__ import annotations
@@ -57,67 +67,77 @@ _BIG = np.iinfo(np.int64).max
 def strict_majority(values: np.ndarray, default: int) -> np.ndarray:
     """Vectorised ``majority(values, default)`` over the last axis.
 
-    A value wins when it occurs strictly more than half the time — at most
-    one value can, so any max-count representative is the winner; otherwise
-    ``default`` is returned, matching :func:`repro.core.voting.majority`.
+    A value that occurs strictly more than half the time is the median of
+    the entries, so the median is the only candidate: it wins when it holds
+    a strict majority, and ``default`` is returned otherwise, matching
+    :func:`repro.core.voting.majority`.
     """
     size = values.shape[-1]
-    counts = (values[..., :, None] == values[..., None, :]).sum(axis=-1)
-    best = counts.argmax(axis=-1)
-    best_count = np.take_along_axis(counts, best[..., None], axis=-1)[..., 0]
-    best_value = np.take_along_axis(values, best[..., None], axis=-1)[..., 0]
-    return np.where(2 * best_count > size, best_value, default)
+    if size == 1:
+        return values[..., 0]
+    median = np.sort(values, axis=-1)[..., size // 2]
+    count = (values == median[..., None]).sum(axis=-1)
+    return np.where(count > size // 2, median, default)
 
 
-def _guarded_increment(a: np.ndarray, c: int) -> np.ndarray:
-    """The paper's guarded increment: ``a + 1 mod c`` unless ``a = ∞``."""
-    return np.where(a == INFINITY, INFINITY, (a + 1) % c)
+def vote_minimum(values: np.ndarray, support: int) -> np.ndarray:
+    """``min{j : z_j >= support}`` over the last axis, ``∞`` when none.
+
+    ``z_j`` counts the entries equal to ``j``; the reset marker ``∞`` never
+    qualifies.  In sorted order a value with support ``s`` is a run of ``s``
+    equal entries, so the smallest qualifying value starts the first run.
+    """
+    size = values.shape[-1]
+    if support > size:
+        return np.full(values.shape[:-1], INFINITY, dtype=np.int64)
+    ordered = np.sort(values, axis=-1)
+    first = ordered[..., : size - support + 1]
+    runs = (first == ordered[..., support - 1 :]) & (first != INFINITY)
+    minimum = np.where(runs, first, _BIG).min(axis=-1)
+    return np.where(minimum == _BIG, INFINITY, minimum)
 
 
 def vectorized_phase_king(
     own_a: np.ndarray,
     own_d: np.ndarray,
-    values: np.ndarray,
-    eligible: np.ndarray,
     own_support: np.ndarray,
     high: "int | np.ndarray",
+    minimum: np.ndarray,
     king_value: np.ndarray,
     step: np.ndarray,
     c: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The Table 2 instruction sets, vectorised, shared by both boosted kernels.
 
-    All three instruction kinds are computed and selected per element by
+    Every instruction sets ``a`` and then increments it, guarded (``∞``
+    stays ``∞``), so the three instruction kinds are selected per element by
     ``step = R mod 3`` (receivers may disagree on ``R`` before
-    stabilisation).  The deterministic construction passes the absolute
-    thresholds (``high = N - F``, ``eligible`` from ``z_j > F``) and reads
-    the king's broadcast column; the sampled construction (Lemma 8) passes
-    ``high = ⌈2M/3⌉``, ``eligible`` from ``z_j > M/3`` and the directly
-    pulled king value.
+    stabilisation) and the result is incremented once.  The deterministic
+    construction passes the absolute threshold ``high = N - F``, the vote
+    over ``z_j > F`` and the king's broadcast register; the sampled
+    construction (Lemma 8) passes ``high = ⌈2M/3⌉``, the vote over ``z_j >
+    M/3`` and the directly pulled king value.
 
-    Parameters are element-wise aligned arrays: ``values`` holds the
-    received/sampled ``a``-registers (last axis = senders/samples),
-    ``eligible`` marks the entries that qualify for the vote instruction's
-    ``min{j : z_j > threshold}``, and ``king_value`` the already-gathered
-    king register per receiver.
+    Parameters are element-wise aligned arrays: ``own_support`` is
+    ``z_{a[v]}``, ``minimum`` the vote instruction's ``min{j : z_j > low}``
+    (``∞`` when no value qualifies, see :func:`vote_minimum`) and
+    ``king_value`` the king's register as the receiver read it.
     """
-    # I_{3l}: broadcast — keep a only with enough support, increment.
-    a_broadcast = _guarded_increment(np.where(own_support >= high, own_a, INFINITY), c)
-
-    # I_{3l+1}: vote — d certifies support for a counter value; adopt the
-    # smallest qualifying value (reset when none qualifies), increment.
-    d_vote = ((own_a != INFINITY) & (own_support >= high)).astype(np.int64)
-    minimum = np.where(eligible, values, _BIG).min(axis=-1)
-    a_vote = _guarded_increment(np.where(minimum == _BIG, INFINITY, minimum), c)
-
+    supported = own_support >= high
+    counter_value = own_a != INFINITY
+    # I_{3l}: broadcast — keep a only with enough support.
+    kept = np.where(supported, own_a, INFINITY)
+    # I_{3l+1}: vote — adopt the smallest qualifying value (``minimum``);
+    # d certifies support for a counter value.
     # I_{3l+2}: king — nodes without certified support adopt the king's
-    # value (∞ read as the cap C), then increment unguarded.
+    # value, ∞ read as the cap C (never ∞, so the guard never applies).
     adopted = np.where(king_value == INFINITY, c, np.minimum(c, king_value))
-    a_king = np.where((own_a == INFINITY) | (own_d == 0), adopted, own_a)
-    a_king = (a_king + 1) % c
+    king = np.where(counter_value & (own_d != 0), own_a, adopted)
 
-    new_a = np.where(step == 0, a_broadcast, np.where(step == 1, a_vote, a_king))
-    new_d = np.where(step == 0, own_d, np.where(step == 1, d_vote, 1))
+    broadcast, vote = step == 0, step == 1
+    a = np.where(broadcast, kept, np.where(vote, minimum, king))
+    new_a = np.where(a == INFINITY, INFINITY, (a + 1) % c)
+    new_d = np.where(broadcast, own_d, np.where(vote, counter_value & supported, 1))
     return new_a, new_d
 
 
@@ -203,10 +223,10 @@ class NaiveMajorityBatchKernel(_IntStateKernel):
     def step(self, view, round_index, rng):
         algorithm = self.algorithm
         counts = view.field_counts(0, algorithm.c)  # (B, receiver, value)
-        best = counts.argmax(axis=-1)
-        best_count = np.take_along_axis(counts, best[..., None], axis=-1)[..., 0]
         fallback = view.field_min(0)
-        agreed = np.where(2 * best_count > algorithm.n, best, fallback)
+        agreed = np.where(
+            2 * counts.max(axis=-1) > algorithm.n, counts.argmax(axis=-1), fallback
+        )
         return (((agreed + 1) % algorithm.c))[..., None]
 
 
@@ -261,20 +281,56 @@ class _TrivialCore:
     def random_fields(self, rng, shape):
         return rng.integers(0, self.algorithm.c, size=shape + (1,), dtype=np.int64)
 
-    def transition(self, messages: np.ndarray, receiver_index: np.ndarray) -> np.ndarray:
-        # One node per block: the single message is the node's own state.
-        return ((messages[..., 0, 0] + 1) % self.algorithm.c)[..., None]
+    def transition(
+        self,
+        delivered: np.ndarray,
+        faulty: np.ndarray | None = None,
+        forged: np.ndarray | None = None,
+    ) -> np.ndarray:
+        # One node per block: its only message is its own state (a forged
+        # own entry would make the node faulty, so forgeries are not read).
+        return (delivered[:, :, 0] + 1) % self.algorithm.c
+
+
+def _patched(values: np.ndarray, columns: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """``values`` per receiver, with ``entries`` written at ``columns``.
+
+    ``values`` is ``(..., B, 1 or R, S)``, ``columns`` ``(B, q)`` in
+    ``[0, S]`` and ``entries`` ``(..., B, R, q)``; entries at the column
+    ``S`` are dropped.
+    """
+    *lead, batch, receivers, _ = entries.shape
+    size = values.shape[-1]
+    out = np.empty((*lead, batch, receivers, size + 1), dtype=np.int64)
+    out[..., :size] = values
+    rows = np.arange(batch)[:, None, None], np.arange(receivers)[:, None]
+    out[(..., *rows, columns[:, None])] = entries
+    return out[..., :size]
 
 
 class _BoostedCore:
     """One Theorem 1 level: inner blocks, leader votes, phase king.
 
-    ``transition`` consumes per-receiver message matrices of shape
-    ``(B, R, n, fields)`` — receiver slot ``r`` holds the coerced states this
-    receiver read from all ``n`` members of the *current* level — plus the
-    receivers' within-level node indices ``(R,)``.  Nested levels reuse the
-    same interface on the sliced own-block columns, mirroring the recursion
-    of :meth:`repro.core.boosting.BoostedCounter.next_state` exactly.
+    :meth:`transition` runs one round of the level's ``S = k·n`` nodes,
+    each receiving from all ``S``, given as three arrays:
+
+    * ``delivered`` — the states the receivers read: ``(B, 1, S, fields)``
+      when every receiver reads the same broadcast, ``(B, S, S, fields)``
+      when each reads its own (per-link delays, pulled samples);
+    * ``faulty`` — ``(B, q)`` sender columns whose entries differ per
+      receiver, where the column ``S`` stands for a sender outside this
+      level;
+    * ``forged`` — ``(B, S, q, fields)``: those entries, per receiver.
+
+    Each delivered state is read as its round value ``r``, leader pointer
+    ``b`` and register ``a`` once, each forged entry once per receiver, and
+    the forged reads are patched into per-receiver arrays.  The blocks'
+    copies of the inner algorithm are the inner level run on ``(trial,
+    block)`` rows, which mirrors the recursion of
+    :meth:`repro.core.boosting.BoostedCounter.next_states`.  Every vote
+    reads each receiver's sorted entries: a strict majority is the median,
+    and the Table 2 ``min{j : z_j > F}`` starts the first run of ``F + 1``
+    equal values.
     """
 
     def __init__(self, algorithm: BoostedCounter, inner: "_TrivialCore | _BoostedCore"):
@@ -288,16 +344,21 @@ class _BoostedCore:
         self.block_size = layout.n
         self.tau = interpretation.tau
         self.m = interpretation.m
-        member_block = np.arange(layout.total_nodes) // layout.n
-        self.member_block = member_block
+        nodes = np.arange(layout.total_nodes)
+        member_block = (nodes // layout.n).tolist()
+        # Per sender column, then the column S: a sender outside this level,
+        # whose reads are dropped.
         self.periods = np.array(
-            [interpretation.block_period(int(block)) for block in member_block],
+            [interpretation.block_period(block) for block in member_block] + [1],
             dtype=np.int64,
         )
         self.pointer_divisor = np.array(
-            [interpretation.base ** int(block) for block in member_block],
+            [self.tau * interpretation.base**block for block in member_block] + [1],
             dtype=np.int64,
         )
+        self.nodes = nodes
+        self.own_block = (nodes - nodes % layout.n)[:, None] + np.arange(layout.n)
+        self.blocks = np.arange(self.k)[:, None]
 
     # -- state encoding (delegated to the shared codec) ------------------- #
 
@@ -315,64 +376,83 @@ class _BoostedCore:
 
     # -- the round -------------------------------------------------------- #
 
-    def transition(self, messages: np.ndarray, receiver_index: np.ndarray) -> np.ndarray:
+    def _read(
+        self, states: np.ndarray, periods: np.ndarray, divisors: np.ndarray
+    ) -> np.ndarray:
+        """``(r, b, a)`` of each state, stacked: what its sender announces."""
+        inner_fields = self.inner.fields
+        reads = np.empty((3, *states.shape[:-1]), dtype=np.int64)
+        reduced = self.inner.outputs(states[..., :inner_fields]) % periods
+        np.remainder(reduced, self.tau, out=reads[0])
+        np.floor_divide(reduced, divisors, out=reads[1])
+        reads[1] %= self.m
+        reads[2] = states[..., inner_fields]
+        return reads
+
+    def transition(
+        self,
+        delivered: np.ndarray,
+        faulty: np.ndarray | None = None,
+        forged: np.ndarray | None = None,
+    ) -> np.ndarray:
         algorithm = self.algorithm
         inner_fields = self.inner.fields
-        batch, receivers, members = messages.shape[0], messages.shape[1], messages.shape[2]
-        n, f, c = algorithm.n, algorithm.f, algorithm.c
+        batch, size = delivered.shape[0], delivered.shape[2]
+        k, n = self.k, self.block_size
+        per_receiver = delivered.shape[1] > 1
 
-        # Step 1: the block-level copy of the inner algorithm, fed with the
-        # receiver's own-block columns of the message matrix.
-        blocks = receiver_index // self.block_size
-        block_columns = blocks[:, None] * self.block_size + np.arange(self.block_size)
-        inner_messages = messages[
-            :, np.arange(receivers)[:, None], block_columns, :inner_fields
-        ]
-        new_inner = self.inner.transition(inner_messages, receiver_index % self.block_size)
+        # Step 1: each block's copy of the inner algorithm, run as the inner
+        # level on (trial, block) rows of the receivers' own-block columns.
+        if per_receiver:
+            own_block = delivered[:, self.nodes[:, None], self.own_block, :inner_fields]
+        else:
+            own_block = delivered[..., :inner_fields]
+        inner_faulty = inner_forged = None
+        # A block of one node reads only its own state, which is forged only
+        # for a faulty receiver.
+        if faulty is not None and n > 1:
+            columns = faulty[:, None]
+            inner_faulty = np.where(
+                columns // n == self.blocks, columns % n, n
+            ).reshape(batch * k, -1)
+            inner_forged = forged[..., :inner_fields].reshape(
+                batch * k, n, -1, inner_fields
+            )
+        new_inner = self.inner.transition(
+            own_block.reshape(batch * k, -1, n, inner_fields), inner_faulty, inner_forged
+        ).reshape(batch, size, inner_fields)
 
-        # Step 2: the voted round counter R (Section 3.3) — decompose every
-        # member's announced inner output into (r, y) and the leader pointer,
-        # then take the two-level strict majorities.
-        announced = self.inner.outputs(messages[..., :inner_fields])
-        reduced = announced % self.periods
-        round_component = reduced % self.tau
-        pointer = ((reduced // self.tau) // self.pointer_divisor) % self.m
-        pointer_blocks = pointer.reshape(batch, receivers, self.k, self.block_size)
-        block_votes = strict_majority(pointer_blocks, 0)
+        # Step 2: the voted round counter R (Section 3.3).  Each delivered
+        # state is read once and each forged entry once per receiver.
+        reads = self._read(delivered, self.periods[:size], self.pointer_divisor[:size])
+        if faulty is not None:
+            forged_reads = self._read(
+                forged,
+                self.periods[faulty][:, None],
+                self.pointer_divisor[faulty][:, None],
+            )
+            reads = _patched(reads, faulty, forged_reads)
+        rounds, pointers, a = reads
+        block_votes = strict_majority(pointers.reshape(batch, -1, k, n), 0)
         leader = strict_majority(block_votes, 0)
-        round_blocks = round_component.reshape(batch, receivers, self.k, self.block_size)
-        leader_rounds = np.take_along_axis(
-            round_blocks, leader[..., None, None], axis=2
-        )[..., 0, :]
+        trials, receivers = np.arange(batch)[:, None], np.arange(leader.shape[1])
+        leader_rounds = rounds.reshape(batch, -1, k, n)[trials, receivers, leader]
         round_value = strict_majority(leader_rounds, 0)
 
         # Step 3: instruction set I_R of the phase king (Table 2) with the
-        # absolute thresholds N - F and F; the king's register is read from
-        # its broadcast column.
-        a_received = messages[..., inner_fields]
-        own_a = np.take_along_axis(a_received, receiver_index[None, :, None], axis=2)[
-            ..., 0
-        ]
-        own_d = np.take_along_axis(
-            messages[..., inner_fields + 1], receiver_index[None, :, None], axis=2
-        )[..., 0]
-        support = (a_received[..., :, None] == a_received[..., None, :]).sum(axis=-1)
-        own_support = (a_received == own_a[..., None]).sum(axis=-1)
-
-        schedule = round_value % self.tau
-        king_value = np.take_along_axis(
-            a_received, (schedule // 3)[..., None], axis=2
-        )[..., 0]
+        # absolute thresholds N - F and F; the king ⌊R/3⌋ is a sender, read
+        # as each receiver read it.
+        own = delivered[:, self.nodes, self.nodes] if per_receiver else delivered[:, 0]
+        own_a = own[..., inner_fields]
         new_a, new_d = vectorized_phase_king(
             own_a=own_a,
-            own_d=own_d,
-            values=a_received,
-            eligible=(a_received != INFINITY) & (support > f),
-            own_support=own_support,
-            high=n - f,
-            king_value=king_value,
-            step=schedule % 3,
-            c=c,
+            own_d=own[..., inner_fields + 1],
+            own_support=(a == own_a[..., None]).sum(axis=-1),
+            high=algorithm.n - algorithm.f,
+            minimum=vote_minimum(a, algorithm.f + 1),
+            king_value=a[trials, receivers, round_value // 3],
+            step=round_value % 3,
+            c=algorithm.c,
         )
         return np.concatenate(
             [new_inner, new_a[..., None], new_d[..., None]], axis=-1
@@ -427,8 +507,8 @@ class BoostedBatchKernel(BatchKernel):
         return self.core.random_fields(rng, shape)
 
     def step(self, view, round_index, rng):
-        messages = view.received_stack()
-        return self.core.transition(messages, np.arange(self.algorithm.n))
+        faulty = None if view.forged is None else view.faulty_idx
+        return self.core.transition(view.delivered, faulty, view.forged)
 
 
 def build_broadcast_kernel(algorithm: Any) -> BatchKernel | None:

@@ -28,7 +28,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.errors import ParameterError
-from repro.util.rng import ensure_rng
+from repro.util.rng import ensure_rng, randbelow
 
 __all__ = ["RandomizedFollowMajorityCounter"]
 
@@ -78,7 +78,7 @@ class RandomizedFollowMajorityCounter(SynchronousCountingAlgorithm):
         return 0
 
     def random_state(self, rng: Any = None) -> int:
-        return ensure_rng(rng).randrange(self.c)
+        return randbelow(ensure_rng(rng), self.c)
 
     def is_valid_state(self, state: Any) -> bool:
         return isinstance(state, int) and not isinstance(state, bool) and 0 <= state < self.c

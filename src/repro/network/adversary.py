@@ -28,7 +28,7 @@ from repro.core.boosting import BoostedState
 from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY
 from repro.semantics import ADVERSARY_SEMANTICS, strategy_names
-from repro.util.rng import ensure_rng
+from repro.util.rng import ensure_rng, randbelow
 
 __all__ = [
     "Adversary",
@@ -362,7 +362,7 @@ class PhaseKingSkewAdversary(Adversary):
             else:
                 skewed_a = INFINITY
             return BoostedState(
-                inner=victim_state.inner, a=skewed_a, d=rng.randrange(2)
+                inner=victim_state.inner, a=skewed_a, d=randbelow(rng, 2)
             )
         return algorithm.random_state(rng)
 

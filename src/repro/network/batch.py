@@ -23,9 +23,9 @@ The moving parts:
 * :class:`AdversaryBatchKernel` — vectorised forgery: given broadcastable
   ``(sender, receiver)`` index arrays, produce the coerced field vectors the
   Byzantine senders deliver.  Forgeries enter the round as per-receiver
-  *column patches* on the shared broadcast matrix
-  (:meth:`BatchMessages.received`), so the fault-free bulk of the message
-  matrix is never copied per receiver.
+  *column patches* on the shared broadcast states (:class:`BatchMessages`),
+  so kernels read each correct sender once per trial and only the forged
+  entries once per receiver.
 * :func:`run_batch_trials` / :func:`run_batch_summaries` — the batched
   round loop: per-trial agreement as boolean masks, the scalar engine's
   :func:`~repro.network.engine.stop_step` applied to ``(B,)`` arrays,
@@ -234,13 +234,16 @@ class BatchMessages:
     ``receiver x sender`` message matrix is the same row repeated; only the
     columns of faulty senders differ per receiver.  The view therefore keeps
 
-    * ``states`` — the shared ``(B, n, fields)`` sender states, and
+    * ``states`` — the shared ``(B, n, fields)`` sender states,
+    * ``delivered`` — what the receivers read from them: ``states`` as one
+      ``(B, 1, n, fields)`` row that every receiver shares, and
     * ``forged`` — ``(B, n, f, fields)`` per-receiver forgeries for the
       ``f`` faulty senders listed in ``faulty_idx`` (``None`` when the batch
-      is fault-free),
+      is fault-free).
 
-    and materialises a per-receiver matrix only on demand, one field at a
-    time.  Fault-free batches never copy at all (a broadcast view).
+    Kernels read each delivered state once per trial and each forgery once
+    per receiver; :meth:`received` materialises a per-receiver matrix of one
+    field on demand.  Fault-free batches never copy at all.
     """
 
     def __init__(
@@ -252,6 +255,7 @@ class BatchMessages:
         self.states = states
         self.faulty_idx = faulty_idx
         self.forged = forged
+        self.delivered = states[:, None]
 
     @property
     def batch(self) -> int:
@@ -266,25 +270,19 @@ class BatchMessages:
     def received(self, field: int) -> np.ndarray:
         """The ``(B, receiver, sender)`` matrix of one received field.
 
-        Without faults this is a read-only broadcast view of the shared
-        sender states; with faults the faulty columns are patched with the
-        per-receiver forgeries.
+        Without faults this is a read-only view of the delivered states;
+        with faults the faulty columns are patched with the per-receiver
+        forgeries.
         """
         batch, n = self.batch, self.n
-        base = np.broadcast_to(self.states[:, None, :, field], (batch, n, n))
+        matrix = np.broadcast_to(self.delivered[..., field], (batch, n, n))
         if self.forged is None:
-            return base
-        matrix = base.copy()
+            return matrix
         assert self.faulty_idx is not None
-        np.put_along_axis(
-            matrix, self.faulty_idx[:, None, :], self.forged[:, :, :, field], axis=2
-        )
+        matrix = matrix.copy()
+        rows = np.arange(batch)[:, None, None], np.arange(n)[:, None]
+        matrix[(*rows, self.faulty_idx[:, None])] = self.forged[..., field]
         return matrix
-
-    def received_stack(self) -> np.ndarray:
-        """All fields at once: ``(B, receiver, sender, fields)``."""
-        fields = self.states.shape[2]
-        return np.stack([self.received(i) for i in range(fields)], axis=-1)
 
     def field_counts(self, field: int, size: int) -> np.ndarray:
         """Per-receiver tallies of one field over bins ``[0, size)``.
@@ -307,7 +305,7 @@ class BatchMessages:
         masked = values.copy()
         # Faulty senders' placeholder entries land in an overflow bin that
         # is sliced away, so only correct senders reach the shared tally.
-        np.put_along_axis(masked, self.faulty_idx, size, axis=1)
+        masked[np.arange(batch)[:, None], self.faulty_idx] = size
         offsets = (np.arange(batch, dtype=np.int64) * (size + 1))[:, None]
         shared = np.bincount(
             (masked + offsets).ravel(), minlength=batch * (size + 1)
@@ -330,9 +328,7 @@ class BatchMessages:
             return np.broadcast_to(shared[:, None], (batch, n))
         assert self.faulty_idx is not None
         masked = values.copy()
-        np.put_along_axis(
-            masked, self.faulty_idx, np.iinfo(np.int64).max, axis=1
-        )
+        masked[np.arange(batch)[:, None], self.faulty_idx] = np.iinfo(np.int64).max
         shared = masked.min(axis=1)
         return np.minimum(shared[:, None], self.forged[:, :, :, field].min(axis=2))
 
@@ -343,12 +339,12 @@ class PerturbedBatchMessages(BatchMessages):
     With per-link staleness active the ``receiver x sender`` matrix is no
     longer one broadcast row per sender: each link independently delivers
     the sender's start-of-round state from up to ``delay`` (plus one on a
-    lost message) rounds ago.  The view therefore carries the fully
-    materialised ``(B, receiver, sender, fields)`` delivered tensor.
-    Forgeries still patch the faulty columns per receiver — Byzantine links
-    are forged, never perturbed — and the shared-tally fast paths of the
-    fault-free view degrade to per-receiver reductions over the delivered
-    matrix (``O(B·n²)``, the honest cost of per-link perturbation).
+    lost message) rounds ago.  ``delivered`` is therefore the fully
+    materialised ``(B, receiver, sender, fields)`` tensor.  Forgeries still
+    patch the faulty columns per receiver — Byzantine links are forged,
+    never perturbed — and the shared-tally fast paths of the fault-free view
+    degrade to per-receiver reductions over the delivered matrix
+    (``O(B·n²)``, the honest cost of per-link perturbation).
     """
 
     def __init__(
@@ -360,17 +356,6 @@ class PerturbedBatchMessages(BatchMessages):
     ) -> None:
         super().__init__(states, faulty_idx, forged)
         self.delivered = delivered
-
-    def received(self, field: int) -> np.ndarray:
-        matrix = self.delivered[:, :, :, field]
-        if self.forged is None:
-            return matrix
-        matrix = matrix.copy()
-        assert self.faulty_idx is not None
-        np.put_along_axis(
-            matrix, self.faulty_idx[:, None, :], self.forged[:, :, :, field], axis=2
-        )
-        return matrix
 
     def field_counts(self, field: int, size: int) -> np.ndarray:
         batch, n = self.batch, self.n
@@ -756,7 +741,7 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         has_second = counts[np.arange(batch), camp1] > 0
         camp1 = np.where(has_second, camp1, (camp0 + 1) % c)
         mask = np.zeros((batch, n), dtype=bool)
-        np.put_along_axis(mask, correct_sorted, True, axis=1)
+        mask[bidx, correct_sorted] = True
         self._camp0, self._camp1 = camp0, camp1
         self._outputs = outputs
         self._correct_mask = mask

@@ -4,7 +4,7 @@
 for a whole batch of trials at once: the per-round pull plans become integer
 target arrays, the responses one gather over the ``(B, n, fields)`` state
 array (with faulty targets patched by the adversary kernel), and the sampled
-leader votes become the same pairwise-count majorities the broadcast boosted
+leader votes become the same sorted-entry majorities the broadcast boosted
 kernel uses.  The phase king is the one vectorised Table 2 step,
 :func:`~repro.counters.kernels.vectorized_phase_king`, with the Lemma 8
 thresholds ``⌈2M/3⌉`` and ``M/3`` where the broadcast kernel passes ``N - F``
@@ -31,13 +31,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.core.boosting import BoostedState
-from repro.core.phase_king import INFINITY
 from repro.counters.kernels import (
     _INT64_SAFE,
     BoostedStateCodec,
     build_boosted_core,
     strict_majority,
     vectorized_phase_king,
+    vote_minimum,
 )
 from repro.network.batch import PullBatchKernel
 from repro.sampling.pull_boosting import SampledBoostedCounter
@@ -148,10 +148,15 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         targets = self._targets(batch, rng)
         responses = network.respond(targets)  # (B, n, P, fields)
 
-        # 1. Inner algorithm update from the own-block responses.
-        own_block = responses[:, :, : self.block_size, :inner_fields]
-        new_inner = self.inner_core.transition(
-            own_block, np.arange(n) % self.block_size
+        # 1. Inner algorithm update from the own-block responses: the inner
+        #    level run per (trial, sampled block), each member reading its
+        #    own pulled copies of the block.
+        block_size = self.block_size
+        own_block = responses[:, :, :block_size, :inner_fields].reshape(
+            batch * self.k, block_size, block_size, inner_fields
+        )
+        new_inner = self.inner_core.transition(own_block).reshape(
+            batch, n, inner_fields
         )
 
         # 2. Sampled leader-block voting (Lemma 9).
@@ -167,9 +172,8 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         ) % self.m
         block_votes = strict_majority(pointer, 0)  # (B, n, k)
         leader = strict_majority(block_votes, 0)  # (B, n)
-        leader_rounds = np.take_along_axis(
-            round_component, leader[..., None, None], axis=2
-        )[..., 0, :]
+        trials, nodes = np.arange(batch)[:, None], np.arange(n)
+        leader_rounds = round_component[trials, nodes, leader]  # (B, n, M)
         round_value = strict_majority(leader_rounds, 0)  # (B, n)
 
         # 3. Sampled phase king (Lemma 8) — the king is pulled directly.
@@ -180,23 +184,17 @@ class SampledBoostedBatchKernel(PullBatchKernel):
 
         own_a = states[:, :, inner_fields]
         own_d = states[:, :, inner_fields + 1]
-        support = (phase_a[..., :, None] == phase_a[..., None, :]).sum(axis=-1)
-        own_support = (phase_a == own_a[..., None]).sum(axis=-1)
-
         schedule = round_value % self.tau
-        king_value = np.take_along_axis(
-            kings_a, (schedule // 3)[..., None], axis=2
-        )[..., 0]
         # Lemma 8: the same Table 2 instructions with the fractional
-        # thresholds 2M/3 and M/3, and the king pulled directly.
+        # thresholds 2M/3 and M/3 (z_j > M/3 is z_j >= ⌊M/3⌋ + 1), and the
+        # king pulled directly.
         new_a, new_d = vectorized_phase_king(
             own_a=own_a,
             own_d=own_d,
-            values=phase_a,
-            eligible=(phase_a != INFINITY) & (3 * support > samples),
-            own_support=own_support,
+            own_support=(phase_a == own_a[..., None]).sum(axis=-1),
             high=self.high_threshold,
-            king_value=king_value,
+            minimum=vote_minimum(phase_a, samples // 3 + 1),
+            king_value=kings_a[trials, nodes, schedule // 3],
             step=schedule % 3,
             c=c,
         )

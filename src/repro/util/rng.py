@@ -19,6 +19,7 @@ __all__ = [
     "derivation_base",
     "derive_rng_from_base",
     "spawn_rngs",
+    "randbelow",
 ]
 
 #: Large odd multiplier used to mix derivation labels into seeds.
@@ -82,6 +83,21 @@ def derive_rng_from_base(base: int, *labels: int | str) -> random.Random:
             label_value = int(label) & 0xFFFFFFFFFFFFFFFF
         seed = (seed * _MIX + label_value + 1) & 0xFFFFFFFFFFFFFFFF
     return random.Random(seed)
+
+
+def randbelow(rng: random.Random, bound: int) -> int:
+    """``rng.randrange(bound)`` for ``bound > 0``, at the cost of its bits.
+
+    Draws the way CPython's ``randrange`` and ``choice`` do
+    (``_randbelow_with_getrandbits``): ``getrandbits(bound.bit_length())``,
+    redrawn while ``>= bound``.  The value and the stream position after it
+    are the ones ``randrange(bound)`` gives.
+    """
+    bits = bound.bit_length()
+    draw = rng.getrandbits(bits)
+    while draw >= bound:
+        draw = rng.getrandbits(bits)
+    return draw
 
 
 def spawn_rngs(rng: random.Random | int | None, count: int) -> Sequence[random.Random]:

@@ -22,7 +22,7 @@ from typing import Any, Iterator, Sequence
 
 from repro.core.algorithm import AlgorithmInfo, State, SynchronousCountingAlgorithm
 from repro.core.errors import ParameterError, VerificationError
-from repro.util.rng import ensure_rng
+from repro.util.rng import ensure_rng, randbelow
 from repro.verification.checker import verify_counter
 
 __all__ = ["SymmetricTableCounter", "SynthesisResult", "synthesize_symmetric_counter"]
@@ -72,7 +72,7 @@ class SymmetricTableCounter(SynchronousCountingAlgorithm):
         return 0
 
     def random_state(self, rng: Any = None) -> int:
-        return ensure_rng(rng).randrange(self.c)
+        return randbelow(ensure_rng(rng), self.c)
 
     def is_valid_state(self, state: Any) -> bool:
         return isinstance(state, int) and not isinstance(state, bool) and 0 <= state < self.c

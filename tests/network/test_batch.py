@@ -12,12 +12,17 @@ The contract under test (see :mod:`repro.network.batch`):
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.network.adversary import NoAdversary, build_adversary
 from repro.network.batch import (
     BATCH_RNG_NOTE,
+    BatchMessages,
     BatchTrial,
+    PerturbedBatchMessages,
     bit_identical,
     build_batch_kernel,
     run_batch_summaries,
@@ -149,6 +154,111 @@ def test_batch_matches_scalar(name, params, faults, max_rounds, strategy_kind, w
                     assert record.metadata["max_pulls"] == (
                         scalar.rounds[0].metadata["max_pulls"]
                     )
+
+
+@pytest.mark.parametrize("size", range(1, 10))
+def test_sorted_votes_match_the_scalar_votes(size):
+    """The kernels' median majority and run-length vote against the scalar
+    ``majority`` and the Table 2 ``min{j : z_j >= support}`` they replace."""
+    from repro.core.phase_king import INFINITY
+    from repro.core.voting import majority
+    from repro.counters.kernels import strict_majority, vote_minimum
+
+    rng = np.random.default_rng(size)
+    # Few distinct values, so majorities, ties and long runs all occur.
+    values = rng.integers(-1, 3, size=(400, size))
+    rows = values.tolist()
+    assert strict_majority(values, 7).tolist() == [majority(row, 7) for row in rows]
+    for support in range(1, size + 2):
+        expected = [
+            min(
+                (j for j in set(row) if j != INFINITY and row.count(j) >= support),
+                default=INFINITY,
+            )
+            for row in rows
+        ]
+        assert vote_minimum(values, support).tolist() == expected
+
+
+#: Boosted counters whose kernel step is checked against the scalar round
+#: on random states with a different forgery per (receiver, faulty sender).
+FORGED_ENTRIES = [
+    ("corollary1", {"f": 1, "c": 2}),
+    ("corollary1", {"f": 2, "c": 2}),
+    ("figure2", {"levels": 1, "c": 2}),
+]
+
+
+def _random_round(algorithm, kernel, rng: random.Random, batch: int):
+    """Encoded random states, faulty sets of size F, and one random forgery
+    per (trial, receiver, faulty sender): ``(B, n)``, ``(B, F)``, ``(B, n, F)``
+    rows of fields."""
+    n, f = algorithm.n, algorithm.f
+
+    def encoded(*shape):
+        count = int(np.prod(shape))
+        rows = [kernel.encode(algorithm.random_state(rng)) for _ in range(count)]
+        return np.array(rows, dtype=np.int64).reshape(*shape, kernel.fields)
+
+    faulty = [sorted(rng.sample(range(n), f)) for _ in range(batch)]
+    return encoded(batch, n), np.array(faulty, dtype=np.int64), encoded(batch, n, f)
+
+
+@pytest.mark.parametrize("name,params", FORGED_ENTRIES)
+def test_boosted_step_reads_per_receiver_forgeries(name, params):
+    """One kernel step gives every correct receiver the row the scalar
+    ``next_states`` computes from the shared states and its own forgeries."""
+    algorithm = _build(name, params)
+    kernel = build_batch_kernel(algorithm)
+    states, faulty, forged = _random_round(algorithm, kernel, random.Random(29), 24)
+    new_states = kernel.step(BatchMessages(states, faulty, forged), 0, None)
+    for trial in range(len(states)):
+        senders = faulty[trial].tolist()
+        shared = [
+            None if node in senders else kernel.decode(row)
+            for node, row in enumerate(states[trial])
+        ]
+        entries = {
+            receiver: {
+                sender: kernel.decode(forged[trial, receiver, j])
+                for j, sender in enumerate(senders)
+            }
+            for receiver in range(algorithm.n)
+            if receiver not in senders
+        }
+        expected = algorithm.next_states(shared, entries)
+        assert {
+            receiver: kernel.decode(new_states[trial, receiver]) for receiver in entries
+        } == expected
+
+
+@pytest.mark.parametrize("name,params", FORGED_ENTRIES)
+def test_boosted_step_reads_per_link_deliveries(name, params):
+    """Under per-link delivery each correct receiver reads its own row of
+    delivered states, patched with its forgeries, as ``next_state`` does."""
+    algorithm = _build(name, params)
+    kernel = build_batch_kernel(algorithm)
+    rng = random.Random(31)
+    states, faulty, forged = _random_round(algorithm, kernel, rng, 24)
+    older, _, _ = _random_round(algorithm, kernel, rng, len(states))
+    n = algorithm.n
+    # Each link delivers the current or an older state; self-links are current.
+    stale = np.array([[rng.random() < 0.5 for _ in range(n * n)] for _ in states])
+    stale = stale.reshape(len(states), n, n) & ~np.eye(n, dtype=bool)
+    delivered = np.where(stale[..., None], older[:, None], states[:, None])
+    view = PerturbedBatchMessages(states, faulty, forged, delivered)
+    new_states = kernel.step(view, 0, None)
+    for trial in range(len(states)):
+        senders = faulty[trial].tolist()
+        for receiver in range(n):
+            if receiver in senders:
+                continue
+            received = [kernel.decode(row) for row in delivered[trial, receiver]]
+            for j, sender in enumerate(senders):
+                received[sender] = kernel.decode(forged[trial, receiver, j])
+            assert kernel.decode(new_states[trial, receiver]) == algorithm.next_state(
+                receiver, received
+            )
 
 
 @pytest.mark.parametrize("strategy", active_strategy_names())

@@ -6,14 +6,20 @@ import random
 
 import pytest
 
+from repro.core.boosting import BoostedState, BoostedStructure
+from repro.core.phase_king import INFINITY
+from repro.network.adversary import PhaseKingSkewAdversary
+from repro.semantics import build_algorithm
 from repro.util.rng import (
     derivation_base,
     derive_rng,
     derive_rng_from_base,
     ensure_rng,
+    randbelow,
     sample_without_replacement,
     spawn_rngs,
 )
+from repro.verification.synthesis import SymmetricTableCounter
 
 
 class TestEnsureRng:
@@ -80,3 +86,79 @@ class TestSampleWithoutReplacement:
     def test_whole_population_when_k_too_large(self):
         result = sample_without_replacement(random.Random(0), range(3), 10)
         assert sorted(result) == [0, 1, 2]
+
+
+class TestRandbelow:
+    """Draws at the cost of their bits give what ``randrange`` and ``choice``
+    give, and leave the stream where they leave it."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 5, 7, 8, 9, 960, 2304, 2305])
+    def test_draws_what_randrange_draws(self, bound):
+        rng, reference = random.Random(bound), random.Random(bound)
+        assert [randbelow(rng, bound) for _ in range(200)] == [
+            reference.randrange(bound) for _ in range(200)
+        ]
+        assert rng.getrandbits(32) == reference.getrandbits(32)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_algorithm("trivial", c=5),
+            lambda: build_algorithm("naive-majority", n=4, c=4, claimed_resilience=1),
+            lambda: build_algorithm("randomized-follow-majority", n=4, f=1, c=3),
+            lambda: SymmetricTableCounter(n=1, c=6, table={}),
+            lambda: build_algorithm("corollary1", f=1, c=2),
+            lambda: build_algorithm("figure2", levels=1, c=3),
+            lambda: build_algorithm("sampled-boosted", sample_size=2),
+            lambda: build_algorithm("pseudo-random-boosted", sample_size=3),
+        ],
+        ids=[
+            "trivial",
+            "naive-majority",
+            "randomized-follow-majority",
+            "symmetric-table",
+            "corollary1",
+            "figure2",
+            "sampled-boosted",
+            "pseudo-random-boosted",
+        ],
+    )
+    def test_random_state_draws_what_randrange_draws(self, build):
+        algorithm = build()
+
+        def reference_state(algorithm, rng):
+            # The randrange / choice calls random_state made before.
+            if isinstance(algorithm, BoostedStructure):
+                inner = reference_state(algorithm.inner, rng)
+                a = rng.choice((*range(algorithm.c), INFINITY))
+                return BoostedState(inner, a, rng.randrange(2))
+            return rng.randrange(algorithm.c)
+
+        for seed in range(20):
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert [algorithm.random_state(rng) for _ in range(10)] == [
+                reference_state(algorithm, reference) for _ in range(10)
+            ]
+            assert rng.getrandbits(32) == reference.getrandbits(32)
+
+    def test_skew_forge_draws_what_randrange_draws(self):
+        algorithm = build_algorithm("figure2", levels=1, c=2)
+        faulty = [0, 5, 10]
+        states = {
+            node: algorithm.random_state(random.Random(node))
+            for node in range(algorithm.n)
+            if node not in faulty
+        }
+        correct = sorted(states)
+        adversary = PhaseKingSkewAdversary(faulty)
+        for seed in range(10):
+            rng, reference = random.Random(seed), random.Random(seed)
+            for receiver in range(algorithm.n):
+                victim = states[correct[receiver % len(correct)]]
+                if receiver % 2:
+                    a = INFINITY
+                else:
+                    a = 0 if victim.a == INFINITY else (victim.a + 1) % algorithm.c
+                expected = BoostedState(victim.inner, a, reference.randrange(2))
+                assert adversary.forge(3, 0, receiver, states, algorithm, rng) == expected
+            assert rng.getrandbits(32) == reference.getrandbits(32)
