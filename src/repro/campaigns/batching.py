@@ -39,6 +39,7 @@ counters.
 
 from __future__ import annotations
 
+import traceback
 from typing import Iterable
 
 from repro.campaigns.executor import (
@@ -333,7 +334,11 @@ class BatchExecutor:
             return self._run_group(algorithm, kernel, group), label, None
         except Exception as exc:  # noqa: BLE001 - the scalar rerun surfaces real
             # per-run errors through execute_run's failure accounting.
-            return None, label, f"batch execution failed ({exc}); re-running scalar"
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            return None, label, (
+                f"batch execution failed ({type(exc).__name__} at "
+                f"{where.filename}:{where.lineno}: {exc}); re-running scalar"
+            )
 
     def _run_group(self, algorithm, kernel, group: list[RunSpec]) -> list[RunResult]:
         """Vectorised execution of one homogeneous group."""

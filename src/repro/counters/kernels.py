@@ -209,7 +209,7 @@ class TrivialBatchKernel(_IntStateKernel):
 
     deterministic = True
 
-    def step(self, view, round_index, rng):
+    def step(self, view, rng):
         # The node's only message is its own state; no adversary can exist
         # (f = 0), so the shared sender states are the received messages.
         return (view.states + 1) % self.algorithm.c
@@ -220,7 +220,7 @@ class NaiveMajorityBatchKernel(_IntStateKernel):
 
     deterministic = True
 
-    def step(self, view, round_index, rng):
+    def step(self, view, rng):
         algorithm = self.algorithm
         counts = view.field_counts(0, algorithm.c)  # (B, receiver, value)
         fallback = view.field_min(0)
@@ -240,7 +240,7 @@ class RandomizedFollowMajorityBatchKernel(_IntStateKernel):
 
     deterministic = False
 
-    def step(self, view, round_index, rng):
+    def step(self, view, rng):
         algorithm = self.algorithm
         threshold = algorithm.n - algorithm.f
         counts = view.field_counts(0, algorithm.c)  # (B, receiver, value)
@@ -506,7 +506,7 @@ class BoostedBatchKernel(BatchKernel):
     def random_fields(self, rng, shape):
         return self.core.random_fields(rng, shape)
 
-    def step(self, view, round_index, rng):
+    def step(self, view, rng):
         faulty = None if view.forged is None else view.faulty_idx
         return self.core.transition(view.delivered, faulty, view.forged)
 

@@ -25,14 +25,36 @@ The moving parts:
   Byzantine senders deliver.  Forgeries enter the round as per-receiver
   *column patches* on the shared broadcast states (:class:`BatchMessages`),
   so kernels read each correct sender once per trial and only the forged
-  entries once per receiver.
-* :func:`run_batch_trials` / :func:`run_batch_summaries` — the batched
-  round loop: per-trial agreement as boolean masks, the scalar engine's
-  :func:`~repro.network.engine.stop_step` applied to ``(B,)`` arrays,
-  finished trials frozen (compacted out of the live arrays) while the rest
-  of the batch continues, and finally one
-  :class:`~repro.network.stabilization.RunSummary` — or, on request, one
-  :class:`~repro.network.trace.ExecutionTrace` — per trial.
+  entries once per receiver.  A forgery that every receiver shares (crash,
+  fixed-state) comes back with a receiver axis of 1; without loss or delay
+  it is written once per trial into the faulty columns of a copy of the
+  shared states, and the kernel runs the round as a fault-free one.  Per-link
+  views broadcast it back to every receiver.
+* :func:`run_batch_trials` / :func:`run_batch_summaries` — one round loop
+  per group: per-trial agreement as boolean masks, the scalar engine's
+  :func:`~repro.network.engine.stop_step` applied to ``(B,)`` arrays, and
+  one :class:`~repro.network.stabilization.RunSummary` — or, on request,
+  one :class:`~repro.network.trace.ExecutionTrace` — built for each trial
+  the step it stops.
+
+Rows, refills and chunks
+------------------------
+
+At most ``batch_size`` trials are live at once.  Each live row carries its
+trial, its own round index and a slot in the ``(max_rounds, batch_size)``
+buffer of agreed values; a stopped trial is compacted out and its slot
+reused.  A group that :func:`bit_identical` declares draw-free refills the
+freed rows from its queue at the next step, each trial set up as it is
+admitted, so the batch stays full until the queue runs dry.  Such a group
+gets no generator at all (``rng=None``): a draw from it fails loudly instead
+of consuming a stream.
+
+A randomised group runs one chunk of ``batch_size`` trials at a time, each
+with its own PCG64 stream seeded from the chunk's trial seeds, and admits
+the next chunk only when the previous one has finished.  Its draws are
+taken row by row over the live batch, so refilling it would change every
+value drawn after the first refill; loss/delay groups, always randomised,
+likewise start their history of state snapshots afresh with each chunk.
 
 Correctness contract
 --------------------
@@ -50,11 +72,11 @@ place, :func:`bit_identical`, from the semantics catalogue's declarations.
   ``tests/network/test_batch.py``.
 * **Randomised configurations are statistically equivalent.**  Randomised
   kernels (and randomised adversary kernels) draw from a NumPy
-  ``Generator`` seeded from the trial seeds instead of replaying the scalar
-  engine's per-call ``random.Random`` streams; the per-round distributions
-  are identical but the sampled values are not.  Such traces carry an
-  explicit ``rng`` note in their metadata (:data:`BATCH_RNG_NOTE`) so
-  downstream consumers can tell the streams apart.
+  ``Generator`` seeded from a chunk's trial seeds instead of replaying the
+  scalar engine's per-call ``random.Random`` streams; the per-round
+  distributions are identical but the sampled values are not.  Such traces
+  carry an explicit ``rng`` note in their metadata (:data:`BATCH_RNG_NOTE`)
+  so downstream consumers can tell the streams apart.
 * **Message-plane perturbations are statistically equivalent.**  The
   ``loss`` / ``delay`` knobs replay the scalar staleness model of
   :func:`repro.faults.runtime.run_perturbed_round` — per-link draws from
@@ -190,14 +212,15 @@ class BatchKernel(_KernelBase):
 
     @abstractmethod
     def step(
-        self, view: "BatchMessages", round_index: int, rng: np.random.Generator
+        self, view: "BatchMessages", rng: np.random.Generator | None
     ) -> np.ndarray:
         """Map the round's received messages to successor states.
 
         Returns the new ``(B, n, fields)`` state array for *all* ``n``
         columns; the engine ignores the faulty columns (their values are
         placeholders — every read of a faulty sender goes through the
-        forgery patches in ``view``).
+        forgery patches in ``view``, or the forgery written into its
+        column).  ``rng`` is ``None`` in a draw-free group.
         """
 
 
@@ -208,17 +231,15 @@ class PullBatchKernel(_KernelBase):
 
     @abstractmethod
     def step(
-        self,
-        network: "BatchPullNetwork",
-        round_index: int,
-        rng: np.random.Generator,
+        self, network: "BatchPullNetwork", rng: np.random.Generator | None
     ) -> tuple[np.ndarray, int]:
         """One pulling round: draw targets, pull responses, update states.
 
         Returns ``(new_states, pulls_per_node)`` where ``pulls_per_node`` is
         the (deterministic) number of pulls every node issued this round —
         the quantity behind the per-round ``max_pulls`` / ``mean_pulls`` /
-        ``max_bits`` trace metadata.
+        ``max_bits`` trace metadata.  ``rng`` is ``None`` in a draw-free
+        group.
         """
 
 
@@ -241,6 +262,11 @@ class BatchMessages:
       ``f`` faulty senders listed in ``faulty_idx`` (``None`` when the batch
       is fault-free).
 
+    The constructor also takes ``forged`` shaped ``(B, 1, f, fields)``: a
+    forgery every receiver shares.  It is written into the faulty columns of
+    a copy of ``states``, and the view is then fault-free (``forged`` and
+    ``faulty_idx`` are ``None``).
+
     Kernels read each delivered state once per trial and each forgery once
     per receiver; :meth:`received` materialises a per-receiver matrix of one
     field on demand.  Fault-free batches never copy at all.
@@ -252,8 +278,13 @@ class BatchMessages:
         faulty_idx: np.ndarray | None,
         forged: np.ndarray | None,
     ) -> None:
+        if forged is not None and forged.shape[1] == 1:
+            assert faulty_idx is not None
+            states = states.copy()
+            states[np.arange(states.shape[0])[:, None], faulty_idx] = forged[:, 0]
+            forged = None
         self.states = states
-        self.faulty_idx = faulty_idx
+        self.faulty_idx = None if forged is None else faulty_idx
         self.forged = forged
         self.delivered = states[:, None]
 
@@ -342,7 +373,8 @@ class PerturbedBatchMessages(BatchMessages):
     lost message) rounds ago.  ``delivered`` is therefore the fully
     materialised ``(B, receiver, sender, fields)`` tensor.  Forgeries still
     patch the faulty columns per receiver — Byzantine links are forged,
-    never perturbed — and the shared-tally fast paths of the fault-free view
+    never perturbed, so a shared forgery is broadcast back to every
+    receiver — and the shared-tally fast paths of the fault-free view
     degrade to per-receiver reductions over the delivered matrix
     (``O(B·n²)``, the honest cost of per-link perturbation).
     """
@@ -354,6 +386,8 @@ class PerturbedBatchMessages(BatchMessages):
         forged: np.ndarray | None,
         delivered: np.ndarray,
     ) -> None:
+        if forged is not None:
+            forged = np.broadcast_to(forged, delivered.shape[:2] + forged.shape[2:])
         super().__init__(states, faulty_idx, forged)
         self.delivered = delivered
 
@@ -405,11 +439,11 @@ class BatchPullNetwork:
     def __init__(
         self,
         states: np.ndarray,
-        faulty_lookup: np.ndarray | None,
+        faulty_lookup: np.ndarray,
         adversary: "AdversaryBatchKernel | None",
         correct_sorted: np.ndarray,
-        round_index: int,
-        rng: np.random.Generator,
+        round_index: np.ndarray,
+        rng: np.random.Generator | None,
     ) -> None:
         self.states = states
         self._faulty_lookup = faulty_lookup
@@ -428,7 +462,7 @@ class BatchPullNetwork:
         batch, n = self.states.shape[0], self.states.shape[1]
         bidx = np.arange(batch)[:, None, None]
         responses = self.states[bidx, targets]
-        if self._adversary is None or self._faulty_lookup is None:
+        if self._adversary is None:
             return responses
         is_faulty = self._faulty_lookup[bidx, targets]
         if not is_faulty.any():
@@ -459,6 +493,11 @@ class AdversaryBatchKernel(ABC):
     valid encodings under the algorithm kernel — matching the scalar engine,
     which pipes every forgery through ``algorithm.coerce_message``.
 
+    ``round_index`` is each live row's own round, shaped ``(B, 1, 1)``: rows
+    admitted at different steps run different rounds.  ``rng`` is the
+    group's generator, ``None`` in a group that :func:`bit_identical`
+    declares draw-free, so only randomised strategies may draw from it.
+
     Which strategy a kernel class implements, and whether its forgeries are
     pure, is declared once in :data:`repro.semantics.ADVERSARY_SEMANTICS`
     (its ``kernel_binding`` and :class:`~repro.semantics.DeterminismClass`);
@@ -470,22 +509,22 @@ class AdversaryBatchKernel(ABC):
 
     def begin_round(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> None:
         """Per-round hook (e.g. the split-state pair draw)."""
 
     @abstractmethod
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
         """Forged field vectors for broadcastable sender/receiver indices.
 
@@ -518,28 +557,32 @@ def _batch_index(batch: int, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class CrashBatchKernel(AdversaryBatchKernel):
-    """Faulty nodes appear stuck on the algorithm's default state."""
+    """Faulty nodes appear stuck on the algorithm's default state.
+
+    Every receiver reads the same forgery, so it is returned once per
+    sender: shaped ``senders.shape + (fields,)``, a receiver axis of 1.
+    """
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
-        shape = np.broadcast_shapes(senders.shape, receivers.shape)
         default = self.kernel.default_fields()
-        return np.broadcast_to(default, shape + (self.kernel.fields,))
+        return np.broadcast_to(default, senders.shape + (self.kernel.fields,))
 
 
 class FixedStateBatchKernel(AdversaryBatchKernel):
     """Faulty nodes broadcast one fixed, attacker-chosen state.
 
     The scalar engine pipes every forgery through ``coerce_message``, so the
-    fixed state is coerced once at construction and its encoding broadcast to
-    every (sender, receiver) pair — deterministic and bit-identical.
+    fixed state is coerced once at construction — deterministic and
+    bit-identical.  Like the crash forgery it is returned once per sender,
+    shaped ``senders.shape + (fields,)``.
     """
 
     def __init__(self, kernel: _KernelBase, state: Any = 0) -> None:
@@ -549,15 +592,14 @@ class FixedStateBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
-        shape = np.broadcast_shapes(senders.shape, receivers.shape)
-        return np.broadcast_to(self._fields, shape + (self.kernel.fields,))
+        return np.broadcast_to(self._fields, senders.shape + (self.kernel.fields,))
 
 
 class RandomStateBatchKernel(AdversaryBatchKernel):
@@ -565,13 +607,14 @@ class RandomStateBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
+        assert rng is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         return self.kernel.random_fields(rng, shape)
 
@@ -585,23 +628,24 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
 
     def begin_round(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> None:
         # One pair per trial per round, shared by all faulty senders —
         # exactly the scalar SplitStateAdversary.on_round_start draw.
+        assert rng is not None
         self._pair = self.kernel.random_fields(rng, (states.shape[0], 2))
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
         assert self._pair is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
@@ -616,12 +660,12 @@ class MimicBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         num_correct = correct_sorted.shape[1]
@@ -655,13 +699,14 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
+        assert rng is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         if self._layout is None:
             return self.kernel.random_fields(rng, shape)
@@ -716,10 +761,10 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
 
     def begin_round(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> None:
         batch, n = states.shape[0], states.shape[1]
         c = self.kernel.algorithm.c
@@ -749,12 +794,12 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
         assert self._camp0 is not None and self._camp1 is not None
         assert self._outputs is not None and self._correct_mask is not None
@@ -787,10 +832,11 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         self,
         target: np.ndarray,
         shape: tuple[int, ...],
-        rng: np.random.Generator,
+        rng: np.random.Generator | None,
     ) -> np.ndarray:
         # The scalar _fabricate_state for structured states: a random state
         # with the phase king registers pinned to (target, 1).
+        assert rng is not None
         fields = self.kernel.random_fields(rng, shape)
         if self._layout is not None:
             inner_fields, c = self._layout
@@ -907,31 +953,28 @@ def run_batch_trials(
     perturbed round uses.  Perturbed runs always consume NumPy randomness,
     so they are statistically — never bit — equivalent to scalar runs.
 
-    ``batch_size`` bounds the number of trials vectorised together (memory —
-    and, for randomised kernels, the chunking of the NumPy streams).
+    ``batch_size`` bounds the number of live trials (memory).  A draw-free
+    group refills a stopped trial's row from its queue, so its results do
+    not depend on ``batch_size``; a randomised group runs in chunks of
+    ``batch_size`` trials, one NumPy stream each, so its values do.
     ``observer`` attaches :mod:`repro.obs` instrumentation (step timers,
     throughput counters, sampled ``round_observed`` events); observers only
     read, so results are unchanged by one.
     """
-    traces: list[ExecutionTrace] = []
-    for chunk in _chunked(
-        trials, batch_size, max_rounds, stop_after_agreement, loss, delay
-    ):
-        chunk_traces, _ = _run_chunk(
-            algorithm,
-            kernel,
-            chunk,
-            adversary_strategy,
-            dict(adversary_params or {}),
-            max_rounds,
-            stop_after_agreement,
-            loss=loss,
-            delay=delay,
-            record_outputs=True,
-            observer=observer,
-        )
-        assert chunk_traces is not None
-        traces.extend(chunk_traces)
+    traces, _ = _run_group(
+        algorithm,
+        kernel,
+        trials,
+        adversary_strategy,
+        adversary_params,
+        max_rounds,
+        stop_after_agreement,
+        batch_size,
+        loss,
+        delay,
+        observer,
+        record_outputs=True,
+    )
     return traces
 
 
@@ -956,42 +999,43 @@ def run_batch_summaries(
     path :class:`repro.campaigns.batching.BatchExecutor` takes; per-round
     outputs are never materialised as Python dictionaries.
     """
-    summaries: list[RunSummary] = []
-    for chunk in _chunked(
-        trials, batch_size, max_rounds, stop_after_agreement, loss, delay
-    ):
-        _, chunk_summaries = _run_chunk(
-            algorithm,
-            kernel,
-            chunk,
-            adversary_strategy,
-            dict(adversary_params or {}),
-            max_rounds,
-            stop_after_agreement,
-            loss=loss,
-            delay=delay,
-            record_outputs=False,
-            observer=observer,
-        )
-        summaries.extend(chunk_summaries)
+    _, summaries = _run_group(
+        algorithm,
+        kernel,
+        trials,
+        adversary_strategy,
+        adversary_params,
+        max_rounds,
+        stop_after_agreement,
+        batch_size,
+        loss,
+        delay,
+        observer,
+        record_outputs=False,
+    )
     return summaries
 
 
-def _chunked(
+def _run_group(
+    algorithm: Any,
+    kernel: BatchKernel | PullBatchKernel,
     trials: Sequence[BatchTrial],
-    batch_size: int,
+    strategy: str | None,
+    adversary_params: Mapping[str, Any] | None,
     max_rounds: int,
-    stop_after_agreement: int | None,
-    loss: float = 0.0,
-    delay: int = 0,
-) -> list[Sequence[BatchTrial]]:
-    """Validate the shared parameters and slice the trials into chunks."""
+    window: int | None,
+    batch_size: int,
+    loss: float,
+    delay: int,
+    observer: Any,
+    *,
+    record_outputs: bool,
+) -> tuple[list[ExecutionTrace], list[RunSummary]]:
+    """Vectorised execution of one group, at most ``batch_size`` trials live."""
     if max_rounds < 1:
         raise SimulationError(f"max_rounds must be positive, got {max_rounds}")
-    if stop_after_agreement is not None and stop_after_agreement < 1:
-        raise SimulationError(
-            f"stop_after_agreement must be positive, got {stop_after_agreement}"
-        )
+    if window is not None and window < 1:
+        raise SimulationError(f"stop_after_agreement must be positive, got {window}")
     if batch_size < 1:
         raise SimulationError(f"batch_size must be positive, got {batch_size}")
     if not 0.0 <= loss < 1.0:
@@ -1004,27 +1048,8 @@ def _chunked(
             "all trials of one batch must have the same number of faults, "
             f"got {sorted(fault_counts)}"
         )
-    return [
-        trials[start : start + batch_size]
-        for start in range(0, len(trials), batch_size)
-    ]
-
-
-def _run_chunk(
-    algorithm: Any,
-    kernel: BatchKernel | PullBatchKernel,
-    trials: Sequence[BatchTrial],
-    strategy: str | None,
-    adversary_params: dict[str, Any],
-    max_rounds: int,
-    window: int | None,
-    record_outputs: bool,
-    loss: float = 0.0,
-    delay: int = 0,
-    observer: Any = None,
-) -> tuple[list[ExecutionTrace] | None, list[RunSummary]]:
-    """Vectorised execution of one chunk of trials."""
-    batch = len(trials)
+    if not trials:
+        return [], []
     n = algorithm.n
     c = algorithm.c
     fields = kernel.fields
@@ -1036,154 +1061,180 @@ def _run_chunk(
             "model only; pulling algorithms have no batch perturbation path"
         )
     num_faults = len(trials[0].faulty)
-
-    # ------------------------------------------------------------------ #
-    # Per-trial setup: adversaries, RNG streams, initial states, traces.
-    # The initial states come from exactly the streams the scalar engine
-    # derives, so deterministic runs are bit-identical from round zero.
-    # ------------------------------------------------------------------ #
+    params = dict(adversary_params or {})
     adversary_kernel: AdversaryBatchKernel | None = None
     if num_faults:
         if strategy is None:
             raise SimulationError(
                 "batched trials list faulty nodes but no adversary strategy"
             )
-        adversary_kernel = build_adversary_kernel(strategy, kernel, adversary_params)
-
-    faulty_tuples: list[tuple[int, ...]] = []
-    correct_lists: list[list[int]] = []
-    encoded: list[list[tuple[int, ...]]] = []
-    traces: list[ExecutionTrace] = []
-
-    stream_names = (
-        ("initial-states", "adversary", "sampling")
-        if pulling
-        else ("initial-states", "adversary")
-    )
+        adversary_kernel = build_adversary_kernel(strategy, kernel, params)
     randomized = not bit_identical(
         kernel, strategy if num_faults else None, loss=loss, delay=delay
     )
+    rng_note = BATCH_RNG_NOTE if randomized else None
+    correct = n - num_faults
+    capacity = min(batch_size, len(trials))
+    bits = algorithm.message_bits() if pulling and record_outputs else 0
 
-    for trial in trials:
-        adversary = (
-            build_adversary(strategy, trial.faulty, **adversary_params)
-            if strategy is not None
-            else NoAdversary()
-        )
-        adversary.validate(algorithm)
-        faulty_tuples.append(tuple(sorted(adversary.faulty)))
-        correct = [node for node in range(n) if node not in adversary.faulty]
-        correct_lists.append(correct)
+    traces: list[Any] = [None] * len(trials) if record_outputs else []
+    summaries: list[Any] = [None] * len(trials)
+    #: Per slot: the trial it runs, its faulty set and (for traces) its
+    #: correct nodes.  Column ``slot`` of ``agreed_rounds`` holds the trial's
+    #: agreed value per round up to its stop round; round-major, so rows
+    #: that stop early only touch the memory of the rounds they ran.
+    slot_trial = [0] * capacity
+    slot_faulty: list[tuple[int, ...]] = [()] * capacity
+    slot_correct: list[list[int]] = [[]] * capacity
+    free_slots = list(range(capacity - 1, -1, -1))
+    agreed_rounds = np.empty((max_rounds, capacity), dtype=np.int64)
 
-        # Only the first derived stream feeds the batch path (the kernels
-        # replace the adversary/sampling streams with NumPy randomness), and
-        # later derivations cannot influence an already-derived stream — so
-        # deriving just "initial-states" is bit-exact and skips constructing
-        # the unused generators.
-        init_rng = derive_streams(ensure_rng(trial.sim_seed), stream_names[0])[0]
-        initial = resolve_initial_states(algorithm, correct, None, init_rng)
-        encoded.append([kernel.encode(initial[node]) for node in correct])
-
-        if record_outputs:
-            metadata: dict[str, Any] = dict(trial.metadata)
-            if pulling:
-                metadata["model"] = "pulling"
-            metadata["adversary"] = adversary.describe()
-            metadata["seed"] = trial.sim_seed
-            metadata["max_rounds"] = max_rounds
-            if perturbed:
-                # Same shape as the scalar Perturbations.describe() stamp.
-                metadata["perturbations"] = {"loss": loss, "delay": delay}
-            if randomized:
-                metadata["rng"] = BATCH_RNG_NOTE
-            traces.append(
-                ExecutionTrace(
-                    algorithm_name=algorithm.info.name,
-                    n=n,
-                    c=c,
-                    faulty=adversary.faulty,
-                    initial_outputs={
-                        node: algorithm.output(node, initial[node]) for node in correct
-                    },
-                    metadata=metadata,
-                )
-            )
-
-    # The chunk's arrays, each filled by one assignment from the lists above.
-    trial_rows = np.arange(batch)[:, None]
-    correct_sorted = np.array(correct_lists, dtype=np.int64)
-    states = np.empty((batch, n, fields), dtype=np.int64)
-    states[:, :, :] = kernel.default_fields()
-    states[trial_rows, correct_sorted] = encoded
-    sender_ok = np.ones((batch, n), dtype=bool)
-    faulty_idx: np.ndarray | None = None
-    if num_faults:
-        faulty_idx = np.array(faulty_tuples, dtype=np.int64)
-        sender_ok[trial_rows, faulty_idx] = False
-
-    # repro-lint: allow[DET002] -- the sanctioned batch seed-vector site: the one shared PCG64 stream is derived from the per-trial sim seeds
-    rng = np.random.default_rng([int(trial.sim_seed) & 0xFFFFFFFF for trial in trials])
-
-    faulty_lookup = None
-    if pulling and num_faults:
-        faulty_lookup = ~sender_ok
-
-    # ------------------------------------------------------------------ #
-    # The batched round loop.  ``active`` maps live array rows to trial
-    # indices; finished trials are frozen by compacting them out, so the
-    # batch keeps shrinking as the agreement window fires per trial.
-    # ------------------------------------------------------------------ #
-    active = np.arange(batch)
-    prev = np.full(batch, _DISAGREE, dtype=np.int64)
-    streak = np.zeros(batch, dtype=np.int64)
+    # The live rows, one per running trial: its states, faulty columns,
+    # correct nodes, window accounting, own round and slot.
+    states = np.empty((0, n, fields), dtype=np.int64)
+    faulty_mask = np.empty((0, n), dtype=bool)
+    correct_sorted = np.empty((0, correct), dtype=np.int64)
+    faulty_idx = np.empty((0, num_faults), dtype=np.int64)
+    prev = np.empty(0, dtype=np.int64)
+    streak = np.empty(0, dtype=np.int64)
+    rounds = np.empty(0, dtype=np.int64)
+    slots = np.empty(0, dtype=np.int64)
+    receivers = np.arange(n)[None, :, None]
     #: Past start-of-round state snapshots (newest first), compacted with
-    #: the live arrays; only maintained when loss/delay is active.
-    history: list[np.ndarray] | None = [] if perturbed else None
-    #: Agreed value per round and trial; a trial's column is written up to
-    #: its stop round, which ``rounds_run`` records.  Round-major, so a
-    #: chunk that stops early only touches the memory of the rounds it ran.
-    agreed_rounds = np.empty((max_rounds, batch), dtype=np.int64)
-    rounds_run = np.zeros(batch, dtype=np.int64)
-    #: Per trial: whether the window stopped it, and its streak at the stop.
-    stopped_early = np.zeros(batch, dtype=bool)
-    final_streak = np.zeros(batch, dtype=np.int64)
-    #: Per round, for traces only: (trial indices, outputs, pulls per node).
-    recorded: list[tuple[np.ndarray, np.ndarray, int | None]] = []
+    #: the live rows; only maintained when loss/delay is active.
+    history: list[np.ndarray] | None = None
+    rng: np.random.Generator | None = None
     pulls: int | None = None
+    admitted = 0
 
     # Observation: the disabled path costs one ``is not None`` check per
-    # round (the hot-path contract the NullObserver overhead benchmark
+    # step (the hot-path contract the NullObserver overhead benchmark
     # enforces); the step timer and the stride gate do the rest only when
-    # an active observer is attached.
+    # an active observer is attached.  A chunk is a run of steps between
+    # two empty batches.
     obs = _active_observer(observer)
     stride = obs.round_stride if obs is not None else 0
     step_timer = obs.metrics.histogram("batch.step_seconds") if obs is not None else None
-    trial_rounds = 0
-    chunk_started = time.perf_counter() if obs is not None else 0.0
+    step = 0
+    chunk_started = 0.0
+    chunk_steps = chunk_trials = chunk_trial_rounds = 0
 
-    for round_index in range(max_rounds):
+    while True:
+        # -------------------------------------------------------------- #
+        # Admission.  A draw-free group refills every free row; a
+        # randomised one admits its next chunk into an empty batch only.
+        # Each trial's initial states come from exactly the streams the
+        # scalar engine derives, so deterministic runs are bit-identical
+        # from round zero.
+        # -------------------------------------------------------------- #
+        count = min(len(free_slots), len(trials) - admitted)
+        if count and (not randomized or not len(slots)):
+            if not len(slots) and obs is not None:
+                chunk_started = time.perf_counter()
+            new_trials = trials[admitted : admitted + count]
+            admitted += count
+            encoded: list[list[tuple[int, ...]]] = []
+            correct_rows: list[list[int]] = []
+            faulty_rows: list[tuple[int, ...]] = []
+            new_slots: list[int] = []
+            for index, trial in enumerate(new_trials, admitted - count):
+                adversary = (
+                    build_adversary(strategy, trial.faulty, **params)
+                    if strategy is not None
+                    else NoAdversary()
+                )
+                adversary.validate(algorithm)
+                faulty = tuple(sorted(adversary.faulty))
+                nodes = [node for node in range(n) if node not in adversary.faulty]
+                # Only the first derived stream feeds the batch path (the
+                # kernels replace the adversary/sampling streams with NumPy
+                # randomness), and later derivations cannot influence an
+                # already-derived stream — so deriving just "initial-states"
+                # is bit-exact and skips constructing the unused generators.
+                init_rng = derive_streams(ensure_rng(trial.sim_seed), "initial-states")[0]
+                initial = resolve_initial_states(algorithm, nodes, None, init_rng)
+                encoded.append([kernel.encode(initial[node]) for node in nodes])
+                correct_rows.append(nodes)
+                faulty_rows.append(faulty)
+                slot = free_slots.pop()
+                new_slots.append(slot)
+                slot_trial[slot] = index
+                slot_faulty[slot] = faulty
+                if record_outputs:
+                    slot_correct[slot] = nodes
+                    metadata: dict[str, Any] = dict(trial.metadata)
+                    if pulling:
+                        metadata["model"] = "pulling"
+                    metadata["adversary"] = adversary.describe()
+                    metadata["seed"] = trial.sim_seed
+                    metadata["max_rounds"] = max_rounds
+                    if perturbed:
+                        # Same shape as the scalar Perturbations.describe() stamp.
+                        metadata["perturbations"] = {"loss": loss, "delay": delay}
+                    if randomized:
+                        metadata["rng"] = BATCH_RNG_NOTE
+                    traces[index] = ExecutionTrace(
+                        algorithm_name=algorithm.info.name,
+                        n=n,
+                        c=c,
+                        faulty=adversary.faulty,
+                        initial_outputs={
+                            node: algorithm.output(node, initial[node]) for node in nodes
+                        },
+                        metadata=metadata,
+                    )
+
+            # The new rows, each array filled by one assignment from the lists.
+            new_rows = np.arange(count)[:, None]
+            new_correct = np.array(correct_rows, dtype=np.int64)
+            new_faulty = np.array(faulty_rows, dtype=np.int64).reshape(count, num_faults)
+            new_states = np.empty((count, n, fields), dtype=np.int64)
+            new_states[:, :, :] = kernel.default_fields()
+            new_states[new_rows, new_correct] = encoded
+            new_mask = np.zeros((count, n), dtype=bool)
+            new_mask[new_rows, new_faulty] = True
+            states = np.concatenate([states, new_states])
+            faulty_mask = np.concatenate([faulty_mask, new_mask])
+            correct_sorted = np.concatenate([correct_sorted, new_correct])
+            faulty_idx = np.concatenate([faulty_idx, new_faulty])
+            prev = np.concatenate([prev, np.full(count, _DISAGREE, dtype=np.int64)])
+            streak = np.concatenate([streak, np.zeros(count, dtype=np.int64)])
+            rounds = np.concatenate([rounds, np.zeros(count, dtype=np.int64)])
+            slots = np.concatenate([slots, np.array(new_slots, dtype=np.int64)])
+            if randomized:
+                # repro-lint: allow[DET002] -- the sanctioned batch seed-vector site: each chunk's one shared PCG64 stream is derived from its per-trial sim seeds
+                rng = np.random.default_rng(
+                    [int(trial.sim_seed) & 0xFFFFFFFF for trial in new_trials]
+                )
+                history = [] if perturbed else None
+            if obs is not None:
+                chunk_trials += count
+
+        live = len(slots)
+        if not live:
+            break
+
+        # -------------------------------------------------------------- #
+        # One synchronous round of every live row, each at its own round.
+        # -------------------------------------------------------------- #
         if step_timer is not None:
             step_started = time.perf_counter()
+        round_index = rounds[:, None, None]
         if adversary_kernel is not None:
             adversary_kernel.begin_round(round_index, states, correct_sorted, rng)
         if pulling:
             network = BatchPullNetwork(
-                states,
-                faulty_lookup,
-                adversary_kernel,
-                correct_sorted,
-                round_index,
-                rng,
+                states, faulty_mask, adversary_kernel, correct_sorted, round_index, rng
             )
             assert isinstance(kernel, PullBatchKernel)
-            states, pulls = kernel.step(network, round_index, rng)
+            states, pulls = kernel.step(network, rng)
         else:
             forged = None
-            if adversary_kernel is not None and faulty_idx is not None:
+            if adversary_kernel is not None:
                 forged = adversary_kernel.forge(
                     round_index,
                     faulty_idx[:, None, :],
-                    np.arange(n)[None, :, None],
+                    receivers,
                     states,
                     correct_sorted,
                     rng,
@@ -1192,6 +1243,7 @@ def _run_chunk(
             if history is not None:
                 # history[0] is this round's start-of-round states; the
                 # staleness draws never reach past delay + 1 snapshots.
+                assert rng is not None
                 history.insert(0, states)
                 del history[delay + 2 :]
                 delivered = _delayed_deliveries(history, loss, delay, rng)
@@ -1199,141 +1251,117 @@ def _run_chunk(
             else:
                 view = BatchMessages(states, faulty_idx, forged)
             assert isinstance(kernel, BatchKernel)
-            states = kernel.step(view, round_index, rng)
+            states = kernel.step(view, rng)
 
         outputs = kernel.outputs(states)
         if step_timer is not None:
             step_timer.observe(time.perf_counter() - step_started)
 
-        # Agreement per live trial, then the shared window/cap step.
-        live = len(active)
+        # Agreement per live row, then the shared window/cap step.
         reference = outputs[np.arange(live), correct_sorted[:, 0]]
-        agree = np.all((outputs == reference[:, None]) | ~sender_ok, axis=1)
+        agree = np.all((outputs == reference[:, None]) | faulty_mask, axis=1)
         agreed = np.where(agree, reference, _DISAGREE)
-        agreed_rounds[round_index, active] = agreed
+        agreed_rounds[rounds, slots] = agreed
         if record_outputs:
-            recorded.append((active, outputs, pulls))
+            for slot, round_run, values in zip(
+                slots.tolist(), rounds.tolist(), outputs.tolist()
+            ):
+                record_metadata: dict[str, Any] = {}
+                if pulls is not None:
+                    record_metadata = {
+                        "max_pulls": pulls,
+                        "mean_pulls": float(pulls),
+                        "max_bits": pulls * bits,
+                    }
+                traces[slot_trial[slot]].append(
+                    RoundRecord(
+                        round_index=round_run,
+                        outputs={node: values[node] for node in slot_correct[slot]},
+                        states=None,
+                        metadata=record_metadata,
+                    )
+                )
         if obs is not None:
-            trial_rounds += live
-            if stride and round_index % stride == 0:
+            chunk_steps += 1
+            chunk_trial_rounds += live
+            if stride and step % stride == 0:
                 obs.emit(
                     RoundObserved(
                         source="batch",
-                        round_index=round_index,
+                        round_index=step,
                         live_trials=live,
                         agreed_trials=int((agreed >= 0).sum()),
                     )
                 )
+        step += 1
         prev, streak, window_fired, finished = stop_step(
-            agreed, prev, streak, round_index, c=c, window=window, max_rounds=max_rounds
+            agreed, prev, streak, rounds, c=c, window=window, max_rounds=max_rounds
         )
+        rounds = rounds + 1
         if not finished.any():
             continue
-        done = active[finished]
-        rounds_run[done] = round_index + 1
-        # The window takes precedence over the round cap on ties.
-        stopped_early[done] = window_fired[finished]
-        final_streak[done] = streak[finished]
+
+        # -------------------------------------------------------------- #
+        # Stopped trials: reduce each to its summary (and finish its
+        # trace), free its slot, and compact its row out.  The window
+        # takes precedence over the round cap on ties.  Pulls per node
+        # are the same every round.
+        # -------------------------------------------------------------- #
+        pulls_per_round = pulls or 0
+        for slot, ran, early, streak_at_stop in zip(
+            slots[finished].tolist(),
+            rounds[finished].tolist(),
+            window_fired[finished].tolist(),
+            streak[finished].tolist(),
+        ):
+            index = slot_trial[slot]
+            summaries[index] = RunSummary(
+                faulty=slot_faulty[slot],
+                # Past its stop round a slot's column holds unset memory or
+                # an earlier trial's values, so only the rounds it ran count.
+                agreed=tuple(agreed_rounds[:ran, slot].tolist()),
+                stopped_early=early,
+                agreement_streak=streak_at_stop if early else None,
+                max_pulls=pulls,
+                pull_sum=pulls_per_round * ran,
+                pulls_issued=pulls_per_round * ran * correct,
+                rng_note=rng_note,
+            )
+            if record_outputs:
+                if early:
+                    traces[index].metadata.update(
+                        {"stopped_early": True, "agreement_streak": streak_at_stop}
+                    )
+                else:
+                    traces[index].metadata.update({"stopped_early": False})
+            free_slots.append(slot)
+        keep = ~finished
+        states = states[keep]
+        faulty_mask = faulty_mask[keep]
+        correct_sorted = correct_sorted[keep]
+        faulty_idx = faulty_idx[keep]
+        prev = prev[keep]
+        streak = streak[keep]
+        rounds = rounds[keep]
+        slots = slots[keep]
+        if history is not None:
+            history = [snapshot[keep] for snapshot in history]
         if obs is not None:
             metrics = obs.metrics
             metrics.counter("batch.compactions").inc()
             metrics.counter("batch.trials_finished").inc(int(finished.sum()))
-            metrics.gauge("batch.live_trials").set(int((~finished).sum()))
-        keep = ~finished
-        if not keep.any():
-            break
-        active = active[keep]
-        states = states[keep]
-        sender_ok = sender_ok[keep]
-        correct_sorted = correct_sorted[keep]
-        prev = prev[keep]
-        streak = streak[keep]
-        if faulty_idx is not None:
-            faulty_idx = faulty_idx[keep]
-        if faulty_lookup is not None:
-            faulty_lookup = faulty_lookup[keep]
-        if history is not None:
-            history = [snapshot[keep] for snapshot in history]
+            metrics.gauge("batch.live_trials").set(len(slots))
+            if not len(slots):
+                chunk_seconds = time.perf_counter() - chunk_started
+                metrics.counter("batch.chunks").inc()
+                metrics.counter("batch.trials").inc(chunk_trials)
+                metrics.counter("batch.rounds").inc(chunk_steps)
+                metrics.counter("batch.trial_rounds").inc(chunk_trial_rounds)
+                metrics.histogram("batch.chunk_seconds").observe(chunk_seconds)
+                if chunk_seconds > 0:
+                    metrics.gauge("batch.trial_rounds_per_second").set(
+                        chunk_trial_rounds / chunk_seconds
+                    )
+                chunk_steps = chunk_trials = chunk_trial_rounds = 0
 
-    if obs is not None:
-        chunk_seconds = time.perf_counter() - chunk_started
-        metrics = obs.metrics
-        metrics.counter("batch.chunks").inc()
-        metrics.counter("batch.trials").inc(batch)
-        # Every trial stops by the round cap, so the last one to stop ran
-        # the chunk's final round.
-        metrics.counter("batch.rounds").inc(int(rounds_run.max()))
-        metrics.counter("batch.trial_rounds").inc(trial_rounds)
-        metrics.histogram("batch.chunk_seconds").observe(chunk_seconds)
-        if chunk_seconds > 0:
-            metrics.gauge("batch.trial_rounds_per_second").set(
-                trial_rounds / chunk_seconds
-            )
-
-    # ------------------------------------------------------------------ #
-    # Per-trial reductions.  Trials all start at round zero and drop out
-    # when they stop, so the global round index is the per-trial round
-    # index: a trial's agreed values are the first ``rounds_run`` entries
-    # of its column.  Pulls per node are the same every round.
-    # ------------------------------------------------------------------ #
-    correct = n - num_faults
-    pulls_per_round = pulls or 0
-    rng_note = BATCH_RNG_NOTE if randomized else None
-    summaries = [
-        RunSummary(
-            faulty=faulty,
-            # Past its stop round a trial's column holds unset memory, so
-            # only the rounds it ran are converted.
-            agreed=tuple(agreed_rounds[:rounds, trial].tolist()),
-            stopped_early=early,
-            agreement_streak=streak_at_stop if early else None,
-            max_pulls=pulls,
-            pull_sum=pulls_per_round * rounds,
-            pulls_issued=pulls_per_round * rounds * correct,
-            rng_note=rng_note,
-        )
-        for trial, (faulty, rounds, early, streak_at_stop) in enumerate(
-            zip(
-                faulty_tuples,
-                rounds_run.tolist(),
-                stopped_early.tolist(),
-                final_streak.tolist(),
-            )
-        )
-    ]
-    if not record_outputs:
-        return None, summaries
-
-    # Full ExecutionTrace objects are rebuilt from the recorded output rows.
-    bits = algorithm.message_bits() if pulling else 0
-    for round_index, (ids, outputs, round_pulls) in enumerate(recorded):
-        rows = outputs.tolist()
-        for position, trial_index in enumerate(ids.tolist()):
-            values = rows[position]
-            record_metadata: dict[str, Any]
-            if round_pulls is not None:
-                record_metadata = {
-                    "max_pulls": round_pulls,
-                    "mean_pulls": float(round_pulls),
-                    "max_bits": round_pulls * bits,
-                }
-            else:
-                record_metadata = {}
-            traces[trial_index].append(
-                RoundRecord(
-                    round_index=round_index,
-                    outputs={
-                        node: values[node] for node in correct_lists[trial_index]
-                    },
-                    states=None,
-                    metadata=record_metadata,
-                )
-            )
-    for trace, summary in zip(traces, summaries):
-        if summary.stopped_early:
-            trace.metadata.update(
-                {"stopped_early": True, "agreement_streak": summary.agreement_streak}
-            )
-        else:
-            trace.metadata.update({"stopped_early": False})
     return traces, summaries

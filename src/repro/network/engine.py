@@ -61,7 +61,7 @@ def stop_step(
     agreed: Any,
     prev: Any,
     streak: Any,
-    round_index: int,
+    round_index: Any,
     *,
     c: int,
     window: int | None,

@@ -136,7 +136,9 @@ class RoundObserved(Event):
 
     ``source`` is ``"engine"`` (scalar round loop; ``agreed_value`` is the
     common output when all correct nodes agree) or ``"batch"`` (vectorised
-    chunk; ``live_trials``/``agreed_trials`` describe the whole chunk).
+    group; ``round_index`` is the group's step, whose live rows may each run
+    a different round, and ``live_trials``/``agreed_trials`` describe the
+    whole batch).
     """
 
     kind: ClassVar[str] = "round_observed"

@@ -137,7 +137,7 @@ class SampledBoostedBatchKernel(PullBatchKernel):
 
     # -- the round --------------------------------------------------------- #
 
-    def step(self, network, round_index, rng):
+    def step(self, network, rng):
         algorithm = self.algorithm
         states = network.states
         batch, n = states.shape[0], states.shape[1]

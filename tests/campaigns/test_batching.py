@@ -165,6 +165,50 @@ class TestAutoEngine:
             assert as_dicts(forced) == as_dicts(auto_results)
 
 
+def _exploding_step(self, view, rng):
+    raise RuntimeError("kernel exploded")
+
+
+class TestBatchFailures:
+    """A group whose batch run raises: ``auto`` reruns it on the scalar
+    engine and names the exception and where it was raised; the forced
+    batch engine lets it propagate."""
+
+    @pytest.fixture(autouse=True)
+    def exploding_kernel(self, monkeypatch):
+        from repro.counters.kernels import NaiveMajorityBatchKernel
+
+        monkeypatch.setattr(NaiveMajorityBatchKernel, "step", _exploding_step)
+
+    def test_auto_reruns_scalar_and_names_the_failure(self):
+        from repro.obs.events import FallbackTaken
+        from repro.obs.observer import Observer
+
+        runs = deterministic_campaign().expand()
+        observer = Observer.recording()
+        executor = BatchExecutor(engine="auto", observer=observer)
+        results = executor.run(runs)
+        assert as_dicts(results) == as_dicts(SerialExecutor().run(runs))
+
+        code = _exploding_step.__code__
+        where = f"RuntimeError at {code.co_filename}:{code.co_firstlineno + 1}"
+        events = observer.buffer.of_kind(FallbackTaken)
+        # The naive-majority groups (crash, mimic, none) fail; corollary1's batch.
+        assert len(events) == 3
+        assert all(event.label.startswith("naive-majority") for event in events)
+        for event in events:
+            assert where in event.reason and "kernel exploded" in event.reason
+        assert executor.stats.fallback_reasons == [
+            f"{event.label}: {event.reason}" for event in events
+        ]
+        assert executor.stats.fallback == sum(event.runs for event in events)
+
+    def test_forced_batch_propagates_the_failure(self):
+        runs = deterministic_campaign().expand()
+        with pytest.raises(RuntimeError, match="kernel exploded"):
+            BatchExecutor(engine="batch").run(runs)
+
+
 class TestForcedBatchEngine:
     def test_randomized_groups_run_vectorised(self):
         spec = CampaignSpec(

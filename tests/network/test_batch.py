@@ -24,6 +24,7 @@ from repro.network.batch import (
     BatchTrial,
     PerturbedBatchMessages,
     bit_identical,
+    build_adversary_kernel,
     build_batch_kernel,
     run_batch_summaries,
     run_batch_trials,
@@ -188,6 +189,8 @@ FORGED_ENTRIES = [
     ("figure2", {"levels": 1, "c": 2}),
 ]
 
+NAIVE_ENTRY = ("naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1})
+
 
 def _random_round(algorithm, kernel, rng: random.Random, batch: int):
     """Encoded random states, faulty sets of size F, and one random forgery
@@ -211,7 +214,7 @@ def test_boosted_step_reads_per_receiver_forgeries(name, params):
     algorithm = _build(name, params)
     kernel = build_batch_kernel(algorithm)
     states, faulty, forged = _random_round(algorithm, kernel, random.Random(29), 24)
-    new_states = kernel.step(BatchMessages(states, faulty, forged), 0, None)
+    new_states = kernel.step(BatchMessages(states, faulty, forged), None)
     for trial in range(len(states)):
         senders = faulty[trial].tolist()
         shared = [
@@ -247,7 +250,7 @@ def test_boosted_step_reads_per_link_deliveries(name, params):
     stale = stale.reshape(len(states), n, n) & ~np.eye(n, dtype=bool)
     delivered = np.where(stale[..., None], older[:, None], states[:, None])
     view = PerturbedBatchMessages(states, faulty, forged, delivered)
-    new_states = kernel.step(view, 0, None)
+    new_states = kernel.step(view, None)
     for trial in range(len(states)):
         senders = faulty[trial].tolist()
         for receiver in range(n):
@@ -462,6 +465,164 @@ def test_batch_size_chunks_do_not_change_deterministic_results():
     whole = run_batch_trials(algorithm, kernel, trials, batch_size=256, **kwargs)
     chunked = run_batch_trials(algorithm, kernel, trials, batch_size=2, **kwargs)
     assert whole == chunked
+
+
+#: (catalogue name, params, max_rounds) for the refill tests: the caps are
+#: low enough that some trials of every attacked group run to the cap while
+#: others stop early and free their rows.
+REFILL_ENTRIES = [
+    ("corollary1", {"f": 1, "c": 2}, 12),
+    ("figure2", {"levels": 1, "c": 2}, 12),
+    ("naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}, 5),
+    ("pseudo-random-boosted", {"sample_size": 3}, 12),
+]
+
+
+def _refill_cases():
+    for name, params, max_rounds in REFILL_ENTRIES:
+        strategies = ["none", "crash", "fixed-state", "mimic"]
+        if name == "naive-majority":
+            strategies.append("adaptive-split")
+        for strategy in strategies:
+            yield name, params, max_rounds, strategy
+
+
+@pytest.mark.parametrize("name,params,max_rounds,strategy", list(_refill_cases()))
+def test_refilled_rows_match_the_scalar_engine(name, params, max_rounds, strategy):
+    """Draw-free groups refill stopped rows from the queue: every trace, each
+    round index included, is the scalar one whatever the batch size."""
+    algorithm = _build(name, params)
+    kernel = build_batch_kernel(algorithm)
+    adversary = None if strategy == "none" else strategy
+    assert bit_identical(kernel, adversary)
+    faults = 0 if adversary is None else algorithm.f
+    trials = [
+        BatchTrial(
+            sim_seed=seed,
+            faulty=tuple(sorted(random.Random(seed).sample(range(algorithm.n), faults))),
+        )
+        for seed in range(12)
+    ]
+    scalar = [
+        _scalar_trace(algorithm, adversary, trial, max_rounds, 4) for trial in trials
+    ]
+    if strategy == "mimic":
+        # mimic reads each row's own round, and stragglers run to the cap
+        # beside early stops, so refilled rows run beside rows at other rounds.
+        assert {trace.metadata["stopped_early"] for trace in scalar} == {True, False}
+    for batch_size in (1, 3, 256):
+        traces = run_batch_trials(
+            algorithm,
+            kernel,
+            trials,
+            adversary_strategy=adversary,
+            max_rounds=max_rounds,
+            stop_after_agreement=4,
+            batch_size=batch_size,
+        )
+        # Trace equality covers every RoundRecord, its round_index included.
+        assert traces == scalar
+
+
+@pytest.mark.parametrize(
+    "name,params,strategy,loss,delay,window",
+    [
+        ("figure2", {"levels": 1, "c": 2}, "phase-king-skew", 0.0, 0, 4),
+        ("randomized-follow-majority", {"n": 7, "f": 2, "c": 2}, "random-state", 0.0, 0, 4),
+        (*NAIVE_ENTRY, "crash", 0.05, 1, 2),
+    ],
+)
+def test_randomized_groups_run_one_chunk_at_a_time(
+    name, params, strategy, loss, delay, window
+):
+    """A randomised group runs each ``batch_size`` slice as its own chunk, with
+    its own stream: the group equals separate runs over the slices."""
+    algorithm = _build(name, params)
+    kernel = build_batch_kernel(algorithm)
+    assert not bit_identical(kernel, strategy, loss=loss, delay=delay)
+    faulty = _spread(algorithm.n, algorithm.f)
+    trials = [BatchTrial(sim_seed=seed, faulty=faulty) for seed in range(10)]
+    kwargs = dict(
+        adversary_strategy=strategy,
+        max_rounds=60,
+        stop_after_agreement=window,
+        batch_size=4,
+        loss=loss,
+        delay=delay,
+    )
+    whole = run_batch_summaries(algorithm, kernel, trials, **kwargs)
+    # Trials stop at different rounds, so a refill would have had room.
+    assert len({summary.rounds for summary in whole}) > 1
+    sliced = [
+        summary
+        for start in range(0, len(trials), 4)
+        for summary in run_batch_summaries(
+            algorithm, kernel, trials[start : start + 4], **kwargs
+        )
+    ]
+    assert whole == sliced
+
+
+@pytest.mark.parametrize("name,params", [*FORGED_ENTRIES, NAIVE_ENTRY])
+@pytest.mark.parametrize("strategy", ["crash", "fixed-state"])
+def test_shared_forgeries_match_the_per_receiver_patch(name, params, strategy):
+    """A forgery every receiver shares comes back once per sender; written
+    into the shared states, or broadcast back to every receiver of a
+    per-link view, it gives every correct row the per-receiver patch's."""
+    algorithm = _build(name, params)
+    kernel = build_batch_kernel(algorithm)
+    states, faulty, _ = _random_round(algorithm, kernel, random.Random(37), 24)
+    batch, n = states.shape[0], states.shape[1]
+    correct_sorted = np.array(
+        [[node for node in range(n) if node not in row] for row in faulty.tolist()]
+    )
+    # A random valid fixed state, so it differs from the crash default.
+    params = {"state": algorithm.random_state(random.Random(41))}
+    adversary = build_adversary_kernel(
+        strategy, kernel, params if strategy == "fixed-state" else None
+    )
+    forged = adversary.forge(
+        np.zeros((batch, 1, 1), dtype=np.int64),
+        faulty[:, None, :],
+        np.arange(n)[None, :, None],
+        states,
+        correct_sorted,
+        None,
+    )
+    assert forged.shape == (batch, 1, faulty.shape[1], kernel.fields)
+    per_receiver = np.broadcast_to(forged, (batch, n) + forged.shape[2:])
+    expected = kernel.step(BatchMessages(states, faulty, per_receiver), None)
+    shared_view = BatchMessages(states, faulty, forged)
+    assert shared_view.forged is None and shared_view.faulty_idx is None
+    shared = kernel.step(shared_view, None)
+    delivered = np.repeat(states[:, None], n, axis=1)
+    per_link = kernel.step(
+        PerturbedBatchMessages(states, faulty, forged, delivered), None
+    )
+    rows = np.arange(batch)[:, None], correct_sorted
+    assert np.array_equal(shared[rows], expected[rows])
+    assert np.array_equal(per_link[rows], expected[rows])
+
+
+def test_draw_free_groups_have_no_generator(monkeypatch):
+    """A bit-identical group gets no generator, so a draw fails loudly."""
+    from repro.network.batch import CrashBatchKernel
+
+    algorithm = _build("corollary1", {"f": 1, "c": 2})
+    kernel = build_batch_kernel(algorithm)
+    assert bit_identical(kernel, "crash")
+    original = CrashBatchKernel.forge
+
+    def drawing_forge(self, round_index, senders, receivers, states, correct, rng):
+        rng.integers(0, 2)
+        return original(self, round_index, senders, receivers, states, correct, rng)
+
+    monkeypatch.setattr(CrashBatchKernel, "forge", drawing_forge)
+    trials = [BatchTrial(sim_seed=seed, faulty=(0,)) for seed in range(3)]
+    with pytest.raises(AttributeError, match="integers"):
+        run_batch_summaries(
+            algorithm, kernel, trials, adversary_strategy="crash", max_rounds=20
+        )
 
 
 def test_mixed_fault_counts_are_rejected():
