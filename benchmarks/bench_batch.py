@@ -22,7 +22,8 @@ Case catalogue:
 * ``fixed-state-corollary1`` — the fixed-state adversary kernel
   (deterministic, bit-identical) on the Corollary 1 construction.
 * ``phase-king-skew-figure2`` — the targeted phase-king register attack on
-  ``A(12, 3)``; draws NumPy randomness, so it runs under ``engine="batch"``.
+  ``A(12, 3)``; on boosted states it draws nothing, so the batch results
+  are asserted bit-identical.
 * ``adaptive-split-naive-n24`` — the adaptive majority-splitting attack on
   the flat n = 24 baseline, where its kernel is deterministic and the batch
   results are asserted bit-identical.
@@ -150,8 +151,8 @@ BENCH_CASES: tuple[BatchBenchCase, ...] = (
             max_rounds=250,
             stop_after_agreement=10,
         ),
-        engine="batch",
-        deterministic=False,
+        engine="auto",
+        deterministic=True,
     ),
     BatchBenchCase(
         name="adaptive-split-naive-n24",

@@ -28,7 +28,7 @@ from repro.core.boosting import BoostedState
 from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY
 from repro.semantics import ADVERSARY_SEMANTICS, strategy_names
-from repro.util.rng import ensure_rng, randbelow
+from repro.util.rng import ensure_rng
 
 __all__ = [
     "Adversary",
@@ -312,11 +312,14 @@ class PhaseKingSkewAdversary(Adversary):
     """Targeted attack on the boosted counter's phase king registers.
 
     For :class:`~repro.core.boosting.BoostedState` messages the adversary
-    copies a correct node's inner state (so the block counters and leader
-    votes look plausible) but reports a skewed output register ``a`` —
-    alternating between a shifted value and the reset marker — trying to
-    prevent the ``N - F`` and ``F + 1`` thresholds of the phase king from
-    being met.  For other state types it falls back to random states.
+    copies a correct node's state (so the block counters and leader votes
+    look plausible) but reports a skewed output register ``a`` — alternating
+    between a shifted value and the reset marker — trying to prevent the
+    ``N - F`` and ``F + 1`` thresholds of the phase king from being met.
+    The copied auxiliary bit ``d`` is kept: no receiver reads another node's
+    ``d`` (Table 2 reads its ``a`` and the ``(r, b)`` of its inner state), so
+    the boosted forgery draws nothing.  For other state types it falls back
+    to random states.
     """
 
     def __init__(self, faulty: Iterable[int], offset: int = 1) -> None:
@@ -361,9 +364,8 @@ class PhaseKingSkewAdversary(Adversary):
                 )
             else:
                 skewed_a = INFINITY
-            return BoostedState(
-                inner=victim_state.inner, a=skewed_a, d=randbelow(rng, 2)
-            )
+            # The positional constructor: about half the cost of _replace.
+            return BoostedState(victim_state.inner, skewed_a, victim_state.d)
         return algorithm.random_state(rng)
 
 

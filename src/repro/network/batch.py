@@ -683,13 +683,13 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
     """Targeted skew of the boosted counter's phase king registers.
 
     Mirrors :class:`~repro.network.adversary.PhaseKingSkewAdversary`: copy
-    the per-receiver victim's state (``correct[receiver % len(correct)]``),
-    replace the output register ``a`` with a shifted value for even receivers
-    and the reset marker for odd ones, and draw the auxiliary bit ``d``
-    uniformly.  For flat integer states the scalar class degrades to fully
-    random forgeries, so the kernel does too (``random_fields``).  Both paths
-    consume randomness — the ``d`` draw or the random fallback — so this
-    kernel is statistically equivalent, never bit-identical.
+    the per-receiver victim's state (``correct[receiver % len(correct)]``)
+    and replace its output register ``a`` with a shifted value for even
+    receivers and the reset marker for odd ones, keeping the victim's ``d``.
+    That path draws nothing, so on boosted states the kernel is
+    bit-identical.  For flat integer states the scalar class degrades to
+    fully random forgeries, so the kernel does too (``random_fields``), and
+    there it is statistically equivalent.
     """
 
     def __init__(self, kernel: _KernelBase, offset: int = 1) -> None:
@@ -706,25 +706,22 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
         correct_sorted: np.ndarray,
         rng: np.random.Generator | None,
     ) -> np.ndarray:
-        assert rng is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         if self._layout is None:
+            assert rng is not None
             return self.kernel.random_fields(rng, shape)
         inner_fields, c = self._layout
         num_correct = correct_sorted.shape[1]
         bidx = _batch_index(states.shape[0], shape)
         position = np.broadcast_to(receivers % num_correct, shape)
         victims = correct_sorted[bidx, position]
-        forged = states[bidx, victims].copy()
+        forged = states[bidx, victims]
         victim_a = forged[..., inner_fields]
         skewed = np.where(
             victim_a == _INFINITY, 0, (victim_a + self._offset) % c
         )
         even = np.broadcast_to(receivers % 2 == 0, shape)
         forged[..., inner_fields] = np.where(even, skewed, _INFINITY)
-        forged[..., inner_fields + 1] = rng.integers(
-            0, 2, size=shape, dtype=np.int64
-        )
         return forged
 
 
@@ -863,7 +860,8 @@ def bit_identical(
     algorithm kernels always consume NumPy randomness; fault-free groups
     (``strategy=None``) forge nothing; otherwise the strategy's declared
     :class:`~repro.semantics.DeterminismClass` answers for this kernel's
-    state encoding (adaptive-split is pure for flat counters only).
+    state encoding (adaptive-split is pure for flat counters only,
+    phase-king-skew for boosted states only).
     """
     if loss > 0.0 or delay > 0 or not kernel.deterministic:
         return False

@@ -21,7 +21,8 @@ promised equivalence for every sampled configuration:
   verify the equivalence class the kernels advertise;
 * :func:`check_distributions` — Kolmogorov–Smirnov closeness of the
   stabilisation-time distributions for the statistically equivalent
-  strategies (fixed seeds keep it deterministic);
+  strategies, each on an encoding where it draws (fixed seeds keep it
+  deterministic);
 * :func:`run_parity_fuzz` — the full sweep, consumed by
   ``tests/network/test_parity_fuzz.py`` and ``scripts/run_parity_fuzz.py``.
 """
@@ -422,6 +423,17 @@ def _ks_statistic(left: Sequence[float], right: Sequence[float]) -> float:
     return worst
 
 
+#: The counters :func:`check_distributions` runs a strategy against: the
+#: boosted ``corollary1``, whose structured states exercise the skew and
+#: fabrication paths, and a flat counter that two random forgers can
+#: delay, for strategies that draw only against flat states.
+_BOOSTED_PROBE: tuple[str, dict[str, Any]] = ("corollary1", {"f": 1, "c": 2})
+_FLAT_PROBE: tuple[str, dict[str, Any]] = (
+    "naive-majority",
+    {"n": 9, "c": 4, "claimed_resilience": 2},
+)
+
+
 def check_distributions(
     strategy: str,
     *,
@@ -434,32 +446,36 @@ def check_distributions(
 ) -> tuple[float, int]:
     """KS closeness of scalar vs batch stabilisation times for one strategy.
 
-    Runs the strategy against the boosted ``corollary1`` counter (whose
-    structured states exercise the skew/fabrication paths) with ``trials``
-    fixed seeds per engine and returns ``(ks_statistic, trials)``.  Fixed
-    seeds make the statistic deterministic; ``tolerance`` is the caller's
-    acceptance bound (the expected KS distance of two same-distribution
-    60-sample draws is ≈ 0.25 at the 0.5% level).  ``loss``/``delay``
-    engage the message-plane perturbations on both engines, extending the
-    distributional check to the perturbed axes.
+    Runs the strategy, with ``f`` faults, against an encoding on which its
+    declared :class:`~repro.semantics.DeterminismClass` is statistical: the
+    boosted ``corollary1`` counter unless the strategy is bit-identical on
+    boosted states (phase-king-skew), a flat counter then.  It uses
+    ``trials`` fixed seeds per engine and returns ``(ks_statistic,
+    trials)``.  Fixed seeds make the statistic deterministic; ``tolerance``
+    is the caller's acceptance bound (the expected KS distance of two
+    same-distribution 60-sample draws is ≈ 0.25 at the 0.5% level).
+    ``loss``/``delay`` engage the message-plane perturbations on both
+    engines, extending the distributional check to the perturbed axes.
     """
     from repro.network.batch import BatchTrial, build_batch_kernel, run_batch_trials
     from repro.network.stabilization import stabilization_round
 
-    algorithm = build_algorithm("corollary1", f=1, c=2)
+    exact_on_boosted = adversary_semantics(strategy).determinism.boosted
+    name, params = _FLAT_PROBE if exact_on_boosted else _BOOSTED_PROBE
+    algorithm = build_algorithm(name, **params)
     kernel = build_batch_kernel(algorithm)
     assert kernel is not None
     rng = ensure_rng(seed)
     trial_list = [
         BatchTrial(
             sim_seed=rng.getrandbits(32),
-            faulty=(rng.randrange(algorithm.n),),
+            faulty=tuple(sorted(rng.sample(range(algorithm.n), algorithm.f))),
         )
         for _ in range(trials)
     ]
     config = ParityConfig(
-        algorithm="corollary1",
-        params=(("c", 2), ("f", 1)),
+        algorithm=name,
+        params=tuple(sorted(params.items())),
         strategy=strategy,
         adversary_params=(),
         trials=tuple((t.sim_seed, t.faulty) for t in trial_list),

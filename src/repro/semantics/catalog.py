@@ -37,6 +37,7 @@ from repro.semantics.spec import (
     STATISTICAL,
     AdversarySemantics,
     AlgorithmSemantics,
+    DeterminismClass,
     FaultScheduleSemantics,
     FuzzProfile,
     Parameter,
@@ -369,8 +370,10 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding="repro.network.adversary:PhaseKingSkewAdversary",
             kernel_binding="repro.network.batch:PhaseKingSkewBatchKernel",
             parameters=(Parameter("offset", 1, "shift applied to the a register"),),
+            # Boosted forgeries copy the victim's state with only ``a``
+            # skewed and draw nothing; flat counters get random states.
             scalar_deterministic=False,
-            determinism=STATISTICAL,
+            determinism=DeterminismClass(flat=False, boosted=True),
             fuzz_param_choices=(("offset", (1, 2, -1)),),
         ),
         AdversarySemantics(

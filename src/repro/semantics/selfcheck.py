@@ -10,14 +10,17 @@ declaration against the actual implementations:
   rejected;
 * every adversary spec resolves to its scalar class, and the scalar
   ``forge`` path's actual RNG consumption (probed against a flat and a
-  boosted algorithm) matches ``scalar_deterministic``;
+  boosted algorithm) matches ``scalar_deterministic`` and, per encoding,
+  the declared :class:`~repro.semantics.spec.DeterminismClass`: a scalar
+  forge that draws cannot be replayed by a batch kernel, and one declared
+  statistical must draw;
 * every fault-schedule builder binding resolves and builds its defaults;
 * with NumPy available, every kernel binding resolves, the algorithm
   kernels' ``deterministic`` / ``fields`` match the declared
   ``batch_deterministic`` / ``flat_state``, and the adversary kernels'
   actual NumPy RNG consumption (probed per encoding) matches the declared
-  :class:`~repro.semantics.spec.DeterminismClass` exactly — a mis-declared
-  determinism class is reported, not silently trusted.
+  class exactly — a mis-declared determinism class is reported in either
+  direction, not silently trusted.
 
 ``verify`` returns a list of human-readable problems (empty means the
 catalogue is sound); the CI ``semantics-audit`` job and the test suite run
@@ -49,6 +52,7 @@ __all__ = ["verify"]
 #: The probe algorithms: one flat integer state space, one boosted codec.
 _FLAT_PROBE = ("naive-majority", {})
 _BOOSTED_PROBE = ("corollary1", {})
+_ENCODINGS = ("flat", "boosted")
 
 
 def _numpy_available() -> bool:
@@ -213,7 +217,8 @@ def _check_adversaries(
             continue
 
         # Scalar determinism: the declared flag must match the RNG stream
-        # consumption the forge path actually exhibits on some encoding.
+        # consumption the forge path actually exhibits on some encoding, and
+        # the declared class must match it on each encoding.
         try:
             consumed = [
                 _scalar_rng_consumed(spec, flat_algorithm),
@@ -232,6 +237,9 @@ def _check_adversaries(
                 f"strategy {name!r}: declared scalar-randomised but the forge "
                 "path consumed no randomness on any probed encoding"
             )
+        declared = (spec.determinism.flat, spec.determinism.boosted)
+        for label, exact, drew in zip(_ENCODINGS, declared, consumed):
+            _check_class(name, label, exact, drew, "scalar forge", problems)
 
         if not numpy_ok:
             continue
@@ -241,9 +249,8 @@ def _check_adversaries(
             problems.append(f"strategy {name!r}: kernel binding broken: {exc}")
             continue
         defaults = {p.name: p.default for p in spec.parameters}
-        for label, kernel, declared in (
-            ("flat", flat_kernel, spec.determinism.flat),
-            ("boosted", boosted_kernel, spec.determinism.boosted),
+        for label, kernel, exact in zip(
+            _ENCODINGS, (flat_kernel, boosted_kernel), declared
         ):
             try:
                 drew = _batch_rng_consumed(kernel_cls, kernel, defaults)
@@ -252,18 +259,24 @@ def _check_adversaries(
                     f"strategy {name!r}: batch probe ({label}) failed: {exc}"
                 )
                 continue
-            if declared and drew:
-                problems.append(
-                    f"strategy {name!r}: determinism class declares "
-                    f"bit-identity for {label} encodings but the kernel "
-                    "consumed NumPy randomness"
-                )
-            if not declared and not drew:
-                problems.append(
-                    f"strategy {name!r}: determinism class declares "
-                    f"statistical equivalence for {label} encodings but the "
-                    "kernel consumed no NumPy randomness"
-                )
+            _check_class(name, label, exact, drew, "kernel", problems)
+
+
+def _check_class(
+    name: str, label: str, exact: bool, drew: bool, probe: str, problems: list[str]
+) -> None:
+    """A probe must draw exactly where the declared class is statistical."""
+    if exact and drew:
+        problems.append(
+            f"strategy {name!r}: determinism class declares bit-identity for "
+            f"{label} encodings but the {probe} consumed randomness"
+        )
+    if not exact and not drew:
+        problems.append(
+            f"strategy {name!r}: determinism class declares statistical "
+            f"equivalence for {label} encodings but the {probe} consumed no "
+            "randomness"
+        )
 
 
 def _check_schedules(

@@ -153,7 +153,9 @@ class DeterminismClass:
         return "statistically equivalent (NumPy RNG)"
 
 
-#: The three classes the registered strategies actually inhabit.
+#: Three of the four classes the registered strategies inhabit, by name;
+#: phase-king-skew declares the fourth, ``DeterminismClass(flat=False,
+#: boosted=True)``, in place (random flat fallback, draw-free skew).
 BIT_IDENTICAL = DeterminismClass(flat=True, boosted=True)
 FLAT_ONLY = DeterminismClass(flat=True, boosted=False)
 STATISTICAL = DeterminismClass(flat=False, boosted=False)

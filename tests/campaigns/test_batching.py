@@ -10,6 +10,7 @@ import pytest
 from repro.campaigns.batching import BatchExecutor, group_runs
 from repro.campaigns.cli import parse_algorithm
 from repro.campaigns.executor import SerialExecutor, default_executor
+from repro.campaigns.results import CampaignStore
 from repro.campaigns.runner import run_campaign
 from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.core.errors import ParameterError
@@ -91,12 +92,12 @@ class TestAutoEngine:
         assert executor.stats.fallback == len(runs)
 
     def test_statistically_equivalent_adversary_falls_back_with_reason(self):
-        # phase-king-skew has a kernel, but it consumes NumPy randomness, so
+        # random-state has a kernel, but it consumes NumPy randomness, so
         # auto keeps the scalar path — and says why instead of staying silent.
         spec = CampaignSpec(
-            name="skew",
+            name="random",
             algorithms=(AlgorithmSpec.create("corollary1", {"f": 1, "c": 2}),),
-            adversaries=("phase-king-skew",),
+            adversaries=("random-state",),
             runs_per_setting=2,
             max_rounds=60,
             stop_after_agreement=5,
@@ -108,7 +109,7 @@ class TestAutoEngine:
         assert executor.stats.batched == 0 and executor.stats.fallback == len(runs)
         assert len(executor.stats.fallback_reasons) == 1
         reason = executor.stats.fallback_reasons[0]
-        assert "corollary1(c=2,f=1) x phase-king-skew" in reason
+        assert "corollary1(c=2,f=1) x random-state" in reason
         assert "statistically equivalent" in reason
 
     def test_deterministic_adaptive_split_is_batched_bit_identically(self):
@@ -448,6 +449,36 @@ class TestEngineKnob:
         assert as_dicts(reports["scalar"].results) == as_dicts(reports["batch"].results)
         with pytest.raises(ParameterError, match="unknown engine"):
             dataclasses.replace(spec, engine="warp")
+
+
+class TestResumeSplit:
+    def test_batched_skew_store_resumes_to_the_full_store(self, tmp_path):
+        # Boosted phase-king-skew groups draw nothing, so a run's result does
+        # not depend on which other runs share its batch: re-executing every
+        # other run of a batch store gives back the full store, which is
+        # also the scalar one.
+        spec = CampaignSpec(
+            name="skew",
+            algorithms=(AlgorithmSpec.create("figure2", {"levels": 1, "c": 2}),),
+            adversaries=("phase-king-skew",),
+            runs_per_setting=20,
+            seed=3,
+            max_rounds=300,
+            stop_after_agreement=10,
+            engine="batch",
+        )
+        full = CampaignStore(tmp_path / "full.jsonl")
+        run_campaign(spec, store=full)
+        lines = full.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 20
+        split = CampaignStore(tmp_path / "split.jsonl")
+        split.path.write_text("".join(lines[::2]), encoding="utf-8")
+        report = run_campaign(spec, store=split)
+        assert (report.skipped, report.executed) == (10, 10)
+        resumed = split.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert sorted(resumed) == sorted(lines)
+        scalar = run_campaign(dataclasses.replace(spec, engine="scalar"))
+        assert sorted(r.to_json() + "\n" for r in scalar.results) == sorted(lines)
 
 
 class TestCli:

@@ -134,6 +134,37 @@ class TestVerify:
         problems = verify(adversaries=tampered)
         assert any("crash" in p and "statistical" in p for p in problems)
 
+    def test_randomised_declaration_of_a_draw_free_encoding_is_caught(
+        self,
+    ) -> None:
+        # phase-king-skew draws nothing against boosted states in either
+        # engine; declaring it statistical there must be reported by both
+        # probes.
+        tampered = dict(ADVERSARY_SEMANTICS)
+        tampered["phase-king-skew"] = dataclasses.replace(
+            tampered["phase-king-skew"], determinism=STATISTICAL
+        )
+        problems = verify(adversaries=tampered)
+        assert problems == [
+            "strategy 'phase-king-skew': determinism class declares "
+            "statistical equivalence for boosted encodings but the "
+            f"{probe} consumed no randomness"
+            for probe in ("scalar forge", "kernel")
+        ]
+
+    def test_scalar_draws_on_a_bit_identical_encoding_are_caught(self) -> None:
+        # adaptive-split fabricates random boosted states in the scalar
+        # forge; declaring it bit-identical everywhere must be reported.
+        tampered = dict(ADVERSARY_SEMANTICS)
+        tampered["adaptive-split"] = dataclasses.replace(
+            tampered["adaptive-split"], determinism=BIT_IDENTICAL
+        )
+        problems = verify(adversaries=tampered)
+        assert any(
+            "adaptive-split" in p and "boosted" in p and "scalar forge" in p
+            for p in problems
+        )
+
     def test_misdeclared_scalar_determinism_is_caught(self) -> None:
         # random-state draws RNG every forge; declaring it deterministic
         # must be reported.
@@ -468,6 +499,16 @@ class TestSpecPrimitives:
             "for boosted states"
         )
         assert STATISTICAL.note() == "statistically equivalent (NumPy RNG)"
+
+    def test_phase_king_skew_is_bit_identical_on_boosted_states_only(
+        self,
+    ) -> None:
+        determinism = ADVERSARY_SEMANTICS["phase-king-skew"].determinism
+        assert determinism == DeterminismClass(flat=False, boosted=True)
+        assert determinism.note() == (
+            "statistically equivalent for flat counters, bit-identical for "
+            "boosted states"
+        )
 
     def test_determinism_class_refines_per_kernel(self) -> None:
         from repro.network.batch import build_batch_kernel

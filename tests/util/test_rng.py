@@ -141,7 +141,7 @@ class TestRandbelow:
             ]
             assert rng.getrandbits(32) == reference.getrandbits(32)
 
-    def test_skew_forge_draws_what_randrange_draws(self):
+    def test_boosted_skew_forge_leaves_the_stream_and_changes_only_a(self):
         algorithm = build_algorithm("figure2", levels=1, c=2)
         faulty = [0, 5, 10]
         states = {
@@ -152,13 +152,15 @@ class TestRandbelow:
         correct = sorted(states)
         adversary = PhaseKingSkewAdversary(faulty)
         for seed in range(10):
-            rng, reference = random.Random(seed), random.Random(seed)
+            rng = random.Random(seed)
+            before = rng.getstate()
             for receiver in range(algorithm.n):
                 victim = states[correct[receiver % len(correct)]]
                 if receiver % 2:
                     a = INFINITY
                 else:
                     a = 0 if victim.a == INFINITY else (victim.a + 1) % algorithm.c
-                expected = BoostedState(victim.inner, a, reference.randrange(2))
-                assert adversary.forge(3, 0, receiver, states, algorithm, rng) == expected
-            assert rng.getrandbits(32) == reference.getrandbits(32)
+                forged = adversary.forge(3, 0, receiver, states, algorithm, rng)
+                assert forged == victim._replace(a=a)
+                assert type(forged) is BoostedState
+            assert rng.getstate() == before
