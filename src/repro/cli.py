@@ -60,6 +60,7 @@ from repro.semantics import (
     FaultScheduleSemantics,
     algorithm_semantics,
     build_algorithm,
+    flat_states,
     format_schema,
 )
 
@@ -117,9 +118,14 @@ def _command_experiment(args: argparse.Namespace) -> int:
 
 
 def _algorithm_detail(spec: AlgorithmSemantics) -> list[str]:
-    """The ``list --verbose`` detail lines of one algorithm, from its spec."""
-    state = "flat integer states" if spec.flat_state else "boosted (structured) states"
-    scalar = "deterministic" if spec.scalar_deterministic else "randomised"
+    """The ``list --verbose`` detail lines of one algorithm.
+
+    The state space and the scalar randomness are read from the instance
+    the spec builds with its defaults; the rest comes from the spec.
+    """
+    algorithm = spec.build()
+    state = "flat integer states" if flat_states(algorithm) else "boosted (structured) states"
+    scalar = "deterministic" if algorithm.deterministic else "randomised"
     batch = "bit-identical" if spec.batch_deterministic else "statistically equivalent"
     lines = [
         f"params: {format_schema(spec.parameters)}",
@@ -133,7 +139,7 @@ def _algorithm_detail(spec: AlgorithmSemantics) -> list[str]:
 
 def _adversary_detail(spec: AdversarySemantics) -> list[str]:
     """The ``list --verbose`` detail lines of one strategy, from its spec."""
-    scalar = "deterministic" if spec.scalar_deterministic else "randomised"
+    scalar = "deterministic" if spec.determinism.bit_identical else "randomised"
     lines = [
         f"params: {format_schema(spec.parameters)}",
         f"semantics: scalar {scalar}; batch {spec.coverage_note()}",
@@ -144,15 +150,10 @@ def _adversary_detail(spec: AdversarySemantics) -> list[str]:
 
 def _fault_schedule_detail(spec: FaultScheduleSemantics) -> list[str]:
     """The ``list --verbose`` detail lines of one fault schedule, from its spec."""
-    scalar = "deterministic" if spec.scalar_deterministic else "randomised"
-    engine = (
-        "batch-covered"
-        if spec.batch_covered
-        else "scalar engine only (named fallback under engine='auto')"
-    )
     return [
         f"params: {format_schema(spec.parameters)}",
-        f"semantics: scalar {scalar}; {engine}",
+        "semantics: scalar deterministic; scalar engine only "
+        "(named fallback under engine='auto')",
         f"source: {spec.source}",
     ]
 

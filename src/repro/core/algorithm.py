@@ -12,7 +12,8 @@ Section 2 of the paper defines a deterministic algorithm as a tuple
 the metadata needed by the simulators, the exhaustive verifier and the
 experiment harness: the resilience ``f``, counter size ``c``, the space
 complexity ``S(A) = ⌈log |X|⌉`` and an upper bound on the stabilisation time
-``T(A)``.
+``T(A)``.  That metadata is :class:`CountingAlgorithm`, which the pulling
+model's :class:`~repro.network.pulling.PullingAlgorithm` inherits too.
 
 A receiver reads an arbitrary bit pattern as *some* state exactly once, on
 receipt (:meth:`~SynchronousCountingAlgorithm.coerce_message`).  Algorithms
@@ -51,6 +52,7 @@ from repro.util.rng import ensure_rng
 __all__ = [
     "State",
     "AlgorithmInfo",
+    "CountingAlgorithm",
     "SynchronousCountingAlgorithm",
     "check_counting_parameters",
 ]
@@ -106,12 +108,15 @@ class AlgorithmInfo:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
-class SynchronousCountingAlgorithm(ABC):
-    """Abstract base class for synchronous ``c``-counters on ``n`` nodes.
+class CountingAlgorithm(ABC):
+    """What every ``c``-counter on ``n`` nodes has, whatever its model.
 
-    Subclasses must set :attr:`n`, :attr:`f` and :attr:`c` (via the
-    constructor of this base class) and implement :meth:`next_state`,
-    :meth:`output` and :meth:`num_states`.
+    The parameters ``n``, ``f`` and ``c``, the :class:`AlgorithmInfo`
+    metadata, the output map ``h``, the space complexity and the
+    stabilisation bound.  :class:`SynchronousCountingAlgorithm` (the
+    broadcast model) and :class:`~repro.network.pulling.PullingAlgorithm`
+    (the pulling model of Section 5) inherit it and add their own
+    transition.
     """
 
     def __init__(self, n: int, f: int, c: int, info: AlgorithmInfo | None = None) -> None:
@@ -120,10 +125,6 @@ class SynchronousCountingAlgorithm(ABC):
         self._f = f
         self._c = c
         self._info = info or AlgorithmInfo(name=type(self).__name__)
-
-    # ------------------------------------------------------------------ #
-    # Basic parameters
-    # ------------------------------------------------------------------ #
 
     @property
     def n(self) -> int:
@@ -149,6 +150,48 @@ class SynchronousCountingAlgorithm(ABC):
     def deterministic(self) -> bool:
         """Whether the algorithm is deterministic."""
         return self._info.deterministic
+
+    @abstractmethod
+    def output(self, node: int, state: State) -> int:
+        """The output function ``h(i, s) ∈ [c]``."""
+
+    @abstractmethod
+    def num_states(self) -> int:
+        """Return ``|X|``, the number of distinct per-node states."""
+
+    def state_bits(self) -> int:
+        """Space complexity ``S(A) = ⌈log2 |X|⌉`` in bits per node."""
+        return ceil_log2(max(2, self.num_states()))
+
+    def stabilization_bound(self) -> int | None:
+        """An upper bound on the stabilisation time ``T(A)``, if known.
+
+        Returns ``None`` when no closed-form bound is available (for example
+        for heuristic baselines).
+        """
+        return None
+
+    def describe(self) -> dict[str, Any]:
+        """A dictionary summary used by the experiment harness."""
+        return {
+            "name": self._info.name,
+            "n": self.n,
+            "f": self.f,
+            "c": self.c,
+            "deterministic": self.deterministic,
+            "state_bits": self.state_bits(),
+            "stabilization_bound": self.stabilization_bound(),
+            "source": self._info.source,
+        }
+
+
+class SynchronousCountingAlgorithm(CountingAlgorithm):
+    """Abstract base class for synchronous ``c``-counters on ``n`` nodes.
+
+    Subclasses set :attr:`n`, :attr:`f` and :attr:`c` (via the constructor
+    of :class:`CountingAlgorithm`) and implement :meth:`next_state`,
+    :meth:`output` and :meth:`num_states`.
+    """
 
     # ------------------------------------------------------------------ #
     # The (X, g, h) triple
@@ -226,29 +269,9 @@ class SynchronousCountingAlgorithm(ABC):
             new_states[receiver] = next_state(receiver, messages)
         return new_states
 
-    @abstractmethod
-    def output(self, node: int, state: State) -> int:
-        """The output function ``h(i, s) ∈ [c]``."""
-
-    @abstractmethod
-    def num_states(self) -> int:
-        """Return ``|X|``, the number of distinct per-node states."""
-
     # ------------------------------------------------------------------ #
-    # Derived quantities and hooks with sensible defaults
+    # Hooks with sensible defaults
     # ------------------------------------------------------------------ #
-
-    def state_bits(self) -> int:
-        """Space complexity ``S(A) = ⌈log2 |X|⌉`` in bits per node."""
-        return ceil_log2(max(2, self.num_states()))
-
-    def stabilization_bound(self) -> int | None:
-        """An upper bound on the stabilisation time ``T(A)``, if known.
-
-        Returns ``None`` when no closed-form bound is available (for example
-        for heuristic baselines).
-        """
-        return None
 
     def default_state(self) -> State:
         """A canonical valid state, used when coercing garbage messages."""
@@ -322,19 +345,6 @@ class SynchronousCountingAlgorithm(ABC):
     def outputs(self, states: Sequence[State]) -> list[int]:
         """Vector of outputs ``h(i, states[i])`` for all nodes."""
         return [self.output(i, states[i]) for i in range(self.n)]
-
-    def describe(self) -> dict[str, Any]:
-        """A dictionary summary used by the experiment harness."""
-        return {
-            "name": self._info.name,
-            "n": self.n,
-            "f": self.f,
-            "c": self.c,
-            "deterministic": self.deterministic,
-            "state_bits": self.state_bits(),
-            "stabilization_bound": self.stabilization_bound(),
-            "source": self._info.source,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -172,13 +172,6 @@ class FaultSchedule:
                 return window
         return None
 
-    def max_num_faults(self, default: int) -> int:
-        """The largest fault count any window requests (``None`` -> default)."""
-        return max(
-            default if window.num_faults is None else window.num_faults
-            for window in self.windows
-        )
-
     def last_change_round(self) -> int | None:
         """The last round at which the schedule changes the faulty set.
 

@@ -87,13 +87,6 @@ class EffectSummary:
     #: ``((qname, line), ..., (qname_of_drawing_fn, draw_line))``.
     draw_chain: tuple[tuple[str, int], ...] = ()
 
-    @property
-    def is_pure(self) -> bool:
-        """RNG-free and side-effect free (argument mutation aside)."""
-        return not (
-            self.draws_rng or self.writes_module_state or self.performs_io
-        )
-
     def to_dict(self) -> dict:
         return {
             "qname": self.qname,

@@ -27,7 +27,7 @@ from repro.core.algorithm import State, SynchronousCountingAlgorithm
 from repro.core.boosting import BoostedState
 from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY
-from repro.semantics import ADVERSARY_SEMANTICS, strategy_names
+from repro.semantics import ADVERSARY_SEMANTICS, flat_states, strategy_names
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -406,7 +406,7 @@ class AdaptiveSplitAdversary(Adversary):
         # matching the former per-forge linear scan exactly).  No randomness
         # is drawn, so seeded RNG streams are unchanged.
         self._round_index = round_index
-        self._flat = isinstance(algorithm.default_state(), int)
+        self._flat = flat_states(algorithm)
         self._outputs = {
             node: algorithm.output(node, state) for node, state in states.items()
         }
@@ -466,8 +466,7 @@ class AdaptiveSplitAdversary(Adversary):
         for node, state in states.items():
             if algorithm.output(node, state) == target:
                 return state
-        flat = isinstance(algorithm.default_state(), int)
-        return cls._fabricate_state(algorithm, target, rng, flat)
+        return cls._fabricate_state(algorithm, target, rng, flat_states(algorithm))
 
     @staticmethod
     def _fabricate_state(

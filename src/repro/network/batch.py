@@ -100,7 +100,7 @@ from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY as _INFINITY
 from repro.network.adversary import NoAdversary, build_adversary
 from repro.network.engine import derive_streams, resolve_initial_states, stop_step
-from repro.semantics import ADVERSARY_SEMANTICS, active_strategy_names, flat_encoding
+from repro.semantics import ADVERSARY_SEMANTICS, active_strategy_names, flat_states
 from repro.network.stabilization import RunSummary
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.obs.events import RoundObserved
@@ -543,11 +543,9 @@ def _boosted_layout(kernel: _KernelBase) -> tuple[int, int] | None:
     the register columns sit at ``fields - 2`` and ``fields - 1``.  ``None``
     means the kernel's states are flat integers.
     """
-    from repro.core.boosting import BoostedState
-
-    if isinstance(kernel.algorithm.default_state(), BoostedState):
-        return kernel.fields - 2, kernel.algorithm.c
-    return None
+    if flat_states(kernel.algorithm):
+        return None
+    return kernel.fields - 2, kernel.algorithm.c
 
 
 def _batch_index(batch: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -749,7 +747,6 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
     def __init__(self, kernel: _KernelBase) -> None:
         super().__init__(kernel)
         self._layout = _boosted_layout(kernel)
-        self._int_state = flat_encoding(kernel)
         self._camp0: np.ndarray | None = None
         self._camp1: np.ndarray | None = None
         self._outputs: np.ndarray | None = None
@@ -810,7 +807,7 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
             np.where(self._outputs[bidx, rec] == camp0, camp1, camp0),
             np.where(rec % 2 == 0, camp0, camp1),
         )
-        if self._int_state:
+        if self._layout is None:
             # Representative and fabricated states alike *are* the target
             # value for flat counters — no gather, no randomness.
             return target[..., None]
@@ -833,12 +830,11 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
     ) -> np.ndarray:
         # The scalar _fabricate_state for structured states: a random state
         # with the phase king registers pinned to (target, 1).
-        assert rng is not None
+        assert rng is not None and self._layout is not None
         fields = self.kernel.random_fields(rng, shape)
-        if self._layout is not None:
-            inner_fields, c = self._layout
-            fields[..., inner_fields] = target % c
-            fields[..., inner_fields + 1] = 1
+        inner_fields, c = self._layout
+        fields[..., inner_fields] = target % c
+        fields[..., inner_fields + 1] = 1
         return fields
 
 
@@ -867,7 +863,8 @@ def bit_identical(
         return False
     if strategy is None:
         return True
-    return ADVERSARY_SEMANTICS[strategy].determinism.for_kernel(kernel)
+    determinism = ADVERSARY_SEMANTICS[strategy].determinism
+    return determinism.flat if flat_states(kernel.algorithm) else determinism.boosted
 
 
 def build_adversary_kernel(

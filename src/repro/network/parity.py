@@ -260,7 +260,11 @@ def _scalar_trace(
     observer: Any = None,
 ) -> Any:
     """One scalar-engine reference run for a sampled configuration."""
-    from repro.network.pulling import PullSimulationConfig, run_pull_simulation
+    from repro.network.pulling import (
+        PullingAlgorithm,
+        PullSimulationConfig,
+        run_pull_simulation,
+    )
     from repro.network.simulator import SimulationConfig, run_simulation
 
     adversary = (
@@ -268,7 +272,7 @@ def _scalar_trace(
         if config.strategy != "none"
         else NoAdversary()
     )
-    if hasattr(algorithm, "pull_targets"):
+    if isinstance(algorithm, PullingAlgorithm):
         return run_pull_simulation(
             algorithm,
             adversary=adversary,
@@ -440,7 +444,6 @@ def check_distributions(
     trials: int = 60,
     seed: int = 0,
     max_rounds: int = 150,
-    tolerance: float = 0.3,
     loss: float = 0.0,
     delay: int = 0,
 ) -> tuple[float, int]:
@@ -451,9 +454,7 @@ def check_distributions(
     boosted ``corollary1`` counter unless the strategy is bit-identical on
     boosted states (phase-king-skew), a flat counter then.  It uses
     ``trials`` fixed seeds per engine and returns ``(ks_statistic,
-    trials)``.  Fixed seeds make the statistic deterministic; ``tolerance``
-    is the caller's acceptance bound (the expected KS distance of two
-    same-distribution 60-sample draws is ≈ 0.25 at the 0.5% level).
+    trials)``.  Fixed seeds make the statistic deterministic.
     ``loss``/``delay`` engage the message-plane perturbations on both
     engines, extending the distributional check to the perturbed axes.
     """

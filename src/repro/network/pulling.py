@@ -35,16 +35,15 @@ there.
 from __future__ import annotations
 
 import random
-from abc import ABC, abstractmethod
+from abc import abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
-from repro.core.algorithm import AlgorithmInfo, State, check_counting_parameters
+from repro.core.algorithm import AlgorithmInfo, CountingAlgorithm, State
 from repro.core.errors import ParameterError, SimulationError
 from repro.network.adversary import Adversary, NoAdversary
 from repro.network.engine import ModelAdapter, derive_streams, run_engine
 from repro.network.trace import ExecutionTrace
-from repro.util.intmath import ceil_log2
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -55,11 +54,12 @@ __all__ = [
 ]
 
 
-class PullingAlgorithm(ABC):
+class PullingAlgorithm(CountingAlgorithm):
     """A synchronous counting algorithm for the pulling model.
 
-    The interface mirrors :class:`~repro.core.algorithm.SynchronousCountingAlgorithm`
-    but communication is initiated by the receiver: :meth:`pull_targets`
+    Parameters and metadata are those of every counter
+    (:class:`~repro.core.algorithm.CountingAlgorithm`), but communication
+    is initiated by the receiver: :meth:`pull_targets`
     names the nodes whose state is requested this round (repetitions allowed —
     the paper samples with repetition so Chernoff bounds apply directly) and
     :meth:`next_state` consumes the aligned list of responses, each already
@@ -69,36 +69,10 @@ class PullingAlgorithm(ABC):
     """
 
     def __init__(self, n: int, f: int, c: int, info: AlgorithmInfo | None = None) -> None:
-        check_counting_parameters(n, f, c)
-        self._n = n
-        self._f = f
-        self._c = c
-        self._info = info or AlgorithmInfo(name=type(self).__name__, deterministic=False)
-
-    @property
-    def n(self) -> int:
-        """Number of nodes."""
-        return self._n
-
-    @property
-    def f(self) -> int:
-        """Resilience."""
-        return self._f
-
-    @property
-    def c(self) -> int:
-        """Counter size."""
-        return self._c
-
-    @property
-    def info(self) -> AlgorithmInfo:
-        """Descriptive metadata."""
-        return self._info
-
-    @property
-    def deterministic(self) -> bool:
-        """Whether the algorithm is deterministic (sampling usually is not)."""
-        return self._info.deterministic
+        # Sampling usually is not deterministic.
+        super().__init__(
+            n, f, c, info or AlgorithmInfo(name=type(self).__name__, deterministic=False)
+        )
 
     # ------------------------------------------------------------------ #
     # Abstract interface
@@ -179,10 +153,6 @@ class PullingAlgorithm(ABC):
         return new_states
 
     @abstractmethod
-    def output(self, node: int, state: State) -> int:
-        """The counter output ``h(i, s) ∈ [c]``."""
-
-    @abstractmethod
     def random_state(self, rng: Any = None) -> State:
         """A uniformly random valid state (arbitrary initialisation)."""
 
@@ -211,31 +181,9 @@ class PullingAlgorithm(ABC):
         except Exception:  # noqa: BLE001 - arbitrary garbage must test False
             return False
 
-    def state_bits(self) -> int:
-        """Space complexity in bits (subclasses with exact counts override)."""
-        return ceil_log2(max(2, self.num_states()))
-
-    def num_states(self) -> int:
-        """Number of distinct states (subclasses override)."""
-        raise NotImplementedError
-
     def message_bits(self) -> int:
         """Bits transferred per pulled message (one state)."""
         return self.state_bits()
-
-    def stabilization_bound(self) -> int | None:
-        """An upper bound on the stabilisation time, if known."""
-        return None
-
-    def describe(self) -> dict[str, Any]:
-        """Summary dictionary used by the experiment harness."""
-        return {
-            "name": self._info.name,
-            "n": self.n,
-            "f": self.f,
-            "c": self.c,
-            "deterministic": self._info.deterministic,
-        }
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from repro.semantics.spec import (
     FaultScheduleSemantics,
     FuzzProfile,
     Parameter,
-    flat_encoding,
+    flat_states,
     format_schema,
     resolve_binding,
     validate_parameters,
@@ -62,7 +62,7 @@ __all__ = [
     "build_algorithm",
     "fault_schedule_names",
     "fault_schedule_semantics",
-    "flat_encoding",
+    "flat_states",
     "format_schema",
     "resolve_binding",
     "strategy_names",

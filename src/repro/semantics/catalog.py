@@ -149,9 +149,7 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
             source="Section 4.1",
             build=_build_trivial,
             parameters=(Parameter("c", 2, "counter size"),),
-            scalar_deterministic=True,
             batch_deterministic=True,
-            flat_state=True,
             kernel_binding="repro.counters.kernels:TrivialBatchKernel",
             fuzz=(FuzzProfile(params=(("c", 4),), max_faults=0, max_rounds=24),),
         ),
@@ -166,9 +164,7 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("c", 2, "counter size"),
                 Parameter("claimed_resilience", 0, "the f the baseline pretends to tolerate"),
             ),
-            scalar_deterministic=True,
             batch_deterministic=True,
-            flat_state=True,
             kernel_binding="repro.counters.kernels:NaiveMajorityBatchKernel",
             fuzz=(
                 FuzzProfile(
@@ -195,9 +191,7 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("c", 2, "counter size"),
                 Parameter("seed", 0, "per-node coin-flip seed offset"),
             ),
-            scalar_deterministic=False,
             batch_deterministic=False,
-            flat_state=True,
             kernel_binding="repro.counters.kernels:RandomizedFollowMajorityBatchKernel",
             rng_note="per-round coin flips until a clear majority emerges",
             fuzz=(
@@ -218,9 +212,7 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("c", 2, "counter size"),
                 Parameter("f", 1, "tolerated faults"),
             ),
-            scalar_deterministic=True,
             batch_deterministic=True,
-            flat_state=False,
             kernel_binding="repro.counters.kernels:BoostedBatchKernel",
             fuzz=(
                 FuzzProfile(
@@ -238,9 +230,7 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("levels", 1, "recursion depth"),
                 Parameter("c", 2, "counter size"),
             ),
-            scalar_deterministic=True,
             batch_deterministic=True,
-            flat_state=False,
             kernel_binding="repro.counters.kernels:BoostedBatchKernel",
             fuzz=(
                 FuzzProfile(
@@ -261,9 +251,7 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("inner_c", 960, "inner counter size"),
                 Parameter("sample_size", 4, "pulls per block per round (M)"),
             ),
-            scalar_deterministic=False,
             batch_deterministic=False,
-            flat_state=False,
             kernel_binding="repro.sampling.kernels:SampledBoostedBatchKernel",
             rng_note="fresh per-round pull samples (Theorem 4)",
             fuzz=(
@@ -287,11 +275,9 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("link_seed", 0, "seed fixing the pull plans at construction"),
             ),
             # Construction consumes the link seed's randomness, but the fixed
-            # plans are replayed purely per round — so the scalar component
-            # counts as randomised while the batch kernel is bit-identical.
-            scalar_deterministic=False,
+            # plans are replayed purely per round — so the built counter is
+            # not ``deterministic`` while the batch kernel is bit-identical.
             batch_deterministic=True,
-            flat_state=False,
             kernel_binding="repro.sampling.kernels:SampledBoostedBatchKernel",
             rng_note="pull plans fixed at construction from link_seed (Corollary 5)",
             fuzz=(
@@ -315,7 +301,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding=None,
             kernel_binding=None,
             parameters=(),
-            scalar_deterministic=True,
             determinism=BIT_IDENTICAL,
         ),
         AdversarySemantics(
@@ -324,7 +309,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding="repro.network.adversary:CrashAdversary",
             kernel_binding="repro.network.batch:CrashBatchKernel",
             parameters=(),
-            scalar_deterministic=True,
             determinism=BIT_IDENTICAL,
         ),
         AdversarySemantics(
@@ -333,7 +317,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding="repro.network.adversary:FixedStateAdversary",
             kernel_binding="repro.network.batch:FixedStateBatchKernel",
             parameters=(Parameter("state", 0, "the fixed (un-coerced) broadcast state"),),
-            scalar_deterministic=True,
             determinism=BIT_IDENTICAL,
             fuzz_param_choices=(("state", (0, 1, 2, 3)),),
         ),
@@ -343,7 +326,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding="repro.network.adversary:RandomStateAdversary",
             kernel_binding="repro.network.batch:RandomStateBatchKernel",
             parameters=(),
-            scalar_deterministic=False,
             determinism=STATISTICAL,
         ),
         AdversarySemantics(
@@ -352,7 +334,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding="repro.network.adversary:SplitStateAdversary",
             kernel_binding="repro.network.batch:SplitStateBatchKernel",
             parameters=(),
-            scalar_deterministic=False,
             determinism=STATISTICAL,
         ),
         AdversarySemantics(
@@ -361,7 +342,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             scalar_binding="repro.network.adversary:MimicAdversary",
             kernel_binding="repro.network.batch:MimicBatchKernel",
             parameters=(),
-            scalar_deterministic=True,
             determinism=BIT_IDENTICAL,
         ),
         AdversarySemantics(
@@ -372,7 +352,6 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             parameters=(Parameter("offset", 1, "shift applied to the a register"),),
             # Boosted forgeries copy the victim's state with only ``a``
             # skewed and draw nothing; flat counters get random states.
-            scalar_deterministic=False,
             determinism=DeterminismClass(flat=False, boosted=True),
             fuzz_param_choices=(("offset", (1, 2, -1)),),
         ),
@@ -383,9 +362,7 @@ ADVERSARY_SEMANTICS: dict[str, AdversarySemantics] = {
             kernel_binding="repro.network.batch:AdaptiveSplitBatchKernel",
             parameters=(),
             # Draws randomness only when fabricating states for camp-less
-            # boosted targets — the flag says "randomised" while the
-            # determinism class carries the per-encoding split.
-            scalar_deterministic=False,
+            # boosted targets.
             determinism=FLAT_ONLY,
         ),
     )

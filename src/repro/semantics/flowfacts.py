@@ -101,18 +101,9 @@ def kernel_expectations() -> tuple[KernelExpectation, ...]:
             algorithm.batch_deterministic,
         )
     for adversary in ADVERSARY_SEMANTICS.values():
-        declare(
-            "adversary",
-            adversary.kernel_binding,
-            adversary.name,
-            adversary.determinism.bit_identical,
-        )
-        declare(
-            "scalar-adversary",
-            adversary.scalar_binding,
-            adversary.name,
-            adversary.scalar_deterministic,
-        )
+        pure = adversary.determinism.bit_identical
+        declare("adversary", adversary.kernel_binding, adversary.name, pure)
+        declare("scalar-adversary", adversary.scalar_binding, adversary.name, pure)
 
     kinds = list(_ROOTS)
     return tuple(

@@ -1,26 +1,29 @@
 """Empirical self-check of the declared component semantics.
 
 The catalogue (:mod:`repro.semantics.catalog`) *declares* facts — parameter
-schemas, state spaces, determinism classes — that the engines and the parity
+schemas, models, determinism classes — that the engines and the parity
 harness then rely on.  :func:`verify` closes the loop by checking every
 declaration against the actual implementations:
 
 * every algorithm spec builds with its declared defaults, its declared model
-  and state space match the built instance, and unknown parameters are
-  rejected;
+  matches the built instance, and its fuzz profiles validate;
 * every adversary spec resolves to its scalar class, and the scalar
   ``forge`` path's actual RNG consumption (probed against a flat and a
-  boosted algorithm) matches ``scalar_deterministic`` and, per encoding,
-  the declared :class:`~repro.semantics.spec.DeterminismClass`: a scalar
-  forge that draws cannot be replayed by a batch kernel, and one declared
-  statistical must draw;
+  boosted algorithm) matches, per encoding, the declared
+  :class:`~repro.semantics.spec.DeterminismClass`: a scalar forge that draws
+  cannot be replayed by a batch kernel, and one declared statistical must
+  draw;
 * every fault-schedule builder binding resolves and builds its defaults;
 * with NumPy available, every kernel binding resolves, the algorithm
-  kernels' ``deterministic`` / ``fields`` match the declared
-  ``batch_deterministic`` / ``flat_state``, and the adversary kernels'
-  actual NumPy RNG consumption (probed per encoding) matches the declared
-  class exactly — a mis-declared determinism class is reported in either
-  direction, not silently trusted.
+  kernels' ``deterministic`` matches the declared ``batch_deterministic``
+  and their field count matches :func:`~repro.semantics.spec.flat_states`,
+  and the adversary kernels' actual NumPy RNG consumption (probed per
+  encoding) matches the declared class exactly — a mis-declared
+  determinism class is reported in either direction, not silently trusted.
+
+Facts the built components already state (an algorithm's scalar
+``deterministic`` flag, its state encoding) are read from them, not
+declared, so there is nothing to compare them with.
 
 ``verify`` returns a list of human-readable problems (empty means the
 catalogue is sound); the CI ``semantics-audit`` job and the test suite run
@@ -44,6 +47,7 @@ from repro.semantics.spec import (
     AdversarySemantics,
     AlgorithmSemantics,
     FaultScheduleSemantics,
+    flat_states,
 )
 from repro.util.rng import ensure_rng
 
@@ -117,6 +121,8 @@ def _batch_rng_consumed(kernel_cls: Any, kernel: Any, params: dict[str, Any]) ->
 def _check_algorithms(
     algorithms: Mapping[str, AlgorithmSemantics], problems: list[str]
 ) -> None:
+    from repro.network.pulling import PullingAlgorithm
+
     for name, spec in algorithms.items():
         if name != spec.name:
             problems.append(f"algorithm {name!r}: catalogue key != spec name {spec.name!r}")
@@ -130,19 +136,12 @@ def _check_algorithms(
                 f"algorithm {name!r}: declared defaults do not build: {exc}"
             )
             continue
-        pulling = hasattr(instance, "pull_targets")
+        pulling = isinstance(instance, PullingAlgorithm)
         declared_model = spec.model
         if (declared_model == "pulling") != pulling:
             problems.append(
                 f"algorithm {name!r}: declared model {declared_model!r} but the "
                 f"built instance is {'pulling' if pulling else 'broadcast'}"
-            )
-        flat = isinstance(instance.default_state(), int)
-        if flat != spec.flat_state:
-            problems.append(
-                f"algorithm {name!r}: declared "
-                f"{'flat' if spec.flat_state else 'boosted'} state space but "
-                f"default_state() is {type(instance.default_state()).__name__}"
             )
         if not spec.fuzz:
             problems.append(
@@ -181,10 +180,11 @@ def _check_algorithms(
                 f"{spec.batch_deterministic} but the kernel reports "
                 f"{kernel.deterministic}"
             )
-        if (kernel.fields == 1) != spec.flat_state:
+        if (kernel.fields == 1) != flat_states(instance):
             problems.append(
-                f"algorithm {name!r}: declared flat_state={spec.flat_state} "
-                f"but the kernel encodes {kernel.fields} field(s)"
+                f"algorithm {name!r}: default_state() is "
+                f"{type(instance.default_state()).__name__} but the kernel "
+                f"encodes {kernel.fields} field(s)"
             )
 
 
@@ -216,9 +216,8 @@ def _check_adversaries(
                 )
             continue
 
-        # Scalar determinism: the declared flag must match the RNG stream
-        # consumption the forge path actually exhibits on some encoding, and
-        # the declared class must match it on each encoding.
+        # Scalar determinism: the declared class must match the RNG stream
+        # consumption the forge path actually exhibits on each encoding.
         try:
             consumed = [
                 _scalar_rng_consumed(spec, flat_algorithm),
@@ -227,16 +226,6 @@ def _check_adversaries(
         except Exception as exc:  # noqa: BLE001 - report, don't crash the audit
             problems.append(f"strategy {name!r}: scalar probe failed: {exc}")
             continue
-        if spec.scalar_deterministic and any(consumed):
-            problems.append(
-                f"strategy {name!r}: declared scalar-deterministic but the "
-                "forge path consumed adversary randomness"
-            )
-        if not spec.scalar_deterministic and not any(consumed):
-            problems.append(
-                f"strategy {name!r}: declared scalar-randomised but the forge "
-                "path consumed no randomness on any probed encoding"
-            )
         declared = (spec.determinism.flat, spec.determinism.boosted)
         for label, exact, drew in zip(_ENCODINGS, declared, consumed):
             _check_class(name, label, exact, drew, "scalar forge", problems)
@@ -326,12 +315,6 @@ def _check_schedules(
                         f"fault schedule {name!r}: fuzz choice {axis}={choice!r} "
                         f"does not build: {exc}"
                     )
-        if spec.batch_covered:
-            problems.append(
-                f"fault schedule {name!r}: declared batch_covered=True but the "
-                "batch engine has no schedule execution path — schedules must "
-                "degrade to the scalar engine via a named fallback"
-            )
 
 
 def verify(

@@ -5,16 +5,20 @@ three times: once as a scalar class, once as a NumPy batch kernel, and once
 implicitly in the parity harness's expectations.  The dataclasses here hold
 that description exactly once:
 
-* :class:`AlgorithmSemantics` — the algorithm's state space (flat integers vs
-  the :class:`~repro.counters.kernels.BoostedStateCodec` layout), parameter
-  schema with defaults, scalar/batch determinism, kernel binding and the
-  parity-fuzz profiles its catalogue entry is swept with;
+* :class:`AlgorithmSemantics` — the algorithm's parameter schema with
+  defaults, batch determinism, kernel binding and the parity-fuzz profiles
+  its catalogue entry is swept with;
 * :class:`AdversarySemantics` — the strategy's parameter schema, scalar class
-  and kernel bindings, scalar determinism and the per-state-space
-  :class:`DeterminismClass` the batch kernel promises;
+  and kernel bindings and the per-state-space :class:`DeterminismClass` the
+  scalar forge and the batch kernel promise;
 * :class:`DeterminismClass` — the batch-vs-scalar equivalence contract,
   refined by the state encoding (the adaptive-split fabrication path is pure
   for flat integer counters but draws randomness for boosted states).
+
+What the built component already says is not declared again: whether a
+scalar algorithm draws is its ``deterministic`` flag, whether its states
+are flat or boosted is :func:`flat_states`, and whether a scalar forge
+draws follows from the strategy's :class:`DeterminismClass`.
 
 Bindings to scalar classes and kernel classes are stored as
 ``"module:attribute"`` strings and resolved lazily, so this module imports
@@ -42,7 +46,7 @@ __all__ = [
     "AlgorithmSemantics",
     "AdversarySemantics",
     "FaultScheduleSemantics",
-    "flat_encoding",
+    "flat_states",
     "format_schema",
     "resolve_binding",
     "validate_parameters",
@@ -64,16 +68,17 @@ def resolve_binding(binding: str) -> Any:
     return getattr(import_module(module_name), attribute)
 
 
-def flat_encoding(kernel: Any) -> bool:
-    """Whether a batch kernel encodes flat integer states (one int64 field).
+def flat_states(algorithm: Any) -> bool:
+    """Whether an algorithm's states are flat integers.
 
-    This is the state-space predicate the encoding-dependent determinism
-    classes are refined by: one field *and* integer scalar states (boosted
-    codecs always carry the phase king registers as extra fields).
+    The one state-encoding predicate.  A flat counter's state is an ``int``,
+    one int64 kernel field; every other catalogued state is a
+    :class:`~repro.core.boosting.BoostedState`, whose kernel layout ends in
+    the phase king registers ``(a, d)``.  The encoding-dependent determinism
+    classes, the adversaries' forge paths and ``repro list --verbose`` all
+    read it.
     """
-    return kernel.fields == 1 and isinstance(
-        kernel.algorithm.default_state(), int
-    )
+    return isinstance(algorithm.default_state(), int)
 
 
 @dataclass(frozen=True)
@@ -114,22 +119,15 @@ def validate_parameters(
 class DeterminismClass:
     """Batch-vs-scalar equivalence of a strategy, per state encoding.
 
-    ``flat`` / ``boosted`` state whether the strategy's batch kernel consumes
-    NumPy randomness against flat integer encodings and against boosted
-    (structured) encodings respectively: ``True`` means the kernel is pure
-    there, so batch executions are bit-identical to the scalar engine.
+    ``flat`` / ``boosted`` state whether the strategy's forgeries draw
+    randomness against flat integer encodings and against boosted
+    (structured) encodings respectively: ``True`` means the scalar forge and
+    the batch kernel are both pure there, so batch executions are
+    bit-identical to the scalar engine.
     """
 
     flat: bool
     boosted: bool
-
-    def for_flat(self, flat: bool) -> bool:
-        """The answer for one concrete encoding."""
-        return self.flat if flat else self.boosted
-
-    def for_kernel(self, kernel: Any) -> bool:
-        """The answer for one concrete algorithm kernel instance."""
-        return self.for_flat(flat_encoding(kernel))
 
     @property
     def bit_identical(self) -> bool:
@@ -191,19 +189,13 @@ class AlgorithmSemantics:
     parameters:
         The full parameter schema with defaults; ``build`` accepts exactly
         these names.
-    scalar_deterministic:
-        Whether the built scalar component draws internal randomness
-        (construction- or run-time).
     batch_deterministic:
         Whether the default-parameterisation batch kernel's ``step`` is a
         pure function (consumes no NumPy randomness) — the bit-identity leg
-        of the parity contract.  Note the two flags are independent:
-        ``pseudo-random-boosted`` seeds its pull plans at construction
-        (scalar-randomised) yet replays them purely per round
-        (batch-deterministic).
-    flat_state:
-        ``True`` when states are flat integers (one int64 kernel field),
-        ``False`` for the boosted codec layout.
+        of the parity contract.  It is independent of the built scalar
+        component's ``deterministic`` flag: ``pseudo-random-boosted`` seeds
+        its pull plans at construction (scalar-randomised) yet replays them
+        purely per round (batch-deterministic).
     kernel_binding:
         Lazy ``"module:attribute"`` binding of the vectorised kernel class.
     rng_note:
@@ -220,9 +212,7 @@ class AlgorithmSemantics:
     source: str
     build: Callable[..., Any]
     parameters: tuple[Parameter, ...]
-    scalar_deterministic: bool
     batch_deterministic: bool
-    flat_state: bool
     kernel_binding: str
     rng_note: str = ""
     fuzz: tuple[FuzzProfile, ...] = ()
@@ -270,13 +260,12 @@ class AdversarySemantics:
     parameters:
         The strategy's parameter schema (beyond the ``faulty`` set every
         strategy takes).
-    scalar_deterministic:
-        Whether the scalar ``forge`` path draws from the adversary RNG
-        stream for *any* state type.
     determinism:
-        The batch kernel's :class:`DeterminismClass` — the per-encoding
+        The strategy's :class:`DeterminismClass` — the per-encoding
         equivalence contract the executor, the coverage notes and the parity
-        harness all read.
+        harness all read.  The scalar ``forge`` path draws from the
+        adversary RNG stream exactly where the class is statistical, so the
+        strategy is scalar-deterministic when it is ``bit_identical``.
     fuzz_param_choices:
         Optional-parameter axes for the parity sweep: ``(name, choices)``
         pairs each exercised with probability one half per sampled
@@ -288,7 +277,6 @@ class AdversarySemantics:
     scalar_binding: str | None
     kernel_binding: str | None
     parameters: tuple[Parameter, ...]
-    scalar_deterministic: bool
     determinism: DeterminismClass
     source: str = "Section 2 (Byzantine model)"
     fuzz_param_choices: tuple[tuple[str, tuple[Any, ...]], ...] = ()
@@ -330,7 +318,11 @@ class FaultScheduleSemantics:
     :class:`~repro.faults.schedule.FaultSchedule`.  Like every other
     component, which presets exist, what parameters they take and how the
     parity harness sweeps them is declared here once and derived everywhere
-    else (CLI discovery, campaign validation, the fuzz sweep).
+    else (CLI discovery, campaign validation, the fuzz sweep).  Every preset
+    is scalar-deterministic (schedule randomness — drawn faulty sets, rejoin
+    states — comes from the run's dedicated ``"faults"`` stream) and runs on
+    the scalar engine only: campaign batching degrades scheduled runs via a
+    *named* fallback reason, never silently.
 
     Attributes
     ----------
@@ -341,14 +333,6 @@ class FaultScheduleSemantics:
         (resolved by :func:`repro.semantics.verify` like every binding).
     parameters:
         The builder's full parameter schema with defaults.
-    scalar_deterministic:
-        Always ``True`` in the current presets: schedule randomness (drawn
-        faulty sets, rejoin states) comes from the run's dedicated
-        ``"faults"`` stream, so fixed seeds replay fixed schedules.
-    batch_covered:
-        Whether the vectorised engine executes the preset.  ``False`` means
-        campaign batching must degrade to the scalar engine via a *named*
-        fallback reason — never silently.
     fuzz_param_choices:
         Optional-parameter axes for the parity sweep, as ``(name, choices)``
         pairs (same shape as the adversary axes).
@@ -358,8 +342,6 @@ class FaultScheduleSemantics:
     description: str
     builder_binding: str
     parameters: tuple[Parameter, ...]
-    scalar_deterministic: bool = True
-    batch_covered: bool = False
     source: str = "Section 2 (self-stabilisation)"
     fuzz_param_choices: tuple[tuple[str, tuple[Any, ...]], ...] = ()
 

@@ -7,8 +7,7 @@ Four families of checks:
   whole strategy vocabulary;
 * **self-check** — :func:`repro.semantics.verify` passes on the real
   catalogue and *fails* on tampered copies (a mis-declared determinism
-  class, state space or parameter schema, or a broken binding, is caught,
-  not trusted);
+  class or parameter schema, or a broken binding, is caught, not trusted);
 * **derivation** — the parity-fuzz sweep space, the strategy vocabulary and
   the kernel dispatch tables are generated from the catalogue;
 * **error style** — unknown names raise one
@@ -19,7 +18,10 @@ Four families of checks:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
+import io
 
 import pytest
 
@@ -165,26 +167,6 @@ class TestVerify:
             for p in problems
         )
 
-    def test_misdeclared_scalar_determinism_is_caught(self) -> None:
-        # random-state draws RNG every forge; declaring it deterministic
-        # must be reported.
-        tampered = dict(ADVERSARY_SEMANTICS)
-        tampered["random-state"] = dataclasses.replace(
-            tampered["random-state"], scalar_deterministic=True
-        )
-        problems = verify(adversaries=tampered)
-        assert any(
-            "random-state" in p and "scalar-deterministic" in p for p in problems
-        )
-
-    def test_misdeclared_state_space_is_caught(self) -> None:
-        tampered = dict(ALGORITHM_SEMANTICS)
-        tampered["naive-majority"] = dataclasses.replace(
-            tampered["naive-majority"], flat_state=False
-        )
-        problems = verify(algorithms=tampered)
-        assert any("naive-majority" in p and "boosted" in p for p in problems)
-
     def test_missing_fuzz_profile_is_caught(self) -> None:
         tampered = dict(ALGORITHM_SEMANTICS)
         tampered["trivial"] = dataclasses.replace(tampered["trivial"], fuzz=())
@@ -327,8 +309,6 @@ class TestFaultScheduleSemantics:
         for name in names:
             spec = fault_schedule_semantics(name)
             assert spec.description
-            assert spec.scalar_deterministic
-            assert not spec.batch_covered
             assert spec.build().name == name
         with pytest.raises(ParameterError, match="no semantics declared"):
             fault_schedule_semantics("meteor-strike")
@@ -511,14 +491,17 @@ class TestSpecPrimitives:
         )
 
     def test_determinism_class_refines_per_kernel(self) -> None:
-        from repro.network.batch import build_batch_kernel
+        from repro.network.batch import bit_identical, build_batch_kernel
 
         flat = build_batch_kernel(build_algorithm("naive-majority"))
         boosted = build_batch_kernel(build_algorithm("corollary1"))
-        assert FLAT_ONLY.for_kernel(flat) is True
-        assert FLAT_ONLY.for_kernel(boosted) is False
-        assert BIT_IDENTICAL.for_kernel(boosted) is True
-        assert STATISTICAL.for_kernel(flat) is False
+        # adaptive-split is FLAT_ONLY; phase-king-skew is the reverse.
+        assert bit_identical(flat, "adaptive-split") is True
+        assert bit_identical(boosted, "adaptive-split") is False
+        assert bit_identical(boosted, "phase-king-skew") is True
+        assert bit_identical(flat, "phase-king-skew") is False
+        assert bit_identical(boosted, "crash") is True
+        assert bit_identical(flat, "random-state") is False
         assert DeterminismClass(flat=True, boosted=True).bit_identical
 
     def test_resolve_binding(self) -> None:
@@ -538,7 +521,48 @@ class TestSpecPrimitives:
 # ---------------------------------------------------------------------- #
 
 
+@functools.cache
+def _listed_semantics() -> dict[tuple[str, str], str]:
+    """``(section, entry) -> semantics`` as ``repro list --verbose`` prints it."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["list", "--verbose"]) == 0
+    listed: dict[tuple[str, str], str] = {}
+    section = entry = ""
+    for line in out.getvalue().splitlines():
+        if line.endswith(":") and not line.startswith(" "):
+            section = line[:-1]
+        elif line.startswith("  ") and not line.startswith("   "):
+            entry = line.split()[0]
+        elif line.strip().startswith("semantics: "):
+            listed[section, entry] = line.strip().removeprefix("semantics: ")
+    return listed
+
+
 class TestVerboseListing:
+    @pytest.mark.parametrize("name", algorithm_names())
+    def test_algorithm_semantics_match_the_built_instance(self, name) -> None:
+        from repro.network.batch import build_batch_kernel
+
+        algorithm = algorithm_semantics(name).build()
+        kernel = build_batch_kernel(algorithm)
+        state = "flat integer" if kernel.fields == 1 else "boosted (structured)"
+        scalar = "deterministic" if algorithm.deterministic else "randomised"
+        batch = "bit-identical" if kernel.deterministic else "statistically equivalent"
+        assert _listed_semantics()["Algorithms", name] == (
+            f"{state} states; scalar {scalar}, batch {batch}"
+        )
+
+    @pytest.mark.parametrize("name", strategy_names())
+    def test_strategy_semantics_match_the_determinism_class(self, name) -> None:
+        spec = adversary_semantics(name)
+        scalar = "deterministic" if spec.determinism.bit_identical else "randomised"
+        assert _listed_semantics()["Adversaries", name] == (
+            f"scalar {scalar}; batch {spec.coverage_note()}"
+        )
+
     def test_verbose_listing_renders_every_spec(self, capsys) -> None:
         from repro.cli import main
 
