@@ -41,7 +41,10 @@ from repro.core.blocks import BlockLayout, CounterInterpretation
 from repro.core.parameters import BoostingParameters
 from repro.core.phase_king import INFINITY, coerce_register_value, instruction_step
 from repro.core.voting import majority
-from repro.util.rng import ensure_rng, randbelow
+from repro.util.rng import draw_fields, ensure_rng
+
+#: One field of :attr:`BoostedStructure.draw_plan`: ``(bound, bits, values)``.
+DrawField = tuple[int, int, tuple[int, ...] | None]
 
 __all__ = [
     "BoostedState",
@@ -97,6 +100,10 @@ class VoteDiagnostics:
     round_value: int
 
 
+def _draw_field(bound: int, values: tuple[int, ...] | None = None) -> DrawField:
+    return bound, bound.bit_length(), values
+
+
 class BoostedStructure:
     """The Theorem 1 structure both boosted counters share.
 
@@ -135,6 +142,18 @@ class BoostedStructure:
         self._interpretation = CounterInterpretation(k=k, F=params.resilience)
         #: The values of the output register ``a``: ``[C] ∪ {∞}``.
         self._a_values = (*range(counter_size), INFINITY)
+        # A flat inner counter's state is one randbelow(c) draw, as every
+        # flat counter's random_state draws it.
+        inner_plan = (
+            inner.draw_plan
+            if isinstance(inner, BoostedStructure)
+            else (_draw_field(inner.c),)
+        )
+        self._draw_plan = (
+            *inner_plan,
+            _draw_field(len(self._a_values), self._a_values),
+            _draw_field(2),
+        )
         return params
 
     # ------------------------------------------------------------------ #
@@ -166,6 +185,20 @@ class BoostedStructure:
         """``τ = 3(F+2)``."""
         return self._params.tau
 
+    @property
+    def draw_plan(self) -> tuple[DrawField, ...]:
+        """How :meth:`random_state` draws a state, one field at a time.
+
+        One ``(bound, bits, values)`` per field, in draw order: the inner
+        state's fields, then ``a`` and ``d``.  A field is ``values[draw]``
+        (``draw`` itself when ``values`` is ``None``) for one
+        :func:`~repro.util.rng.randbelow` draw below ``bound``, and the
+        fields in order are the batch kernels' encoding of the state, so
+        :func:`~repro.util.rng.draw_fields` over the plan replays a random
+        state already encoded.
+        """
+        return self._draw_plan
+
     # ------------------------------------------------------------------ #
     # The state space X and the output map h
     # ------------------------------------------------------------------ #
@@ -182,13 +215,13 @@ class BoostedStructure:
         return self._params.stabilization_bound(self._inner.stabilization_bound())
 
     def random_state(self, rng: Any = None) -> BoostedState:
-        generator = ensure_rng(rng)
-        # choice(self._a_values) and randrange(2), at the cost of their bits.
-        return BoostedState(
-            inner=self._inner.random_state(generator),
-            a=self._a_values[randbelow(generator, len(self._a_values))],
-            d=randbelow(generator, 2),
-        )
+        # The flat fields of the draw plan, nested level by level: the base
+        # counter's state, then the (a, d) registers of each level outwards.
+        fields = draw_fields(ensure_rng(rng), self._draw_plan)
+        state: Any = fields[0]
+        for index in range(1, len(fields), 2):
+            state = BoostedState(state, fields[index], fields[index + 1])
+        return cast(BoostedState, state)
 
     def is_valid_state(self, state: Any) -> bool:
         """Whether ``state`` is a valid :class:`BoostedState`.

@@ -169,17 +169,6 @@ class BoostedStateCodec:
         a = states[..., self.inner_core.fields]
         return np.where((a >= 0) & (a < self.c), a, 0)
 
-    def random_fields(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        inner = self.inner_core.random_fields(rng, shape)
-        # random_state draws a uniformly from [c] ∪ {∞}: c + 1 choices with
-        # the last one mapping to the INFINITY sentinel.
-        a = rng.integers(0, self.c + 1, size=shape, dtype=np.int64)
-        a = np.where(a == self.c, INFINITY, a)
-        d = rng.integers(0, 2, size=shape, dtype=np.int64)
-        return np.concatenate([inner, a[..., None], d[..., None]], axis=-1)
-
 
 # ---------------------------------------------------------------------- #
 # Flat integer counters
@@ -199,9 +188,6 @@ class _IntStateKernel(BatchKernel):
 
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return states[..., 0]
-
-    def random_fields(self, rng, shape):
-        return rng.integers(0, self.algorithm.c, size=shape + (1,), dtype=np.int64)
 
 
 class TrivialBatchKernel(_IntStateKernel):
@@ -277,9 +263,6 @@ class _TrivialCore:
 
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return states[..., 0]
-
-    def random_fields(self, rng, shape):
-        return rng.integers(0, self.algorithm.c, size=shape + (1,), dtype=np.int64)
 
     def transition(
         self,
@@ -370,9 +353,6 @@ class _BoostedCore:
 
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return self.codec.outputs(states)
-
-    def random_fields(self, rng, shape):
-        return self.codec.random_fields(rng, shape)
 
     # -- the round -------------------------------------------------------- #
 
@@ -502,9 +482,6 @@ class BoostedBatchKernel(BatchKernel):
 
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return self.core.outputs(states)
-
-    def random_fields(self, rng, shape):
-        return self.core.random_fields(rng, shape)
 
     def step(self, view, rng):
         faulty = None if view.forged is None else view.faulty_idx

@@ -3,9 +3,9 @@
 * :class:`ExperimentResult` — a named list of dictionary rows with text and
   Markdown renderers (the same structure is consumed by the benchmarks and
   by EXPERIMENTS.md).
-* :func:`run_counter_trials` — run a counter repeatedly under randomly drawn
-  fault patterns and one named adversary strategy, returning per-trial
-  metrics.
+* :func:`run_counter_trials` — run a counter (a catalogue spec or a built
+  instance) repeatedly under randomly drawn fault patterns and one named
+  adversary strategy, returning per-trial metrics.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Any, Iterable, Sequence
 from repro.analysis.metrics import TrialMetrics
 from repro.analysis.stats import summarize
 from repro.campaigns.executor import ParallelExecutor, SerialExecutor
-from repro.campaigns.spec import RunSpec
+from repro.campaigns.spec import AlgorithmSpec, RunSpec
 from repro.core.algorithm import SynchronousCountingAlgorithm
 from repro.core.errors import ParameterError, SimulationError
 from repro.network.adversary import random_faulty_set
@@ -106,7 +106,7 @@ class ExperimentResult:
 
 
 def run_counter_trials(
-    algorithm: SynchronousCountingAlgorithm,
+    algorithm: AlgorithmSpec | SynchronousCountingAlgorithm,
     adversary: str,
     trials: int,
     max_rounds: int,
@@ -122,13 +122,18 @@ def run_counter_trials(
     The trials are expressed as campaign-engine run specs and executed by the
     given executor (serial by default); passing a
     :class:`~repro.campaigns.executor.ParallelExecutor` fans the trials out
-    over worker processes.  The randomness derivation is independent of the
-    executor, so results are identical either way.
+    over worker processes, and a
+    :class:`~repro.campaigns.batching.BatchExecutor` runs the trials of a
+    catalogue counter on the batch engine where that is bit-identical.  The
+    randomness derivation is independent of the executor, so results are
+    identical either way.
 
     Parameters
     ----------
     algorithm:
-        Counter under test.
+        Counter under test: a catalogue :class:`AlgorithmSpec`, which the
+        batch engine can group, or a built instance, which always runs
+        scalar.
     adversary:
         Strategy name from the catalogue (``repro list adversaries``); each
         trial builds it over its own faulty set.
@@ -152,7 +157,8 @@ def run_counter_trials(
     """
     if trials < 1:
         raise ParameterError(f"trials must be at least 1, got {trials}")
-    faults = algorithm.f if num_faults is None else num_faults
+    counter = algorithm.build() if isinstance(algorithm, AlgorithmSpec) else algorithm
+    faults = counter.f if num_faults is None else num_faults
     master = ensure_rng(seed)
     specs: list[RunSpec] = []
     for trial in range(trials):
@@ -160,7 +166,7 @@ def run_counter_trials(
         if fault_sets is not None:
             faulty = frozenset(fault_sets[trial % len(fault_sets)])
         else:
-            faulty = random_faulty_set(algorithm.n, faults, rng=trial_rng)
+            faulty = random_faulty_set(counter.n, faults, rng=trial_rng)
         specs.append(
             RunSpec(
                 run_id=f"trial-{trial}",

@@ -17,13 +17,14 @@ under several fault placements and adversary strategies:
   wait for the next common interval).
 
 Run with ``python -m repro experiment figure2`` (add ``--large`` to include
-the 36-node level, which takes a few minutes).
+the 36-node level: about 2 s at the default 6 trials on a 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from repro.campaigns.spec import AlgorithmSpec
 from repro.core.boosting import BoostedCounter, BoostedState
 from repro.core.phase_king import INFINITY
 from repro.core.recursion import figure2_counter, plan_figure2
@@ -91,6 +92,8 @@ def run_figure2(
     """
     plan = plan_figure2(levels=levels, c=2)
     counter = figure2_counter(levels=levels, c=2)
+    # The catalogue entry of the same counter, which the batch engine groups.
+    catalogued = AlgorithmSpec.create("figure2", {"levels": levels, "c": 2})
     bound = counter.stabilization_bound()
     result = ExperimentResult(
         name=(
@@ -101,7 +104,7 @@ def run_figure2(
 
     for adversary_name in adversaries:
         metrics = run_counter_trials(
-            counter,
+            catalogued,
             adversary=adversary_name,
             trials=trials,
             max_rounds=max_rounds,
@@ -134,7 +137,7 @@ def run_figure2(
             remaining -= 1
         pattern = frozenset(scattered)
         metrics = run_counter_trials(
-            counter,
+            catalogued,
             adversary="phase-king-skew",
             trials=max(3, trials // 2),
             max_rounds=max_rounds,

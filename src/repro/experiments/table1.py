@@ -19,6 +19,7 @@ from __future__ import annotations
 
 
 from repro.analysis.stats import summarize
+from repro.campaigns.spec import AlgorithmSpec
 from repro.core.recursion import figure2_counter, optimal_resilience_counter
 from repro.counters.baselines import PRIOR_WORK_MODELS
 from repro.counters.randomized import RandomizedFollowMajorityCounter
@@ -85,10 +86,11 @@ def run_table1(
         f"(expected time ~ c^(n-f) = {randomized.expected_stabilization_rounds():.0f})",
     )
 
-    # Measured row: the Corollary 1 counter A(4, 1).
+    # Measured row: the Corollary 1 counter A(4, 1), run from its catalogue
+    # entry so the batch engine can group its trials.
     corollary1 = optimal_resilience_counter(f=1, c=2)
     corollary1_metrics = run_counter_trials(
-        corollary1,
+        AlgorithmSpec.create("corollary1", {"f": 1, "c": 2}),
         adversary="phase-king-skew",
         trials=trials,
         max_rounds=max_rounds,
@@ -117,7 +119,7 @@ def run_table1(
     # Measured row: the boosted counter A(12, 3) of Figure 2.
     boosted = figure2_counter(levels=1, c=2)
     boosted_metrics = run_counter_trials(
-        boosted,
+        AlgorithmSpec.create("figure2", {"levels": 1, "c": 2}),
         adversary="phase-king-skew",
         trials=max(3, trials // 2),
         max_rounds=max_rounds,

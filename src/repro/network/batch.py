@@ -29,7 +29,10 @@ The moving parts:
   fixed-state) comes back with a receiver axis of 1; without loss or delay
   it is written once per trial into the faulty columns of a copy of the
   shared states, and the kernel runs the round as a fault-free one.  Per-link
-  views broadcast it back to every receiver.
+  views broadcast it back to every receiver.  On boosted states a strategy
+  whose scalar forge draws (random-state, split-state, adaptive-split)
+  replays each trial's own scalar ``"adversary"`` stream, which the group
+  keeps per row, so its forgeries are the scalar engine's.
 * :func:`run_batch_trials` / :func:`run_batch_summaries` — one round loop
   per group: per-trial agreement as boolean masks, the scalar engine's
   :func:`~repro.network.engine.stop_step` applied to ``(B,)`` arrays, and
@@ -47,7 +50,8 @@ reused.  A group that :func:`bit_identical` declares draw-free refills the
 freed rows from its queue at the next step, each trial set up as it is
 admitted, so the batch stays full until the queue runs dry.  Such a group
 gets no generator at all (``rng=None``): a draw from it fails loudly instead
-of consuming a stream.
+of consuming a stream.  A replayed adversary stream belongs to its trial's
+row and moves with it, so refills and compaction leave its draws alone.
 
 A randomised group runs one chunk of ``batch_size`` trials at a time, each
 with its own PCG64 stream seeded from the chunk's trial seeds, and admits
@@ -68,13 +72,16 @@ place, :func:`bit_identical`, from the semantics catalogue's declarations.
   order), and deterministic kernels perform the same integer arithmetic the
   scalar transition does, so traces and the
   :class:`~repro.campaigns.results.RunResult` reductions match the scalar
-  engine bit for bit.  This is asserted trial-by-trial in
+  engine bit for bit.  Boosted forgeries that draw replay the trial's
+  ``adversary`` stream in the scalar forge order, so every strategy is
+  deterministic here on boosted states.  This is asserted trial-by-trial in
   ``tests/network/test_batch.py``.
 * **Randomised configurations are statistically equivalent.**  Randomised
-  kernels (and randomised adversary kernels) draw from a NumPy
-  ``Generator`` seeded from a chunk's trial seeds instead of replaying the
-  scalar engine's per-call ``random.Random`` streams; the per-round
-  distributions are identical but the sampled values are not.  Such traces
+  kernels (and the flat-state forgeries of random-state, split-state and
+  phase-king-skew) draw from a NumPy ``Generator`` seeded from a chunk's
+  trial seeds instead of replaying the scalar engine's per-call
+  ``random.Random`` streams; the per-round distributions are identical but
+  the sampled values are not.  Such traces
   carry an explicit ``rng`` note in their metadata (:data:`BATCH_RNG_NOTE`)
   so downstream consumers can tell the streams apart.
 * **Message-plane perturbations are statistically equivalent.**  The
@@ -89,6 +96,7 @@ place, :func:`bit_identical`, from the semantics catalogue's declarations.
 
 from __future__ import annotations
 
+import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -105,7 +113,7 @@ from repro.network.stabilization import RunSummary
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.obs.events import RoundObserved
 from repro.obs.observer import active as _active_observer
-from repro.util.rng import ensure_rng
+from repro.util.rng import draw_fields, ensure_rng
 
 __all__ = [
     "BATCH_RNG_NOTE",
@@ -187,18 +195,6 @@ class _KernelBase(ABC):
     @abstractmethod
     def outputs(self, states: np.ndarray) -> np.ndarray:
         """Counter outputs ``h(i, s)`` for a ``(..., fields)`` state array."""
-
-    @abstractmethod
-    def random_fields(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
-    ) -> np.ndarray:
-        """Uniformly random valid states, shaped ``(*shape, fields)``.
-
-        Must sample the same distribution as the algorithm's
-        ``random_state`` (used by the random-state / split-state adversary
-        kernels, *not* for initial states — those come from the scalar
-        streams so deterministic runs stay bit-identical).
-        """
 
     def default_fields(self) -> np.ndarray:
         """The encoded default state (what the crash adversary broadcasts)."""
@@ -496,16 +492,23 @@ class AdversaryBatchKernel(ABC):
     ``round_index`` is each live row's own round, shaped ``(B, 1, 1)``: rows
     admitted at different steps run different rounds.  ``rng`` is the
     group's generator, ``None`` in a group that :func:`bit_identical`
-    declares draw-free, so only randomised strategies may draw from it.
+    declares draw-free; only flat-state forgeries draw from it.  Where the
+    scalar forge draws on boosted states, :meth:`begin_round` receives each
+    live row's own scalar ``"adversary"`` stream instead, and the kernel
+    draws from it what the scalar forge draws, in the scalar order
+    (:meth:`_replay`), so its forgeries are the scalar ones.
 
-    Which strategy a kernel class implements, and whether its forgeries are
-    pure, is declared once in :data:`repro.semantics.ADVERSARY_SEMANTICS`
+    Which strategy a kernel class implements, and where its scalar forge
+    draws, is declared once in :data:`repro.semantics.ADVERSARY_SEMANTICS`
     (its ``kernel_binding`` and :class:`~repro.semantics.DeterminismClass`);
     :func:`bit_identical` reads the answer from there.
     """
 
     def __init__(self, kernel: _KernelBase) -> None:
         self.kernel = kernel
+        #: ``(inner_fields, c)`` on boosted states, ``None`` on flat ones.
+        self._layout = _boosted_layout(kernel)
+        self._streams: Sequence[random.Random] | None = None
 
     def begin_round(
         self,
@@ -513,8 +516,15 @@ class AdversaryBatchKernel(ABC):
         states: np.ndarray,
         correct_sorted: np.ndarray,
         rng: np.random.Generator | None,
+        streams: Sequence[random.Random] | None = None,
     ) -> None:
-        """Per-round hook (e.g. the split-state pair draw)."""
+        """Per-round hook (e.g. the split-state pair draw).
+
+        ``streams`` holds each live row's scalar adversary stream, in row
+        order, in a group that replays them; the round's forgeries draw
+        from it.
+        """
+        self._streams = streams
 
     @abstractmethod
     def forge(
@@ -533,15 +543,32 @@ class AdversaryBatchKernel(ABC):
         trailing ``fields`` axis.
         """
 
+    def _replay(self, entries: np.ndarray) -> np.ndarray:
+        """Random boosted states from each row's stream, one per set entry.
+
+        ``entries`` is a ``(B, ...)`` mask; its set entries are visited in C
+        order, which within a row is the scalar forge order (see
+        :func:`_scalar_entries`), and each draws one state's fields over the
+        algorithm's draw plan from its row's stream, exactly as the scalar
+        ``random_state`` does.  Returns ``(entries.sum(), fields)``.
+        """
+        assert self._streams is not None
+        plan = self.kernel.algorithm.draw_plan
+        counts = entries.reshape(entries.shape[0], -1).sum(axis=1).tolist()
+        drawn: list[int] = []
+        for stream, count in zip(self._streams, counts):
+            for _ in range(count):
+                drawn += draw_fields(stream, plan)
+        return np.array(drawn, dtype=np.int64).reshape(-1, self.kernel.fields)
+
 
 def _boosted_layout(kernel: _KernelBase) -> tuple[int, int] | None:
     """``(inner_fields, c)`` when the kernel encodes BoostedState rows.
 
-    Every structured kernel (broadcast and pulling boosted counters) uses the
-    shared :class:`repro.counters.kernels.BoostedStateCodec` layout — the
-    inner core's fields followed by the phase king registers ``(a, d)`` — so
-    the register columns sit at ``fields - 2`` and ``fields - 1``.  ``None``
-    means the kernel's states are flat integers.
+    Every structured kernel (broadcast and pulling boosted counters) lays a
+    state out as the inner core's fields followed by the phase king
+    registers ``(a, d)``, so the register columns sit at ``fields - 2`` and
+    ``fields - 1``.  ``None`` means the kernel's states are flat integers.
     """
     if flat_states(kernel.algorithm):
         return None
@@ -552,6 +579,43 @@ def _batch_index(batch: int, shape: tuple[int, ...]) -> np.ndarray:
     """Trial indices broadcast to a forge-result shape (batch axis first)."""
     bidx = np.arange(batch).reshape((batch,) + (1,) * (len(shape) - 1))
     return np.broadcast_to(bidx, shape)
+
+
+def _scalar_entries(
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    states: np.ndarray,
+    correct_sorted: np.ndarray,
+) -> np.ndarray:
+    """The forge entries the scalar engine forges: a mask of the forge shape.
+
+    The scalar engine forges for correct receivers only, and a pulling
+    receiver only where its plan targets a faulty node.  In C order the
+    set entries of a row run over its receivers ascending, then over the
+    faulty senders (broadcast) or plan positions (pulling) ascending: the
+    order the scalar rounds call ``forge`` in.
+    """
+    batch, n = states.shape[0], states.shape[1]
+    correct = np.zeros((batch, n), dtype=bool)
+    correct[np.arange(batch)[:, None], correct_sorted] = True
+    shape = np.broadcast_shapes(senders.shape, receivers.shape)
+    bidx = _batch_index(batch, shape)
+    return (
+        correct[bidx, np.broadcast_to(receivers, shape)]
+        & ~correct[bidx, np.broadcast_to(senders, shape)]
+    )
+
+
+def _random_flat_fields(
+    kernel: _KernelBase, rng: np.random.Generator | None, shape: tuple[int, ...]
+) -> np.ndarray:
+    """Uniform flat states ``[0, c)`` from the group's generator: ``(*shape, 1)``.
+
+    A flat counter's ``random_state`` is uniform over ``[c]``; these draws
+    follow its distribution, not its stream.
+    """
+    assert rng is not None
+    return rng.integers(0, kernel.algorithm.c, size=shape + (1,), dtype=np.int64)
 
 
 class CrashBatchKernel(AdversaryBatchKernel):
@@ -601,7 +665,13 @@ class FixedStateBatchKernel(AdversaryBatchKernel):
 
 
 class RandomStateBatchKernel(AdversaryBatchKernel):
-    """Independently random valid state per (sender, receiver) pair."""
+    """Independently random valid state per (sender, receiver) pair.
+
+    Flat states come from the group's generator.  Boosted states replay
+    each trial's scalar stream: one random state per entry the scalar
+    engine forges, in its order; the entries it never forges (faulty
+    receivers, correct pull targets) hold the default state.
+    """
 
     def forge(
         self,
@@ -612,9 +682,14 @@ class RandomStateBatchKernel(AdversaryBatchKernel):
         correct_sorted: np.ndarray,
         rng: np.random.Generator | None,
     ) -> np.ndarray:
-        assert rng is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
-        return self.kernel.random_fields(rng, shape)
+        if self._layout is None:
+            return _random_flat_fields(self.kernel, rng, shape)
+        entries = _scalar_entries(senders, receivers, states, correct_sorted)
+        forged = np.empty(shape + (self.kernel.fields,), dtype=np.int64)
+        forged[...] = self.kernel.default_fields()
+        forged[entries] = self._replay(entries)
+        return forged
 
 
 class SplitStateBatchKernel(AdversaryBatchKernel):
@@ -630,11 +705,17 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
         states: np.ndarray,
         correct_sorted: np.ndarray,
         rng: np.random.Generator | None,
+        streams: Sequence[random.Random] | None = None,
     ) -> None:
         # One pair per trial per round, shared by all faulty senders —
         # exactly the scalar SplitStateAdversary.on_round_start draw.
-        assert rng is not None
-        self._pair = self.kernel.random_fields(rng, (states.shape[0], 2))
+        super().begin_round(round_index, states, correct_sorted, rng, streams)
+        batch = states.shape[0]
+        if self._layout is None:
+            self._pair = _random_flat_fields(self.kernel, rng, (batch, 2))
+        else:
+            pair = self._replay(np.ones((batch, 2), dtype=bool))
+            self._pair = pair.reshape(batch, 2, self.kernel.fields)
 
     def forge(
         self,
@@ -648,9 +729,7 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
         assert self._pair is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         parity = np.broadcast_to(receivers % 2, shape)
-        batch = states.shape[0]
-        bidx = np.arange(batch).reshape((batch,) + (1,) * (len(shape) - 1))
-        return self._pair[np.broadcast_to(bidx, shape), parity]
+        return self._pair[_batch_index(states.shape[0], shape), parity]
 
 
 class MimicBatchKernel(AdversaryBatchKernel):
@@ -686,14 +765,13 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
     receivers and the reset marker for odd ones, keeping the victim's ``d``.
     That path draws nothing, so on boosted states the kernel is
     bit-identical.  For flat integer states the scalar class degrades to
-    fully random forgeries, so the kernel does too (``random_fields``), and
-    there it is statistically equivalent.
+    fully random forgeries, so the kernel does too, from the group's
+    generator, and there it is statistically equivalent.
     """
 
     def __init__(self, kernel: _KernelBase, offset: int = 1) -> None:
         super().__init__(kernel)
         self._offset = int(offset)
-        self._layout = _boosted_layout(kernel)
 
     def forge(
         self,
@@ -706,8 +784,7 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         if self._layout is None:
-            assert rng is not None
-            return self.kernel.random_fields(rng, shape)
+            return _random_flat_fields(self.kernel, rng, shape)
         inner_fields, c = self._layout
         num_correct = correct_sorted.shape[1]
         bidx = _batch_index(states.shape[0], shape)
@@ -737,16 +814,16 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
       camp of their parity) by replaying the representative node's state, or
       fabricating one when the target camp has no representative.
 
-    Fabrication is where determinism splits: for flat integer counters the
-    scalar ``_fabricate_state`` returns the target value without touching
-    the RNG, so the kernel is **bit-identical**; for boosted states it draws
-    a random state, so the kernel is statistically equivalent there — the
-    catalogue declares the split as ``FLAT_ONLY``.
+    For flat integer counters the scalar ``_fabricate_state`` returns the
+    target value without touching the RNG.  For boosted states it draws a
+    random state and pins the phase king registers to ``(target, 1)``; the
+    kernel draws those states from each trial's scalar stream, for exactly
+    the entries the scalar forge fabricates, so it is bit-identical on both
+    encodings.
     """
 
     def __init__(self, kernel: _KernelBase) -> None:
         super().__init__(kernel)
-        self._layout = _boosted_layout(kernel)
         self._camp0: np.ndarray | None = None
         self._camp1: np.ndarray | None = None
         self._outputs: np.ndarray | None = None
@@ -759,7 +836,9 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         states: np.ndarray,
         correct_sorted: np.ndarray,
         rng: np.random.Generator | None,
+        streams: Sequence[random.Random] | None = None,
     ) -> None:
+        super().begin_round(round_index, states, correct_sorted, rng, streams)
         batch, n = states.shape[0], states.shape[1]
         c = self.kernel.algorithm.c
         k = correct_sorted.shape[1]
@@ -813,29 +892,20 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
             return target[..., None]
         k = correct_sorted.shape[1]
         pos = self._first_pos[bidx, target]
-        have_rep = pos < k
         rep_nodes = correct_sorted[bidx, np.minimum(pos, k - 1)]
-        forged = states[bidx, rep_nodes].copy()
-        if not have_rep.all():
-            forged = np.where(
-                have_rep[..., None], forged, self._fabricate(target, shape, rng)
-            )
+        forged = states[bidx, rep_nodes]
+        # The scalar forge fabricates where the target camp has no
+        # representative; the other entries without one are never read.
+        fabricated = (pos >= k) & _scalar_entries(
+            senders, receivers, states, correct_sorted
+        )
+        if fabricated.any():
+            inner_fields, c = self._layout
+            drawn = self._replay(fabricated)
+            drawn[:, inner_fields] = target[fabricated] % c
+            drawn[:, inner_fields + 1] = 1
+            forged[fabricated] = drawn
         return forged
-
-    def _fabricate(
-        self,
-        target: np.ndarray,
-        shape: tuple[int, ...],
-        rng: np.random.Generator | None,
-    ) -> np.ndarray:
-        # The scalar _fabricate_state for structured states: a random state
-        # with the phase king registers pinned to (target, 1).
-        assert rng is not None and self._layout is not None
-        fields = self.kernel.random_fields(rng, shape)
-        inner_fields, c = self._layout
-        fields[..., inner_fields] = target % c
-        fields[..., inner_fields + 1] = 1
-        return fields
 
 
 def adversary_kernel_available(strategy: str | None) -> bool:
@@ -854,17 +924,29 @@ def bit_identical(
     The one rule the executor's ``auto`` gate, the ``rng`` note and the
     parity harness share: message-plane perturbations and randomised
     algorithm kernels always consume NumPy randomness; fault-free groups
-    (``strategy=None``) forge nothing; otherwise the strategy's declared
-    :class:`~repro.semantics.DeterminismClass` answers for this kernel's
-    state encoding (adaptive-split is pure for flat counters only,
-    phase-king-skew for boosted states only).
+    (``strategy=None``) forge nothing; boosted groups are bit-identical
+    under every strategy, because wherever the scalar forge draws they
+    replay each trial's own scalar adversary stream; on flat states the
+    strategy's declared :class:`~repro.semantics.DeterminismClass` answers
+    (random-state, split-state and phase-king-skew draw NumPy values there).
     """
     if loss > 0.0 or delay > 0 or not kernel.deterministic:
         return False
-    if strategy is None:
+    if strategy is None or not flat_states(kernel.algorithm):
         return True
-    determinism = ADVERSARY_SEMANTICS[strategy].determinism
-    return determinism.flat if flat_states(kernel.algorithm) else determinism.boosted
+    return ADVERSARY_SEMANTICS[strategy].determinism.flat
+
+
+def _replays_scalar_stream(kernel: _KernelBase, strategy: str | None) -> bool:
+    """Whether the group's adversary kernel replays the scalar adversary streams.
+
+    It does on boosted states, where the strategy's scalar forge draws
+    (random-state, split-state, adaptive-split); everywhere else a trial's
+    ``"adversary"`` stream is never read, so it is not derived.
+    """
+    if strategy is None or flat_states(kernel.algorithm):
+        return False
+    return not ADVERSARY_SEMANTICS[strategy].determinism.boosted
 
 
 def build_adversary_kernel(
@@ -938,9 +1020,10 @@ def run_batch_trials(
     ``seed=trial.sim_seed`` and the adversary built from
     ``(adversary_strategy, trial.faulty, adversary_params)``: the same derived
     initial-state streams, the same :func:`~repro.network.engine.stop_step`
-    (window first on ties), and the same trace layout.  Deterministic kernels are
-    bit-identical; randomised ones are statistically equivalent and stamp
-    :data:`BATCH_RNG_NOTE` into the trace metadata.
+    (window first on ties), and the same trace layout.  Groups that
+    :func:`bit_identical` accepts are bit-identical; the others are
+    statistically equivalent and stamp :data:`BATCH_RNG_NOTE` into the
+    trace metadata.
 
     ``loss`` / ``delay`` engage the message-plane perturbations of
     :class:`repro.faults.schedule.Perturbations` (broadcast model only):
@@ -1067,6 +1150,8 @@ def _run_group(
     randomized = not bit_identical(
         kernel, strategy if num_faults else None, loss=loss, delay=delay
     )
+    replays = bool(num_faults) and _replays_scalar_stream(kernel, strategy)
+    stream_names = ("initial-states", "adversary") if replays else ("initial-states",)
     rng_note = BATCH_RNG_NOTE if randomized else None
     correct = n - num_faults
     capacity = min(batch_size, len(trials))
@@ -1074,13 +1159,15 @@ def _run_group(
 
     traces: list[Any] = [None] * len(trials) if record_outputs else []
     summaries: list[Any] = [None] * len(trials)
-    #: Per slot: the trial it runs, its faulty set and (for traces) its
-    #: correct nodes.  Column ``slot`` of ``agreed_rounds`` holds the trial's
-    #: agreed value per round up to its stop round; round-major, so rows
-    #: that stop early only touch the memory of the rounds they ran.
+    #: Per slot: the trial it runs, its faulty set, (for traces) its correct
+    #: nodes and (when replayed) its scalar adversary stream.  Column
+    #: ``slot`` of ``agreed_rounds`` holds the trial's agreed value per
+    #: round up to its stop round; round-major, so rows that stop early only
+    #: touch the memory of the rounds they ran.
     slot_trial = [0] * capacity
     slot_faulty: list[tuple[int, ...]] = [()] * capacity
     slot_correct: list[list[int]] = [[]] * capacity
+    slot_stream: list[Any] = [None] * capacity
     free_slots = list(range(capacity - 1, -1, -1))
     agreed_rounds = np.empty((max_rounds, capacity), dtype=np.int64)
 
@@ -1141,12 +1228,15 @@ def _run_group(
                 adversary.validate(algorithm)
                 faulty = tuple(sorted(adversary.faulty))
                 nodes = [node for node in range(n) if node not in adversary.faulty]
-                # Only the first derived stream feeds the batch path (the
-                # kernels replace the adversary/sampling streams with NumPy
-                # randomness), and later derivations cannot influence an
-                # already-derived stream — so deriving just "initial-states"
-                # is bit-exact and skips constructing the unused generators.
-                init_rng = derive_streams(ensure_rng(trial.sim_seed), "initial-states")[0]
+                # The scalar engine derives "initial-states", then
+                # "adversary" (then "sampling", pulling).  A later derivation
+                # cannot influence an earlier stream, so deriving only the
+                # streams the batch path reads is bit-exact: "adversary" only
+                # where the adversary kernel replays it, and never "sampling"
+                # (sampled plans draw NumPy values).
+                init_rng, *adversary_rng = derive_streams(
+                    ensure_rng(trial.sim_seed), *stream_names
+                )
                 initial = resolve_initial_states(algorithm, nodes, None, init_rng)
                 encoded.append([kernel.encode(initial[node]) for node in nodes])
                 correct_rows.append(nodes)
@@ -1155,6 +1245,8 @@ def _run_group(
                 new_slots.append(slot)
                 slot_trial[slot] = index
                 slot_faulty[slot] = faulty
+                if replays:
+                    slot_stream[slot] = adversary_rng[0]
                 if record_outputs:
                     slot_correct[slot] = nodes
                     metadata: dict[str, Any] = dict(trial.metadata)
@@ -1216,7 +1308,12 @@ def _run_group(
             step_started = time.perf_counter()
         round_index = rounds[:, None, None]
         if adversary_kernel is not None:
-            adversary_kernel.begin_round(round_index, states, correct_sorted, rng)
+            streams = None
+            if replays:
+                streams = [slot_stream[slot] for slot in slots.tolist()]
+            adversary_kernel.begin_round(
+                round_index, states, correct_sorted, rng, streams
+            )
         if pulling:
             network = BatchPullNetwork(
                 states, faulty_mask, adversary_kernel, correct_sorted, round_index, rng

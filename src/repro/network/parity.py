@@ -21,8 +21,8 @@ promised equivalence for every sampled configuration:
   verify the equivalence class the kernels advertise;
 * :func:`check_distributions` — Kolmogorov–Smirnov closeness of the
   stabilisation-time distributions for the statistically equivalent
-  strategies, each on an encoding where it draws (fixed seeds keep it
-  deterministic);
+  strategies, on a flat counter, where their kernels draw NumPy values
+  (fixed seeds keep it deterministic);
 * :func:`run_parity_fuzz` — the full sweep, consumed by
   ``tests/network/test_parity_fuzz.py`` and ``scripts/run_parity_fuzz.py``.
 """
@@ -81,12 +81,12 @@ ALL_STRATEGIES: tuple[str, ...] = strategy_names()
 
 #: The strategies whose batch kernels are only statistically equivalent on
 #: *some* encoding — the ones worth a Kolmogorov–Smirnov distribution check
-#: (:func:`check_distributions`).  Generated from the declared determinism
-#: classes.
+#: (:func:`check_distributions`).  Boosted groups replay the scalar stream,
+#: so these are the strategies whose declared class draws on flat states.
 DISTRIBUTION_STRATEGIES: tuple[str, ...] = tuple(
     name
     for name in strategy_names()
-    if name != "none" and not adversary_semantics(name).determinism.bit_identical
+    if name != "none" and not adversary_semantics(name).determinism.flat
 )
 
 #: The stopping-rule grid: no early stop, the boundary window 1, a small
@@ -427,11 +427,8 @@ def _ks_statistic(left: Sequence[float], right: Sequence[float]) -> float:
     return worst
 
 
-#: The counters :func:`check_distributions` runs a strategy against: the
-#: boosted ``corollary1``, whose structured states exercise the skew and
-#: fabrication paths, and a flat counter that two random forgers can
-#: delay, for strategies that draw only against flat states.
-_BOOSTED_PROBE: tuple[str, dict[str, Any]] = ("corollary1", {"f": 1, "c": 2})
+#: The counter :func:`check_distributions` runs a strategy against: a flat
+#: counter that two random forgers can delay.
 _FLAT_PROBE: tuple[str, dict[str, Any]] = (
     "naive-majority",
     {"n": 9, "c": 4, "claimed_resilience": 2},
@@ -449,20 +446,18 @@ def check_distributions(
 ) -> tuple[float, int]:
     """KS closeness of scalar vs batch stabilisation times for one strategy.
 
-    Runs the strategy, with ``f`` faults, against an encoding on which its
-    declared :class:`~repro.semantics.DeterminismClass` is statistical: the
-    boosted ``corollary1`` counter unless the strategy is bit-identical on
-    boosted states (phase-king-skew), a flat counter then.  It uses
-    ``trials`` fixed seeds per engine and returns ``(ks_statistic,
-    trials)``.  Fixed seeds make the statistic deterministic.
-    ``loss``/``delay`` engage the message-plane perturbations on both
-    engines, extending the distributional check to the perturbed axes.
+    Runs the strategy, with ``f`` faults, against a flat counter: the one
+    encoding on which a batch kernel draws NumPy values instead of
+    replaying the scalar stream.  It uses ``trials`` fixed seeds per engine
+    and returns ``(ks_statistic, trials)``.  Fixed seeds make the statistic
+    deterministic.  ``loss``/``delay`` engage the message-plane
+    perturbations on both engines, extending the distributional check to
+    the perturbed axes.
     """
     from repro.network.batch import BatchTrial, build_batch_kernel, run_batch_trials
     from repro.network.stabilization import stabilization_round
 
-    exact_on_boosted = adversary_semantics(strategy).determinism.boosted
-    name, params = _FLAT_PROBE if exact_on_boosted else _BOOSTED_PROBE
+    name, params = _FLAT_PROBE
     algorithm = build_algorithm(name, **params)
     kernel = build_batch_kernel(algorithm)
     assert kernel is not None

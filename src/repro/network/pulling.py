@@ -73,6 +73,7 @@ class PullingAlgorithm(CountingAlgorithm):
         super().__init__(
             n, f, c, info or AlgorithmInfo(name=type(self).__name__, deterministic=False)
         )
+        self._default_state: State | None = None
 
     # ------------------------------------------------------------------ #
     # Abstract interface
@@ -165,8 +166,15 @@ class PullingAlgorithm(CountingAlgorithm):
     # ------------------------------------------------------------------ #
 
     def default_state(self) -> State:
-        """A canonical valid state."""
-        return self.random_state(ensure_rng(0))
+        """A canonical valid state: the first :meth:`random_state` of ``Random(0)``.
+
+        Drawn once per instance and then returned as it is, since states are
+        immutable; the crash forgery and :func:`~repro.semantics.flat_states`
+        ask for it every round.
+        """
+        if self._default_state is None:
+            self._default_state = self.random_state(ensure_rng(0))
+        return self._default_state
 
     def is_valid_state(self, state: Any) -> bool:
         """Whether ``state`` belongs to the algorithm's state space.

@@ -100,9 +100,6 @@ class SampledBoostedBatchKernel(PullBatchKernel):
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return self.codec.outputs(states)
 
-    def random_fields(self, rng, shape):
-        return self.codec.random_fields(rng, shape)
-
     # -- the pull plan ----------------------------------------------------- #
 
     def _targets(self, batch: int, rng: np.random.Generator) -> np.ndarray:

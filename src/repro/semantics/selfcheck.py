@@ -16,10 +16,14 @@ declaration against the actual implementations:
 * every fault-schedule builder binding resolves and builds its defaults;
 * with NumPy available, every kernel binding resolves, the algorithm
   kernels' ``deterministic`` matches the declared ``batch_deterministic``
-  and their field count matches :func:`~repro.semantics.spec.flat_states`,
-  and the adversary kernels' actual NumPy RNG consumption (probed per
-  encoding) matches the declared class exactly — a mis-declared
-  determinism class is reported in either direction, not silently trusted.
+  and their field count matches :func:`~repro.semantics.spec.flat_states`;
+  on flat encodings the adversary kernels' NumPy RNG consumption matches
+  the declared class exactly, and on boosted encodings each adversary
+  kernel replays the scalar adversary stream without a NumPy generator:
+  one forge round gives the scalar forgeries, leaves the stream where the
+  scalar forge leaves it, and draws from it exactly where the declared
+  class is statistical.  A mis-declared determinism class is reported in
+  either direction, not silently trusted.
 
 Facts the built components already state (an algorithm's scalar
 ``deterministic`` flag, its state encoding) are read from them, not
@@ -116,6 +120,71 @@ def _batch_rng_consumed(kernel_cls: Any, kernel: Any, params: dict[str, Any]) ->
         rng,
     )
     return repr(rng.bit_generator.state) != before
+
+
+#: The replay probe's faulty senders: two, so that an order of forges other
+#: than the scalar one (receivers, then senders, ascending) shows.
+_REPLAY_FAULTY = (0, 1)
+
+
+def _replay_probe(
+    spec: AdversarySemantics, kernel_cls: Any, kernel: Any, params: dict[str, Any]
+) -> tuple[bool, list[str]]:
+    """One boosted forge round of the kernel against the scalar forge round.
+
+    Both start from copies of one adversary stream; each of two batch rows
+    replays its own copy.  The kernel gets no NumPy generator, as in a
+    bit-identical group, so a NumPy draw fails the probe.  Returns whether
+    the kernel drew from its streams and the ways it differs from the
+    scalar round: other forgeries, or another stream position afterwards.
+    """
+    import numpy as np
+
+    algorithm = kernel.algorithm
+    n = algorithm.n
+    correct = [node for node in range(n) if node not in _REPLAY_FAULTY]
+    states = {node: algorithm.default_state() for node in correct}
+    adversary = spec.scalar_class()(_REPLAY_FAULTY, **params)
+    scalar_rng = ensure_rng(0)
+    adversary.on_round_start(0, states, algorithm, scalar_rng)
+    expected = [
+        [
+            list(kernel.encode(algorithm.coerce_message(forged)))
+            for forged in (
+                adversary.forge(0, sender, receiver, states, algorithm, scalar_rng)
+                for sender in _REPLAY_FAULTY
+            )
+        ]
+        for receiver in correct
+    ]
+
+    batch = 2
+    streams = [ensure_rng(0) for _ in range(batch)]
+    start = streams[0].getstate()
+    encoded = np.empty((batch, n, kernel.fields), dtype=np.int64)
+    encoded[:, :, :] = kernel.default_fields()
+    correct_sorted = np.array([correct] * batch, dtype=np.int64)
+    faulty_idx = np.array([_REPLAY_FAULTY] * batch, dtype=np.int64)
+    round_index = np.zeros((batch, 1, 1), dtype=np.int64)
+    adversary_kernel = kernel_cls(kernel, **params)
+    adversary_kernel.begin_round(round_index, encoded, correct_sorted, None, streams)
+    forged = adversary_kernel.forge(
+        round_index,
+        faulty_idx[:, None, :],
+        np.arange(n)[None, :, None],
+        encoded,
+        correct_sorted,
+        None,
+    )
+    forged = np.broadcast_to(forged, (batch, n, len(_REPLAY_FAULTY), kernel.fields))
+    problems = []
+    if any(forged[row, correct].tolist() != expected for row in range(batch)):
+        problems.append("forged other fields than the scalar forge")
+    if any(stream.getstate() != scalar_rng.getstate() for stream in streams):
+        problems.append(
+            "left the adversary stream at another position than the scalar forge"
+        )
+    return streams[0].getstate() != start, problems
 
 
 def _check_algorithms(
@@ -238,17 +307,24 @@ def _check_adversaries(
             problems.append(f"strategy {name!r}: kernel binding broken: {exc}")
             continue
         defaults = {p.name: p.default for p in spec.parameters}
-        for label, kernel, exact in zip(
-            _ENCODINGS, (flat_kernel, boosted_kernel), declared
-        ):
-            try:
-                drew = _batch_rng_consumed(kernel_cls, kernel, defaults)
-            except Exception as exc:  # noqa: BLE001
-                problems.append(
-                    f"strategy {name!r}: batch probe ({label}) failed: {exc}"
-                )
-                continue
-            _check_class(name, label, exact, drew, "kernel", problems)
+        try:
+            drew = _batch_rng_consumed(kernel_cls, flat_kernel, defaults)
+        except Exception as exc:  # noqa: BLE001
+            problems.append(f"strategy {name!r}: batch probe (flat) failed: {exc}")
+        else:
+            _check_class(name, "flat", spec.determinism.flat, drew, "kernel", problems)
+        try:
+            drew, replay = _replay_probe(spec, kernel_cls, boosted_kernel, defaults)
+        except Exception as exc:  # noqa: BLE001
+            problems.append(f"strategy {name!r}: batch probe (boosted) failed: {exc}")
+            continue
+        _check_class(
+            name, "boosted", spec.determinism.boosted, drew, "kernel", problems
+        )
+        problems.extend(
+            f"strategy {name!r}: on boosted encodings the kernel {problem}"
+            for problem in replay
+        )
 
 
 def _check_class(

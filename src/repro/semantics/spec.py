@@ -9,11 +9,12 @@ that description exactly once:
   defaults, batch determinism, kernel binding and the parity-fuzz profiles
   its catalogue entry is swept with;
 * :class:`AdversarySemantics` — the strategy's parameter schema, scalar class
-  and kernel bindings and the per-state-space :class:`DeterminismClass` the
-  scalar forge and the batch kernel promise;
-* :class:`DeterminismClass` — the batch-vs-scalar equivalence contract,
-  refined by the state encoding (the adaptive-split fabrication path is pure
-  for flat integer counters but draws randomness for boosted states).
+  and kernel bindings and the per-state-space :class:`DeterminismClass` of
+  its scalar forge;
+* :class:`DeterminismClass` — where a scalar forge draws randomness, per
+  state encoding (the adaptive-split fabrication path is pure for flat
+  integer counters but draws randomness for boosted states), from which the
+  batch-vs-scalar equivalence follows.
 
 What the built component already says is not declared again: whether a
 scalar algorithm draws is its ``deterministic`` flag, whether its states
@@ -117,13 +118,18 @@ def validate_parameters(
 
 @dataclass(frozen=True)
 class DeterminismClass:
-    """Batch-vs-scalar equivalence of a strategy, per state encoding.
+    """Per state encoding, whether forgeries are pure.
 
-    ``flat`` / ``boosted`` state whether the strategy's forgeries draw
-    randomness against flat integer encodings and against boosted
-    (structured) encodings respectively: ``True`` means the scalar forge and
-    the batch kernel are both pure there, so batch executions are
-    bit-identical to the scalar engine.
+    A strategy declares where its scalar forge draws: ``flat`` / ``boosted``
+    say whether the forge is pure (draws nothing from the adversary stream)
+    against flat integer encodings and against boosted (structured)
+    encodings respectively.  The batch engine's equivalence follows.  On
+    flat states a drawing strategy's kernel draws NumPy values instead, so
+    batch executions are bit-identical where the class is pure and
+    statistically equivalent elsewhere.  On boosted states the kernel
+    replays each trial's own scalar adversary stream wherever the scalar
+    forge draws, so boosted batch groups are bit-identical under every
+    strategy (:func:`repro.network.batch.bit_identical`).
     """
 
     flat: bool
@@ -131,11 +137,11 @@ class DeterminismClass:
 
     @property
     def bit_identical(self) -> bool:
-        """Pure against every state encoding."""
+        """Pure against every state encoding: a scalar-deterministic strategy."""
         return self.flat and self.boosted
 
     def note(self) -> str:
-        """The human-readable coverage note of this equivalence class."""
+        """The human-readable note of this class read as batch equivalence."""
         if self.flat and self.boosted:
             return "bit-identical"
         if self.flat:
@@ -261,11 +267,12 @@ class AdversarySemantics:
         The strategy's parameter schema (beyond the ``faulty`` set every
         strategy takes).
     determinism:
-        The strategy's :class:`DeterminismClass` — the per-encoding
-        equivalence contract the executor, the coverage notes and the parity
-        harness all read.  The scalar ``forge`` path draws from the
-        adversary RNG stream exactly where the class is statistical, so the
-        strategy is scalar-deterministic when it is ``bit_identical``.
+        The strategy's :class:`DeterminismClass`: the scalar ``forge`` path
+        draws from the adversary RNG stream exactly where the class is not
+        pure, so the strategy is scalar-deterministic when it is
+        ``bit_identical``.  The executor, the coverage notes and the parity
+        harness read the batch equivalence off it: flat groups are
+        bit-identical where it is pure, boosted groups always.
     fuzz_param_choices:
         Optional-parameter axes for the parity sweep: ``(name, choices)``
         pairs each exercised with probability one half per sampled
@@ -298,10 +305,14 @@ class AdversarySemantics:
         return resolve_binding(self.kernel_binding)
 
     def coverage_note(self) -> str:
-        """The batch-engine coverage note shown by discovery surfaces."""
+        """The batch-engine coverage note shown by discovery surfaces.
+
+        Boosted groups replay the scalar adversary stream, so they are
+        bit-identical whatever the scalar forge draws.
+        """
         if self.kernel_binding is None:
             return "bit-identical (no forgeries)"
-        return self.determinism.note()
+        return DeterminismClass(flat=self.determinism.flat, boosted=True).note()
 
     def validate(self, params: Mapping[str, Any]) -> None:
         """Reject parameters outside the schema (:class:`ParameterError`)."""

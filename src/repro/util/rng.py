@@ -20,6 +20,7 @@ __all__ = [
     "derive_rng_from_base",
     "spawn_rngs",
     "randbelow",
+    "draw_fields",
 ]
 
 #: Large odd multiplier used to mix derivation labels into seeds.
@@ -98,6 +99,25 @@ def randbelow(rng: random.Random, bound: int) -> int:
     while draw >= bound:
         draw = rng.getrandbits(bits)
     return draw
+
+
+def draw_fields(
+    rng: random.Random, plan: Sequence[tuple[int, int, Sequence[int] | None]]
+) -> list[int]:
+    """One :func:`randbelow` draw per field of a draw plan, in plan order.
+
+    Each field is ``(bound, bits, values)`` with ``bits =
+    bound.bit_length()``; it reads ``values[draw]``, or ``draw`` itself
+    when ``values`` is ``None``.  The values and the stream position after
+    them are those of ``randbelow(rng, bound)`` per field.
+    """
+    fields: list[int] = []
+    for bound, bits, values in plan:
+        draw = rng.getrandbits(bits)
+        while draw >= bound:
+            draw = rng.getrandbits(bits)
+        fields.append(draw if values is None else values[draw])
+    return fields
 
 
 def spawn_rngs(rng: random.Random | int | None, count: int) -> Sequence[random.Random]:

@@ -92,11 +92,16 @@ class TestAutoEngine:
         assert executor.stats.fallback == len(runs)
 
     def test_statistically_equivalent_adversary_falls_back_with_reason(self):
-        # random-state has a kernel, but it consumes NumPy randomness, so
-        # auto keeps the scalar path — and says why instead of staying silent.
+        # random-state has a kernel, but on flat states it consumes NumPy
+        # randomness, so auto keeps the scalar path — and says why instead
+        # of staying silent.
         spec = CampaignSpec(
             name="random",
-            algorithms=(AlgorithmSpec.create("corollary1", {"f": 1, "c": 2}),),
+            algorithms=(
+                AlgorithmSpec.create(
+                    "naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}
+                ),
+            ),
             adversaries=("random-state",),
             runs_per_setting=2,
             max_rounds=60,
@@ -109,7 +114,7 @@ class TestAutoEngine:
         assert executor.stats.batched == 0 and executor.stats.fallback == len(runs)
         assert len(executor.stats.fallback_reasons) == 1
         reason = executor.stats.fallback_reasons[0]
-        assert "corollary1(c=2,f=1) x random-state" in reason
+        assert "naive-majority(c=3,claimed_resilience=1,n=6) x random-state" in reason
         assert "statistically equivalent" in reason
 
     def test_deterministic_adaptive_split_is_batched_bit_identically(self):
@@ -457,10 +462,19 @@ class TestResumeSplit:
         # not depend on which other runs share its batch: re-executing every
         # other run of a batch store gives back the full store, which is
         # also the scalar one.
+        self._assert_split_resumes(tmp_path, "skew", "phase-king-skew")
+
+    def test_batched_random_state_store_resumes_to_the_full_store(self, tmp_path):
+        # Boosted random-state groups replay each run's own adversary
+        # stream, so here too a run's result is a function of its spec.
+        self._assert_split_resumes(tmp_path, "random", "random-state")
+
+    @staticmethod
+    def _assert_split_resumes(tmp_path, name: str, strategy: str) -> None:
         spec = CampaignSpec(
-            name="skew",
+            name=name,
             algorithms=(AlgorithmSpec.create("figure2", {"levels": 1, "c": 2}),),
-            adversaries=("phase-king-skew",),
+            adversaries=(strategy,),
             runs_per_setting=20,
             seed=3,
             max_rounds=300,

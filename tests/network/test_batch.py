@@ -489,12 +489,18 @@ def _refill_cases():
     for name, params, max_rounds in REFILL_ENTRIES:
         if name != "naive-majority":
             yield name, params, max_rounds, "phase-king-skew"
+    # Boosted forgeries that draw replay each trial's own adversary stream.
+    for name, params, max_rounds in REFILL_ENTRIES:
+        if name != "naive-majority":
+            for strategy in ("random-state", "split-state", "adaptive-split"):
+                yield name, params, max_rounds, strategy
 
 
 @pytest.mark.parametrize("name,params,max_rounds,strategy", list(_refill_cases()))
 def test_refilled_rows_match_the_scalar_engine(name, params, max_rounds, strategy):
     """Draw-free groups refill stopped rows from the queue: every trace, each
-    round index included, is the scalar one whatever the batch size."""
+    round index included, is the scalar one whatever the batch size.  A
+    replayed adversary stream moves with its trial's row."""
     algorithm = _build(name, params)
     kernel = build_batch_kernel(algorithm)
     adversary = None if strategy == "none" else strategy
@@ -531,7 +537,7 @@ def test_refilled_rows_match_the_scalar_engine(name, params, max_rounds, strateg
 @pytest.mark.parametrize(
     "name,params,strategy,loss,delay,window",
     [
-        ("figure2", {"levels": 1, "c": 2}, "random-state", 0.0, 0, 4),
+        (*NAIVE_ENTRY, "random-state", 0.0, 0, 4),
         ("randomized-follow-majority", {"n": 7, "f": 2, "c": 2}, "random-state", 0.0, 0, 4),
         (*NAIVE_ENTRY, "crash", 0.05, 1, 2),
     ],

@@ -170,3 +170,29 @@ class TestRunPullSimulation:
         summary = counter.describe()
         assert summary["name"] == "PullEcho"
         assert summary["n"] == 4
+
+
+class TestDefaultState:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            PullEchoCounter,
+            lambda: build_algorithm("sampled-boosted", sample_size=2),
+            lambda: build_algorithm("pseudo-random-boosted", sample_size=3),
+        ],
+        ids=["pull-echo", "sampled-boosted", "pseudo-random-boosted"],
+    )
+    def test_is_the_first_state_of_random_zero_built_once(self, build, monkeypatch):
+        counter = build()
+        draw = counter.random_state
+        calls = []
+
+        def counting_random_state(rng=None):
+            calls.append(rng)
+            return draw(rng)
+
+        monkeypatch.setattr(counter, "random_state", counting_random_state)
+        first = counter.default_state()
+        assert first == draw(random.Random(0))
+        assert all(counter.default_state() is first for _ in range(3))
+        assert len(calls) == 1

@@ -167,6 +167,51 @@ class TestVerify:
             for p in problems
         )
 
+    def test_a_replay_that_draws_an_extra_field_is_caught(self, monkeypatch) -> None:
+        # Each replayed boosted state draws one field more than the scalar
+        # random_state: the forgeries may still match, the stream cannot.
+        from repro.network import batch
+
+        draw_fields = batch.draw_fields
+        monkeypatch.setattr(
+            batch,
+            "draw_fields",
+            lambda stream, plan: draw_fields(stream, (*plan, plan[-1]))[:-1],
+        )
+        problems = verify()
+        replaying = {"random-state", "split-state", "adaptive-split"}
+        for name in replaying:
+            assert (
+                f"strategy {name!r}: on boosted encodings the kernel left the "
+                "adversary stream at another position than the scalar forge"
+            ) in problems
+        assert {problem.split("'")[1] for problem in problems} == replaying
+
+    def test_a_replay_that_walks_senders_before_receivers_is_caught(
+        self, monkeypatch
+    ) -> None:
+        # The same draws in another order: the stream ends where the scalar
+        # forge leaves it, but the receivers see other forgeries.
+        from repro.network import batch
+
+        forge = batch.RandomStateBatchKernel.forge
+
+        def senders_first(self, round_index, senders, receivers, states, correct, rng):
+            if self._layout is None:
+                return forge(self, round_index, senders, receivers, states, correct, rng)
+            entries = batch._scalar_entries(senders, receivers, states, correct)
+            forged = numpy.empty(entries.shape + (self.kernel.fields,), dtype=numpy.int64)
+            forged[...] = self.kernel.default_fields()
+            by_sender = entries.swapaxes(1, 2)
+            forged.swapaxes(1, 2)[by_sender] = self._replay(by_sender)
+            return forged
+
+        monkeypatch.setattr(batch.RandomStateBatchKernel, "forge", senders_first)
+        assert verify() == [
+            "strategy 'random-state': on boosted encodings the kernel forged "
+            "other fields than the scalar forge"
+        ]
+
     def test_missing_fuzz_profile_is_caught(self) -> None:
         tampered = dict(ALGORITHM_SEMANTICS)
         tampered["trivial"] = dataclasses.replace(tampered["trivial"], fuzz=())
@@ -252,11 +297,17 @@ class TestDerivedSweep:
     def test_distribution_strategies_follow_the_determinism_classes(self) -> None:
         from repro.network.parity import DISTRIBUTION_STRATEGIES
 
+        # Boosted groups replay the scalar stream, so only the strategies
+        # whose flat forge draws are statistically equivalent anywhere.
         assert DISTRIBUTION_STRATEGIES == tuple(
             name
             for name in strategy_names()
-            if name != "none"
-            and not adversary_semantics(name).determinism.bit_identical
+            if name != "none" and not adversary_semantics(name).determinism.flat
+        )
+        assert DISTRIBUTION_STRATEGIES == (
+            "phase-king-skew",
+            "random-state",
+            "split-state",
         )
 
     def test_small_sweep_covers_the_whole_registry(self) -> None:
@@ -495,13 +546,15 @@ class TestSpecPrimitives:
 
         flat = build_batch_kernel(build_algorithm("naive-majority"))
         boosted = build_batch_kernel(build_algorithm("corollary1"))
-        # adaptive-split is FLAT_ONLY; phase-king-skew is the reverse.
+        # On flat states the declared class decides: adaptive-split is
+        # FLAT_ONLY, phase-king-skew the reverse.
         assert bit_identical(flat, "adaptive-split") is True
-        assert bit_identical(boosted, "adaptive-split") is False
-        assert bit_identical(boosted, "phase-king-skew") is True
         assert bit_identical(flat, "phase-king-skew") is False
-        assert bit_identical(boosted, "crash") is True
         assert bit_identical(flat, "random-state") is False
+        # Boosted groups replay the scalar adversary stream wherever the
+        # scalar forge draws, so every strategy is bit-identical there.
+        for strategy in active_strategy_names():
+            assert bit_identical(boosted, strategy) is True, strategy
         assert DeterminismClass(flat=True, boosted=True).bit_identical
 
     def test_resolve_binding(self) -> None:

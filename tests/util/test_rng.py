@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.boosting import BoostedState, BoostedStructure
 from repro.core.phase_king import INFINITY
@@ -14,6 +17,7 @@ from repro.util.rng import (
     derivation_base,
     derive_rng,
     derive_rng_from_base,
+    draw_fields,
     ensure_rng,
     randbelow,
     sample_without_replacement,
@@ -164,3 +168,36 @@ class TestRandbelow:
                 assert forged == victim._replace(a=a)
                 assert type(forged) is BoostedState
             assert rng.getstate() == before
+
+
+@functools.cache
+def _boosted_and_kernel(name: str, params: tuple[tuple[str, int], ...]):
+    from repro.network.batch import build_batch_kernel
+
+    algorithm = build_algorithm(name, **dict(params))
+    return algorithm, build_batch_kernel(algorithm)
+
+
+class TestDrawFields:
+    """A boosted counter's draw plan is its ``random_state``, already encoded."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("corollary1", (("c", 2), ("f", 1))),
+            ("figure2", (("c", 2), ("levels", 1))),
+            ("figure2", (("c", 3), ("levels", 2))),
+            ("sampled-boosted", (("sample_size", 2),)),
+            ("pseudo-random-boosted", (("sample_size", 3),)),
+        ],
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), draws=st.integers(1, 6))
+    def test_plan_fields_are_the_encoded_random_state(self, name, params, seed, draws):
+        pytest.importorskip("numpy")
+        algorithm, kernel = _boosted_and_kernel(name, params)
+        rng, reference = random.Random(seed), random.Random(seed)
+        for _ in range(draws):
+            fields = draw_fields(rng, algorithm.draw_plan)
+            assert fields == list(kernel.encode(algorithm.random_state(reference)))
+        assert rng.getrandbits(32) == reference.getrandbits(32)
